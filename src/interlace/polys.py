@@ -80,14 +80,17 @@ class Poly:
         """gcd of the coefficients (0 for the zero polynomial)."""
         return math.gcd(*self.coeffs) if self.coeffs else 0
 
-    def primitive_positive(self) -> "Poly":
-        """Divide out the content and normalize the leading coefficient to be positive."""
+    def primitive(self) -> "Poly":
+        """Divide out the (positive) content; every sign is kept."""
         if self.is_zero:
             return self
         c = self.content()
-        if self.coeffs[-1] < 0:
-            c = -c
         return Poly(tuple(a // c for a in self.coeffs))
+
+    def primitive_positive(self) -> "Poly":
+        """Divide out the content and normalize the leading coefficient to be positive."""
+        p = self.primitive()
+        return -p if p.leading_coefficient < 0 else p
 
     # -- arithmetic --------------------------------------------------------
 
@@ -169,25 +172,38 @@ def eval_rational(a: Poly, t) -> Fraction:
     return Fraction(a(t))
 
 
-def _pseudo_rem(a: Poly, b: Poly) -> Poly:
-    """Remainder of a by b after scaling a by powers of b's leading coefficient.
+def pseudo_divmod(a: Poly, b: Poly) -> tuple[int, Poly, Poly]:
+    """Integer pseudo-division: ``(s, q, r)`` with ``s*a == q*b + r``, ``s >= 1``
+    and ``deg r < deg b``.
 
-    Only used inside the gcd loop, where sign and content are irrelevant.
-    Requires b nonzero.
+    Each step scales the running remainder by ``|lead(b)| / gcd(lead(r), lead(b))``,
+    the least positive factor that keeps the step in Z[x].  So ``r`` is a positive
+    multiple of the Euclidean remainder of a by b (every sign evaluation agrees),
+    and ``s == 1`` exactly when the quotient over the rationals is integral.
     """
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
     r = list(a.coeffs)
     bc = b.coeffs
     db = len(bc) - 1
     lb = bc[-1]
+    s = 1
+    q = [0] * max(len(r) - db, 0)
     while len(r) - 1 >= db and r:
         lr = r[-1]
         shift = len(r) - 1 - db
-        r = [lb * c for c in r]
+        g = math.gcd(lr, lb)
+        scale, factor = abs(lb) // g, (lr // g if lb > 0 else -lr // g)
+        if scale != 1:
+            s *= scale
+            r = [scale * c for c in r]
+            q = [scale * c for c in q]
+        q[shift] = factor
         for i, c in enumerate(bc):
-            r[shift + i] -= lr * c
+            r[shift + i] -= factor * c
         while r and r[-1] == 0:
             r.pop()
-    return Poly(tuple(r))
+    return s, Poly(tuple(q)), Poly(tuple(r))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -203,65 +219,25 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if f.degree < g.degree:
         f, g = g, f
     while not g.is_zero:
-        r = _pseudo_rem(f, g)
-        f, g = g, r.primitive_positive()
+        f, g = g, pseudo_divmod(f, g)[2].primitive_positive()
     return f
-
-
-def frac_divmod(a: Poly, b: Poly) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of a by b over the rationals, as coefficient lists."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in a.coeffs]
-    bc = [Fraction(c) for c in b.coeffs]
-    db = len(bc) - 1
-    q = [Fraction(0)] * max(len(r) - db, 1)
-    while len(r) - 1 >= db and r:
-        factor = r[-1] / bc[-1]
-        shift = len(r) - 1 - db
-        q[shift] = factor
-        for i, c in enumerate(bc):
-            r[shift + i] -= factor * c
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
     """Exact division in Z[x]; raises ValueError if b does not divide a there."""
-    q, r = frac_divmod(a, b)
-    if r:
+    s, q, r = pseudo_divmod(a, b)
+    if not r.is_zero:
         raise ValueError("division is not exact")
-    if any(c.denominator != 1 for c in q):
+    if s != 1:
         raise ValueError("quotient is not integral")
-    return Poly(tuple(int(c) for c in q))
+    return q
 
 
 def divides(d: Poly, a: Poly) -> bool:
     """True if d divides a over the rationals (zero remainder)."""
     if d.is_zero:
         return a.is_zero
-    _, r = frac_divmod(a, d)
-    return not r
-
-
-def scale_to_int(frac_coeffs) -> Poly:
-    """Clear denominators and divide by the integer content, preserving sign.
-
-    The scaling factor is a positive rational, so signs of all coefficients
-    (and the sign of every evaluation) are preserved.
-    """
-    cs = [Fraction(c) for c in frac_coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return ZERO
-    lcm = 1
-    for c in cs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in cs]
-    g = math.gcd(*ints)
-    return Poly(tuple(v // g for v in ints))
+    return pseudo_divmod(a, d)[2].is_zero
 
 
 def parse_poly_list(text: str, sep: str = ";") -> list[Poly]:

@@ -1,10 +1,10 @@
 """Exact real-root certification and the interleaving order on root sets.
 
-Everything here is driven by Sturm chains over exact rational arithmetic:
-counting distinct real roots, isolating them in disjoint rational intervals
-(with multiplicities recovered from a repeated-gcd chain), deciding
-real-rootedness, and deciding whether the roots of one polynomial weakly
-alternate with the roots of another.
+Everything here is driven by integer remainder sequences: Sturm chains count
+distinct real roots, isolate them in disjoint rational intervals (with
+multiplicities recovered from a repeated-gcd chain) and decide
+real-rootedness; a gcd plus one more remainder sequence decides whether the
+roots of one polynomial weakly alternate with the roots of another.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from .errors import (
     NegativeLeadingCoefficientError,
     ZeroPolynomialError,
 )
-from .polys import Poly, exact_div, poly_derivative, poly_gcd, scale_to_int
-
-# Refinement loops halve interval widths; at desk scale a root pair that is
-# still unseparated after this many halvings indicates a logic error.
-_MAX_HALVINGS = 512
+from .polys import Poly, exact_div, poly_derivative, poly_gcd, pseudo_divmod
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,9 @@ def squarefree_part(f: Poly) -> Poly:
 class SturmChain:
     """Signed-remainder sequence of a squarefree polynomial.
 
-    Each remainder is rescaled by a positive rational to keep integer
-    coefficients, which leaves every sign evaluation unchanged.
+    Each remainder is an integer pseudo-remainder reduced to its primitive
+    part; both steps scale by positive factors, which leaves every sign
+    evaluation unchanged.
     """
 
     chain: tuple[Poly, ...]
@@ -104,10 +101,10 @@ class SturmChain:
             return SturmChain((p,))
         chain = [p, poly_derivative(p)]
         while True:
-            rem = _signed_rational_rem(chain[-2], chain[-1])
+            rem = pseudo_divmod(chain[-2], chain[-1])[2]
             if rem.is_zero:
                 break
-            chain.append(-rem)
+            chain.append(-rem.primitive())
         return SturmChain(tuple(chain))
 
     def variations_at(self, t: Fraction) -> int:
@@ -126,21 +123,6 @@ class SturmChain:
         va = self.variations_at(lo) if lo is not None else self.variations_at_neg_inf()
         vb = self.variations_at(hi) if hi is not None else self.variations_at_pos_inf()
         return va - vb
-
-
-def _signed_rational_rem(a: Poly, b: Poly) -> Poly:
-    """Euclidean remainder of a by b over Q, rescaled positively to Z[x]."""
-    r = [Fraction(c) for c in a.coeffs]
-    bc = [Fraction(c) for c in b.coeffs]
-    db = len(bc) - 1
-    while len(r) - 1 >= db and r:
-        factor = r[-1] / bc[-1]
-        shift = len(r) - 1 - db
-        for i, c in enumerate(bc):
-            r[shift + i] -= factor * c
-        while r and r[-1] == 0:
-            r.pop()
-    return scale_to_int(r)
 
 
 def _sign_variations(values) -> int:
@@ -172,7 +154,7 @@ def is_real_rooted(f: Poly) -> bool:
     if f.is_zero or f.degree == 0:
         return True
     p = squarefree_part(f)
-    return count_real_roots(p) == p.degree
+    return SturmChain.of_squarefree(p).count_in(None, None) == p.degree
 
 
 # -- root isolation -----------------------------------------------------------
@@ -277,68 +259,42 @@ def _isolate_squarefree(q: Poly) -> tuple[list[Fraction], list[tuple[Fraction, F
             intervals = found
             break
     # shrink intervals until no extracted exact root touches them
+    # (terminates: the root of q inside is not one of the points, which were
+    # divided out of the squarefree q)
     cleaned = []
     for lo, hi in intervals:
-        for _ in range(_MAX_HALVINGS):
-            if not any(lo <= a <= hi for a in points):
-                break
-            mid = (lo + hi) / 2
-            v = q(mid)
-            if v == 0:
-                points.append(mid)
-                lo = hi = mid
-                break
-            if (q(lo) > 0) != (v > 0):
-                hi = mid
-            else:
-                lo = mid
-        else:
-            raise AssertionError("failed to separate interval from exact roots")
+        while any(lo <= a <= hi for a in points):
+            lo, hi = _bisect_once(q, lo, hi)
         if lo == hi:
-            continue
-        cleaned.append((lo, hi))
+            points.append(lo)
+        else:
+            cleaned.append((lo, hi))
     return points, cleaned
 
 
-def _multiplicity_levels(f: Poly) -> list[Poly]:
-    """Squarefree parts of the repeated-gcd chain; levels[k] holds the distinct
-    roots of f of multiplicity at least k + 2."""
+def _multiplicity_levels(f: Poly) -> list[tuple[Poly, SturmChain]]:
+    """Squarefree parts of the repeated-gcd chain with their Sturm chains;
+    levels[k] holds the distinct roots of f of multiplicity at least k + 2."""
     levels = []
     g = f
     while True:
         g = poly_gcd(g, poly_derivative(g))
         if g.is_zero or g.degree < 1:
             break
-        levels.append(squarefree_part(g))
+        s = squarefree_part(g)
+        levels.append((s, SturmChain.of_squarefree(s)))
     return levels
 
 
-def _level_has_root(level: Poly, chain: SturmChain, lo: Fraction, hi: Fraction) -> bool:
-    if lo == hi:
-        return level(lo) == 0
-    return chain.count_in(lo, hi) == 1
-
-
-def _isolation_data(f: Poly) -> tuple[Poly, list[RootInterval]]:
-    """Squarefree part of f plus sorted isolating intervals with multiplicities."""
-    p = squarefree_part(f)
-    if p.degree < 1:
-        return p, []
-    points, intervals = _isolate_squarefree(p)
-    records: list[tuple[Fraction, Fraction]] = [(a, a) for a in points] + intervals
-    records.sort(key=lambda iv: iv[0])
-    levels = _multiplicity_levels(f)
-    level_chains = [SturmChain.of_squarefree(s) for s in levels]
-    out = []
-    for lo, hi in records:
-        mult = 1
-        for level, chain in zip(levels, level_chains):
-            if _level_has_root(level, chain, lo, hi):
-                mult += 1
-            else:
-                break
-        out.append(RootInterval(lo, hi, mult))
-    return p, out
+def _multiplicity(levels: list[tuple[Poly, SturmChain]], lo: Fraction, hi: Fraction) -> int:
+    """Multiplicity of the root of f isolated by [lo, hi], given f's levels."""
+    mult = 1
+    for level, chain in levels:
+        has_root = level(lo) == 0 if lo == hi else chain.count_in(lo, hi) == 1
+        if not has_root:
+            break
+        mult += 1
+    return mult
 
 
 def isolate_roots(f: Poly) -> RootCertificate:
@@ -346,8 +302,15 @@ def isolate_roots(f: Poly) -> RootCertificate:
     with multiplicities recovered from the repeated-gcd chain."""
     if f.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of 0")
-    _, records = _isolation_data(f)
-    return RootCertificate(tuple(records))
+    p = squarefree_part(f)
+    if p.degree < 1:
+        return RootCertificate()
+    points, intervals = _isolate_squarefree(p)
+    records: list[tuple[Fraction, Fraction]] = [(a, a) for a in points] + intervals
+    records.sort(key=lambda iv: iv[0])
+    levels = _multiplicity_levels(f)
+    return RootCertificate(tuple(RootInterval(lo, hi, _multiplicity(levels, lo, hi))
+                                 for lo, hi in records))
 
 
 def _bisect_once(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -373,9 +336,7 @@ def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate
     out = []
     for iv in cert.intervals:
         lo, hi = iv.lo, iv.hi
-        for _ in range(_MAX_HALVINGS):
-            if hi - lo < width:
-                break
+        while hi - lo >= width:
             lo, hi = _bisect_once(p, lo, hi)
         out.append(RootInterval(lo, hi, iv.multiplicity))
     return RootCertificate(tuple(out))
@@ -389,7 +350,6 @@ def _validate_certificate(f: Poly, p: Poly, cert: RootCertificate) -> None:
             f"certificate lists {len(cert.intervals)} roots, polynomial has {distinct}"
         )
     levels = _multiplicity_levels(f)
-    level_chains = [SturmChain.of_squarefree(s) for s in levels]
     for iv in cert.intervals:
         if iv.is_point:
             if f(iv.lo) != 0:
@@ -401,12 +361,7 @@ def _validate_certificate(f: Poly, p: Poly, cert: RootCertificate) -> None:
                 raise CertificateMismatchError(
                     f"interval ({iv.lo}, {iv.hi}) does not isolate one root"
                 )
-        mult = 1
-        for level, lchain in zip(levels, level_chains):
-            if _level_has_root(level, lchain, iv.lo, iv.hi):
-                mult += 1
-            else:
-                break
+        mult = _multiplicity(levels, iv.lo, iv.hi)
         if mult != iv.multiplicity:
             raise CertificateMismatchError(
                 f"multiplicity mismatch on ({iv.lo}, {iv.hi}): {iv.multiplicity} != {mult}"
@@ -416,117 +371,27 @@ def _validate_certificate(f: Poly, p: Poly, cert: RootCertificate) -> None:
 # -- interleaving --------------------------------------------------------------
 
 
-class _Root:
-    """Mutable handle on one distinct real root during an interleaving check.
+def _strictly_interlace(f: Poly, g: Poly) -> bool:
+    """f << g for coprime f and g with positive leading coefficients and
+    deg f in {deg g - 1, deg g}: all roots real and simple, strictly alternating
+    downward from the largest root, which belongs to g.
 
-    ``lo == hi`` means the root is known exactly.  ``key`` marks roots shared
-    between the two polynomials (equal keys compare equal).
+    With deg g = deg f + 1 this holds iff the negated remainder sequence of
+    (g, f) drops the degree by exactly one at each step and keeps positive
+    leading coefficients (Hermite-Kakeya-Obreschkoff; a Sturm count of the
+    Cauchy index of f/g).  Equal degrees reduce to that case: for them
+    f << g iff -(lead(f) g - lead(g) f) << f.
     """
-
-    __slots__ = ("sf", "lo", "hi", "key")
-
-    def __init__(self, sf: Poly, lo: Fraction, hi: Fraction):
-        self.sf = sf
-        self.lo = lo
-        self.hi = hi
-        self.key: int | None = None
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def halve(self) -> None:
-        if not self.is_point:
-            self.lo, self.hi = _bisect_once(self.sf, self.lo, self.hi)
-
-    def make_point(self, value: Fraction) -> None:
-        self.lo = self.hi = value
-
-
-def _surely_below(a: _Root, b: _Root) -> bool:
-    if a.hi < b.lo:
-        return True
-    if a.hi == b.lo:
-        # touching is enough unless both are the same exact point
-        return not (a.is_point and b.is_point)
+    if f.degree == g.degree:
+        if f.degree == 0:
+            return True
+        f, g = -(f.leading_coefficient * g - g.leading_coefficient * f), f
+    a, b = g, f
+    while b.leading_coefficient > 0 and b.degree == a.degree - 1:
+        if b.degree == 0:
+            return True
+        a, b = b, -pseudo_divmod(a, b)[2].primitive()
     return False
-
-
-def _compare(a: _Root, b: _Root) -> int:
-    """-1, 0, +1 comparison of the real values of two isolated roots."""
-    if a.key is not None and a.key == b.key:
-        return 0
-    if a.is_point and b.is_point:
-        return -1 if a.lo < b.lo else (0 if a.lo == b.lo else 1)
-    for _ in range(_MAX_HALVINGS):
-        if _surely_below(a, b):
-            return -1
-        if _surely_below(b, a):
-            return 1
-        a.halve()
-        b.halve()
-    raise AssertionError("failed to separate two roots; missing shared-root match?")
-
-
-def _try_match(droot: _Root, cand: _Root, d_sf: Poly, d_chain: SturmChain) -> bool:
-    """Decide exactly whether cand isolates the same real number as droot.
-
-    droot isolates one root of the gcd, which is also a root of cand's
-    polynomial, so it equals cand's root iff it lies inside cand's interval;
-    that membership is a Sturm count of d_sf over the interval intersection
-    (interval endpoints are never roots of either polynomial).
-    """
-    if cand.is_point:
-        if d_sf(cand.lo) != 0:
-            return False
-        if droot.is_point:
-            return droot.lo == cand.lo
-        if droot.lo < cand.lo < droot.hi:
-            droot.make_point(cand.lo)
-            return True
-        return False
-    if droot.is_point:
-        if cand.lo < droot.lo < cand.hi:
-            cand.make_point(droot.lo)
-            return True
-        return False
-    lo, hi = max(droot.lo, cand.lo), min(droot.hi, cand.hi)
-    if lo >= hi:
-        return False
-    return d_chain.count_in(lo, hi) == 1
-
-
-def _distinct(roots: list[_Root]) -> list[_Root]:
-    out: list[_Root] = []
-    for r in roots:
-        if not any(r is seen for seen in out):
-            out.append(r)
-    return out
-
-
-def _match_shared(roots_f: list[_Root], roots_g: list[_Root], f: Poly, g: Poly) -> None:
-    """Mark the common roots of f and g (the roots of their gcd) with equal keys."""
-    d = poly_gcd(f, g)
-    if d.degree < 1:
-        return
-    d_sf, ivs = _isolation_data(d)
-    d_chain = SturmChain.of_squarefree(d_sf)
-    for key, iv in enumerate(ivs):
-        droot = _Root(d_sf, iv.lo, iv.hi)
-        for side in (roots_f, roots_g):
-            matched = [r for r in _distinct(side) if _try_match(droot, r, d_sf, d_chain)]
-            if len(matched) != 1:
-                raise AssertionError("gcd root failed to match exactly one root")
-            matched[0].key = key
-
-
-def _located_roots(f: Poly) -> list[_Root]:
-    sf, ivs = _isolation_data(f)
-    out = []
-    for iv in ivs:
-        root = _Root(sf, iv.lo, iv.hi)
-        out.extend([root] * iv.multiplicity)
-    return out
 
 
 @functools.lru_cache(maxsize=8192)
@@ -536,6 +401,10 @@ def interleaves(f: Poly, g: Poly) -> bool:
 
     By convention every real-rooted polynomial (and 0 itself) interleaves 0 in
     both directions.  Nonzero inputs must have positive leading coefficients.
+
+    Decided without locating a root: with d = gcd(f, g), the multiplicity
+    lists alternate weakly iff d is real-rooted and f/d, g/d (which share no
+    root) alternate strictly, which one remainder sequence decides.
     """
     for p in (f, g):
         if not p.is_zero and p.leading_coefficient < 0:
@@ -543,20 +412,10 @@ def interleaves(f: Poly, g: Poly) -> bool:
     if f.is_zero or g.is_zero:
         other = g if f.is_zero else f
         return other.is_zero or is_real_rooted(other)
-    if not is_real_rooted(f) or not is_real_rooted(g):
+    if f.degree not in (g.degree - 1, g.degree):
         return False
-    n, m = f.degree, g.degree
-    if n not in (m - 1, m):
-        return False
-    alpha = _located_roots(f)[::-1]  # descending
-    beta = _located_roots(g)[::-1]
-    _match_shared(alpha, beta, f, g)
-    for i in range(len(alpha)):
-        if i < len(beta) and _compare(alpha[i], beta[i]) > 0:
-            return False
-        if i + 1 < len(beta) and _compare(alpha[i], beta[i + 1]) < 0:
-            return False
-    return True
+    d = poly_gcd(f, g)
+    return is_real_rooted(d) and _strictly_interlace(exact_div(f, d), exact_div(g, d))
 
 
 def is_interlacing_seq(fs) -> bool:

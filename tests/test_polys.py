@@ -18,6 +18,7 @@ from interlace.polys import (
     poly_derivative,
     poly_gcd,
     poly_mul,
+    pseudo_divmod,
 )
 
 small_polys = st.builds(
@@ -122,7 +123,24 @@ def test_gcd_divides_both(a, b):
     assert divides(d, a) and divides(d, b)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_polys, small_polys)
+def test_pseudo_divmod_identity(a, b):
+    if b.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            pseudo_divmod(a, b)
+        return
+    s, q, r = pseudo_divmod(a, b)
+    assert s >= 1
+    assert s * a == q * b + r
+    assert r.degree < b.degree
+
+
 def test_exact_div():
     assert exact_div(Poly((-1, 0, 1)), Poly((1, 1))) == Poly((-1, 1))
+    assert exact_div(Poly((-1, 0, 1)), Poly((-1, -1))) == Poly((1, -1))
+    assert exact_div(ZERO, Poly((3, 2))) == ZERO
     with pytest.raises(ValueError):
         exact_div(Poly((1, 0, 1)), Poly((1, 1)))
+    with pytest.raises(ValueError):  # exact over Q, but the quotient is 1/2
+        exact_div(Poly((2, 2)), Poly((4, 4)))

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -158,6 +159,14 @@ def test_refine_rejects_foreign_certificate():
         refine_certificate(Poly((-2, 0, 1)), wrong_mult, Fraction(1, 4))
 
 
+def test_refine_below_2_pow_minus_520():
+    f = Poly((-2, 0, 1))
+    width = Fraction(1, 1 << 520)
+    out = refine_certificate(f, isolate_roots(f), width)
+    assert len(out) == 2
+    assert all(iv.hi - iv.lo < width for iv in out.intervals)
+
+
 def test_certificate_json():
     cert = isolate_roots(Poly((1, 2, 1)))
     assert cert.to_json_obj() == [{"lo": "-1/1", "hi": "-1/1", "mult": 2}]
@@ -267,6 +276,89 @@ def test_interleaves_constructed_between_roots(data):
                for a, b in zip(roots_f, roots_f[1:])]
     roots_g.append(roots_f[-1] + data.draw(st.integers(min_value=1, max_value=4)))
     assert interleaves(product_of_roots(roots_f), product_of_roots(roots_g))
+
+
+def test_interleaves_roots_closer_than_2_pow_minus_512():
+    # roots +-sqrt(2) against +-sqrt(2 + 2^-520): the negative pair breaks
+    # alternation, and no fixed bisection depth separates the roots
+    f = Poly((-2, 0, 1))
+    g = Poly((-(1 << 521) - 1, 0, 1 << 520))
+    assert not interleaves(f, g)
+    assert not interleaves(g, f)
+
+
+# Real numbers q + s*sqrt(2) as pairs (q, s), with q rational and s an integer.
+SQRT2_PAIR = ((0, 1), (0, -1))
+
+
+def _below(u, v) -> bool:
+    """u < v, exactly: q < b*sqrt(2) is decided by signs and by q^2 against 2b^2."""
+    q, b = u[0] - v[0], v[1] - u[1]
+    if b == 0:
+        return q < 0
+    if b > 0:
+        return q < 0 or q * q < 2 * b * b
+    return q < 0 and q * q > 2 * b * b
+
+
+def _descending(roots):
+    key = functools.cmp_to_key(lambda u, v: -1 if _below(v, u) else (1 if _below(u, v) else 0))
+    return sorted(roots, key=key)
+
+
+def _weakly_alternate(alpha, beta) -> bool:
+    """beta[0] >= alpha[0] >= beta[1] >= alpha[1] >= ... on descending lists."""
+    if len(beta) not in (len(alpha), len(alpha) + 1):
+        return False
+    for i, a in enumerate(alpha):
+        if _below(beta[i], a) or (i + 1 < len(beta) and _below(a, beta[i + 1])):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-3, max_value=3, max_denominator=5),
+            st.sampled_from(["next", "both", "both2", "f", "g"]),
+        ),
+        unique_by=lambda t: t[0],
+        max_size=6,
+    ),
+    st.sampled_from([None, "both", "f", "g"]),
+    st.sampled_from([None, "f", "g"]),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+)
+def test_interleaves_matches_constructed_roots(placed, sqrt2_on, complex_on, sf, sg):
+    # Roots are placed by value from the top: "next" goes to the side whose
+    # turn it is (g first, so alternation holds unless another tag breaks it),
+    # "both"/"both2" are shared roots of multiplicity 1/2, and "f"/"g" force a side.
+    roots = {"f": [], "g": []}
+    turn = "g"
+    for q, tag in sorted(placed, reverse=True):
+        if tag == "next":
+            roots[turn].append((q, 0))
+            turn = "f" if turn == "g" else "g"
+        elif tag in roots:
+            roots[tag].append((q, 0))
+        else:
+            for side in roots:
+                roots[side] += [(q, 0)] * (2 if tag == "both2" else 1)
+    polys = {side: ONE for side in roots}
+    for side, rs in roots.items():
+        for q, _ in rs:
+            polys[side] = polys[side] * Poly((-q.numerator, q.denominator))
+    for side in ("fg" if sqrt2_on == "both" else sqrt2_on or ""):
+        polys[side] = polys[side] * Poly((-2, 0, 1))
+        roots[side] += SQRT2_PAIR
+    if complex_on:
+        polys[complex_on] = polys[complex_on] * Poly((1, 0, 1))
+        expected = False
+    else:
+        expected = _weakly_alternate(_descending(roots["f"]), _descending(roots["g"]))
+    assert interleaves(sf * polys["f"], sg * polys["g"]) == expected
 
 
 def test_is_interlacing_seq():
