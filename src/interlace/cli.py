@@ -168,9 +168,10 @@ def cmd_check(args) -> int:
 def _load_matrix(path: str) -> matrices.SymMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return matrices.SymMatrix.from_json(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    return matrices.SymMatrix.from_json(text)
 
 
 def cmd_matrix(args) -> int:

@@ -137,6 +137,24 @@ class Poly:
             acc = acc * t + c
         return acc
 
+    def sign_at(self, t) -> int:
+        """Sign (-1, 0 or 1) of the value at a rational t, in integer arithmetic.
+
+        With t = num/den and den > 0, Horner's rule on the homogenised form,
+        ``acc = acc*num + c*den**j``, gives den**deg * p(t), which has the sign
+        of p(t) and needs no rational intermediate.
+        """
+        cs = self.coeffs
+        if not cs:
+            return 0
+        num, den = t.numerator, t.denominator
+        acc = cs[-1]
+        den_pow = 1
+        for c in reversed(cs[:-1]):
+            den_pow *= den
+            acc = acc * num + c * den_pow
+        return (acc > 0) - (acc < 0)
+
     # -- rendering ---------------------------------------------------------
 
     def to_string(self) -> str:

@@ -108,7 +108,7 @@ class SturmChain:
         return SturmChain(tuple(chain))
 
     def variations_at(self, t: Fraction) -> int:
-        return _sign_variations([p(t) for p in self.chain])
+        return _sign_variations([p.sign_at(t) for p in self.chain])
 
     def variations_at_neg_inf(self) -> int:
         return _sign_variations(
@@ -228,7 +228,7 @@ def _isolate_squarefree(q: Poly) -> tuple[list[Fraction], list[tuple[Fraction, F
     for cand in _rational_root_candidates(q):
         if q.degree < 1:
             break
-        if q(cand) == 0:
+        if q.sign_at(cand) == 0:
             points.append(cand)
             q = exact_div(q, _linear_from_root(cand))
     intervals: list[tuple[Fraction, Fraction]] = []
@@ -247,7 +247,7 @@ def _isolate_squarefree(q: Poly) -> tuple[list[Fraction], list[tuple[Fraction, F
                 found.append((lo, hi))
                 continue
             mid = (lo + hi) / 2
-            if q(mid) == 0:
+            if q.sign_at(mid) == 0:
                 # exact root not caught by the candidate scan; deflate and redo
                 points.append(mid)
                 q = exact_div(q, _linear_from_root(mid))
@@ -272,25 +272,29 @@ def _isolate_squarefree(q: Poly) -> tuple[list[Fraction], list[tuple[Fraction, F
     return points, cleaned
 
 
-def _multiplicity_levels(f: Poly) -> list[tuple[Poly, SturmChain]]:
-    """Squarefree parts of the repeated-gcd chain with their Sturm chains;
-    levels[k] holds the distinct roots of f of multiplicity at least k + 2."""
-    levels = []
-    g = f
-    while True:
-        g = poly_gcd(g, poly_derivative(g))
-        if g.is_zero or g.degree < 1:
-            break
-        s = squarefree_part(g)
-        levels.append((s, SturmChain.of_squarefree(s)))
-    return levels
+def _squarefree_levels(f: Poly) -> tuple[Poly, list[tuple[Poly, SturmChain]]]:
+    """The squarefree part of a nonzero f, and the multiplicity levels of f
+    with their Sturm chains: levels[k] holds the distinct roots of f of
+    multiplicity at least k + 2.
+
+    Both come from one repeated-gcd chain g[0] = f, g[i+1] = gcd(g[i], g[i]'),
+    which ends at a constant: the distinct roots of g[i] are the roots of f of
+    multiplicity above i, so g[i] / g[i+1] is their squarefree part.
+    """
+    gs = [f]
+    while gs[-1].degree >= 1:
+        gs.append(poly_gcd(gs[-1], poly_derivative(gs[-1])))
+    if len(gs) == 1:
+        return Poly((1,)), []
+    p, *rest = [exact_div(g, h).primitive_positive() for g, h in zip(gs, gs[1:])]
+    return p, [(s, SturmChain.of_squarefree(s)) for s in rest]
 
 
 def _multiplicity(levels: list[tuple[Poly, SturmChain]], lo: Fraction, hi: Fraction) -> int:
     """Multiplicity of the root of f isolated by [lo, hi], given f's levels."""
     mult = 1
     for level, chain in levels:
-        has_root = level(lo) == 0 if lo == hi else chain.count_in(lo, hi) == 1
+        has_root = level.sign_at(lo) == 0 if lo == hi else chain.count_in(lo, hi) == 1
         if not has_root:
             break
         mult += 1
@@ -302,13 +306,12 @@ def isolate_roots(f: Poly) -> RootCertificate:
     with multiplicities recovered from the repeated-gcd chain."""
     if f.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of 0")
-    p = squarefree_part(f)
+    p, levels = _squarefree_levels(f)
     if p.degree < 1:
         return RootCertificate()
     points, intervals = _isolate_squarefree(p)
     records: list[tuple[Fraction, Fraction]] = [(a, a) for a in points] + intervals
     records.sort(key=lambda iv: iv[0])
-    levels = _multiplicity_levels(f)
     return RootCertificate(tuple(RootInterval(lo, hi, _multiplicity(levels, lo, hi))
                                  for lo, hi in records))
 
@@ -316,10 +319,10 @@ def isolate_roots(f: Poly) -> RootCertificate:
 def _bisect_once(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """One sign-change bisection step on an interval holding one simple root of p."""
     mid = (lo + hi) / 2
-    v = p(mid)
-    if v == 0:
+    s = p.sign_at(mid)
+    if s == 0:
         return mid, mid
-    if (p(lo) > 0) != (v > 0):
+    if p.sign_at(lo) != s:
         return lo, mid
     return mid, hi
 
@@ -331,8 +334,8 @@ def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate
         raise BadParametersError("width must be positive")
     if f.is_zero:
         raise CertificateMismatchError("the zero polynomial has no certificate")
-    p = squarefree_part(f)
-    _validate_certificate(f, p, cert)
+    p, levels = _squarefree_levels(f)
+    _validate_certificate(f, p, levels, cert)
     out = []
     for iv in cert.intervals:
         lo, hi = iv.lo, iv.hi
@@ -342,20 +345,20 @@ def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate
     return RootCertificate(tuple(out))
 
 
-def _validate_certificate(f: Poly, p: Poly, cert: RootCertificate) -> None:
+def _validate_certificate(f: Poly, p: Poly, levels: list[tuple[Poly, SturmChain]],
+                          cert: RootCertificate) -> None:
     chain = SturmChain.of_squarefree(p) if p.degree >= 1 else None
     distinct = chain.count_in(None, None) if chain else 0
     if len(cert.intervals) != distinct:
         raise CertificateMismatchError(
             f"certificate lists {len(cert.intervals)} roots, polynomial has {distinct}"
         )
-    levels = _multiplicity_levels(f)
     for iv in cert.intervals:
         if iv.is_point:
-            if f(iv.lo) != 0:
+            if f.sign_at(iv.lo) != 0:
                 raise CertificateMismatchError(f"{iv.lo} is not a root")
         else:
-            if p(iv.lo) == 0 or p(iv.hi) == 0:
+            if p.sign_at(iv.lo) == 0 or p.sign_at(iv.hi) == 0:
                 raise CertificateMismatchError("interval endpoint is a root")
             if chain.count_in(iv.lo, iv.hi) != 1:
                 raise CertificateMismatchError(

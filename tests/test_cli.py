@@ -142,6 +142,15 @@ def test_matrix_check_and_apply(tmp_path, capsys):
     assert code == 2
 
 
+def test_matrix_file_not_utf8(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli(capsys, "matrix", "check", str(binary))
+    assert code == 2 and "cannot read" in err
+    code, _, err = run_cli(capsys, "matrix", "apply", str(binary), "--polys", "0;0,1;0,1")
+    assert code == 2 and "cannot read" in err
+
+
 def test_matrix_closure(capsys):
     code, out, _ = run_cli(capsys, "--json", "matrix", "closure")
     assert code == 0

@@ -77,6 +77,34 @@ def test_eval_examples():
     assert eval_rational(ZERO, Fraction(7, 3)) == 0
 
 
+def test_sign_at_examples():
+    x2m2 = Poly((-2, 0, 1))
+    assert ZERO.sign_at(Fraction(1, 3)) == 0
+    assert Poly((-5,)).sign_at(Fraction(-7, 5)) == -1
+    assert x2m2.sign_at(Fraction(7, 5)) == -1  # 49/25 < 2
+    assert x2m2.sign_at(Fraction(-3, 2)) == 1
+    assert x2m2.sign_at(0) == -1
+    assert (Poly((-1, 3)) * x2m2).sign_at(Fraction(1, 3)) == 0
+
+
+big_coeffs = st.integers(min_value=-(1 << 1000), max_value=1 << 1000)
+points = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-7, 5), Fraction(-1), Fraction(3, 1024)]),
+    st.fractions(max_denominator=10**6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(big_coeffs, max_size=8), points, st.booleans())
+def test_sign_at_matches_rational_evaluation(cs, t, plant_root):
+    p = Poly(tuple(cs))
+    if plant_root:
+        p = p * Poly((-t.numerator, t.denominator))  # (den x - num) vanishes at t
+        assert p.sign_at(t) == 0
+    v = p(t)
+    assert p.sign_at(t) == (v > 0) - (v < 0)
+
+
 def test_text_format_round_trip():
     assert Poly.from_string("0,1,1") == Poly((0, 1, 1))
     assert Poly.from_string("0") == ZERO

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interlace import realroots
 from interlace.errors import (
     CertificateMismatchError,
     EmptyIntervalError,
@@ -75,6 +76,29 @@ def test_count_errors():
         count_real_roots(ZERO)
     with pytest.raises(EmptyIntervalError):
         count_real_roots(X, lo=1, hi=0)
+
+
+def test_count_over_non_dyadic_intervals():
+    # roots -sqrt2 < -7/5 < 1/3 (double) < 1 < 7/5 < sqrt2
+    rational = [Fraction(-7, 5), Fraction(1, 3), Fraction(1), Fraction(7, 5)]
+    f = (Poly((7, 5)) * Poly((-1, 3)) * Poly((-1, 3)) * Poly((-1, 1)) * Poly((-7, 5))
+         * Poly((-2, 0, 1)))
+
+    def below_sqrt2(a):
+        return a < 0 or a * a < 2
+
+    def expected(lo, hi):
+        n = sum(1 for a in rational if lo < a <= hi)
+        n += below_sqrt2(hi) != below_sqrt2(lo)  # +sqrt2 in (lo, hi]
+        n += below_sqrt2(-lo) != below_sqrt2(-hi)  # -sqrt2 in (lo, hi]
+        return n
+
+    assert count_real_roots(f, lo=Fraction(1, 3), hi=Fraction(7, 5)) == 2
+    ends = sorted({Fraction(-17, 12), Fraction(-7, 5), Fraction(-2, 3), Fraction(0),
+                   Fraction(1, 3), Fraction(5, 7), Fraction(1), Fraction(7, 5), Fraction(17, 12)})
+    for i, lo in enumerate(ends):
+        for hi in ends[i:]:
+            assert count_real_roots(f, lo=lo, hi=hi) == expected(lo, hi), (lo, hi)
 
 
 def test_count_matches_distinct_integer_roots():
@@ -157,6 +181,37 @@ def test_refine_rejects_foreign_certificate():
     )
     with pytest.raises(CertificateMismatchError):
         refine_certificate(Poly((-2, 0, 1)), wrong_mult, Fraction(1, 4))
+
+
+def test_refine_hand_made_non_dyadic_certificate():
+    f = Poly((-2, 0, 1))
+    cert = RootCertificate((RootInterval(Fraction(-5, 3), Fraction(-4, 3), 1),
+                            RootInterval(Fraction(4, 3), Fraction(5, 3), 1)))
+    width = Fraction(1, 1 << 40)
+    lo_iv, hi_iv = refine_certificate(f, cert, width).intervals
+    for iv, sign in ((lo_iv, -1), (hi_iv, 1)):
+        assert 0 < iv.hi - iv.lo < width
+        a, b = sorted((sign * iv.lo, sign * iv.hi))
+        assert a * a < 2 < b * b
+
+
+def test_gcd_chain_built_once(monkeypatch):
+    # (x+1)^10 (x^2-2): the repeated-gcd chain has 10 gcds, each computed once
+    f = product_of_roots([-1] * 10) * Poly((-2, 0, 1))
+    calls = []
+    gcd = realroots.poly_gcd
+
+    def counted_gcd(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(realroots, "poly_gcd", counted_gcd)
+    cert = isolate_roots(f)
+    assert len(calls) == 10
+    assert [iv.multiplicity for iv in cert.intervals] == [1, 10, 1]
+    calls.clear()
+    refine_certificate(f, cert, Fraction(1, 1 << 20))
+    assert len(calls) == 10
 
 
 def test_refine_below_2_pow_minus_520():
