@@ -2,7 +2,8 @@
 
 One binary with subcommands; every verdict is printable as stable JSON with
 ``--json``.  Exit codes: 0 success/PASS, 1 property failure (machine-readable
-witness on stdout), 2 usage or parse error (message on stderr).
+witness on stdout), 2 usage or parse error (message on stderr), 3 internal
+error (message on stderr; status ERROR under ``--json``).
 
 Polynomials on the command line use the ascending-coefficient comma format
 ("0,1,1" is x + x^2); semicolons separate polynomials in sequence arguments.
@@ -23,7 +24,7 @@ from .polys import Poly, parse_poly_list
 from .realroots import interleaves, is_real_rooted, isolate_roots
 from .words import DEFAULT_BUDGET, GammaVector
 
-PASS, FAIL, OK = "PASS", "FAIL", "OK"
+PASS, FAIL, OK, ERROR = "PASS", "FAIL", "OK", "ERROR"
 
 
 class UsageError(Exception):
@@ -357,6 +358,14 @@ def main(argv=None) -> int:
     except InterlaceError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of interlace itself, not of the input
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if args.json:
+            command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+            params = {k: v for k, v in vars(args).items()
+                      if k not in ("command", "subcommand", "json")}
+            print(json.dumps({"command": command, "params": params, "status": ERROR}))
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Everything here is driven by integer remainder sequences: Sturm chains count
 distinct real roots, isolate them in disjoint rational intervals (with
-multiplicities recovered from a repeated-gcd chain) and decide
+multiplicities recovered from a repeated-gcd chain, and rational roots found
+exactly by a binary search over the grid c/|lead|) and decide
 real-rootedness; a gcd plus one more remainder sequence decides whether the
 roots of one polynomial weakly alternate with the roots of another.
 """
@@ -10,6 +11,7 @@ roots of one polynomial weakly alternate with the roots of another.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -168,108 +170,77 @@ def _root_bound(p: Poly) -> int:
     return 1 + (-(-m // an))
 
 
-def _bounded_divisors(n: int, limit: int = 4096) -> list[int] | None:
-    """Positive divisors of |n|, or None when there would be too many to try.
+def _rational_root_in(q: Poly, lo: Fraction, hi: Fraction) -> Fraction | None:
+    """The root of q in (lo, hi) if it is rational, else None.
 
-    Trial division is capped; a leftover cofactor is treated as prime.  The
-    list may then miss some divisors, which only makes rational-root snapping
-    incomplete (isolating intervals stay correct).
+    (lo, hi) must hold exactly one root of q, a simple one, and neither end
+    may be a root.  A rational root of the integer polynomial q has a
+    denominator dividing L = |lead(q)|, so it is c/L for an integer c.  q has
+    the sign of q(lo) exactly at the grid points c/L below the root, which a
+    binary search over c exploits: one evaluation at lo and at most
+    log2(L (hi - lo)) + 1 on the grid.
     """
-    n = abs(n)
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n and d < 1_000_000:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    divisors = [1]
-    for prime, mult in factors.items():
-        divisors = [d * prime**k for d in divisors for k in range(mult + 1)]
-        if len(divisors) > limit:
-            return None
-    return sorted(divisors)
-
-
-def _rational_root_candidates(q: Poly) -> list[Fraction]:
-    """Candidate rational roots num/den with num | q(0) and den | lead(q)."""
-    if q.is_zero or q.degree < 1 or q.coeffs[0] == 0:
-        return []
-    nums = _bounded_divisors(q.coeffs[0])
-    dens = _bounded_divisors(q.leading_coefficient)
-    if nums is None or dens is None:
-        return []
-    seen = set()
-    out = []
-    for den in dens:
-        for num in nums:
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in seen:
-                    seen.add(cand)
-                    out.append(cand)
-    return out
-
-
-def _linear_from_root(a: Fraction) -> Poly:
-    return Poly((-a.numerator, a.denominator))
+    L = abs(q.leading_coefficient)
+    s_lo = q.sign_at(lo)
+    a, b = math.floor(lo * L) + 1, math.ceil(hi * L) - 1
+    while a <= b:
+        c = (a + b) // 2
+        t = Fraction(c, L)
+        s = q.sign_at(t)
+        if s == 0:
+            return t
+        if s == s_lo:
+            a = c + 1
+        else:
+            b = c - 1
+    return None
 
 
 def _isolate_squarefree(q: Poly) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
-    """Exact rational roots and open isolating intervals for the rest of q's roots.
+    """Exact rational roots and open isolating intervals for the rest of the
+    roots of a squarefree q.
 
     Interval endpoints are never roots of q.
     """
     points: list[Fraction] = []
-    if q.coeffs and q.coeffs[0] == 0:
+    zero_root = q.coeffs[0] == 0
+    if zero_root:
         points.append(Fraction(0))
         q = Poly(q.coeffs[1:])
-    for cand in _rational_root_candidates(q):
-        if q.degree < 1:
-            break
-        if q.sign_at(cand) == 0:
-            points.append(cand)
-            q = exact_div(q, _linear_from_root(cand))
+    if q.degree < 1:
+        return points, []
+    chain = SturmChain.of_squarefree(q)
+    bound = Fraction(_root_bound(q))
+    stack = [(-bound, bound)]
     intervals: list[tuple[Fraction, Fraction]] = []
-    while q.degree >= 1:
-        chain = SturmChain.of_squarefree(q)
-        bound = Fraction(_root_bound(q))
-        stack = [(-bound, bound)]
-        restart = False
-        found: list[tuple[Fraction, Fraction]] = []
-        while stack:
-            lo, hi = stack.pop()
-            k = chain.count_in(lo, hi)
-            if k == 0:
-                continue
-            if k == 1:
-                found.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            if q.sign_at(mid) == 0:
-                # exact root not caught by the candidate scan; deflate and redo
-                points.append(mid)
-                q = exact_div(q, _linear_from_root(mid))
-                restart = True
-                break
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-        if not restart:
-            intervals = found
-            break
-    # shrink intervals until no extracted exact root touches them
-    # (terminates: the root of q inside is not one of the points, which were
-    # divided out of the squarefree q)
-    cleaned = []
-    for lo, hi in intervals:
-        while any(lo <= a <= hi for a in points):
-            lo, hi = _bisect_once(q, lo, hi)
-        if lo == hi:
-            points.append(lo)
-        else:
-            cleaned.append((lo, hi))
-    return points, cleaned
+    while stack:
+        lo, hi = stack.pop()
+        k = chain.count_in(lo, hi)
+        if k == 0:
+            continue
+        if k == 1:
+            root = _rational_root_in(q, lo, hi)
+            if root is None:
+                intervals.append((lo, hi))
+            else:
+                points.append(root)
+            continue
+        # split where q is nonzero; q has finitely many roots, so this ends
+        mid = (lo + hi) / 2
+        while q.sign_at(mid) == 0:
+            mid = (lo + mid) / 2
+        stack.append((lo, mid))
+        stack.append((mid, hi))
+    if zero_root:
+        # 0 is a root of the caller's polynomial: move intervals off it (they
+        # hold irrational roots, so the bisection never lands on their root)
+        for i, (lo, hi) in enumerate(intervals):
+            if lo <= 0 <= hi:
+                s_lo = q.sign_at(lo)
+                while lo <= 0 <= hi:
+                    lo, hi, s_lo = _bisect_once(q, lo, hi, s_lo)
+                intervals[i] = (lo, hi)
+    return points, intervals
 
 
 def _squarefree_levels(f: Poly) -> tuple[Poly, list[tuple[Poly, SturmChain]]]:
@@ -316,15 +287,18 @@ def isolate_roots(f: Poly) -> RootCertificate:
                                  for lo, hi in records))
 
 
-def _bisect_once(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """One sign-change bisection step on an interval holding one simple root of p."""
+def _bisect_once(p: Poly, lo: Fraction, hi: Fraction,
+                 s_lo: int) -> tuple[Fraction, Fraction, int]:
+    """One sign-change bisection step on an interval holding one simple root of
+    p, given s_lo, the sign of p at lo; returns the half holding the root and
+    the sign of p at its lower end."""
     mid = (lo + hi) / 2
     s = p.sign_at(mid)
     if s == 0:
-        return mid, mid
-    if p.sign_at(lo) != s:
-        return lo, mid
-    return mid, hi
+        return mid, mid, 0
+    if s == s_lo:
+        return mid, hi, s
+    return lo, mid, s_lo
 
 
 def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate:
@@ -339,8 +313,10 @@ def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate
     out = []
     for iv in cert.intervals:
         lo, hi = iv.lo, iv.hi
-        while hi - lo >= width:
-            lo, hi = _bisect_once(p, lo, hi)
+        if hi - lo >= width:
+            s_lo = p.sign_at(lo)
+            while hi - lo >= width:
+                lo, hi, s_lo = _bisect_once(p, lo, hi, s_lo)
         out.append(RootInterval(lo, hi, iv.multiplicity))
     return RootCertificate(tuple(out))
 

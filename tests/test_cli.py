@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from interlace import cli
 from interlace.cli import main
 
 
@@ -194,6 +195,27 @@ def test_fh(capsys):
 def test_usage_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(*_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "isolate_roots", broken)
+    code, out, err = run_cli(capsys, "check", "realrooted", "0,1,1")
+    assert code == 3 and out == ""
+    assert err.strip() == "error: internal: RuntimeError: boom"
+    assert "Traceback" not in err
+    code, out, err = run_cli(capsys, "--json", "check", "realrooted", "0,1,1")
+    assert code == 3 and "error: internal" in err
+    assert json.loads(out) == {"command": "check", "status": "ERROR",
+                               "params": {"kind": "realrooted", "polys": ["0,1,1"],
+                                          "unchecked": False}}
+    monkeypatch.setattr(cli.matrices, "classify_all_2x2", broken)
+    code, out, err = run_cli(capsys, "--json", "matrix", "classify-all")
+    assert code == 3 and err.strip() == "error: internal: RuntimeError: boom"
+    assert json.loads(out) == {"command": "matrix classify-all", "params": {},
+                               "status": "ERROR"}
 
 
 def test_module_invocation_subprocess():

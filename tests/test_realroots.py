@@ -222,6 +222,97 @@ def test_refine_below_2_pow_minus_520():
     assert all(iv.hi - iv.lo < width for iv in out.intervals)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=1 << 64).flatmap(
+                lambda den: st.tuples(st.integers(min_value=-4 * den, max_value=4 * den),
+                                      st.just(den))),
+            st.integers(min_value=1, max_value=3),
+        ),
+        max_size=4,
+    ),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1, 2, 5, -1, -3]),
+)
+def test_certificate_of_planted_roots(planted, k, sqrt2, complex_pair, scale):
+    # rational roots with multiplicities, times x^k, x^2 - 2, x^2 + 1 and a scaling
+    expected: dict[Fraction, int] = {Fraction(0): k} if k else {}
+    f = Poly((0,) * k + (scale,))
+    for (num, den), mult in planted:
+        a = Fraction(num, den)
+        expected[a] = expected.get(a, 0) + mult
+        for _ in range(mult):
+            f = f * Poly((-a.numerator, a.denominator))
+    if sqrt2:
+        f = f * Poly((-2, 0, 1))
+    if complex_pair:
+        f = f * Poly((1, 0, 1))
+    cert = isolate_roots(f)
+    assert {iv.lo: iv.multiplicity for iv in cert.intervals if iv.is_point} == expected
+    assert sum(iv.is_point for iv in cert.intervals) == len(expected)
+    others = [iv for iv in cert.intervals if not iv.is_point]
+    assert [iv.multiplicity for iv in others] == [1, 1] * sqrt2
+    for iv in others:
+        assert f(iv.lo) != 0 and f(iv.hi) != 0
+    refined = refine_certificate(f, cert, Fraction(1, 1 << 30))
+    assert all(iv.hi - iv.lo < Fraction(1, 1 << 30) for iv in refined.intervals)
+
+
+def _count_sign_evaluations(monkeypatch) -> list:
+    calls = []
+    sign_at = Poly.sign_at
+
+    def counted(self, t):
+        calls.append(t)
+        return sign_at(self, t)
+
+    monkeypatch.setattr(Poly, "sign_at", counted)
+    return calls
+
+
+def test_isolate_when_a_bisection_midpoint_is_a_root(monkeypatch):
+    # (x+5)(x+1)(x-1)(x^2-2): the Sturm bisection of (0, 2] meets the root 1
+    f = Poly((5, 1)) * Poly((1, 1)) * Poly((-1, 1)) * Poly((-2, 0, 1))
+    calls = _count_sign_evaluations(monkeypatch)
+    cert = isolate_roots(f)
+    assert len(calls) <= 400
+    assert [iv.lo for iv in cert.intervals if iv.is_point] == [-5, -1, 1]
+    irrational = [iv for iv in cert.intervals if not iv.is_point]
+    assert len(irrational) == 2
+    for iv, sign in zip(irrational, (-1, 1)):
+        a, b = sorted((sign * iv.lo, sign * iv.hi))
+        assert iv.multiplicity == 1 and 0 < a and a * a < 2 < b * b
+
+
+def test_isolate_rational_root_with_huge_denominator(monkeypatch):
+    # (2^200 x - 3)(x^2 - 2): each isolating interval takes about 200 grid probes
+    f = Poly((-3, 1 << 200)) * Poly((-2, 0, 1))
+    calls = _count_sign_evaluations(monkeypatch)
+    cert = isolate_roots(f)
+    assert len(calls) <= 800
+    assert [iv.lo for iv in cert.intervals if iv.is_point] == [Fraction(3, 1 << 200)]
+    assert len(cert) == 3
+
+
+@pytest.mark.parametrize("M, max_calls", [(735134400, 150), (1 << 1000, 2500)],
+                         ids=["M=735134400", "M=2^1000"])
+def test_isolate_quadratic_with_composite_or_huge_coefficients(monkeypatch, M, max_calls):
+    # M x^2 + (3M+1) x + M has two irrational roots; a scan of the candidates
+    # +-num/den with num and den dividing M builds 2 * 1344^2 fractions for
+    # M = 735134400 and 2 * 1001^2 for M = 2^1000
+    f = Poly((M, 3 * M + 1, M))
+    calls = _count_sign_evaluations(monkeypatch)
+    cert = isolate_roots(f)
+    assert len(calls) <= max_calls
+    assert len(cert) == 2 and not any(iv.is_point for iv in cert.intervals)
+    for iv in cert.intervals:
+        assert f.sign_at(iv.lo) * f.sign_at(iv.hi) == -1
+
+
 def test_certificate_json():
     cert = isolate_roots(Poly((1, 2, 1)))
     assert cert.to_json_obj() == [{"lo": "-1/1", "hi": "-1/1", "mult": 2}]
