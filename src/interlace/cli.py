@@ -67,6 +67,8 @@ def _emit(args, command: str, params: dict, status: str, result=None, witness=No
 
 def cmd_edgewise(args) -> int:
     params = {"r": args.r, "n": args.n, "gamma": args.gamma, "component": args.component}
+    if args.component is not None and not 0 <= args.component < args.r:
+        raise UsageError(f"component must be in [0, {args.r - 1}]")
     if args.gamma is not None:
         gamma = _parse_gamma(args.gamma)
         vec = edgewise.e_gamma(args.r, args.n, gamma)
@@ -83,8 +85,6 @@ def cmd_edgewise(args) -> int:
                     print(f"MISMATCH component {i}: recurrence {got}, enumeration {want}")
                 return _emit(args, "edgewise", params, FAIL, witness=witness)
     if args.component is not None:
-        if not 0 <= args.component < args.r:
-            raise UsageError(f"component must be in [0, {args.r - 1}]")
         out = str(vec.polys[args.component])
         if not args.json:
             print(out)
@@ -126,7 +126,11 @@ def _parse_check_polys(raw: list[str]) -> list[Poly]:
 
 
 def cmd_check(args) -> int:
-    polys = _parse_check_polys(args.polys)
+    # the polynomials are argparse.REMAINDER (so that "-2,0,1" is not read as
+    # an option), which also swallows a --unchecked written after the kind
+    raw = [p for p in args.polys if p != "--unchecked"]
+    unchecked = args.unchecked or len(raw) < len(args.polys)
+    polys = _parse_check_polys(raw)
     params = {"kind": args.kind, "polys": [str(p) for p in polys]}
     if args.kind == "realrooted":
         certificates = []
@@ -150,9 +154,9 @@ def cmd_check(args) -> int:
     if args.kind == "compatible":
         if len(polys) < 2:
             raise UsageError("compatible takes at least two polynomials")
-        verdict = compat.compatible_family_sampled(polys, unchecked=args.unchecked)
+        verdict = compat.compatible_family_sampled(polys, unchecked=unchecked)
     else:  # conditions-ab
-        verdict = compat.check_conditions_ab(polys, unchecked=args.unchecked)
+        verdict = compat.check_conditions_ab(polys, unchecked=unchecked)
     if verdict.is_pass:
         if not args.json:
             print("PASS")

@@ -1,11 +1,14 @@
 """Exact real-root certification and the interleaving order on root sets.
 
-Everything here is driven by integer remainder sequences: Sturm chains count
-distinct real roots, isolate them in disjoint rational intervals (with
-multiplicities recovered from a repeated-gcd chain, and rational roots found
-exactly by a binary search over the grid c/|lead|) and decide
-real-rootedness; a gcd plus one more remainder sequence decides whether the
-roots of one polynomial weakly alternate with the roots of another.
+Everything here is driven by integer remainder sequences.  One decision
+procedure, ``_normal_sequence_end``, asks whether the remainder sequence of
+(a, b) drops the degree by one at every step with positive leading
+coefficients: on (f, f') with the x^k factor stripped it decides
+real-rootedness (generalised Sturm theorem), and on (g, f) it decides f << g
+(Hermite-Kakeya-Obreschkoff) together with the gcd it ends at.
+Sturm chains isolate real roots in disjoint rational intervals, with
+multiplicities recovered from a repeated-gcd chain and rational roots found
+exactly by a binary search over the grid c/|lead|.
 """
 
 from __future__ import annotations
@@ -84,13 +87,55 @@ def squarefree_part(f: Poly) -> Poly:
     return exact_div(f, d).primitive_positive()
 
 
+def _remainder_sequence(a: Poly, b: Poly):
+    """Yield a, b and the negated primitive pseudo-remainders after them, up
+    to the last nonzero term, a multiple of gcd(a, b); lazily, so a caller can
+    stop early.
+
+    Each term is a positive multiple of the matching term of the signed
+    remainder sequence a, b, -rem(a, b), ...: the pseudo-remainder scales by
+    a positive factor and the primitive part divides by the positive content,
+    so every sign, and every count of sign variations, agrees with it.
+    """
+    yield a
+    while not b.is_zero:
+        yield b
+        if b.degree == 0:  # the remainder of a division by a constant is 0
+            return
+        a, b = b, -pseudo_divmod(a, b)[2].primitive()
+
+
+def _normal_sequence_end(a: Poly, b: Poly) -> Poly | None:
+    """The last term of the remainder sequence of (a, b), a positive multiple
+    of gcd(a, b), if every step drops the degree by exactly one and every term
+    after a has a positive leading coefficient; else None.
+
+    Stops at the first step that breaks the rule, so a None is cheap.
+    """
+    seq = _remainder_sequence(a, b)
+    prev = next(seq)
+    for p in seq:
+        if p.degree != prev.degree - 1 or p.leading_coefficient <= 0:
+            return None
+        prev = p
+    return prev
+
+
+def _strip_x(f: Poly) -> tuple[Poly, int]:
+    """(h, k) with f = x^k h and h(0) != 0, for a nonzero f."""
+    k = next(i for i, c in enumerate(f.coeffs) if c)
+    return Poly(f.coeffs[k:]), k
+
+
 @dataclass(frozen=True)
 class SturmChain:
-    """Signed-remainder sequence of a squarefree polynomial.
+    """Signed-remainder sequence of a polynomial p and its derivative, as
+    ``_remainder_sequence`` builds it (positive multiples of the terms, which
+    leaves every sign evaluation unchanged).
 
-    Each remainder is an integer pseudo-remainder reduced to its primitive
-    part; both steps scale by positive factors, which leaves every sign
-    evaluation unchanged.
+    For a squarefree p (``of_squarefree``) it counts the roots in any
+    interval; for any other p only the count over the whole line holds
+    (generalised Sturm theorem).
     """
 
     chain: tuple[Poly, ...]
@@ -99,15 +144,7 @@ class SturmChain:
     def of_squarefree(p: Poly) -> "SturmChain":
         if p.is_zero:
             raise ZeroPolynomialError("Sturm chain of 0 is undefined")
-        if p.degree == 0:
-            return SturmChain((p,))
-        chain = [p, poly_derivative(p)]
-        while True:
-            rem = pseudo_divmod(chain[-2], chain[-1])[2]
-            if rem.is_zero:
-                break
-            chain.append(-rem.primitive())
-        return SturmChain(tuple(chain))
+        return SturmChain(tuple(_remainder_sequence(p, poly_derivative(p))))
 
     def variations_at(self, t: Fraction) -> int:
         return _sign_variations([p.sign_at(t) for p in self.chain])
@@ -135,10 +172,17 @@ def _sign_variations(values) -> int:
 def count_real_roots(f: Poly, lo=None, hi=None) -> int:
     """Number of distinct real roots of f in (lo, hi] by Sturm's theorem.
 
-    ``lo=None`` / ``hi=None`` stand for -inf / +inf.
+    ``lo=None`` / ``hi=None`` stand for -inf / +inf.  Over the whole line the
+    count needs no squarefree part: by the generalised Sturm theorem the sign
+    variations of the remainder sequence of (h, h') between -inf and +inf
+    count the distinct real roots of h, here f with the x^k factor stripped.
     """
     if f.is_zero:
         raise ZeroPolynomialError("root counting requires a nonzero polynomial")
+    if lo is None and hi is None:
+        h, k = _strip_x(f)
+        chain = SturmChain(tuple(_remainder_sequence(h, poly_derivative(h))))
+        return chain.count_in(None, None) + (k > 0)
     if lo is not None and hi is not None and Fraction(lo) > Fraction(hi):
         raise EmptyIntervalError(f"empty interval ({lo}, {hi}]")
     p = squarefree_part(f)
@@ -152,11 +196,20 @@ def count_real_roots(f: Poly, lo=None, hi=None) -> int:
 
 
 def is_real_rooted(f: Poly) -> bool:
-    """True iff all complex zeros of f are real; constants and 0 count as real-rooted."""
-    if f.is_zero or f.degree == 0:
+    """True iff all complex zeros of f are real; constants and 0 count as real-rooted.
+
+    With f = x^k h, h(0) != 0 and lead(h) > 0, let m = deg gcd(h, h').  The
+    sign variations of the remainder sequence of (h, h') count the distinct
+    real roots of h, and h has deg h - m distinct roots; a sequence of at most
+    deg h - m + 1 terms reaches that many variations only when every step
+    drops the degree by one and every leading coefficient is positive.
+    """
+    if f.is_zero:
         return True
-    p = squarefree_part(f)
-    return SturmChain.of_squarefree(p).count_in(None, None) == p.degree
+    h = _strip_x(f)[0]
+    if h.leading_coefficient < 0:
+        h = -h
+    return _normal_sequence_end(h, poly_derivative(h)) is not None
 
 
 # -- root isolation -----------------------------------------------------------
@@ -202,11 +255,9 @@ def _isolate_squarefree(q: Poly) -> tuple[list[Fraction], list[tuple[Fraction, F
 
     Interval endpoints are never roots of q.
     """
-    points: list[Fraction] = []
-    zero_root = q.coeffs[0] == 0
-    if zero_root:
-        points.append(Fraction(0))
-        q = Poly(q.coeffs[1:])
+    q, k = _strip_x(q)
+    zero_root = k > 0
+    points = [Fraction(0)] if zero_root else []
     if q.degree < 1:
         return points, []
     chain = SturmChain.of_squarefree(q)
@@ -350,29 +401,6 @@ def _validate_certificate(f: Poly, p: Poly, levels: list[tuple[Poly, SturmChain]
 # -- interleaving --------------------------------------------------------------
 
 
-def _strictly_interlace(f: Poly, g: Poly) -> bool:
-    """f << g for coprime f and g with positive leading coefficients and
-    deg f in {deg g - 1, deg g}: all roots real and simple, strictly alternating
-    downward from the largest root, which belongs to g.
-
-    With deg g = deg f + 1 this holds iff the negated remainder sequence of
-    (g, f) drops the degree by exactly one at each step and keeps positive
-    leading coefficients (Hermite-Kakeya-Obreschkoff; a Sturm count of the
-    Cauchy index of f/g).  Equal degrees reduce to that case: for them
-    f << g iff -(lead(f) g - lead(g) f) << f.
-    """
-    if f.degree == g.degree:
-        if f.degree == 0:
-            return True
-        f, g = -(f.leading_coefficient * g - g.leading_coefficient * f), f
-    a, b = g, f
-    while b.leading_coefficient > 0 and b.degree == a.degree - 1:
-        if b.degree == 0:
-            return True
-        a, b = b, -pseudo_divmod(a, b)[2].primitive()
-    return False
-
-
 @functools.lru_cache(maxsize=8192)
 def interleaves(f: Poly, g: Poly) -> bool:
     """The weak root-alternation order: largest root belongs to g, the lists
@@ -381,9 +409,16 @@ def interleaves(f: Poly, g: Poly) -> bool:
     By convention every real-rooted polynomial (and 0 itself) interleaves 0 in
     both directions.  Nonzero inputs must have positive leading coefficients.
 
-    Decided without locating a root: with d = gcd(f, g), the multiplicity
+    Decided without locating a root.  With d = gcd(f, g), the multiplicity
     lists alternate weakly iff d is real-rooted and f/d, g/d (which share no
-    root) alternate strictly, which one remainder sequence decides.
+    root) alternate strictly.  For deg g = deg f + 1 the strict alternation
+    holds iff the remainder sequence of (g/d, f/d) is normal
+    (Hermite-Kakeya-Obreschkoff; a Sturm count of the Cauchy index of f/g).
+    The sequence of (g, f) is d times that one, up to positive factors, so it
+    decides both at once: it is normal exactly when that one is, and it ends
+    at a positive multiple of d.  Equal degrees reduce to the first case:
+    for them f << g iff -(lead(f) g - lead(g) f) << f, and that difference is
+    0 when g is a multiple of f.
     """
     for p in (f, g):
         if not p.is_zero and p.leading_coefficient < 0:
@@ -393,8 +428,10 @@ def interleaves(f: Poly, g: Poly) -> bool:
         return other.is_zero or is_real_rooted(other)
     if f.degree not in (g.degree - 1, g.degree):
         return False
-    d = poly_gcd(f, g)
-    return is_real_rooted(d) and _strictly_interlace(exact_div(f, d), exact_div(g, d))
+    if f.degree == g.degree:
+        f, g = -(f.leading_coefficient * g - g.leading_coefficient * f), f
+    d = _normal_sequence_end(g, f)
+    return d is not None and is_real_rooted(d)
 
 
 def is_interlacing_seq(fs) -> bool:

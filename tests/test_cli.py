@@ -39,6 +39,22 @@ def test_edgewise_bad_parameters(capsys):
     assert code == 2
 
 
+def test_edgewise_component_range_checked_before_any_work(capsys, monkeypatch):
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return []
+
+    monkeypatch.setattr(cli.words, "oracle_E", recorded)
+    monkeypatch.setattr(cli.edgewise, "e_vector", recorded)
+    code, out, err = run_cli(capsys, "edgewise", "--r", "8", "--n", "8", "--verify",
+                             "--component", "99")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: component must be in [0, 7]"
+    assert calls == []
+
+
 def test_edgewise_json_schema(capsys):
     code, out, _ = run_cli(capsys, "--json", "edgewise", "--r", "3", "--n", "2")
     assert code == 0
@@ -92,6 +108,28 @@ def test_check_conditions_ab(capsys):
     assert obj["witness"]["condition"] == "b"
     code, _, _ = run_cli(capsys, "check", "conditions-ab", "0", "0,1", "0,1")
     assert code == 0
+
+
+def test_check_unchecked_after_the_kind(capsys):
+    # the polynomials take the rest of the line, --unchecked included
+    first = run_cli(capsys, "--json", "check", "--unchecked", "compatible", "2,3,1", "2,-3,1")
+    assert first[0] == 1 and json.loads(first[1])["status"] == "FAIL"
+    for argv in (["compatible", "--unchecked", "2,3,1", "2,-3,1"],
+                 ["compatible", "2,3,1", "--unchecked", "2,-3,1"],
+                 ["compatible", "2,3,1", "2,-3,1", "--unchecked"]):
+        assert run_cli(capsys, "--json", "check", *argv) == first
+    code, out, err = run_cli(capsys, "check", "compatible", "--unchecked", "1,-1", "1,1")
+    assert code == 0 and out.strip() == "PASS" and err == ""
+    code, _, err = run_cli(capsys, "check", "compatible", "1,-1", "1,1")
+    assert code == 2 and "negative coefficient" in err
+    after = run_cli(capsys, "check", "conditions-ab", "0,-1", "--unchecked", "1")
+    assert after == run_cli(capsys, "check", "--unchecked", "conditions-ab", "0,-1", "1")
+    assert after[0] == 0 and run_cli(capsys, "check", "conditions-ab", "0,-1", "1")[0] == 2
+    # a negative leading coefficient is still a polynomial, not an option
+    code, out, _ = run_cli(capsys, "check", "realrooted", "-2,0,1")
+    assert code == 0 and out.strip() == "PASS"
+    code, _, err = run_cli(capsys, "check", "interleave", "1,-1", "-2,0,1")
+    assert code == 2 and "NegativeLeadingCoefficientError" in err
 
 
 def test_check_usage_errors(capsys):

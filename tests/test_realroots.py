@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interlace import realroots
+from interlace.edgewise import e_vector, local_h
 from interlace.errors import (
     CertificateMismatchError,
     EmptyIntervalError,
@@ -341,6 +342,81 @@ def test_real_rooted_multiplicative(roots_a, roots_b):
 
 def test_real_rooted_product_with_complex_factor():
     assert not is_real_rooted(Poly((1, 0, 1)) * Poly((1, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.fractions(min_value=-6, max_value=6, max_denominator=1 << 20),
+                  st.integers(min_value=1, max_value=3)),
+        max_size=4,
+    ),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    st.none() | st.integers(min_value=-20, max_value=20).flatmap(
+        lambda b: st.tuples(st.just(b), st.integers(min_value=b * b // 4 + 1,
+                                                    max_value=b * b // 4 + 50))),
+    st.sampled_from([1, 6, -1, -4]),
+)
+def test_real_rootedness_and_root_count_of_planted_roots(planted, k, sqrt2, complex_pair,
+                                                         scale):
+    # rational roots with multiplicities, x^k, (x^2 - 2)^j, a scaling that may
+    # be negative or carry content, and maybe x^2 + bx + c with b^2 < 4c
+    f = Poly.monomial(k, scale)
+    distinct = {Fraction(0)} if k else set()
+    for a, mult in planted:
+        distinct.add(a)
+        for _ in range(mult):
+            f = f * Poly((-a.numerator, a.denominator))
+    for _ in range(sqrt2):
+        f = f * Poly((-2, 0, 1))
+    if complex_pair is not None:
+        b, c = complex_pair
+        f = f * Poly((c, b, 1))
+    assert is_real_rooted(f) == (complex_pair is None)
+    assert count_real_roots(f) == len(distinct) + 2 * (sqrt2 > 0)
+
+
+def _record_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    fn = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def test_real_rootedness_from_one_early_exit_sequence(monkeypatch):
+    # local_h(6, 20) = x^4 h with deg h = 12: the sequence of (h, h') has 13
+    # terms, 11 of them remainders; no gcd, squarefree part or Sturm chain
+    h = local_h(6, 20)
+    assert h.degree == 16 and h.coeffs[:5] == (0, 0, 0, 0, 8855)
+    divisions = _record_calls(monkeypatch, realroots, "pseudo_divmod")
+    gcds = _record_calls(monkeypatch, realroots, "poly_gcd")
+    chains = _record_calls(monkeypatch, SturmChain, "of_squarefree")
+    assert is_real_rooted(h)
+    assert len(divisions) <= 11 and gcds == [] and chains == []
+    assert count_real_roots(h) == 13  # 12 simple roots and 0
+    assert len(divisions) <= 22 and gcds == [] and chains == []
+    # a complex pair breaks the sequence within a few steps
+    divisions.clear()
+    assert not is_real_rooted(Poly((1, 1, 1)) * h)
+    assert len(divisions) <= 8 and gcds == []
+
+
+def test_interleaves_from_one_sequence(monkeypatch):
+    # f << g is decided by the remainder sequence of (g, f), which also ends
+    # at their gcd: no separate gcd, no exact division
+    E = e_vector(6, 12).polys
+    interleaves.cache_clear()
+    gcds = _record_calls(monkeypatch, realroots, "poly_gcd")
+    quotients = _record_calls(monkeypatch, realroots, "exact_div")
+    assert interleaves(E[1], E[2])
+    assert not interleaves(E[2], E[1])
+    assert gcds == [] and quotients == []
 
 
 # -- interleaving -------------------------------------------------------------------
