@@ -1,9 +1,9 @@
 """Command-line interface.
 
-One binary with subcommands; every verdict is printable as stable JSON with
-``--json``.  Exit codes: 0 success/PASS, 1 property failure (machine-readable
-witness on stdout), 2 usage or parse error (message on stderr), 3 internal
-error (message on stderr; status ERROR under ``--json``).
+One report path: each command returns one ``Report``, which ``main`` renders
+once, as its text lines or under ``--json`` as one stable JSON object; an
+internal error becomes an ERROR report on the same path.  Exit codes follow the
+status: 0 PASS/OK, 1 FAIL, 3 ERROR; usage errors exit 2 with a message on stderr.
 
 Polynomials on the command line use the ascending-coefficient comma format
 ("0,1,1" is x + x^2); semicolons separate polynomials in sequence arguments.
@@ -17,6 +17,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from . import compat, edgewise, matrices, words
 from .errors import InterlaceError
@@ -25,6 +27,7 @@ from .realroots import interleaves, is_real_rooted, isolate_roots
 from .words import DEFAULT_BUDGET, GammaVector
 
 PASS, FAIL, OK, ERROR = "PASS", "FAIL", "OK", "ERROR"
+_EXIT_CODES = {PASS: 0, OK: 0, FAIL: 1, ERROR: 3}
 
 
 class UsageError(Exception):
@@ -51,21 +54,33 @@ def _parse_gamma(text: str) -> GammaVector:
         raise UsageError(f"cannot parse profile {text!r}") from exc
 
 
-def _emit(args, command: str, params: dict, status: str, result=None, witness=None) -> int:
-    if args.json:
-        obj = {"command": command, "params": params, "status": status}
-        if result is not None:
-            obj["result"] = result
-        if witness is not None:
-            obj["witness"] = witness
-        print(json.dumps(obj))
-    return 0 if status in (PASS, OK) else 1
+@dataclass(frozen=True)
+class Report:
+    """The outcome of one command: text ``lines``, or one JSON object."""
+
+    command: str
+    params: dict
+    status: str
+    result: object = None
+    witness: object = None
+    lines: Sequence[str] = ()
+
+    def render(self, as_json: bool) -> int:
+        """Print the report and return its exit code."""
+        if as_json:
+            obj = {"command": self.command, "params": self.params, "status": self.status,
+                   "result": self.result, "witness": self.witness}
+            print(json.dumps({k: v for k, v in obj.items() if v is not None}))
+        else:
+            for line in self.lines:
+                print(line)
+        return _EXIT_CODES[self.status]
 
 
 # -- edgewise ------------------------------------------------------------------
 
 
-def cmd_edgewise(args) -> int:
+def cmd_edgewise(args) -> Report:
     params = {"r": args.r, "n": args.n, "gamma": args.gamma, "component": args.component}
     if args.component is not None and not 0 <= args.component < args.r:
         raise UsageError(f"component must be in [0, {args.r - 1}]")
@@ -81,22 +96,17 @@ def cmd_edgewise(args) -> int:
         for i, (got, want) in enumerate(zip(vec.polys, expected)):
             if got != want:
                 witness = {"component": i, "recurrence": str(got), "enumeration": str(want)}
-                if not args.json:
-                    print(f"MISMATCH component {i}: recurrence {got}, enumeration {want}")
-                return _emit(args, "edgewise", params, FAIL, witness=witness)
+                return Report("edgewise", params, FAIL, witness=witness, lines=[
+                    f"MISMATCH component {i}: recurrence {got}, enumeration {want}"])
+    status = PASS if args.verify else OK
     if args.component is not None:
         out = str(vec.polys[args.component])
-        if not args.json:
-            print(out)
-        return _emit(args, "edgewise", params, PASS if args.verify else OK, result=out)
+        return Report("edgewise", params, status, result=out, lines=[out])
     out = [str(p) for p in vec.polys]
-    if not args.json:
-        for line in out:
-            print(line)
-    return _emit(args, "edgewise", params, PASS if args.verify else OK, result=out)
+    return Report("edgewise", params, status, result=out, lines=out)
 
 
-def cmd_fh(args) -> int:
+def cmd_fh(args) -> Report:
     if (args.f is None) == (args.h is None):
         raise UsageError("exactly one of --f or --h is required")
     try:
@@ -111,46 +121,35 @@ def cmd_fh(args) -> int:
     except ValueError as exc:
         raise UsageError(f"cannot parse vector: {exc}") from exc
     rendered = ",".join(str(v) for v in out)
-    if not args.json:
-        print(rendered)
-    return _emit(args, "fh", params, OK, result=rendered)
+    return Report("fh", params, OK, result=rendered, lines=[rendered])
 
 
 # -- check ---------------------------------------------------------------------
 
 
-def _parse_check_polys(raw: list[str]) -> list[Poly]:
-    if not raw:
-        raise UsageError("at least one polynomial is required")
-    return [Poly.from_string(p) for p in raw]
-
-
-def cmd_check(args) -> int:
+def cmd_check(args) -> Report:
     # the polynomials are argparse.REMAINDER (so that "-2,0,1" is not read as
     # an option), which also swallows a --unchecked written after the kind
     raw = [p for p in args.polys if p != "--unchecked"]
     unchecked = args.unchecked or len(raw) < len(args.polys)
-    polys = _parse_check_polys(raw)
+    if not raw:
+        raise UsageError("at least one polynomial is required")
+    polys = [Poly.from_string(p) for p in raw]
     params = {"kind": args.kind, "polys": [str(p) for p in polys]}
     if args.kind == "realrooted":
         certificates = []
         for p in polys:
             if not is_real_rooted(p):
-                if not args.json:
-                    print("FAIL")
-                return _emit(args, "check", params, FAIL, witness={"poly": str(p)})
+                return Report("check", params, FAIL, witness={"poly": str(p)}, lines=["FAIL"])
             certificates.append(None if p.is_zero else isolate_roots(p).to_json_obj())
-        if not args.json:
-            print("PASS")
-        return _emit(args, "check", params, PASS, result={"certificates": certificates})
+        return Report("check", params, PASS, result={"certificates": certificates},
+                      lines=["PASS"])
     if args.kind == "interleave":
         if len(polys) != 2:
             raise UsageError("interleave takes exactly two polynomials")
         ok = interleaves(polys[0], polys[1])
-        if not args.json:
-            print("PASS" if ok else "FAIL")
-        return _emit(args, "check", params, PASS if ok else FAIL,
-                     witness=None if ok else {"f": str(polys[0]), "g": str(polys[1])})
+        return Report("check", params, PASS if ok else FAIL, lines=["PASS" if ok else "FAIL"],
+                      witness=None if ok else {"f": str(polys[0]), "g": str(polys[1])})
     if args.kind == "compatible":
         if len(polys) < 2:
             raise UsageError("compatible takes at least two polynomials")
@@ -158,13 +157,9 @@ def cmd_check(args) -> int:
     else:  # conditions-ab
         verdict = compat.check_conditions_ab(polys, unchecked=unchecked)
     if verdict.is_pass:
-        if not args.json:
-            print("PASS")
-        return _emit(args, "check", params, PASS)
+        return Report("check", params, PASS, lines=["PASS"])
     witness = verdict.witness.to_json_obj()
-    if not args.json:
-        print("FAIL " + json.dumps(witness))
-    return _emit(args, "check", params, FAIL, witness=witness)
+    return Report("check", params, FAIL, witness=witness, lines=["FAIL " + json.dumps(witness)])
 
 
 # -- matrix --------------------------------------------------------------------
@@ -179,38 +174,28 @@ def _load_matrix(path: str) -> matrices.SymMatrix:
     return matrices.SymMatrix.from_json(text)
 
 
-def cmd_matrix(args) -> int:
+def cmd_matrix(args) -> Report:
     if args.subcommand == "classify-all":
         cls = matrices.classify_all_2x2()
-        summary = (
-            f"allowed: {len(cls.allowed)}, forbidden: {len(cls.forbidden)}, "
-            f"disagreements: {len(cls.disagreements)}"
-        )
-        if not args.json:
-            print(summary)
-            for M, by_rules, by_samples in cls.disagreements:
-                print(f"disagreement: {M} rules={by_rules} samples={by_samples}")
-        status = PASS if not cls.disagreements else FAIL
-        witness = None
-        if cls.disagreements:
-            witness = [
-                {"matrix": M.to_strings(), "rules": a, "samples": b}
-                for M, a, b in cls.disagreements
-            ]
-        return _emit(args, "matrix classify-all", {}, status,
-                     result={"allowed": len(cls.allowed), "forbidden": len(cls.forbidden),
-                             "disagreements": len(cls.disagreements)},
-                     witness=witness)
+        counts = {"allowed": len(cls.allowed), "forbidden": len(cls.forbidden),
+                  "disagreements": len(cls.disagreements)}
+        lines = [", ".join(f"{name}: {count}" for name, count in counts.items())]
+        lines += [f"disagreement: {M} rules={by_rules} samples={by_samples}"
+                  for M, by_rules, by_samples in cls.disagreements]
+        witness = [
+            {"matrix": M.to_strings(), "rules": a, "samples": b}
+            for M, a, b in cls.disagreements
+        ]
+        return Report("matrix classify-all", {}, FAIL if witness else PASS, result=counts,
+                      witness=witness or None, lines=lines)
     if args.subcommand == "check":
         M = _load_matrix(args.file)
         preserves = matrices.preserves_check(M)
         ferrers = matrices.ferrers_check(M)
-        if not args.json:
-            print(f"preserves: {'PASS' if preserves else 'FAIL'}, "
-                  f"ferrers: {'PASS' if ferrers else 'FAIL'}")
-        return _emit(args, "matrix check", {"file": args.file},
-                     PASS if preserves else FAIL,
-                     result={"preserves": preserves, "ferrers": ferrers})
+        return Report("matrix check", {"file": args.file}, PASS if preserves else FAIL,
+                      result={"preserves": preserves, "ferrers": ferrers},
+                      lines=[f"preserves: {'PASS' if preserves else 'FAIL'}, "
+                             f"ferrers: {'PASS' if ferrers else 'FAIL'}"])
     if args.subcommand == "apply":
         M = _load_matrix(args.file)
         if args.polys is None:
@@ -218,14 +203,11 @@ def cmd_matrix(args) -> int:
         fs = parse_poly_list(args.polys)
         out = matrices.apply(M, fs)
         rendered = ";".join(str(p) for p in out)
-        if not args.json:
-            print(rendered)
-        return _emit(args, "matrix apply", {"file": args.file, "polys": args.polys},
-                     OK, result=rendered)
-    # closure
+        return Report("matrix apply", {"file": args.file, "polys": args.polys}, OK,
+                      result=rendered, lines=[rendered])
+    # closure, compared with the rule engine's allowed set (no sampled test)
     closure = matrices.generator_closure()
-    cls = matrices.classify_all_2x2()
-    allowed = set(cls.allowed)
+    allowed = {M for M in matrices.all_2x2_matrices() if matrices.forbidden_pattern(M).allowed}
     contained = closure <= allowed
     members = sorted(str(M) for M in closure)
     lines = [f"closure size: {len(closure)}",
@@ -239,20 +221,16 @@ def cmd_matrix(args) -> int:
             f"differs from the allowed set; missing={missing} extra={extra}; "
             "the 81-case classification remains authoritative"
         )
-    if not args.json:
-        for line in lines:
-            print(line)
-        for m in members:
-            print(m)
-    return _emit(args, "matrix closure", {}, PASS if contained else FAIL,
-                 result={"size": len(closure), "contained": contained,
-                         "equals_allowed": closure == allowed, "members": members})
+    return Report("matrix closure", {}, PASS if contained else FAIL,
+                  result={"size": len(closure), "contained": contained,
+                          "equals_allowed": closure == allowed, "members": members},
+                  lines=lines + members)
 
 
 # -- words ---------------------------------------------------------------------
 
 
-def cmd_words(args) -> int:
+def cmd_words(args) -> Report:
     params = {"r": args.r, "n": args.n, "gamma": args.gamma, "closed": args.closed}
     budget = _budget()
     gamma = _parse_gamma(args.gamma) if args.gamma is not None else None
@@ -266,10 +244,7 @@ def cmd_words(args) -> int:
             if args.closed and gamma is None and w.letters[-1] != 0:
                 continue
             out.append(str(w))
-        if not args.json:
-            for line in out:
-                print(line)
-        return _emit(args, "words", params, OK, result=out)
+        return Report("words", params, OK, result=out, lines=out)
     if gamma is not None:
         polys = words.oracle_E_gamma(args.n, args.r, gamma, budget=budget)
         if args.closed:
@@ -279,10 +254,7 @@ def cmd_words(args) -> int:
     else:
         polys = words.oracle_E(args.n, args.r, budget=budget)
     out = [str(p) for p in polys]
-    if not args.json:
-        for line in out:
-            print(line)
-    return _emit(args, "words", params, OK, result=out)
+    return Report("words", params, OK, result=out, lines=out)
 
 
 # -- entry point -----------------------------------------------------------------
@@ -355,7 +327,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        return _HANDLERS[args.command](args).render(args.json)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -364,12 +336,10 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:  # a fault of interlace itself, not of the input
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if args.json:
-            command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
-            params = {k: v for k, v in vars(args).items()
-                      if k not in ("command", "subcommand", "json")}
-            print(json.dumps({"command": command, "params": params, "status": ERROR}))
-        return 3
+        command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+        params = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "subcommand", "json")}
+        return Report(command, params, ERROR).render(args.json)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from interlace import cli
+import interlace
+from interlace import cli, matrices
 from interlace.cli import main
+from interlace.polys import Poly
 
 
 def run_cli(capsys, *argv):
@@ -256,11 +260,224 @@ def test_internal_error_exit_code(capsys, monkeypatch):
                                "status": "ERROR"}
 
 
+# -- every report branch, exact stdout and exit code in text and --json ----------
+
+ALLOWED = sorted(str(M) for M in matrices.all_2x2_matrices()
+                 if matrices.forbidden_pattern(M).allowed)
+CLOSURE_NOTE = (
+    "note: the closure convention (keep only {0,1,x}-entry products) differs from "
+    "the allowed set; missing=[] extra=['1x;01']; "
+    "the 81-case classification remains authoritative"
+)
+
+
+def _wrong_oracle_E(monkeypatch):
+    wrong = [Poly.from_string(p) for p in ("0,2", "0,1,1", "0,0,1")]
+    monkeypatch.setattr(cli.words, "oracle_E", lambda *args, **kwargs: wrong)
+
+
+def _sampled_disagrees(monkeypatch):
+    rules = matrices.forbidden_pattern
+
+    def sampled(M, pairs=None):
+        return rules(M).allowed != (str(M) in ("00;00", "1x;01"))
+
+    monkeypatch.setattr(matrices, "check_2x2_sampled", sampled)
+
+
+def _closure_with_forbidden(monkeypatch):
+    closure = matrices.generator_closure()
+    extra = matrices.SymMatrix.from_strings([["1", "x"], ["0", "1"]])
+    monkeypatch.setattr(cli.matrices, "generator_closure", lambda: closure | {extra})
+
+
+def _broken_isolate_roots(monkeypatch):
+    def broken(*_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "isolate_roots", broken)
+
+
+def _edge(r, n, gamma=None, component=None):
+    return {"r": r, "n": n, "gamma": gamma, "component": component}
+
+
+def _words(r, n, gamma=None, closed=False):
+    return {"r": r, "n": n, "gamma": gamma, "closed": closed}
+
+
+def _check(kind, *polys):
+    return {"kind": kind, "polys": list(polys)}
+
+
+# (id, argv, patch, exit code, text stdout lines, JSON report or None, stderr);
+# the JSON report lists its keys in the order they are printed
+REPORTS = [
+    ("edgewise vector", ["edgewise", "--r", "3", "--n", "2"], None, 0,
+     ["0,2", "0,1", "0,0,1"],
+     {"command": "edgewise", "params": _edge(3, 2), "status": "OK",
+      "result": ["0,2", "0,1", "0,0,1"]}, ""),
+    ("edgewise component verified",
+     ["edgewise", "--r", "3", "--n", "3", "--verify", "--component", "1"], None, 0,
+     ["0,0,3"],
+     {"command": "edgewise", "params": _edge(3, 3, component=1), "status": "PASS",
+      "result": "0,0,3"}, ""),
+    ("edgewise gamma verified",
+     ["edgewise", "--r", "4", "--n", "3", "--gamma", "1,2,2,1", "--verify"], None, 0,
+     ["0", "0", "0", "0,0,1"],
+     {"command": "edgewise", "params": _edge(4, 3, gamma="1,2,2,1"), "status": "PASS",
+      "result": ["0", "0", "0", "0,0,1"]}, ""),
+    ("edgewise verify mismatch", ["edgewise", "--r", "3", "--n", "2", "--verify"],
+     _wrong_oracle_E, 1,
+     ["MISMATCH component 1: recurrence 0,1, enumeration 0,1,1"],
+     {"command": "edgewise", "params": _edge(3, 2), "status": "FAIL",
+      "witness": {"component": 1, "recurrence": "0,1", "enumeration": "0,1,1"}}, ""),
+    ("edgewise usage error", ["edgewise", "--r", "3", "--n", "2", "--component", "7"],
+     None, 2, [], None, "error: component must be in [0, 2]\n"),
+    ("fh f", ["fh", "--f", "1,3,3,1"], None, 0, ["1,0,0,0"],
+     {"command": "fh", "params": {"f": [1, 3, 3, 1]}, "status": "OK",
+      "result": "1,0,0,0"}, ""),
+    ("fh h", ["fh", "--h", "1,1,1"], None, 0, ["1,3,3"],
+     {"command": "fh", "params": {"h": [1, 1, 1]}, "status": "OK", "result": "1,3,3"}, ""),
+    ("check realrooted pass", ["check", "realrooted", "1,2,1", "0"], None, 0, ["PASS"],
+     {"command": "check", "params": _check("realrooted", "1,2,1", "0"), "status": "PASS",
+      "result": {"certificates": [[{"lo": "-1/1", "hi": "-1/1", "mult": 2}], None]}}, ""),
+    ("check realrooted fail", ["check", "realrooted", "0,1,1", "1,0,1"], None, 1, ["FAIL"],
+     {"command": "check", "params": _check("realrooted", "0,1,1", "1,0,1"),
+      "status": "FAIL", "witness": {"poly": "1,0,1"}}, ""),
+    ("check interleave pass", ["check", "interleave", "0,1", "-1,0,1"], None, 0, ["PASS"],
+     {"command": "check", "params": _check("interleave", "0,1", "-1,0,1"),
+      "status": "PASS"}, ""),
+    ("check interleave fail", ["check", "interleave", "-1,0,1", "0,1"], None, 1, ["FAIL"],
+     {"command": "check", "params": _check("interleave", "-1,0,1", "0,1"),
+      "status": "FAIL", "witness": {"f": "-1,0,1", "g": "0,1"}}, ""),
+    ("check compatible pass", ["check", "compatible", "0,1", "1,1"], None, 0, ["PASS"],
+     {"command": "check", "params": _check("compatible", "0,1", "1,1"),
+      "status": "PASS"}, ""),
+    ("check compatible fail", ["check", "--unchecked", "compatible", "2,3,1", "2,-3,1"],
+     None, 1,
+     ['FAIL {"weights": ["1/8", "1/8"], "combination": "4,0,2", "pair": [0, 1]}'],
+     {"command": "check", "params": _check("compatible", "2,3,1", "2,-3,1"),
+      "status": "FAIL",
+      "witness": {"weights": ["1/8", "1/8"], "combination": "4,0,2", "pair": [0, 1]}}, ""),
+    ("check conditions-ab pass", ["check", "conditions-ab", "0", "0,1", "0,1"], None, 0,
+     ["PASS"],
+     {"command": "check", "params": _check("conditions-ab", "0", "0,1", "0,1"),
+      "status": "PASS"}, ""),
+    ("check conditions-ab fail", ["check", "conditions-ab", "0,1", "1"], None, 1,
+     ['FAIL {"weights": ["1/8", "1/8"], "combination": "1,0,1", "condition": "b", '
+      '"pair": [0, 1]}'],
+     {"command": "check", "params": _check("conditions-ab", "0,1", "1"), "status": "FAIL",
+      "witness": {"weights": ["1/8", "1/8"], "combination": "1,0,1", "condition": "b",
+                  "pair": [0, 1]}}, ""),
+    ("check usage error", ["check", "interleave", "0,1"], None, 2, [], None,
+     "error: interleave takes exactly two polynomials\n"),
+    ("check internal error", ["check", "realrooted", "0,1,1"], _broken_isolate_roots, 3,
+     [],
+     {"command": "check", "params": {"unchecked": False, "kind": "realrooted",
+                                     "polys": ["0,1,1"]}, "status": "ERROR"},
+     "error: internal: RuntimeError: boom\n"),
+    ("matrix classify-all", ["matrix", "classify-all"], None, 0,
+     ["allowed: 40, forbidden: 41, disagreements: 0"],
+     {"command": "matrix classify-all", "params": {}, "status": "PASS",
+      "result": {"allowed": 40, "forbidden": 41, "disagreements": 0}}, ""),
+    ("matrix classify-all disagreement", ["matrix", "classify-all"], _sampled_disagrees, 1,
+     ["allowed: 40, forbidden: 41, disagreements: 2",
+      "disagreement: 00;00 rules=True samples=False",
+      "disagreement: 1x;01 rules=False samples=True"],
+     {"command": "matrix classify-all", "params": {}, "status": "FAIL",
+      "result": {"allowed": 40, "forbidden": 41, "disagreements": 2},
+      "witness": [{"matrix": [["0", "0"], ["0", "0"]], "rules": True, "samples": False},
+                  {"matrix": [["1", "x"], ["0", "1"]], "rules": False, "samples": True}]},
+     ""),
+    ("matrix check pass", ["matrix", "check", "m3.json"], None, 0,
+     ["preserves: PASS, ferrers: PASS"],
+     {"command": "matrix check", "params": {"file": "m3.json"}, "status": "PASS",
+      "result": {"preserves": True, "ferrers": True}}, ""),
+    ("matrix check fail", ["matrix", "check", "bad.json"], None, 1,
+     ["preserves: FAIL, ferrers: FAIL"],
+     {"command": "matrix check", "params": {"file": "bad.json"}, "status": "FAIL",
+      "result": {"preserves": False, "ferrers": False}}, ""),
+    ("matrix apply", ["matrix", "apply", "m3.json", "--polys", "0;0,1;0,1"], None, 0,
+     ["0,2;0,1;0,0,1"],
+     {"command": "matrix apply", "params": {"file": "m3.json", "polys": "0;0,1;0,1"},
+      "status": "OK", "result": "0,2;0,1;0,0,1"}, ""),
+    ("matrix closure", ["matrix", "closure"], None, 0,
+     ["closure size: 40", "contained in allowed set: yes", "equals allowed set: yes"]
+     + ALLOWED,
+     {"command": "matrix closure", "params": {}, "status": "PASS",
+      "result": {"size": 40, "contained": True, "equals_allowed": True,
+                 "members": ALLOWED}}, ""),
+    ("matrix closure fail", ["matrix", "closure"], _closure_with_forbidden, 1,
+     ["closure size: 41", "contained in allowed set: NO", "equals allowed set: no",
+      CLOSURE_NOTE] + sorted(ALLOWED + ["1x;01"]),
+     {"command": "matrix closure", "params": {}, "status": "FAIL",
+      "result": {"size": 41, "contained": False, "equals_allowed": False,
+                 "members": sorted(ALLOWED + ["1x;01"])}}, ""),
+    ("words list", ["words", "--r", "3", "--n", "2", "--list"], None, 0,
+     ["0,1,0", "0,1,2", "0,2,0", "0,2,1"],
+     {"command": "words", "params": _words(3, 2), "status": "OK",
+      "result": ["0,1,0", "0,1,2", "0,2,0", "0,2,1"]}, ""),
+    ("words closed list", ["words", "--r", "3", "--n", "3", "--closed", "--list"], None, 0,
+     ["0,1,2,0", "0,2,1,0"],
+     {"command": "words", "params": _words(3, 3, closed=True), "status": "OK",
+      "result": ["0,1,2,0", "0,2,1,0"]}, ""),
+    ("words gamma closed list empty",
+     ["words", "--r", "4", "--n", "3", "--gamma", "1,2,2,1", "--closed", "--list"], None, 0,
+     [],
+     {"command": "words", "params": _words(4, 3, gamma="1,2,2,1", closed=True),
+      "status": "OK", "result": []}, ""),
+    ("words oracle", ["words", "--r", "3", "--n", "2"], None, 0, ["0,2", "0,1", "0,0,1"],
+     {"command": "words", "params": _words(3, 2), "status": "OK",
+      "result": ["0,2", "0,1", "0,0,1"]}, ""),
+    ("words closed", ["words", "--r", "3", "--n", "3", "--closed"], None, 0, ["0,1,1"],
+     {"command": "words", "params": _words(3, 3, closed=True), "status": "OK",
+      "result": ["0,1,1"]}, ""),
+    ("words gamma closed", ["words", "--r", "3", "--n", "2", "--gamma", "1,1,1", "--closed"],
+     None, 0, ["0,1"],
+     {"command": "words", "params": _words(3, 2, gamma="1,1,1", closed=True),
+      "status": "OK", "result": ["0,1"]}, ""),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("row", REPORTS, ids=[row[0] for row in REPORTS])
+def test_report_branches(row, as_json, capsys, monkeypatch, tmp_path):
+    _, argv, patch, code, lines, report, err = row
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m3.json").write_text(
+        json.dumps([["0", "1", "1"], ["x", "0", "1"], ["x", "x", "0"]]))
+    (tmp_path / "bad.json").write_text(json.dumps([["1", "x"], ["0", "1"]]))
+    if patch is not None:
+        patch(monkeypatch)
+    if as_json:
+        expected = "" if report is None else json.dumps(report) + "\n"
+        assert run_cli(capsys, "--json", *argv) == (code, expected, err)
+    else:
+        assert run_cli(capsys, *argv) == (code, "".join(line + "\n" for line in lines), err)
+
+
+def test_matrix_closure_runs_no_sampled_classification(capsys, monkeypatch):
+    def sampled(*_):
+        raise AssertionError("matrix closure needs no sampled test")
+
+    monkeypatch.setattr(matrices, "check_2x2_sampled", sampled)
+    code, out, err = run_cli(capsys, "--json", "matrix", "closure")
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["members"] == ALLOWED
+
+
 def test_module_invocation_subprocess():
+    # the child must import the same package as this process, also when it is
+    # found only through pytest's pythonpath setting and not installed
+    package_root = str(Path(interlace.__file__).parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (package_root, inherited))))
     proc = subprocess.run(
         [sys.executable, "-m", "interlace", "check", "realrooted", "0,1,1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "PASS"
