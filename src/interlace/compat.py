@@ -115,7 +115,8 @@ def _require_admissible(p: Poly, label: str) -> None:
 def compatible_pair_sampled(
     f: Poly, g: Poly, grid: SampleGrid | None = None, unchecked: bool = False
 ) -> CompatVerdict:
-    """Test real-rootedness of c1*f + c2*g over all weight pairs of the grid.
+    """Test real-rootedness of c1*f + c2*g over all weight pairs of the grid,
+    one pair per distinct ratio c1/c2 (33 of the 64 default pairs).
 
     ``unchecked`` skips the admissibility precondition so that counterexample
     explorations may feed inputs with negative coefficients.
@@ -124,8 +125,15 @@ def compatible_pair_sampled(
     if not unchecked:
         _require_admissible(f, "f")
         _require_admissible(g, "g")
+    # c1*f + c2*g is real-rooted or not with (c1/c2)*f + g, so each ratio is
+    # tested once, at its first pair: a failing pair is never skipped
+    ratios = set()
     for c1 in grid.weights:
         for c2 in grid.weights:
+            ratio = c1 / c2
+            if ratio in ratios:
+                continue
+            ratios.add(ratio)
             combo = conic_combination((c1, c2), (f, g))
             if not is_real_rooted(combo):
                 return CompatVerdict(FAIL, CompatWitness((c1, c2), combo))

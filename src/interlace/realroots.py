@@ -6,9 +6,14 @@ procedure, ``_normal_sequence_end``, asks whether the remainder sequence of
 coefficients: on (f, f') with the x^k factor stripped it decides
 real-rootedness (generalised Sturm theorem), and on (g, f) it decides f << g
 (Hermite-Kakeya-Obreschkoff) together with the gcd it ends at.
-Sturm chains isolate real roots in disjoint rational intervals, with
-multiplicities recovered from a repeated-gcd chain and rational roots found
-exactly by a binary search over the grid c/|lead|.
+Isolation walks one sequence too: for f = x^k h with h(0) != 0, the remainder
+sequence of (h, h') is the Sturm chain of the bisection (it counts the
+distinct roots of h between non-roots), evaluated once per split at the
+midpoint, and its last term is the first gcd of the repeated-gcd chain that
+yields the multiplicity levels.  The root 0 has multiplicity k; any other
+isolated root lies on a level iff that squarefree level changes sign on its
+interval.  Rational roots are found exactly by a binary search over the grid
+c/|lead|.
 """
 
 from __future__ import annotations
@@ -133,9 +138,9 @@ class SturmChain:
     ``_remainder_sequence`` builds it (positive multiples of the terms, which
     leaves every sign evaluation unchanged).
 
-    For a squarefree p (``of_squarefree``) it counts the roots in any
-    interval; for any other p only the count over the whole line holds
-    (generalised Sturm theorem).
+    It counts the distinct roots of any p between two non-roots (generalised
+    Sturm theorem); for a squarefree p (``of_squarefree``) the count holds on
+    any interval (lo, hi].
     """
 
     chain: tuple[Poly, ...]
@@ -249,27 +254,48 @@ def _rational_root_in(q: Poly, lo: Fraction, hi: Fraction) -> Fraction | None:
     return None
 
 
-def _isolate_squarefree(q: Poly) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
-    """Exact rational roots and open isolating intervals for the rest of the
-    roots of a squarefree q.
+def _root_structure(f: Poly) -> tuple[int, Poly, SturmChain, list[Poly]]:
+    """For a nonzero f = x^k h with h(0) != 0: k, the squarefree part q of h,
+    the Sturm chain of h, and the multiplicity levels of h: levels[j] holds
+    the distinct roots of h of multiplicity at least j + 2.
 
-    Interval endpoints are never roots of q.
+    The chain is the one remainder sequence of (h, h').  It counts the
+    distinct roots of h between any two non-roots (generalised Sturm
+    theorem), and it ends at a positive multiple of gcd(h, h'), the first
+    step of the repeated-gcd chain g[0] = h, g[i+1] = gcd(g[i], g[i]'), which
+    ends at a constant: the distinct roots of g[i] are the roots of h of
+    multiplicity above i, so g[i] / g[i+1] is their squarefree part.
     """
-    q, k = _strip_x(q)
-    zero_root = k > 0
+    h, k = _strip_x(f)
+    chain = SturmChain(tuple(_remainder_sequence(h, poly_derivative(h))))
+    gs = [h, chain.chain[-1].primitive_positive()]
+    while gs[-1].degree >= 1:
+        gs.append(poly_gcd(gs[-1], poly_derivative(gs[-1])))
+    q, *levels = [exact_div(g, d).primitive_positive() for g, d in zip(gs, gs[1:])]
+    return k, q, chain, levels
+
+
+def _isolate(q: Poly, chain: SturmChain,
+             zero_root: bool) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
+    """Exact rational roots and open isolating intervals for the roots of a
+    squarefree q with q(0) != 0, plus the exact root 0 when zero_root; chain
+    counts the roots of q between non-roots.
+
+    Interval endpoints are never roots.  Each stack entry carries the sign
+    variations of the chain at both ends, so a split evaluates it once.
+    """
     points = [Fraction(0)] if zero_root else []
     if q.degree < 1:
         return points, []
-    chain = SturmChain.of_squarefree(q)
     bound = Fraction(_root_bound(q))
-    stack = [(-bound, bound)]
+    stack = [(-bound, bound, chain.variations_at(-bound), chain.variations_at(bound))]
     intervals: list[tuple[Fraction, Fraction]] = []
     while stack:
-        lo, hi = stack.pop()
-        k = chain.count_in(lo, hi)
-        if k == 0:
+        lo, hi, v_lo, v_hi = stack.pop()
+        n = v_lo - v_hi
+        if n == 0:
             continue
-        if k == 1:
+        if n == 1:
             root = _rational_root_in(q, lo, hi)
             if root is None:
                 intervals.append((lo, hi))
@@ -280,8 +306,9 @@ def _isolate_squarefree(q: Poly) -> tuple[list[Fraction], list[tuple[Fraction, F
         mid = (lo + hi) / 2
         while q.sign_at(mid) == 0:
             mid = (lo + mid) / 2
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        v_mid = chain.variations_at(mid)
+        stack.append((lo, mid, v_lo, v_mid))
+        stack.append((mid, hi, v_mid, v_hi))
     if zero_root:
         # 0 is a root of the caller's polynomial: move intervals off it (they
         # hold irrational roots, so the bisection never lands on their root)
@@ -294,29 +321,19 @@ def _isolate_squarefree(q: Poly) -> tuple[list[Fraction], list[tuple[Fraction, F
     return points, intervals
 
 
-def _squarefree_levels(f: Poly) -> tuple[Poly, list[tuple[Poly, SturmChain]]]:
-    """The squarefree part of a nonzero f, and the multiplicity levels of f
-    with their Sturm chains: levels[k] holds the distinct roots of f of
-    multiplicity at least k + 2.
+def _multiplicity(k: int, levels: list[Poly], lo: Fraction, hi: Fraction) -> int:
+    """Multiplicity of the root of f = x^k h isolated by [lo, hi], given the
+    levels of h; an open interval must have non-root ends.
 
-    Both come from one repeated-gcd chain g[0] = f, g[i+1] = gcd(g[i], g[i]'),
-    which ends at a constant: the distinct roots of g[i] are the roots of f of
-    multiplicity above i, so g[i] / g[i+1] is their squarefree part.
+    A level is squarefree and its roots are roots of f, of which the interval
+    holds one, so a level holds that root iff it changes sign on the interval.
     """
-    gs = [f]
-    while gs[-1].degree >= 1:
-        gs.append(poly_gcd(gs[-1], poly_derivative(gs[-1])))
-    if len(gs) == 1:
-        return Poly((1,)), []
-    p, *rest = [exact_div(g, h).primitive_positive() for g, h in zip(gs, gs[1:])]
-    return p, [(s, SturmChain.of_squarefree(s)) for s in rest]
-
-
-def _multiplicity(levels: list[tuple[Poly, SturmChain]], lo: Fraction, hi: Fraction) -> int:
-    """Multiplicity of the root of f isolated by [lo, hi], given f's levels."""
+    if k and lo <= 0 <= hi:
+        return k
     mult = 1
-    for level, chain in levels:
-        has_root = level.sign_at(lo) == 0 if lo == hi else chain.count_in(lo, hi) == 1
+    for level in levels:
+        s = level.sign_at(lo)
+        has_root = s == 0 if lo == hi else s * level.sign_at(hi) < 0
         if not has_root:
             break
         mult += 1
@@ -328,13 +345,11 @@ def isolate_roots(f: Poly) -> RootCertificate:
     with multiplicities recovered from the repeated-gcd chain."""
     if f.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of 0")
-    p, levels = _squarefree_levels(f)
-    if p.degree < 1:
-        return RootCertificate()
-    points, intervals = _isolate_squarefree(p)
+    k, q, chain, levels = _root_structure(f)
+    points, intervals = _isolate(q, chain, k > 0)
     records: list[tuple[Fraction, Fraction]] = [(a, a) for a in points] + intervals
     records.sort(key=lambda iv: iv[0])
-    return RootCertificate(tuple(RootInterval(lo, hi, _multiplicity(levels, lo, hi))
+    return RootCertificate(tuple(RootInterval(lo, hi, _multiplicity(k, levels, lo, hi))
                                  for lo, hi in records))
 
 
@@ -359,8 +374,7 @@ def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate
         raise BadParametersError("width must be positive")
     if f.is_zero:
         raise CertificateMismatchError("the zero polynomial has no certificate")
-    p, levels = _squarefree_levels(f)
-    _validate_certificate(f, p, levels, cert)
+    p = _validated_squarefree_part(f, cert)
     out = []
     for iv in cert.intervals:
         lo, hi = iv.lo, iv.hi
@@ -372,10 +386,17 @@ def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate
     return RootCertificate(tuple(out))
 
 
-def _validate_certificate(f: Poly, p: Poly, levels: list[tuple[Poly, SturmChain]],
-                          cert: RootCertificate) -> None:
-    chain = SturmChain.of_squarefree(p) if p.degree >= 1 else None
-    distinct = chain.count_in(None, None) if chain else 0
+def _validated_squarefree_part(f: Poly, cert: RootCertificate) -> Poly:
+    """The squarefree part p of a nonzero f, once cert is checked against f.
+
+    Every point must be a root of f and every open interval must see a strict
+    sign change of p with nonzero ends, so each of the disjoint intervals
+    holds at least one root; with as many intervals as distinct real roots,
+    each holds exactly one, and only then are the multiplicities checked.
+    """
+    k, q, chain, levels = _root_structure(f)
+    p = q.shift_up() if k else q
+    distinct = chain.count_in(None, None) + (k > 0)
     if len(cert.intervals) != distinct:
         raise CertificateMismatchError(
             f"certificate lists {len(cert.intervals)} roots, polynomial has {distinct}"
@@ -384,18 +405,21 @@ def _validate_certificate(f: Poly, p: Poly, levels: list[tuple[Poly, SturmChain]
         if iv.is_point:
             if f.sign_at(iv.lo) != 0:
                 raise CertificateMismatchError(f"{iv.lo} is not a root")
-        else:
-            if p.sign_at(iv.lo) == 0 or p.sign_at(iv.hi) == 0:
-                raise CertificateMismatchError("interval endpoint is a root")
-            if chain.count_in(iv.lo, iv.hi) != 1:
-                raise CertificateMismatchError(
-                    f"interval ({iv.lo}, {iv.hi}) does not isolate one root"
-                )
-        mult = _multiplicity(levels, iv.lo, iv.hi)
+            continue
+        s_lo, s_hi = p.sign_at(iv.lo), p.sign_at(iv.hi)
+        if s_lo == 0 or s_hi == 0:
+            raise CertificateMismatchError("interval endpoint is a root")
+        if s_lo == s_hi:
+            raise CertificateMismatchError(
+                f"interval ({iv.lo}, {iv.hi}) does not isolate one root"
+            )
+    for iv in cert.intervals:
+        mult = _multiplicity(k, levels, iv.lo, iv.hi)
         if mult != iv.multiplicity:
             raise CertificateMismatchError(
                 f"multiplicity mismatch on ({iv.lo}, {iv.hi}): {iv.multiplicity} != {mult}"
             )
+    return p
 
 
 # -- interleaving --------------------------------------------------------------

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from interlace import compat
 from interlace.compat import (
     FAIL,
     PASS_SAMPLED,
@@ -59,6 +61,47 @@ def test_pair_precondition_errors():
     with pytest.raises(NotRealRootedError) as exc:
         compatible_pair_sampled(Poly((1, 0, 1)), X)
     assert exc.value.which == "f"
+
+
+def _brute_pair_verdict(f, g):
+    # every one of the 64 default weight pairs, in loop order
+    weights = SampleGrid.default().weights
+    for c1 in weights:
+        for c2 in weights:
+            combo = conic_combination((c1, c2), (f, g))
+            if not is_real_rooted(combo):
+                return FAIL, (c1, c2), combo
+    return PASS_SAMPLED, None, None
+
+
+def test_pair_tests_each_weight_ratio_once(monkeypatch):
+    # the combination's real-rootedness depends only on c1/c2, and the default
+    # grid has 33 distinct ratios; the first failing pair is never skipped
+    rng = random.Random(8)
+    pairs = [(e_vector(4, 4).polys[1], e_vector(4, 4).polys[2]),
+             (Poly((4, 4, 1)), Poly((9, 6, 1))),   # (x+2)^2, (x+3)^2
+             (Poly((2, 3, 1)), Poly((2, -3, 1)))]
+    pairs += [(Poly(tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 5))) + (1,)),
+               Poly(tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 5))) + (1,)))
+              for _ in range(30)]
+    expected = [_brute_pair_verdict(f, g) for f, g in pairs]
+    assert {status for status, _, _ in expected} == {PASS_SAMPLED, FAIL}
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return is_real_rooted(p)
+
+    monkeypatch.setattr(compat, "is_real_rooted", counted)
+    for (f, g), (status, weights, combo) in zip(pairs, expected):
+        calls.clear()
+        verdict = compatible_pair_sampled(f, g, unchecked=True)
+        assert len(calls) <= 33
+        assert verdict.status == status
+        if status == FAIL:
+            assert (verdict.witness.weights, verdict.witness.combination) == (weights, combo)
+        else:
+            assert len(calls) == 33
 
 
 def test_family_examples():

@@ -14,7 +14,7 @@ from interlace.errors import (
     NegativeLeadingCoefficientError,
     ZeroPolynomialError,
 )
-from interlace.polys import ONE, X, ZERO, Poly
+from interlace.polys import ONE, X, ZERO, Poly, exact_div, poly_derivative, poly_gcd
 from interlace.realroots import (
     RootCertificate,
     RootInterval,
@@ -197,7 +197,8 @@ def test_refine_hand_made_non_dyadic_certificate():
 
 
 def test_gcd_chain_built_once(monkeypatch):
-    # (x+1)^10 (x^2-2): the repeated-gcd chain has 10 gcds, each computed once
+    # (x+1)^10 (x^2-2): the repeated-gcd chain has 10 gcds, each computed once;
+    # the first is the last term of the Sturm chain, so 9 calls to poly_gcd
     f = product_of_roots([-1] * 10) * Poly((-2, 0, 1))
     calls = []
     gcd = realroots.poly_gcd
@@ -208,11 +209,11 @@ def test_gcd_chain_built_once(monkeypatch):
 
     monkeypatch.setattr(realroots, "poly_gcd", counted_gcd)
     cert = isolate_roots(f)
-    assert len(calls) == 10
+    assert len(calls) == 9
     assert [iv.multiplicity for iv in cert.intervals] == [1, 10, 1]
     calls.clear()
     refine_certificate(f, cert, Fraction(1, 1 << 20))
-    assert len(calls) == 10
+    assert len(calls) == 9
 
 
 def test_refine_below_2_pow_minus_520():
@@ -261,6 +262,124 @@ def test_certificate_of_planted_roots(planted, k, sqrt2, complex_pair, scale):
         assert f(iv.lo) != 0 and f(iv.hi) != 0
     refined = refine_certificate(f, cert, Fraction(1, 1 << 30))
     assert all(iv.hi - iv.lo < Fraction(1, 1 << 30) for iv in refined.intervals)
+
+
+def _reference_isolation(f: Poly) -> tuple[RootCertificate, int]:
+    """Sturm bisection as it was done before one chain served isolation: the
+    chain of the squarefree part, counted at both ends of every interval, and
+    multiplicities from the Sturm chains of the repeated-gcd levels of f.
+    Returns the certificate and the number of splits."""
+    gs = [f]
+    while gs[-1].degree >= 1:
+        gs.append(poly_gcd(gs[-1], poly_derivative(gs[-1])))
+    if len(gs) == 1:
+        return RootCertificate(), 0
+    p, *levels = [exact_div(g, d).primitive_positive() for g, d in zip(gs, gs[1:])]
+    q, k = realroots._strip_x(p)
+    points = [Fraction(0)] if k else []
+    intervals, splits = [], 0
+    if q.degree >= 1:
+        chain = SturmChain.of_squarefree(q)
+        bound = Fraction(realroots._root_bound(q))
+        stack = [(-bound, bound)]
+        while stack:
+            lo, hi = stack.pop()
+            n = chain.count_in(lo, hi)
+            if n == 1:
+                root = realroots._rational_root_in(q, lo, hi)
+                if root is None:
+                    intervals.append((lo, hi))
+                else:
+                    points.append(root)
+            elif n > 1:
+                splits += 1
+                mid = (lo + hi) / 2
+                while q.sign_at(mid) == 0:
+                    mid = (lo + mid) / 2
+                stack += [(lo, mid), (mid, hi)]
+        for i, (lo, hi) in enumerate(intervals):
+            if k and lo <= 0 <= hi:
+                s_lo = q.sign_at(lo)
+                while lo <= 0 <= hi:
+                    lo, hi, s_lo = realroots._bisect_once(q, lo, hi, s_lo)
+                intervals[i] = (lo, hi)
+    level_chains = [(s, SturmChain.of_squarefree(s)) for s in levels]
+    out = []
+    for lo, hi in sorted([(a, a) for a in points] + intervals):
+        mult = 1
+        for level, chain in level_chains:
+            if not (level.sign_at(lo) == 0 if lo == hi else chain.count_in(lo, hi) == 1):
+                break
+            mult += 1
+        out.append(RootInterval(lo, hi, mult))
+    return RootCertificate(tuple(out)), splits
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.fractions(min_value=-6, max_value=6, max_denominator=1 << 20),
+                  st.integers(min_value=1, max_value=3)),
+        max_size=5,
+    ),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    st.booleans(),
+    st.sampled_from([1, 3, -1, -6]),
+)
+def test_isolation_equals_reference_bisection(planted, k, sqrt2, complex_pair, scale):
+    f = Poly.monomial(k, scale)
+    for a, mult in planted:
+        for _ in range(mult):
+            f = f * Poly((-a.numerator, a.denominator))
+    for _ in range(sqrt2):
+        f = f * Poly((-2, 0, 1))
+    if complex_pair:
+        f = f * Poly((1, 0, 1))
+    assert isolate_roots(f) == _reference_isolation(f)[0]
+
+
+def test_isolation_walks_one_sequence_evaluated_once_per_split(monkeypatch):
+    # local_h(6, 20) = x^4 h with h squarefree: the sequence of (h, h') ends
+    # at a constant, so no gcd is taken, and each split evaluates the chain at
+    # its midpoint only, after the two ends of (-B, B)
+    f = local_h(6, 20)
+    expected, splits = _reference_isolation(f)
+    gcds = _record_calls(monkeypatch, realroots, "poly_gcd")
+    evaluations = _record_calls(monkeypatch, SturmChain, "variations_at")
+    cert = isolate_roots(f)
+    assert cert == expected
+    assert gcds == []
+    assert len(evaluations) == splits + 2 == 40
+    gcds.clear()
+    evaluations.clear()
+    refine_certificate(f, cert, Fraction(1, 1 << 20))
+    assert gcds == [] and evaluations == []
+
+
+def test_refine_rejects_intervals_that_do_not_each_hold_one_root():
+    # roots 1, 2, 3, 5, 7: five intervals, as many as roots, with a sign
+    # change on (0, 4), which holds three roots while (8, 9) and (9, 10) hold none
+    f = product_of_roots([1, 2, 3, 5, 7])
+    assert f.sign_at(Fraction(0)) * f.sign_at(Fraction(4)) < 0
+    ends = [(0, 4), (4, 6), (6, 8), (8, 9), (9, 10)]
+    three_in_one = RootCertificate(tuple(RootInterval(Fraction(a), Fraction(b), 1)
+                                         for a, b in ends))
+    with pytest.raises(CertificateMismatchError):
+        refine_certificate(f, three_in_one, Fraction(1, 4))
+    # (0, 5/2) holds the two roots 1 and 2
+    two_in_one = RootCertificate((
+        RootInterval(Fraction(0), Fraction(5, 2), 1), RootInterval(Fraction(3), Fraction(3), 1),
+        RootInterval(Fraction(4), Fraction(6), 1), RootInterval(Fraction(6), Fraction(8), 1),
+        RootInterval(Fraction(8), Fraction(9), 1),
+    ))
+    with pytest.raises(CertificateMismatchError):
+        refine_certificate(f, two_in_one, Fraction(1, 4))
+    # every interval holds one root, but the root 7 is left out
+    cert = isolate_roots(f)
+    with pytest.raises(CertificateMismatchError):
+        refine_certificate(f, RootCertificate(cert.intervals[:4]), Fraction(1, 4))
+    assert len(refine_certificate(f, cert, Fraction(1, 4))) == 5
 
 
 def _count_sign_evaluations(monkeypatch) -> list:
