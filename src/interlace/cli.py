@@ -84,15 +84,19 @@ def cmd_edgewise(args) -> Report:
     params = {"r": args.r, "n": args.n, "gamma": args.gamma, "component": args.component}
     if args.component is not None and not 0 <= args.component < args.r:
         raise UsageError(f"component must be in [0, {args.r - 1}]")
-    if args.gamma is not None:
-        gamma = _parse_gamma(args.gamma)
+    gamma = _parse_gamma(args.gamma) if args.gamma is not None else None
+    if args.verify:  # the oracle's budget, before the recurrence does any work
+        budget = _budget()
+        words.check_budget(args.n, args.r, budget)
+    if gamma is not None:
         vec = edgewise.e_gamma(args.r, args.n, gamma)
-        oracle = lambda: words.oracle_E_gamma(args.n, args.r, gamma, budget=_budget())
     else:
         vec = edgewise.e_vector(args.r, args.n)
-        oracle = lambda: words.oracle_E(args.n, args.r, budget=_budget())
     if args.verify:
-        expected = oracle()
+        if gamma is not None:
+            expected = words.oracle_E_gamma(args.n, args.r, gamma, budget=budget)
+        else:
+            expected = words.oracle_E(args.n, args.r, budget=budget)
         for i, (got, want) in enumerate(zip(vec.polys, expected)):
             if got != want:
                 witness = {"component": i, "recurrence": str(got), "enumeration": str(want)}
@@ -233,27 +237,20 @@ def cmd_matrix(args) -> Report:
 def cmd_words(args) -> Report:
     params = {"r": args.r, "n": args.n, "gamma": args.gamma, "closed": args.closed}
     budget = _budget()
-    gamma = _parse_gamma(args.gamma) if args.gamma is not None else None
-    if args.list:
-        if gamma is not None:
-            stream = words.enumerate_sw_gamma(args.n, args.r, gamma, args.closed, budget=budget)
-        else:
-            stream = words.enumerate_sw_prime(args.n, args.r, budget=budget)
-        out = []
-        for w in stream:
-            if args.closed and gamma is None and w.letters[-1] != 0:
-                continue
-            out.append(str(w))
-        return Report("words", params, OK, result=out, lines=out)
-    if gamma is not None:
-        polys = words.oracle_E_gamma(args.n, args.r, gamma, budget=budget)
-        if args.closed:
-            polys = [polys[0]]
-    elif args.closed:
-        polys = [words.oracle_local_h(args.n, args.r, budget=budget)]
+    # without --gamma the zero profile, which r < 2 cannot have: the word
+    # functions then reject r with BadParametersError before they read gamma
+    if args.gamma is not None:
+        gamma = _parse_gamma(args.gamma)
     else:
-        polys = words.oracle_E(args.n, args.r, budget=budget)
-    out = [str(p) for p in polys]
+        gamma = GammaVector.zeros(args.r) if args.r >= 2 else None
+    if args.list:
+        stream = words.enumerate_sw_gamma(args.n, args.r, gamma, args.closed, budget=budget)
+        out = [str(w) for w in stream]
+    elif args.closed and args.gamma is None:
+        out = [str(words.oracle_local_h(args.n, args.r, budget=budget))]
+    else:
+        polys = words.oracle_E_gamma(args.n, args.r, gamma, budget=budget)
+        out = [str(p) for p in (polys[:1] if args.closed else polys)]
     return Report("words", params, OK, result=out, lines=out)
 
 

@@ -11,6 +11,16 @@ Word families over the alphabet {0, ..., r-1}, always starting with 0:
 * jump-restricted variants: arriving at letter i requires a jump of absolute
   size strictly greater than gamma[i] (gamma = all zeros reduces to the
   families above).
+
+Every family is walked over the transition lists of its profile, the plain
+families over the zero profile.  One enumerator yields the words themselves.
+One walker tallies the ascent polynomials for all three oracles: it recurses
+over the letters up to the last two and takes those two from a table of the
+admissible two-letter continuations.  Every word is still visited once and
+adds its own 1 to the count of its last letter and ascents; nothing is
+grouped by multiplicity, and nothing here calls the recurrences.  The closed
+oracle, ``oracle_local_h``, walks the closed words only.  Every entry point
+checks n and r first, then the profile, then the budget of (r-1)^n open words.
 """
 
 from __future__ import annotations
@@ -81,33 +91,90 @@ def _validate_nr(n: int, r: int) -> None:
         raise BadParametersError(f"need integers n >= 1 and r >= 2, got n={n}, r={r}")
 
 
-def _check_budget(n: int, r: int, budget: int) -> None:
+def check_budget(n: int, r: int, budget: int) -> None:
+    """Raise BudgetExceededError when the (r-1)^n open words exceed ``budget``.
+
+    The power is multiplied up only until it passes the budget, so a huge n
+    builds no huge integer.
+    """
     if budget < 1:
         raise BadParametersError("budget must be positive")
-    if (r - 1) ** n > budget:
-        raise BudgetExceededError(f"(r-1)^n = {(r - 1) ** n} exceeds budget {budget}")
+    if r <= 2:  # at most one open word, whatever n is
+        return
+    total = 1
+    for _ in range(n):
+        total *= r - 1
+        if total > budget:
+            raise BudgetExceededError(f"(r-1)^n = {r - 1}^{n} exceeds budget {budget}")
+
+
+def _zeros(n: int, r: int) -> GammaVector:
+    """The zero profile, after n and r: r < 2 stays a BadParametersError."""
+    _validate_nr(n, r)
+    return GammaVector.zeros(r)
+
+
+def _transitions(n: int, r: int, gamma: GammaVector, budget: int) -> list[list[int]]:
+    """Check one request and return the transition lists of its profile."""
+    _validate_nr(n, r)
+    _validate_gamma(r, gamma)
+    check_budget(n, r, budget)
+    return _gamma_transitions(r, gamma)
+
+
+def _word_stream(n: int, r: int, trans: list[list[int]], closed: bool) -> Iterator[Word]:
+    """The one enumerator: the admissible words in lexicographic order."""
+    word = [0] * (n + 1)
+
+    def rec(pos: int) -> Iterator[Word]:
+        if pos > n:
+            if not closed or word[n] == 0:
+                yield Word(tuple(word), r)
+            return
+        for c in trans[word[pos - 1]]:
+            word[pos] = c
+            yield from rec(pos + 1)
+
+    return rec(1)
+
+
+# the walker places the last _TAIL letters of each word from a table, not by recursion
+_TAIL = 2
+
+
+def _tally(n: int, trans: list[list[int]], closed: bool) -> list[list[int]]:
+    """The one ascent walker: counts[last][k] = words ending in ``last`` with k ascents.
+
+    The recursion places letters 1 .. n - _TAIL.  tails[prev] holds one
+    (row, ascents) entry per admissible continuation of _TAIL letters after
+    prev, so each word is still visited once and adds its own 1 to its row.
+    With ``closed`` the tails keep only the continuations that end in 0.
+    """
+    r = len(trans)
+    counts = [[0] * (n + 1) for _ in range(r)]
+    depth = min(_TAIL, n)
+    tails = [[(row, 0)] if not closed or c == 0 else [] for c, row in enumerate(counts)]
+    for _ in range(depth):
+        tails = [[(row, k + (prev < c)) for c in trans[prev] for row, k in tails[c]]
+                 for prev in range(r)]
+    stop = n - depth
+
+    def rec(pos: int, last: int, asc: int) -> None:
+        if pos == stop:
+            for row, k in tails[last]:
+                row[asc + k] += 1
+            return
+        nxt = pos + 1
+        for c in trans[last]:
+            rec(nxt, c, asc + 1 if last < c else asc)
+
+    rec(0, 0, 0)
+    return counts
 
 
 def enumerate_sw_prime(n: int, r: int, budget: int = DEFAULT_BUDGET) -> Iterator[Word]:
     """All (r-1)^n open words of length n+1 in lexicographic order."""
-    _validate_nr(n, r)
-    _check_budget(n, r, budget)
-
-    def gen():
-        word = [0] * (n + 1)
-
-        def rec(pos: int) -> Iterator[Word]:
-            if pos > n:
-                yield Word(tuple(word), r)
-                return
-            for c in range(r):
-                if c != word[pos - 1]:
-                    word[pos] = c
-                    yield from rec(pos + 1)
-
-        yield from rec(1)
-
-    return gen()
+    return _word_stream(n, r, _transitions(n, r, _zeros(n, r), budget), False)
 
 
 def word_in_sw_prime(w: Word) -> bool:
@@ -121,43 +188,13 @@ def oracle_E(n: int, r: int, budget: int = DEFAULT_BUDGET) -> list[Poly]:
     Computed by walking every word, tallying x^(ascents) into the bucket of
     the word's last letter.
     """
-    _validate_nr(n, r)
-    _check_budget(n, r, budget)
-    counts = [[0] * (n + 1) for _ in range(r)]
-    letters = range(r)
-
-    def rec(pos: int, last: int, asc: int) -> None:
-        if pos == n:
-            counts[last][asc] += 1
-            return
-        nxt = pos + 1
-        for c in letters:
-            if c != last:
-                rec(nxt, c, asc + 1 if last < c else asc)
-
-    rec(0, 0, 0)
+    counts = _tally(n, _transitions(n, r, _zeros(n, r), budget), False)
     return [Poly(tuple(row)) for row in counts]
 
 
 def oracle_local_h(n: int, r: int, budget: int = DEFAULT_BUDGET) -> Poly:
-    """Ascent polynomial of the closed words (first bucket of oracle_E)."""
-    _validate_nr(n, r)
-    _check_budget(n, r, budget)
-    counts = [0] * (n + 1)
-    letters = range(r)
-
-    def rec(pos: int, last: int, asc: int) -> None:
-        if pos == n:
-            if last == 0:
-                counts[asc] += 1
-            return
-        nxt = pos + 1
-        for c in letters:
-            if c != last:
-                rec(nxt, c, asc + 1 if last < c else asc)
-
-    rec(0, 0, 0)
-    return Poly(tuple(counts))
+    """Ascent polynomial of the closed words (first bucket of oracle_E), walking only those."""
+    return Poly(tuple(_tally(n, _transitions(n, r, _zeros(n, r), budget), True)[0]))
 
 
 def _gamma_transitions(r: int, gamma: GammaVector) -> list[list[int]]:
@@ -177,26 +214,7 @@ def enumerate_sw_gamma(
     n: int, r: int, gamma: GammaVector, closed: bool, budget: int = DEFAULT_BUDGET
 ) -> Iterator[Word]:
     """Jump-restricted words in lexicographic order; closed ones end with 0."""
-    _validate_nr(n, r)
-    _validate_gamma(r, gamma)
-    _check_budget(n, r, budget)
-    trans = _gamma_transitions(r, gamma)
-
-    def gen():
-        word = [0] * (n + 1)
-
-        def rec(pos: int) -> Iterator[Word]:
-            if pos > n:
-                if not closed or word[n] == 0:
-                    yield Word(tuple(word), r)
-                return
-            for c in trans[word[pos - 1]]:
-                word[pos] = c
-                yield from rec(pos + 1)
-
-        yield from rec(1)
-
-    return gen()
+    return _word_stream(n, r, _transitions(n, r, gamma, budget), closed)
 
 
 def word_in_sw_gamma(w: Word, gamma: GammaVector, closed: bool) -> bool:
@@ -212,21 +230,7 @@ def oracle_E_gamma(
     n: int, r: int, gamma: GammaVector, budget: int = DEFAULT_BUDGET
 ) -> list[Poly]:
     """Ascent polynomials of the open jump-restricted words, by last letter."""
-    _validate_nr(n, r)
-    _validate_gamma(r, gamma)
-    _check_budget(n, r, budget)
-    trans = _gamma_transitions(r, gamma)
-    counts = [[0] * (n + 1) for _ in range(r)]
-
-    def rec(pos: int, last: int, asc: int) -> None:
-        if pos == n:
-            counts[last][asc] += 1
-            return
-        nxt = pos + 1
-        for c in trans[last]:
-            rec(nxt, c, asc + 1 if last < c else asc)
-
-    rec(0, 0, 0)
+    counts = _tally(n, _transitions(n, r, gamma, budget), False)
     return [Poly(tuple(row)) for row in counts]
 
 

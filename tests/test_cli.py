@@ -59,6 +59,22 @@ def test_edgewise_component_range_checked_before_any_work(capsys, monkeypatch):
     assert calls == []
 
 
+def test_edgewise_verify_checks_the_oracle_budget_before_any_work(capsys, monkeypatch):
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return []
+
+    for name in ("e_vector", "e_gamma"):
+        monkeypatch.setattr(cli.edgewise, name, recorded)
+    for gamma in ([], ["--gamma", "0,0,0,0,0,0,0,0"]):
+        code, out, err = run_cli(capsys, "edgewise", "--r", "8", "--n", "1500", "--verify", *gamma)
+        assert (code, out) == (2, "")
+        assert err == "error: BudgetExceededError: (r-1)^n = 7^1500 exceeds budget 100000000\n"
+    assert calls == []
+
+
 def test_edgewise_json_schema(capsys):
     code, out, _ = run_cli(capsys, "--json", "edgewise", "--r", "3", "--n", "2")
     assert code == 0
@@ -221,6 +237,14 @@ def test_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("INTERLACE_BUDGET", "not-a-number")
     code, _, err = run_cli(capsys, "words", "--r", "3", "--n", "2")
     assert code == 2
+
+
+def test_words_over_budget_at_huge_n_exits_2_with_one_short_line(capsys):
+    # 7^6000 has 5,071 digits, past Python's limit for int-to-str conversion
+    for prefix in ([], ["--json"]):
+        code, out, err = run_cli(capsys, *prefix, "words", "--r", "8", "--n", "6000")
+        assert (code, out) == (2, "")
+        assert err == "error: BudgetExceededError: (r-1)^n = 7^6000 exceeds budget 100000000\n"
 
 
 def test_fh(capsys):

@@ -1,12 +1,16 @@
 import pytest
 
+from interlace import edgewise, matrices, words
+from interlace.edgewise import e_vector
 from interlace.errors import BadParametersError, BudgetExceededError, InvalidGammaError
 from interlace.polys import X, ZERO, Poly
 from interlace.words import (
+    DEFAULT_BUDGET,
     GammaVector,
     Word,
     all_gamma_vectors,
     ascents,
+    check_budget,
     enumerate_sw_gamma,
     enumerate_sw_prime,
     oracle_E,
@@ -56,6 +60,29 @@ def test_budget_guard():
         enumerate_sw_prime(9, 6, budget=100)
     with pytest.raises(BudgetExceededError):
         oracle_E(9, 6, budget=100)
+
+
+def test_budget_guard_on_huge_n_raises_budget_error_with_a_short_message():
+    # (r-1)^n has over 4,300 digits here: the guard must not build or print it
+    calls = [
+        lambda: oracle_E(20000, 3),
+        lambda: oracle_local_h(20000, 3),
+        lambda: oracle_E_gamma(20000, 3, GammaVector.zeros(3)),
+        lambda: enumerate_sw_prime(20000, 3),
+        lambda: enumerate_sw_gamma(20000, 3, GammaVector.zeros(3), closed=True),
+    ]
+    for call in calls:
+        with pytest.raises(BudgetExceededError, match=r"^\(r-1\)\^n = 2\^20000 exceeds budget 100000000$"):
+            call()
+
+
+def test_budget_guard_edges():
+    check_budget(10**12, 2, 1)  # one open word at r = 2, whatever n is
+    check_budget(3, 3, 8)  # 2^3 = 8 words fit a budget of 8
+    with pytest.raises(BudgetExceededError, match=r"2\^4 exceeds budget 8"):
+        check_budget(4, 3, 8)
+    with pytest.raises(BadParametersError):
+        check_budget(1, 3, 0)
 
 
 def test_oracle_E_small_values():
@@ -160,3 +187,55 @@ def test_all_gamma_vectors_counts():
     assert sum(1 for _ in all_gamma_vectors(3)) == 8
     assert sum(1 for _ in all_gamma_vectors(4)) == 41
     assert sum(1 for _ in all_gamma_vectors(5)) == 178
+
+
+# -- the oracles against the word stream ------------------------------------------
+
+
+def _tally_by_last_letter(n, r, gamma, closed):
+    """ascents(w) of every word of enumerate_sw_gamma, counted by last letter."""
+    counts = [[0] * (n + 1) for _ in range(r)]
+    for w in enumerate_sw_gamma(n, r, gamma, closed):
+        counts[w.letters[-1]][ascents(w)] += 1
+    return [Poly(tuple(row)) for row in counts]
+
+
+def _oracle_grid():
+    for r in range(2, 8):
+        profiles = list(all_gamma_vectors(r)) if r <= 5 else [GammaVector.zeros(r)]
+        for g in profiles:
+            for n in range(1, 7):
+                yield n, r, g
+
+
+def test_oracles_equal_the_tallied_word_stream_on_the_grid():
+    # n = 1 and n = 2 are shorter than or as long as the tails the walker inlines
+    for n, r, g in _oracle_grid():
+        open_buckets = _tally_by_last_letter(n, r, g, closed=False)
+        closed_buckets = _tally_by_last_letter(n, r, g, closed=True)
+        assert all(p.is_zero for p in closed_buckets[1:])
+        assert oracle_E_gamma(n, r, g) == open_buckets, (n, r, g)
+        # the closed walk visits the closed words only: no other bucket gets a word
+        closed_walk = words._tally(n, words._transitions(n, r, g, DEFAULT_BUDGET), closed=True)
+        assert [Poly(tuple(row)) for row in closed_walk] == closed_buckets, (n, r, g)
+        if g == GammaVector.zeros(r):
+            assert oracle_E(n, r) == open_buckets, (n, r)
+            assert oracle_local_h(n, r) == closed_buckets[0], (n, r)
+
+
+def test_oracles_stay_independent_of_the_recurrences(monkeypatch):
+    expected = {(n, r): list(e_vector(r, n).polys) for n in range(1, 7) for r in range(2, 6)}
+    restricted = {g: edgewise.e_gamma(4, 5, g).polys for g in all_gamma_vectors(4)}
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("the oracle called a recurrence")
+
+    monkeypatch.setattr(edgewise, "e_step", forbidden)
+    monkeypatch.setattr(edgewise, "e_gamma", forbidden)
+    monkeypatch.setattr(matrices, "apply", forbidden)
+    for (n, r), polys in expected.items():
+        assert oracle_E(n, r) == polys
+        assert oracle_E_gamma(n, r, GammaVector.zeros(r)) == polys
+        assert oracle_local_h(n, r) == polys[0]
+    for g, polys in restricted.items():
+        assert oracle_E_gamma(5, 4, g) == list(polys)
