@@ -93,10 +93,9 @@ def cmd_edgewise(args) -> Report:
     else:
         vec = edgewise.e_vector(args.r, args.n)
     if args.verify:
-        if gamma is not None:
-            expected = words.oracle_E_gamma(args.n, args.r, gamma, budget=budget)
-        else:
-            expected = words.oracle_E(args.n, args.r, budget=budget)
+        # r < 2 was rejected by the recurrence above, so the zero profile exists
+        expected = words.oracle_E_gamma(args.n, args.r, gamma or GammaVector.zeros(args.r),
+                                        budget=budget)
         for i, (got, want) in enumerate(zip(vec.polys, expected)):
             if got != want:
                 witness = {"component": i, "recurrence": str(got), "enumeration": str(want)}

@@ -16,7 +16,10 @@ Every family is walked over the transition lists of its profile, the plain
 families over the zero profile.  One enumerator yields the words themselves.
 One walker tallies the ascent polynomials for all three oracles: it recurses
 over the letters up to the last two and takes those two from a table of the
-admissible two-letter continuations.  Every word is still visited once and
+admissible two-letter continuations.  That table pays off only for a small
+alphabet and long words: it is shortened or left out wherever it would
+outnumber the words walked, and for short words over a large alphabet the
+r x r transition table is left out too.  Every word is still visited once and
 adds its own 1 to the count of its last letter and ascents; nothing is
 grouped by multiplicity, and nothing here calls the recurrences.  The closed
 oracle, ``oracle_local_h``, walks the closed words only.  Every entry point
@@ -26,6 +29,7 @@ checks n and r first, then the profile, then the budget of (r-1)^n open words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .errors import BadParametersError, BudgetExceededError, InvalidGammaError
@@ -108,21 +112,41 @@ def check_budget(n: int, r: int, budget: int) -> None:
             raise BudgetExceededError(f"(r-1)^n = {r - 1}^{n} exceeds budget {budget}")
 
 
-def _zeros(n: int, r: int) -> GammaVector:
-    """The zero profile, after n and r: r < 2 stays a BadParametersError."""
-    _validate_nr(n, r)
-    return GammaVector.zeros(r)
+def _transitions(
+    n: int, r: int, gamma: GammaVector | None, budget: int
+) -> list[list[int]] | _OtherLetters:
+    """Check one request and return the transition lists of its profile.
 
-
-def _transitions(n: int, r: int, gamma: GammaVector, budget: int) -> list[list[int]]:
-    """Check one request and return the transition lists of its profile."""
+    gamma None is the zero profile of the plain families.  The zero profile's
+    r x r table is built only when it is no larger than the (r-1)^n open
+    words; for a large alphabet and short words (every r at n <= 2) each list
+    is computed when it is read instead.
+    """
     _validate_nr(n, r)
-    _validate_gamma(r, gamma)
+    if gamma is not None:
+        _validate_gamma(r, gamma)
     check_budget(n, r, budget)
-    return _gamma_transitions(r, gamma)
+    if r * r > (r - 1) ** n and (gamma is None or not any(gamma.gamma)):
+        return _OtherLetters(r)
+    return _gamma_transitions(r, gamma or GammaVector.zeros(r))
 
 
-def _word_stream(n: int, r: int, trans: list[list[int]], closed: bool) -> Iterator[Word]:
+class _OtherLetters:
+    """The zero profile's transition lists without a table: from prev, every other letter."""
+
+    def __init__(self, r: int):
+        self.r = r
+
+    def __len__(self) -> int:
+        return self.r
+
+    def __getitem__(self, prev: int) -> Iterator[int]:
+        return chain(range(prev), range(prev + 1, self.r))
+
+
+def _word_stream(
+    n: int, r: int, trans: list[list[int]] | _OtherLetters, closed: bool
+) -> Iterator[Word]:
     """The one enumerator: the admissible words in lexicographic order."""
     word = [0] * (n + 1)
 
@@ -138,43 +162,54 @@ def _word_stream(n: int, r: int, trans: list[list[int]], closed: bool) -> Iterat
     return rec(1)
 
 
-# the walker places the last _TAIL letters of each word from a table, not by recursion
+# the walker places at most the last _TAIL letters of each word from a table, not by recursion
 _TAIL = 2
 
 
-def _tally(n: int, trans: list[list[int]], closed: bool) -> list[list[int]]:
+def _tally(
+    n: int, trans: list[list[int]] | _OtherLetters, closed: bool
+) -> list[list[int]]:
     """The one ascent walker: counts[last][k] = words ending in ``last`` with k ascents.
 
-    The recursion places letters 1 .. n - _TAIL.  tails[prev] holds one
-    (row, ascents) entry per admissible continuation of _TAIL letters after
-    prev, so each word is still visited once and adds its own 1 to its row.
-    With ``closed`` the tails keep only the continuations that end in 0.
+    The counts lie in one flat list, row ``last`` at offset last * (n + 1).
+    The recursion places letters 1 .. n - depth (at least the first), the
+    last of them in a loop rather than a call.  tails[prev] holds one index,
+    row offset plus ascents, per admissible continuation of depth letters
+    after prev, so each word is still visited once and adds its own 1.
+    depth is _TAIL unless the tails, r * (r-1)^depth entries, would outnumber
+    the (r-1)^(n-depth) ends of the recursion: the table pays off only for a
+    small alphabet and long words.  With ``closed`` the tails keep only the
+    continuations that end in 0, and only the row of letter 0 is kept.
     """
     r = len(trans)
-    counts = [[0] * (n + 1) for _ in range(r)]
-    depth = min(_TAIL, n)
-    tails = [[(row, 0)] if not closed or c == 0 else [] for c, row in enumerate(counts)]
+    depth = min(_TAIL, n - 1)
+    while depth and r * (r - 1) ** depth > (r - 1) ** (n - depth):
+        depth -= 1
+    rows = 1 if closed else r
+    flat = [0] * (rows * (n + 1))
+    tails = [(c * (n + 1),) for c in range(rows)] + [()] * (r - rows)
     for _ in range(depth):
-        tails = [[(row, k + (prev < c)) for c in trans[prev] for row, k in tails[c]]
-                 for prev in range(r)]
+        tails = [tuple(j + (prev < c) for c in trans[prev] for j in tails[c]) for prev in range(r)]
     stop = n - depth
 
     def rec(pos: int, last: int, asc: int) -> None:
-        if pos == stop:
-            for row, k in tails[last]:
-                row[asc + k] += 1
-            return
         nxt = pos + 1
+        if nxt == stop:
+            for c in trans[last]:
+                a = asc + 1 if last < c else asc
+                for j in tails[c]:
+                    flat[a + j] += 1
+            return
         for c in trans[last]:
             rec(nxt, c, asc + 1 if last < c else asc)
 
     rec(0, 0, 0)
-    return counts
+    return [flat[i:i + n + 1] for i in range(0, len(flat), n + 1)]
 
 
 def enumerate_sw_prime(n: int, r: int, budget: int = DEFAULT_BUDGET) -> Iterator[Word]:
     """All (r-1)^n open words of length n+1 in lexicographic order."""
-    return _word_stream(n, r, _transitions(n, r, _zeros(n, r), budget), False)
+    return _word_stream(n, r, _transitions(n, r, None, budget), False)
 
 
 def word_in_sw_prime(w: Word) -> bool:
@@ -188,13 +223,13 @@ def oracle_E(n: int, r: int, budget: int = DEFAULT_BUDGET) -> list[Poly]:
     Computed by walking every word, tallying x^(ascents) into the bucket of
     the word's last letter.
     """
-    counts = _tally(n, _transitions(n, r, _zeros(n, r), budget), False)
+    counts = _tally(n, _transitions(n, r, None, budget), False)
     return [Poly(tuple(row)) for row in counts]
 
 
 def oracle_local_h(n: int, r: int, budget: int = DEFAULT_BUDGET) -> Poly:
     """Ascent polynomial of the closed words (first bucket of oracle_E), walking only those."""
-    return Poly(tuple(_tally(n, _transitions(n, r, _zeros(n, r), budget), True)[0]))
+    return Poly(tuple(_tally(n, _transitions(n, r, None, budget), True)[0]))
 
 
 def _gamma_transitions(r: int, gamma: GammaVector) -> list[list[int]]:

@@ -296,8 +296,9 @@ CLOSURE_NOTE = (
 
 
 def _wrong_oracle_E(monkeypatch):
+    # edgewise --verify asks oracle_E_gamma, with the zero profile when no --gamma is given
     wrong = [Poly.from_string(p) for p in ("0,2", "0,1,1", "0,0,1")]
-    monkeypatch.setattr(cli.words, "oracle_E", lambda *args, **kwargs: wrong)
+    monkeypatch.setattr(cli.words, "oracle_E_gamma", lambda *args, **kwargs: wrong)
 
 
 def _sampled_disagrees(monkeypatch):
