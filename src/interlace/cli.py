@@ -8,7 +8,7 @@ status: 0 PASS/OK, 1 FAIL, 3 ERROR; usage errors exit 2 with a message on stderr
 Polynomials on the command line use the ascending-coefficient comma format
 ("0,1,1" is x + x^2); semicolons separate polynomials in sequence arguments.
 The INTERLACE_BUDGET environment variable caps enumeration sizes
-(default 10^8 words).
+(default 10^8 words); the enumerations also cap n at words.MAX_N.
 """
 
 from __future__ import annotations

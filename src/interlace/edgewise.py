@@ -8,8 +8,10 @@ last letter satisfies a one-step recurrence
 which is the action of the r x r matrix with 0 on the diagonal, 1 above and
 x below.  Component 0 of the n-step vector is the local h-polynomial of the
 r-fold edgewise subdivision of the (n-1)-simplex.  The jump-restricted
-generalization replaces that matrix by one whose entries depend on the
-restriction profile.
+generalization changes only which letters h may precede letter i: those with
+|i - h| > gamma[i].  So it is the same step with reach gamma[i] at letter i,
+started from the one-letter word 0; both families run one step function, by
+prefix and suffix sums.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParametersError, InvalidGammaError, MalformedVectorError
-from .matrices import Entry, SymMatrix, apply
-from .polys import ONE, Poly, X
-from .words import GammaVector, oracle_E_gamma
+from .matrices import Entry, SymMatrix
+from .polys import ONE, ZERO, Poly, X
+from .words import GammaVector
 
 
 @dataclass(frozen=True)
@@ -53,17 +55,28 @@ def e_base(r: int) -> EVector:
     return EVector(r, 1, (Poly(()),) + (X,) * (r - 1))
 
 
+def _step(polys: tuple[Poly, ...], reach: tuple[int, ...]) -> tuple[Poly, ...]:
+    """E'_i = x * (E_0 + ... + E_{i-reach[i]-1}) + (E_{i+reach[i]+1} + ... + E_{r-1}).
+
+    below[k] is the sum of the components before k and above[k] the sum of
+    those after k, so the step costs O(r) additions whatever the reach.
+    """
+    r = len(polys)
+    below = [ZERO] * r
+    above = [ZERO] * r
+    for k in range(1, r):
+        below[k] = below[k - 1] + polys[k - 1]
+    for k in range(r - 2, -1, -1):
+        above[k] = above[k + 1] + polys[k + 1]
+    return tuple(
+        (below[i - g].shift_up() if i > g else ZERO) + (above[i + g] if i + g < r else ZERO)
+        for i, g in enumerate(reach)
+    )
+
+
 def e_step(v: EVector) -> EVector:
-    """One application of the recurrence, via prefix/suffix sums."""
-    r = v.r
-    prefix = [Poly(())] * r
-    suffix = [Poly(())] * r
-    for i in range(1, r):
-        prefix[i] = prefix[i - 1] + v.polys[i - 1]
-    for i in range(r - 2, -1, -1):
-        suffix[i] = suffix[i + 1] + v.polys[i + 1]
-    polys = tuple(prefix[i].shift_up() + suffix[i] for i in range(r))
-    return EVector(r, v.n + 1, polys)
+    """One application of the recurrence: the step with zero reach."""
+    return EVector(v.r, v.n + 1, _step(v.polys, (0,) * v.r))
 
 
 def e_vector(r: int, n: int) -> EVector:
@@ -103,19 +116,24 @@ def gamma_matrix(r: int, gamma: GammaVector) -> SymMatrix:
 
 
 def e_gamma(r: int, n: int, gamma: GammaVector) -> EVector:
-    """Jump-restricted vector: enumerated base at n = 1, then matrix steps.
+    """Jump-restricted vector: the step with reach gamma[i] at letter i, n times.
 
-    No closed form is available for the restricted base case, so it is read
-    off the (two-letter) enumeration directly.
+    It starts from the one-letter word 0, the vector (1, 0, ..., 0), whose
+    first step is the restricted base in closed form: x at each letter c with
+    c > gamma[c], and 0 elsewhere.
     """
     if not isinstance(n, int) or n < 1:
         raise BadParametersError(f"need n >= 1, got {n}")
-    base = tuple(oracle_E_gamma(1, r, gamma))
-    v = EVector(r, 1, base)
-    M = gamma_matrix(r, gamma)
-    for _ in range(n - 1):
-        v = EVector(r, v.n + 1, tuple(apply(M, v.polys)))
-    return v
+    if not isinstance(r, int) or r < 2:
+        raise BadParametersError(f"need r >= 2, got {r}")
+    if not isinstance(gamma, GammaVector):
+        raise InvalidGammaError("expected a GammaVector")
+    if gamma.r != r:
+        raise InvalidGammaError(f"profile length {gamma.r} does not match r={r}")
+    polys = (ONE,) + (ZERO,) * (r - 1)
+    for _ in range(n):
+        polys = _step(polys, gamma.gamma)
+    return EVector(r, n, polys)
 
 
 # -- face-count / h-count transform -------------------------------------------

@@ -23,7 +23,8 @@ r x r transition table is left out too.  Every word is still visited once and
 adds its own 1 to the count of its last letter and ascents; nothing is
 grouped by multiplicity, and nothing here calls the recurrences.  The closed
 oracle, ``oracle_local_h``, walks the closed words only.  Every entry point
-checks n and r first, then the profile, then the budget of (r-1)^n open words.
+checks n and r first, then the profile, then the budget of (r-1)^n open words
+and the cap MAX_N on n.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ from .errors import BadParametersError, BudgetExceededError, InvalidGammaError
 from .polys import Poly
 
 DEFAULT_BUDGET = 10**8
+
+# the walk and the enumerator recurse once per letter after the leading 0, so n
+# stays below Python's default recursion limit of 1000 calls, with headroom for
+# the callers' own frames
+MAX_N = 900
 
 
 @dataclass(frozen=True)
@@ -96,20 +102,23 @@ def _validate_nr(n: int, r: int) -> None:
 
 
 def check_budget(n: int, r: int, budget: int) -> None:
-    """Raise BudgetExceededError when the (r-1)^n open words exceed ``budget``.
+    """Raise BudgetExceededError when the (r-1)^n open words exceed ``budget``,
+    and BadParametersError when n exceeds MAX_N.
 
     The power is multiplied up only until it passes the budget, so a huge n
-    builds no huge integer.
+    builds no huge integer.  At r = 2 there is at most one open word whatever
+    n is, so there only the cap on n bounds the walk.
     """
     if budget < 1:
         raise BadParametersError("budget must be positive")
-    if r <= 2:  # at most one open word, whatever n is
-        return
-    total = 1
-    for _ in range(n):
-        total *= r - 1
-        if total > budget:
-            raise BudgetExceededError(f"(r-1)^n = {r - 1}^{n} exceeds budget {budget}")
+    if r > 2:
+        total = 1
+        for _ in range(n):
+            total *= r - 1
+            if total > budget:
+                raise BudgetExceededError(f"(r-1)^n = {r - 1}^{n} exceeds budget {budget}")
+    if n > MAX_N:
+        raise BadParametersError(f"n = {n} exceeds the word-length cap {MAX_N}")
 
 
 def _transitions(

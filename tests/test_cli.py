@@ -75,6 +75,15 @@ def test_edgewise_verify_checks_the_oracle_budget_before_any_work(capsys, monkey
     assert calls == []
 
 
+def test_word_length_cap_exits_2_before_any_walk(capsys):
+    for argv in (["words", "--r", "2", "--n", "5000"],
+                 ["words", "--r", "2", "--n", "5000", "--list"],
+                 ["edgewise", "--r", "2", "--n", "5000", "--verify"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: BadParametersError: n = 5000 exceeds the word-length cap 900\n"
+
+
 def test_edgewise_json_schema(capsys):
     code, out, _ = run_cli(capsys, "--json", "edgewise", "--r", "3", "--n", "2")
     assert code == 0
@@ -359,6 +368,8 @@ REPORTS = [
       "witness": {"component": 1, "recurrence": "0,1", "enumeration": "0,1,1"}}, ""),
     ("edgewise usage error", ["edgewise", "--r", "3", "--n", "2", "--component", "7"],
      None, 2, [], None, "error: component must be in [0, 2]\n"),
+    ("edgewise gamma length", ["edgewise", "--r", "4", "--n", "3", "--gamma", "0,0,0"],
+     None, 2, [], None, "error: InvalidGammaError: profile length 3 does not match r=4\n"),
     ("fh f", ["fh", "--f", "1,3,3,1"], None, 0, ["1,0,0,0"],
      {"command": "fh", "params": {"f": [1, 3, 3, 1]}, "status": "OK",
       "result": "1,0,0,0"}, ""),

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interlace import edgewise, matrices, words
 from interlace.edgewise import (
     EVector,
     FVector,
@@ -17,7 +18,7 @@ from interlace.edgewise import (
 )
 from interlace.errors import BadParametersError, InvalidGammaError, MalformedVectorError
 from interlace.matrices import apply
-from interlace.polys import X, ZERO, Poly
+from interlace.polys import ONE, X, ZERO, Poly
 from interlace.realroots import is_real_rooted
 from interlace.words import GammaVector, all_gamma_vectors, oracle_E, oracle_E_gamma, oracle_local_h
 
@@ -91,6 +92,15 @@ def test_e_step_equals_matrix_action():
             stepped = e_step(v)
             assert list(stepped.polys) == apply(M, v.polys)
             v = stepped
+    # the restricted step, closed-form base included, against the matrix action
+    # iterated from the one-letter word 0
+    for r in range(2, 7):
+        for g in all_gamma_vectors(r):
+            M = gamma_matrix(r, g)
+            polys = [ONE] + [ZERO] * (r - 1)
+            for n in range(1, 7):
+                polys = apply(M, polys)
+                assert list(e_gamma(r, n, g).polys) == polys, (r, n, g)
 
 
 def test_e_gamma_zero_profile_reduces_to_plain_chain():
@@ -112,6 +122,36 @@ def test_e_gamma_matches_oracle_subgrid():
         for g in all_gamma_vectors(r):
             for n in range(1, 6):
                 assert list(e_gamma(r, n, g).polys) == oracle_E_gamma(n, r, g), (r, n, g)
+
+
+def test_recurrences_stay_independent_of_the_oracles(monkeypatch):
+    grid = [(r, n) for r in range(2, 6) for n in range(1, 7)]
+    expected = {(r, n): e_vector(r, n).polys for r, n in grid}
+    restricted = {(r, n, g): e_gamma(r, n, g).polys
+                  for r, n in grid for g in all_gamma_vectors(r)}
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("the recurrence called an oracle or the matrix action")
+
+    for module in (matrices, words, edgewise):
+        for name in ("_tally", "_transitions", "apply", "oracle_E_gamma"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for (r, n), polys in expected.items():
+        assert e_vector(r, n).polys == polys
+    for (r, n, g), polys in restricted.items():
+        assert e_gamma(r, n, g).polys == polys
+
+
+@pytest.mark.parametrize("r,n,gamma,error", [
+    (3, 0, GammaVector.zeros(3), BadParametersError),
+    (3, "3", GammaVector.zeros(3), BadParametersError),
+    (1, 3, GammaVector.zeros(2), BadParametersError),
+    (3, 3, (0, 0, 0), InvalidGammaError),
+    (4, 3, GammaVector.zeros(3), InvalidGammaError),
+])
+def test_e_gamma_invalid_inputs(r, n, gamma, error):
+    with pytest.raises(error):
+        e_gamma(r, n, gamma)
 
 
 def test_e_components_real_rooted_subgrid():

@@ -8,6 +8,7 @@ from interlace.errors import BadParametersError, BudgetExceededError, InvalidGam
 from interlace.polys import X, ZERO, Poly
 from interlace.words import (
     DEFAULT_BUDGET,
+    MAX_N,
     GammaVector,
     Word,
     all_gamma_vectors,
@@ -64,6 +65,25 @@ def test_budget_guard():
         oracle_E(9, 6, budget=100)
 
 
+def test_word_length_cap_holds_below_the_recursion_limit():
+    # at r = 2 the budget admits any n: the one word 0,1,0,1,... is walked one call per letter
+    assert MAX_N == 900
+    assert oracle_E(MAX_N, 2) == [Poly.monomial(MAX_N // 2), ZERO]
+    assert oracle_local_h(MAX_N, 2) == Poly.monomial(MAX_N // 2)
+    assert [w.letters for w in enumerate_sw_prime(MAX_N, 2)] == [(0, 1) * (MAX_N // 2) + (0,)]
+    calls = [
+        lambda: check_budget(MAX_N + 1, 2, DEFAULT_BUDGET),
+        lambda: oracle_E(MAX_N + 1, 2),
+        lambda: oracle_local_h(MAX_N + 1, 2),
+        lambda: oracle_E_gamma(MAX_N + 1, 2, GammaVector.zeros(2)),
+        lambda: enumerate_sw_prime(MAX_N + 1, 2),
+        lambda: enumerate_sw_gamma(MAX_N + 1, 2, GammaVector.zeros(2), closed=True),
+    ]
+    for call in calls:
+        with pytest.raises(BadParametersError, match=r"^n = 901 exceeds the word-length cap 900$"):
+            call()
+
+
 def test_budget_guard_on_huge_n_raises_budget_error_with_a_short_message():
     # (r-1)^n has over 4,300 digits here: the guard must not build or print it
     calls = [
@@ -79,7 +99,9 @@ def test_budget_guard_on_huge_n_raises_budget_error_with_a_short_message():
 
 
 def test_budget_guard_edges():
-    check_budget(10**12, 2, 1)  # one open word at r = 2, whatever n is
+    check_budget(MAX_N, 2, 1)  # one open word at r = 2: only the cap bounds n there
+    with pytest.raises(BadParametersError, match=r"word-length cap"):
+        check_budget(10**12, 2, 1)
     check_budget(3, 3, 8)  # 2^3 = 8 words fit a budget of 8
     with pytest.raises(BudgetExceededError, match=r"2\^4 exceeds budget 8"):
         check_budget(4, 3, 8)
@@ -232,6 +254,7 @@ def test_oracles_stay_independent_of_the_recurrences(monkeypatch):
     def forbidden(*args, **kwargs):
         raise RuntimeError("the oracle called a recurrence")
 
+    monkeypatch.setattr(edgewise, "_step", forbidden)
     monkeypatch.setattr(edgewise, "e_step", forbidden)
     monkeypatch.setattr(edgewise, "e_gamma", forbidden)
     monkeypatch.setattr(matrices, "apply", forbidden)
