@@ -88,14 +88,9 @@ def cmd_edgewise(args) -> Report:
     if args.verify:  # the oracle's budget, before the recurrence does any work
         budget = _budget()
         words.check_budget(args.n, args.r, budget)
-    if gamma is not None:
-        vec = edgewise.e_gamma(args.r, args.n, gamma)
-    else:
-        vec = edgewise.e_vector(args.r, args.n)
+    vec = edgewise.e_gamma(args.r, args.n, gamma)
     if args.verify:
-        # r < 2 was rejected by the recurrence above, so the zero profile exists
-        expected = words.oracle_E_gamma(args.n, args.r, gamma or GammaVector.zeros(args.r),
-                                        budget=budget)
+        expected = words.oracle_E_gamma(args.n, args.r, gamma, budget=budget)
         for i, (got, want) in enumerate(zip(vec.polys, expected)):
             if got != want:
                 witness = {"component": i, "recurrence": str(got), "enumeration": str(want)}
@@ -236,20 +231,14 @@ def cmd_matrix(args) -> Report:
 def cmd_words(args) -> Report:
     params = {"r": args.r, "n": args.n, "gamma": args.gamma, "closed": args.closed}
     budget = _budget()
-    # without --gamma the zero profile, which r < 2 cannot have: the word
-    # functions then reject r with BadParametersError before they read gamma
-    if args.gamma is not None:
-        gamma = _parse_gamma(args.gamma)
-    else:
-        gamma = GammaVector.zeros(args.r) if args.r >= 2 else None
+    gamma = _parse_gamma(args.gamma) if args.gamma is not None else None
     if args.list:
         stream = words.enumerate_sw_gamma(args.n, args.r, gamma, args.closed, budget=budget)
         out = [str(w) for w in stream]
-    elif args.closed and args.gamma is None:
-        out = [str(words.oracle_local_h(args.n, args.r, budget=budget))]
+    elif args.closed:
+        out = [str(words.oracle_local_h(args.n, args.r, budget=budget, gamma=gamma))]
     else:
-        polys = words.oracle_E_gamma(args.n, args.r, gamma, budget=budget)
-        out = [str(p) for p in (polys[:1] if args.closed else polys)]
+        out = [str(p) for p in words.oracle_E_gamma(args.n, args.r, gamma, budget=budget)]
     return Report("words", params, OK, result=out, lines=out)
 
 

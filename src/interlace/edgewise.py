@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .errors import BadParametersError, InvalidGammaError, MalformedVectorError
 from .matrices import Entry, SymMatrix
-from .polys import ONE, ZERO, Poly, X
-from .words import GammaVector
+from .polys import ONE, ZERO, Poly
+from .words import GammaVector, _validate_gamma
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,7 @@ class EVector:
 
 def e_base(r: int) -> EVector:
     """The n = 1 vector: component 0 is 0 and every other component is x."""
-    if not isinstance(r, int) or r < 2:
-        raise BadParametersError(f"need r >= 2, got {r}")
-    return EVector(r, 1, (Poly(()),) + (X,) * (r - 1))
+    return e_gamma(r, 1, None)
 
 
 def _step(polys: tuple[Poly, ...], reach: tuple[int, ...]) -> tuple[Poly, ...]:
@@ -80,13 +78,8 @@ def e_step(v: EVector) -> EVector:
 
 
 def e_vector(r: int, n: int) -> EVector:
-    """The n-step vector, from the base by repeated recurrence."""
-    if not isinstance(n, int) or n < 1:
-        raise BadParametersError(f"need n >= 1, got {n}")
-    v = e_base(r)
-    for _ in range(n - 1):
-        v = e_step(v)
-    return v
+    """The n-step vector of the plain family: the zero profile's."""
+    return e_gamma(r, n, None)
 
 
 def local_h(r: int, n: int) -> Poly:
@@ -115,24 +108,24 @@ def gamma_matrix(r: int, gamma: GammaVector) -> SymMatrix:
     return SymMatrix(tuple(rows))
 
 
-def e_gamma(r: int, n: int, gamma: GammaVector) -> EVector:
+def e_gamma(r: int, n: int, gamma: GammaVector | None) -> EVector:
     """Jump-restricted vector: the step with reach gamma[i] at letter i, n times.
 
-    It starts from the one-letter word 0, the vector (1, 0, ..., 0), whose
-    first step is the restricted base in closed form: x at each letter c with
-    c > gamma[c], and 0 elsewhere.
+    gamma None is the zero profile of the plain family.  It starts from the
+    one-letter word 0, the vector (1, 0, ..., 0), whose first step is the
+    restricted base in closed form: x at each letter c with c > gamma[c], and
+    0 elsewhere.  The vector is validated once, at the end.
     """
     if not isinstance(n, int) or n < 1:
         raise BadParametersError(f"need n >= 1, got {n}")
     if not isinstance(r, int) or r < 2:
         raise BadParametersError(f"need r >= 2, got {r}")
-    if not isinstance(gamma, GammaVector):
-        raise InvalidGammaError("expected a GammaVector")
-    if gamma.r != r:
-        raise InvalidGammaError(f"profile length {gamma.r} does not match r={r}")
+    if gamma is not None:
+        _validate_gamma(r, gamma)
+    reach = gamma.gamma if gamma is not None else (0,) * r
     polys = (ONE,) + (ZERO,) * (r - 1)
     for _ in range(n):
-        polys = _step(polys, gamma.gamma)
+        polys = _step(polys, reach)
     return EVector(r, n, polys)
 
 
@@ -192,5 +185,7 @@ def fh_transform(f: FVector) -> HVector:
 
 
 def hf_transform(h: HVector) -> FVector:
-    """Inverse transform, by substituting x + 1; requires h_0 = 1."""
+    """Inverse transform, by substituting x + 1; requires h_0 = 1, which is f_{-1}."""
+    if h.entries[0] != 1:
+        raise MalformedVectorError("h-vector must start with 1")
     return FVector(_binomial_transform(h.entries, Poly((1, 1))))

@@ -149,14 +149,20 @@ def _inequality_sides(M: SymMatrix, lam: Fraction, mu: Fraction) -> tuple[Poly, 
 def find_failing_sample(
     M: SymMatrix, pairs=DEFAULT_LAMBDA_MU_PAIRS
 ) -> tuple[Fraction, Fraction] | None:
-    """First (lam, mu) in grid order at which the alternation inequality fails."""
+    """First (lam, mu) in grid order at which the alternation inequality fails.
+
+    Sides already tested at an earlier (lam, mu) held there and are skipped."""
     _require_2x2(M)
     if not pairs:
         raise BadParametersError("sample pairs must be nonempty")
+    tested = set()
     for lam, mu in pairs:
-        left, right = _inequality_sides(M, Fraction(lam), Fraction(mu))
-        if not interleaves(left, right):
+        sides = _inequality_sides(M, Fraction(lam), Fraction(mu))
+        if sides in tested:
+            continue
+        if not interleaves(*sides):
             return (Fraction(lam), Fraction(mu))
+        tested.add(sides)
     return None
 
 

@@ -18,7 +18,6 @@ c/|lead|.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -425,7 +424,6 @@ def _validated_squarefree_part(f: Poly, cert: RootCertificate) -> Poly:
 # -- interleaving --------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8192)
 def interleaves(f: Poly, g: Poly) -> bool:
     """The weak root-alternation order: largest root belongs to g, the lists
     alternate downward with multiplicity, and degrees differ by at most one.

@@ -12,23 +12,24 @@ Word families over the alphabet {0, ..., r-1}, always starting with 0:
   size strictly greater than gamma[i] (gamma = all zeros reduces to the
   families above).
 
-Every family is walked over the transition lists of its profile, the plain
-families over the zero profile.  One enumerator yields the words themselves.
-One walker tallies the ascent polynomials for all three oracles: it recurses
-over the letters up to the last two and takes those two from a table of the
-admissible two-letter continuations.  That table pays off only for a small
-alphabet and long words: it is shortened or left out wherever it would
-outnumber the words walked, and for short words over a large alphabet the
-r x r transition table is left out too.  Every word is still visited once and
-adds its own 1 to the count of its last letter and ascents; nothing is
-grouped by multiplicity, and nothing here calls the recurrences.  The closed
-oracle, ``oracle_local_h``, walks the closed words only.  Every entry point
-checks n and r first, then the profile, then the budget of (r-1)^n open words
-and the cap MAX_N on n.
+The plain families are the zero profile, which every entry point also takes
+as gamma None.  Every family is walked over its profile's transition rows,
+each two ranges between cut points, built into a table only when that is no
+larger than the (r-1)^n open words.  One enumerator yields the words
+themselves.  One walker tallies the ascent polynomials for all three oracles,
+taking the last two letters of each word from a table of the admissible
+two-letter continuations, shortened or left out wherever it would outnumber
+the words walked.  Every word is still visited once and adds its own 1 to
+the count of its last letter and ascents; nothing is grouped by
+multiplicity, and nothing here calls the recurrences.  The closed oracle,
+``oracle_local_h``, walks the closed words only.  Every entry point checks n
+and r first, then the profile, then the budget of (r-1)^n open words and the
+cap MAX_N on n.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
@@ -123,38 +124,48 @@ def check_budget(n: int, r: int, budget: int) -> None:
 
 def _transitions(
     n: int, r: int, gamma: GammaVector | None, budget: int
-) -> list[list[int]] | _OtherLetters:
-    """Check one request and return the transition lists of its profile.
+) -> list[list[int]] | _Rows:
+    """Check one request and return the transition rows of its profile.
 
-    gamma None is the zero profile of the plain families.  The zero profile's
-    r x r table is built only when it is no larger than the (r-1)^n open
-    words; for a large alphabet and short words (every r at n <= 2) each list
-    is computed when it is read instead.
+    gamma None is the zero profile of the plain families.  The rows are built
+    into an r x r table only when it is no larger than the (r-1)^n open words;
+    for a large alphabet and short words (every r at n <= 2) each row is
+    formed when it is read instead.
     """
     _validate_nr(n, r)
     if gamma is not None:
         _validate_gamma(r, gamma)
     check_budget(n, r, budget)
-    if r * r > (r - 1) ** n and (gamma is None or not any(gamma.gamma)):
-        return _OtherLetters(r)
-    return _gamma_transitions(r, gamma or GammaVector.zeros(r))
+    rows = _Rows(gamma.gamma if gamma is not None else (0,) * r)
+    if r * r > (r - 1) ** n:
+        return rows
+    return [list(rows[prev]) for prev in range(r)]
 
 
-class _OtherLetters:
-    """The zero profile's transition lists without a table: from prev, every other letter."""
+class _Rows:
+    """The transition rows of a profile: from prev, the letters c with |c - prev| > gamma[c].
 
-    def __init__(self, r: int):
-        self.r = r
+    Those below prev are the c with up[c] = c + gamma[c] < prev, and those
+    above it the c with down[c] = c - gamma[c] > prev.  Neighbouring entries
+    of a valid profile differ by at most 1, so up and down never decrease and
+    each row is two ranges, cut where prev falls in them.
+    """
+
+    def __init__(self, gamma: tuple[int, ...]):
+        self.r = len(gamma)
+        self.up = [c + v for c, v in enumerate(gamma)]
+        self.down = [c - v for c, v in enumerate(gamma)]
 
     def __len__(self) -> int:
         return self.r
 
     def __getitem__(self, prev: int) -> Iterator[int]:
-        return chain(range(prev), range(prev + 1, self.r))
+        return chain(range(bisect_left(self.up, prev)),
+                     range(bisect_right(self.down, prev), self.r))
 
 
 def _word_stream(
-    n: int, r: int, trans: list[list[int]] | _OtherLetters, closed: bool
+    n: int, r: int, trans: list[list[int]] | _Rows, closed: bool
 ) -> Iterator[Word]:
     """The one enumerator: the admissible words in lexicographic order."""
     word = [0] * (n + 1)
@@ -176,7 +187,7 @@ _TAIL = 2
 
 
 def _tally(
-    n: int, trans: list[list[int]] | _OtherLetters, closed: bool
+    n: int, trans: list[list[int]] | _Rows, closed: bool
 ) -> list[list[int]]:
     """The one ascent walker: counts[last][k] = words ending in ``last`` with k ascents.
 
@@ -236,15 +247,12 @@ def oracle_E(n: int, r: int, budget: int = DEFAULT_BUDGET) -> list[Poly]:
     return [Poly(tuple(row)) for row in counts]
 
 
-def oracle_local_h(n: int, r: int, budget: int = DEFAULT_BUDGET) -> Poly:
-    """Ascent polynomial of the closed words (first bucket of oracle_E), walking only those."""
-    return Poly(tuple(_tally(n, _transitions(n, r, None, budget), True)[0]))
-
-
-def _gamma_transitions(r: int, gamma: GammaVector) -> list[list[int]]:
-    """transitions[prev] = letters c reachable from prev, ascending."""
-    g = gamma.gamma
-    return [[c for c in range(r) if abs(c - prev) > g[c]] for prev in range(r)]
+def oracle_local_h(
+    n: int, r: int, budget: int = DEFAULT_BUDGET, *, gamma: GammaVector | None = None
+) -> Poly:
+    """Ascent polynomial of the closed words (first bucket of oracle_E_gamma),
+    walking only those; gamma None is the zero profile."""
+    return Poly(tuple(_tally(n, _transitions(n, r, gamma, budget), True)[0]))
 
 
 def _validate_gamma(r: int, gamma: GammaVector) -> None:
@@ -255,9 +263,10 @@ def _validate_gamma(r: int, gamma: GammaVector) -> None:
 
 
 def enumerate_sw_gamma(
-    n: int, r: int, gamma: GammaVector, closed: bool, budget: int = DEFAULT_BUDGET
+    n: int, r: int, gamma: GammaVector | None, closed: bool, budget: int = DEFAULT_BUDGET
 ) -> Iterator[Word]:
-    """Jump-restricted words in lexicographic order; closed ones end with 0."""
+    """Jump-restricted words in lexicographic order; closed ones end with 0.
+    gamma None is the zero profile."""
     return _word_stream(n, r, _transitions(n, r, gamma, budget), closed)
 
 
@@ -271,9 +280,10 @@ def word_in_sw_gamma(w: Word, gamma: GammaVector, closed: bool) -> bool:
 
 
 def oracle_E_gamma(
-    n: int, r: int, gamma: GammaVector, budget: int = DEFAULT_BUDGET
+    n: int, r: int, gamma: GammaVector | None, budget: int = DEFAULT_BUDGET
 ) -> list[Poly]:
-    """Ascent polynomials of the open jump-restricted words, by last letter."""
+    """Ascent polynomials of the open jump-restricted words, by last letter;
+    gamma None is the zero profile."""
     counts = _tally(n, _transitions(n, r, gamma, budget), False)
     return [Poly(tuple(row)) for row in counts]
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import interlace
-from interlace import cli, matrices
+from interlace import cli, matrices, words
 from interlace.cli import main
 from interlace.polys import Poly
 
@@ -237,6 +237,23 @@ def test_words_list_and_polys(capsys):
     assert code == 0 and out.strip() == "0,1,1"
     code, out, _ = run_cli(capsys, "words", "--r", "3", "--n", "2", "--gamma", "1,1,1")
     assert code == 0 and out.split() == ["0,1", "0", "0"]
+
+
+def test_words_closed_walks_only_the_closed_words_under_every_profile(capsys, monkeypatch):
+    walks = []
+    tally = words._tally
+
+    def recorded(n, trans, closed):
+        walks.append(closed)
+        return tally(n, trans, closed)
+
+    monkeypatch.setattr(words, "_tally", recorded)
+    for gamma, expected in ((["--gamma", "1,2,2,1"], "0\n"),
+                            (["--gamma", "0,0,0,0"], "0,0,30,30\n"),
+                            ([], "0,0,30,30\n")):
+        argv = ["words", "--r", "4", "--n", "5", *gamma, "--closed"]
+        assert run_cli(capsys, *argv) == (0, expected, "")
+    assert walks == [True, True, True]
 
 
 def test_budget_env(capsys, monkeypatch):
@@ -473,6 +490,8 @@ REPORTS = [
      None, 0, ["0,1"],
      {"command": "words", "params": _words(3, 2, gamma="1,1,1", closed=True),
       "status": "OK", "result": ["0,1"]}, ""),
+    ("fh h-vector not starting with 1", ["fh", "--h", "2,1"], None, 2, [], None,
+     "error: MalformedVectorError: h-vector must start with 1\n"),
 ]
 
 

@@ -148,10 +148,25 @@ def test_recurrences_stay_independent_of_the_oracles(monkeypatch):
     (1, 3, GammaVector.zeros(2), BadParametersError),
     (3, 3, (0, 0, 0), InvalidGammaError),
     (4, 3, GammaVector.zeros(3), InvalidGammaError),
+    # None is the zero profile, valid for every r >= 2
+    (3, 0, None, BadParametersError),
+    (3, "3", None, BadParametersError),
+    (1, 3, None, BadParametersError),
 ])
 def test_e_gamma_invalid_inputs(r, n, gamma, error):
     with pytest.raises(error):
         e_gamma(r, n, gamma)
+
+
+@pytest.mark.parametrize("call,args", [
+    (e_vector, (3, 0)),
+    (e_vector, (3, "3")),
+    (e_vector, (1, 3)),
+    (e_base, (1,)),
+], ids=["e_vector-3-0", "e_vector-3-str", "e_vector-1-3", "e_base-1"])
+def test_e_vector_and_e_base_invalid_inputs(call, args):
+    with pytest.raises(BadParametersError):
+        call(*args)
 
 
 def test_e_components_real_rooted_subgrid():

@@ -530,7 +530,6 @@ def test_interleaves_from_one_sequence(monkeypatch):
     # f << g is decided by the remainder sequence of (g, f), which also ends
     # at their gcd: no separate gcd, no exact division
     E = e_vector(6, 12).polys
-    interleaves.cache_clear()
     gcds = _record_calls(monkeypatch, realroots, "poly_gcd")
     quotients = _record_calls(monkeypatch, realroots, "exact_div")
     assert interleaves(E[1], E[2])

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -242,6 +243,7 @@ def test_oracles_equal_the_tallied_word_stream_on_the_grid():
         # the closed walk visits the closed words only and keeps the one row of letter 0
         closed_walk = words._tally(n, words._transitions(n, r, g, DEFAULT_BUDGET), closed=True)
         assert [Poly(tuple(row)) for row in closed_walk] == closed_buckets[:1], (n, r, g)
+        assert oracle_local_h(n, r, gamma=g) == closed_buckets[0], (n, r, g)
         if g == GammaVector.zeros(r):
             assert oracle_E(n, r) == open_buckets, (n, r)
             assert oracle_local_h(n, r) == closed_buckets[0], (n, r)
@@ -271,6 +273,8 @@ def test_large_alphabet_short_words_build_no_table_larger_than_the_walk():
     # of r * (r-1)^depth entries, would be far larger than the 999, 99^2 and
     # 59^3 words walked: up to 10^6 entries
     r = 100
+    # every profile keeps to the same rule, not only the zero profile
+    ones = GammaVector((1,) * 1000)
     tracemalloc.start()
     try:
         plain = oracle_E(1, 1000)
@@ -279,14 +283,48 @@ def test_large_alphabet_short_words_build_no_table_larger_than_the_walk():
         zero_profile = oracle_E_gamma(2, r, GammaVector.zeros(r))
         closed = oracle_local_h(2, r)
         first = next(enumerate_sw_prime(2, r))
+        restricted = oracle_E_gamma(1, 1000, ones)
+        restricted_closed = oracle_local_h(1, 1000, gamma=ones)
+        restricted_words = [w.letters for w in enumerate_sw_gamma(1, 1000, ones, closed=False)]
+        restricted_closed_words = list(enumerate_sw_gamma(1, 1000, ones, closed=True))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
     assert plain == [ZERO] + [X] * 999
+    # from 0 under the profile of ones, the letters 2 .. 999 and no closed word
+    assert restricted == [ZERO, ZERO] + [X] * 998
+    assert restricted_closed == ZERO and restricted_closed_words == []
+    assert restricted_words == [(0, c) for c in range(2, 1000)]
     assert three_letters == list(e_vector(60, 3).polys)
     # the word 0,a,b has the ascent 0 < a, and one more when a < b
     assert open_buckets == [Poly((0, r - 1))] + [Poly((0, r - 1 - b, b - 1)) for b in range(1, r)]
     assert zero_profile == open_buckets
     assert closed == Poly((0, r - 1))
     assert first.letters == (0, 1, 0)
+
+
+def test_transition_rows_equal_the_filter_for_every_profile():
+    # the cut-point rows against the definition |c - prev| > gamma[c], both
+    # formed on reading (n = 1) and built into the table (n = 8, r >= 3)
+    for r in range(2, 9):
+        for g in all_gamma_vectors(r):
+            expected = [[c for c in range(r) if abs(c - prev) > g.gamma[c]] for prev in range(r)]
+            for n in (1, 8):
+                trans = words._transitions(n, r, g, DEFAULT_BUDGET)
+                assert isinstance(trans, list) == (r * r <= (r - 1) ** n), (n, r)
+                assert [list(trans[prev]) for prev in range(r)] == expected, (n, g)
+
+
+def test_restricted_streams_equal_the_filtered_words():
+    # every word starting with 0 that word_in_sw_gamma accepts, in
+    # lexicographic order; at r = 5 the rows are formed on reading for n <= 2
+    # and built into a table from n = 3
+    for r in range(2, 6):
+        for g in all_gamma_vectors(r):
+            for n in range(1, 5):
+                candidates = [Word((0, *tail), r) for tail in product(range(r), repeat=n)]
+                for closed in (False, True):
+                    expected = [w.letters for w in candidates if word_in_sw_gamma(w, g, closed)]
+                    got = [w.letters for w in enumerate_sw_gamma(n, r, g, closed)]
+                    assert got == expected, (n, g, closed)
