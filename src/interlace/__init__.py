@@ -5,7 +5,6 @@ preserve interlacing."""
 from .compat import (
     CompatVerdict,
     CompatWitness,
-    SampleGrid,
     check_conditions_ab,
     compatible_family_sampled,
     compatible_pair_sampled,
@@ -43,12 +42,8 @@ from .matrices import (
 from .polys import (
     NEG_INFINITY_DEGREE,
     Poly,
-    Rational,
-    eval_rational,
-    poly_add,
     poly_derivative,
     poly_gcd,
-    poly_mul,
 )
 from .realroots import (
     RootCertificate,

@@ -2,9 +2,9 @@
 
 Two polynomials are compatible when every positive linear combination of them
 is real-rooted.  That universal statement cannot be decided by sampling, so
-the verdicts here are asymmetric: PASS_SAMPLED is evidence at the resolution
-of the weight grid, while FAIL comes with an exact witness combination that
-provably is not real-rooted.
+the verdicts here are asymmetric: PASS_SAMPLED is evidence at the one fixed
+weight grid {1/8, 1/3, 1/2, 1, 2, 3, 8, 64}, while FAIL comes with an exact
+witness combination that provably is not real-rooted.
 
 Weights are positive rationals; before each real-rootedness test the
 combination is scaled by the common denominator, which leaves its roots
@@ -24,7 +24,7 @@ from .realroots import is_real_rooted
 PASS_SAMPLED = "PASS_SAMPLED"
 FAIL = "FAIL"
 
-_DEFAULT_WEIGHTS = (
+_WEIGHTS = (
     Fraction(1, 8),
     Fraction(1, 3),
     Fraction(1, 2),
@@ -36,22 +36,20 @@ _DEFAULT_WEIGHTS = (
 )
 
 
-@dataclass(frozen=True)
-class SampleGrid:
-    """Positive rational weights used for conic-combination sampling."""
+def _first_pair_of_each_ratio(weights) -> tuple[tuple[Fraction, Fraction], ...]:
+    # c1*f + c2*g is real-rooted or not with (c1/c2)*f + g, so each ratio is
+    # tested once, at its first pair in loop order: a failing pair is never skipped
+    pairs, ratios = [], set()
+    for c1 in weights:
+        for c2 in weights:
+            if c1 / c2 not in ratios:
+                ratios.add(c1 / c2)
+                pairs.append((c1, c2))
+    return tuple(pairs)
 
-    weights: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if not self.weights:
-            raise BadParametersError("sample grid must be nonempty")
-        if any(w <= 0 for w in self.weights):
-            raise BadParametersError("sample weights must be positive")
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
-
-    @staticmethod
-    def default() -> "SampleGrid":
-        return SampleGrid(_DEFAULT_WEIGHTS)
+# the 33 weight pairs that compatible_pair_sampled tests
+_PAIRS = _first_pair_of_each_ratio(_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -112,37 +110,24 @@ def _require_admissible(p: Poly, label: str) -> None:
         raise NotRealRootedError(label, "not real-rooted")
 
 
-def compatible_pair_sampled(
-    f: Poly, g: Poly, grid: SampleGrid | None = None, unchecked: bool = False
-) -> CompatVerdict:
-    """Test real-rootedness of c1*f + c2*g over all weight pairs of the grid,
-    one pair per distinct ratio c1/c2 (33 of the 64 default pairs).
+def compatible_pair_sampled(f: Poly, g: Poly, unchecked: bool = False) -> CompatVerdict:
+    """Test real-rootedness of c1*f + c2*g over the weight grid, one pair per
+    distinct ratio c1/c2 (33 of the 64 pairs).
 
     ``unchecked`` skips the admissibility precondition so that counterexample
     explorations may feed inputs with negative coefficients.
     """
-    grid = grid or SampleGrid.default()
     if not unchecked:
         _require_admissible(f, "f")
         _require_admissible(g, "g")
-    # c1*f + c2*g is real-rooted or not with (c1/c2)*f + g, so each ratio is
-    # tested once, at its first pair: a failing pair is never skipped
-    ratios = set()
-    for c1 in grid.weights:
-        for c2 in grid.weights:
-            ratio = c1 / c2
-            if ratio in ratios:
-                continue
-            ratios.add(ratio)
-            combo = conic_combination((c1, c2), (f, g))
-            if not is_real_rooted(combo):
-                return CompatVerdict(FAIL, CompatWitness((c1, c2), combo))
+    for c1, c2 in _PAIRS:
+        combo = conic_combination((c1, c2), (f, g))
+        if not is_real_rooted(combo):
+            return CompatVerdict(FAIL, CompatWitness((c1, c2), combo))
     return CompatVerdict(PASS_SAMPLED)
 
 
-def compatible_family_sampled(
-    fs, grid: SampleGrid | None = None, unchecked: bool = False
-) -> CompatVerdict:
+def compatible_family_sampled(fs, unchecked: bool = False) -> CompatVerdict:
     """Pairwise sampled compatibility, plus sampled full conic combinations.
 
     For positive leading coefficients, pairwise compatibility of the family is
@@ -150,19 +135,18 @@ def compatible_family_sampled(
     full combinations are a cheap cross-check at the same grid resolution.
     """
     fs = list(fs)
-    grid = grid or SampleGrid.default()
     if not unchecked:
         for idx, p in enumerate(fs):
             _require_admissible(p, str(idx))
     for i in range(len(fs)):
         for j in range(i, len(fs)):
-            verdict = compatible_pair_sampled(fs[i], fs[j], grid, unchecked=True)
+            verdict = compatible_pair_sampled(fs[i], fs[j], unchecked=True)
             if not verdict.is_pass:
                 w = verdict.witness
                 return CompatVerdict(FAIL, CompatWitness(w.weights, w.combination, pair=(i, j)))
     if len(fs) > 2:
         weight_vectors = [(Fraction(1),) * len(fs)]
-        weight_vectors += [tuple(c**k for k in range(len(fs))) for c in grid.weights]
+        weight_vectors += [tuple(c**k for k in range(len(fs))) for c in _WEIGHTS]
         for ws in weight_vectors:
             combo = conic_combination(ws, fs)
             if not is_real_rooted(combo):
@@ -170,19 +154,16 @@ def compatible_family_sampled(
     return CompatVerdict(PASS_SAMPLED)
 
 
-def check_conditions_ab(
-    fs, grid: SampleGrid | None = None, unchecked: bool = False
-) -> CompatVerdict:
+def check_conditions_ab(fs, unchecked: bool = False) -> CompatVerdict:
     """Sampled check that (f_i, f_j) and (x*f_i, f_j) are compatible for i <= j."""
     fs = list(fs)
-    grid = grid or SampleGrid.default()
     if not unchecked:
         for idx, p in enumerate(fs):
             _require_admissible(p, str(idx))
     for i in range(len(fs)):
         for j in range(i, len(fs)):
             for condition, left in (("a", fs[i]), ("b", X * fs[i])):
-                verdict = compatible_pair_sampled(left, fs[j], grid, unchecked=True)
+                verdict = compatible_pair_sampled(left, fs[j], unchecked=True)
                 if not verdict.is_pass:
                     w = verdict.witness
                     return CompatVerdict(

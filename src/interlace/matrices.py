@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    BadParametersError,
     DimensionMismatchError,
     NegativeEntryError,
     PolyFormatError,
@@ -78,8 +77,8 @@ class SymMatrix:
         return len(self.entries[0])
 
     @staticmethod
-    def from_strings(grid) -> "SymMatrix":
-        return SymMatrix(tuple(tuple(Entry.from_string(s) for s in row) for row in grid))
+    def from_strings(rows) -> "SymMatrix":
+        return SymMatrix(tuple(tuple(Entry.from_string(s) for s in row) for row in rows))
 
     def to_strings(self) -> list[list[str]]:
         return [[e.value for e in row] for row in self.entries]
@@ -125,7 +124,7 @@ def apply(G: SymMatrix, fs) -> list[Poly]:
 # (lam, mu) sample pairs: a 5x5 grid of moderate ratios plus two extreme pairs
 # standing in for the lam -> inf and lam, mu -> 0 regimes.
 _BASE_WEIGHTS = (Fraction(1, 8), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(8))
-DEFAULT_LAMBDA_MU_PAIRS = tuple(itertools.product(_BASE_WEIGHTS, repeat=2)) + (
+LAMBDA_MU_PAIRS = tuple(itertools.product(_BASE_WEIGHTS, repeat=2)) + (
     (Fraction(64), Fraction(1, 64)),
     (Fraction(1, 64), Fraction(1, 64)),
 )
@@ -146,29 +145,25 @@ def _inequality_sides(M: SymMatrix, lam: Fraction, mu: Fraction) -> tuple[Poly, 
     return left, right
 
 
-def find_failing_sample(
-    M: SymMatrix, pairs=DEFAULT_LAMBDA_MU_PAIRS
-) -> tuple[Fraction, Fraction] | None:
+def find_failing_sample(M: SymMatrix) -> tuple[Fraction, Fraction] | None:
     """First (lam, mu) in grid order at which the alternation inequality fails.
 
     Sides already tested at an earlier (lam, mu) held there and are skipped."""
     _require_2x2(M)
-    if not pairs:
-        raise BadParametersError("sample pairs must be nonempty")
     tested = set()
-    for lam, mu in pairs:
-        sides = _inequality_sides(M, Fraction(lam), Fraction(mu))
+    for lam, mu in LAMBDA_MU_PAIRS:
+        sides = _inequality_sides(M, lam, mu)
         if sides in tested:
             continue
         if not interleaves(*sides):
-            return (Fraction(lam), Fraction(mu))
+            return (lam, mu)
         tested.add(sides)
     return None
 
 
-def check_2x2_sampled(M: SymMatrix, pairs=DEFAULT_LAMBDA_MU_PAIRS) -> bool:
+def check_2x2_sampled(M: SymMatrix) -> bool:
     """True iff the alternation inequality holds at every sampled (lam, mu)."""
-    return find_failing_sample(M, pairs) is None
+    return find_failing_sample(M) is None
 
 
 @dataclass(frozen=True)
@@ -239,7 +234,7 @@ class Classification:
     disagreements: tuple[tuple[SymMatrix, bool, bool], ...]
 
 
-def classify_all_2x2(pairs=DEFAULT_LAMBDA_MU_PAIRS) -> Classification:
+def classify_all_2x2() -> Classification:
     """Classify all 81 matrices by both the rule engine and the sampled test.
 
     The partition follows the rule engine; every case where the sampled test
@@ -248,7 +243,7 @@ def classify_all_2x2(pairs=DEFAULT_LAMBDA_MU_PAIRS) -> Classification:
     allowed, forbidden, disagreements = [], [], []
     for M in all_2x2_matrices():
         by_rules = forbidden_pattern(M).allowed
-        by_samples = check_2x2_sampled(M, pairs)
+        by_samples = check_2x2_sampled(M)
         (allowed if by_rules else forbidden).append(M)
         if by_rules != by_samples:
             disagreements.append((M, by_rules, by_samples))

@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BothZeroError, PolyFormatError
-
-Rational = Fraction
 
 # degree of the zero polynomial
 NEG_INFINITY_DEGREE = -math.inf
@@ -124,11 +121,11 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def shift_up(self, k: int = 1) -> "Poly":
-        """Multiply by x**k."""
+    def shift_up(self) -> "Poly":
+        """Multiply by x."""
         if self.is_zero:
             return self
-        return Poly((0,) * k + self.coeffs)
+        return Poly((0,) + self.coeffs)
 
     def __call__(self, t):
         """Evaluate by Horner's rule; exact for int and Fraction arguments."""
@@ -174,20 +171,8 @@ X = Poly((0, 1))
 # -- module-level operations ---------------------------------------------------
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
 def poly_derivative(a: Poly) -> Poly:
     return Poly(tuple(k * c for k, c in enumerate(a.coeffs) if k >= 1))
-
-
-def eval_rational(a: Poly, t) -> Fraction:
-    return Fraction(a(t))
 
 
 def pseudo_divmod(a: Poly, b: Poly) -> tuple[int, Poly, Poly]:
@@ -224,21 +209,32 @@ def pseudo_divmod(a: Poly, b: Poly) -> tuple[int, Poly, Poly]:
     return s, Poly(tuple(q)), Poly(tuple(r))
 
 
+def _remainder_sequence(a: Poly, b: Poly):
+    """Yield a, b and the negated primitive pseudo-remainders after them, up
+    to the last nonzero term, a multiple of gcd(a, b); lazily, so a caller can
+    stop early.
+
+    Each term is a positive multiple of the matching term of the signed
+    remainder sequence a, b, -rem(a, b), ...: the pseudo-remainder scales by
+    a positive factor and the primitive part divides by the positive content,
+    so every sign, and every count of sign variations, agrees with it.
+    """
+    yield a
+    while not b.is_zero:
+        yield b
+        if b.degree == 0:  # the remainder of a division by a constant is 0
+            return
+        a, b = b, -pseudo_divmod(a, b)[2].primitive()
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd with positive leading coefficient, by a primitive
-    pseudo-remainder sequence (no rational intermediates)."""
+    """Primitive gcd with positive leading coefficient: the primitive part of
+    the last term of the remainder sequence (no rational intermediates)."""
     if a.is_zero and b.is_zero:
         raise BothZeroError("gcd(0, 0) is undefined")
-    if a.is_zero:
-        return b.primitive_positive()
-    if b.is_zero:
-        return a.primitive_positive()
-    f, g = a.primitive_positive(), b.primitive_positive()
-    if f.degree < g.degree:
-        f, g = g, f
-    while not g.is_zero:
-        f, g = g, pseudo_divmod(f, g)[2].primitive_positive()
-    return f
+    for last in _remainder_sequence(a, b):
+        pass
+    return last.primitive_positive()
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
@@ -251,16 +247,9 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     return q
 
 
-def divides(d: Poly, a: Poly) -> bool:
-    """True if d divides a over the rationals (zero remainder)."""
-    if d.is_zero:
-        return a.is_zero
-    return pseudo_divmod(a, d)[2].is_zero
-
-
-def parse_poly_list(text: str, sep: str = ";") -> list[Poly]:
-    """Parse a separator-joined list of polynomials in the text format."""
-    items = [p for p in (chunk.strip() for chunk in text.split(sep)) if p != ""]
+def parse_poly_list(text: str) -> list[Poly]:
+    """Parse a semicolon-joined list of polynomials in the text format."""
+    items = [p for p in (chunk.strip() for chunk in text.split(";")) if p != ""]
     if not items:
         raise PolyFormatError(f"no polynomials in {text!r}")
     return [Poly.from_string(p) for p in items]

@@ -29,7 +29,7 @@ from .errors import (
     NegativeLeadingCoefficientError,
     ZeroPolynomialError,
 )
-from .polys import Poly, exact_div, poly_derivative, poly_gcd, pseudo_divmod
+from .polys import Poly, _remainder_sequence, exact_div, poly_derivative, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -89,24 +89,6 @@ def squarefree_part(f: Poly) -> Poly:
         return Poly((1,))
     d = poly_gcd(f, poly_derivative(f))
     return exact_div(f, d).primitive_positive()
-
-
-def _remainder_sequence(a: Poly, b: Poly):
-    """Yield a, b and the negated primitive pseudo-remainders after them, up
-    to the last nonzero term, a multiple of gcd(a, b); lazily, so a caller can
-    stop early.
-
-    Each term is a positive multiple of the matching term of the signed
-    remainder sequence a, b, -rem(a, b), ...: the pseudo-remainder scales by
-    a positive factor and the primitive part divides by the positive content,
-    so every sign, and every count of sign variations, agrees with it.
-    """
-    yield a
-    while not b.is_zero:
-        yield b
-        if b.degree == 0:  # the remainder of a division by a constant is 0
-            return
-        a, b = b, -pseudo_divmod(a, b)[2].primitive()
 
 
 def _normal_sequence_end(a: Poly, b: Poly) -> Poly | None:

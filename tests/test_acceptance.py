@@ -11,7 +11,6 @@ import time
 from interlace.compat import theorem_comp_transform
 from interlace.edgewise import EVector, e_base, e_step, e_vector, gamma_matrix, local_h
 from interlace.matrices import (
-    DEFAULT_LAMBDA_MU_PAIRS,
     Entry,
     SymMatrix,
     action_property_test,
@@ -219,7 +218,7 @@ def test_criterion_8_action_property_suite():
     }
     witnesses_ok = True
     for rule, M in reps.items():
-        sample = find_failing_sample(M, DEFAULT_LAMBDA_MU_PAIRS)
+        sample = find_failing_sample(M)
         witnesses_ok = witnesses_ok and forbidden_pattern(M).rule == rule and sample is not None
         if sample is not None:
             print(f"  rule {rule} representative {M} fails at (lam, mu) = "

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from interlace import compat
 from interlace.compat import (
     FAIL,
     PASS_SAMPLED,
-    SampleGrid,
     check_conditions_ab,
     compatible_family_sampled,
     compatible_pair_sampled,
@@ -15,17 +15,10 @@ from interlace.compat import (
     theorem_comp_transform,
 )
 from interlace.edgewise import e_base, e_step, e_vector
-from interlace.errors import BadParametersError, NotRealRootedError
+from interlace.errors import NotRealRootedError
+from interlace.matrices import LAMBDA_MU_PAIRS
 from interlace.polys import ONE, X, ZERO, Poly
 from interlace.realroots import is_real_rooted
-
-
-def test_sample_grid_validation():
-    with pytest.raises(BadParametersError):
-        SampleGrid(())
-    with pytest.raises(BadParametersError):
-        SampleGrid((Fraction(1), Fraction(0)))
-    assert all(w > 0 for w in SampleGrid.default().weights)
 
 
 def test_conic_combination_clears_denominators():
@@ -65,7 +58,7 @@ def test_pair_precondition_errors():
 
 def _brute_pair_verdict(f, g):
     # every one of the 64 default weight pairs, in loop order
-    weights = SampleGrid.default().weights
+    weights = compat._WEIGHTS
     for c1 in weights:
         for c2 in weights:
             combo = conic_combination((c1, c2), (f, g))
@@ -102,6 +95,19 @@ def test_pair_tests_each_weight_ratio_once(monkeypatch):
             assert (verdict.witness.weights, verdict.witness.combination) == (weights, combo)
         else:
             assert len(calls) == 33
+
+
+def test_sampling_grids_are_the_documented_constants():
+    F = Fraction
+    assert compat._WEIGHTS == (F(1, 8), F(1, 3), F(1, 2), F(1), F(2), F(3), F(8), F(64))
+    # the pairs tested are the first of each ratio c1/c2 among the 64, in loop order
+    every = list(itertools.product(compat._WEIGHTS, repeat=2))
+    first = [(c1, c2) for k, (c1, c2) in enumerate(every)
+             if all(c1 / c2 != d1 / d2 for d1, d2 in every[:k])]
+    assert len(first) == 33 and compat._PAIRS == tuple(first)
+    base = (F(1, 8), F(1, 2), F(1), F(2), F(8))
+    assert LAMBDA_MU_PAIRS == (tuple(itertools.product(base, repeat=2))
+                               + ((F(64), F(1, 64)), (F(1, 64), F(1, 64))))
 
 
 def test_family_examples():
@@ -155,11 +161,10 @@ def test_transform_chain_reproduces_recurrence():
 def test_conditions_survive_transform_on_recurrence_families():
     # the inductive invariant at desk scale: if the conditions pass for the
     # n-step family they pass for the (n+1)-step family
-    grid = SampleGrid((Fraction(1, 2), Fraction(1), Fraction(2)))
     for r in (2, 3, 4):
         v = e_base(r)
         for _ in range(4):
-            assert check_conditions_ab(list(v.polys), grid).status == PASS_SAMPLED
+            assert check_conditions_ab(list(v.polys)).status == PASS_SAMPLED
             v = e_step(v)
 
 

@@ -11,7 +11,7 @@ from interlace.errors import (
     PreconditionViolatedError,
 )
 from interlace.matrices import (
-    DEFAULT_LAMBDA_MU_PAIRS,
+    LAMBDA_MU_PAIRS,
     SEVEN_GENERATORS,
     Entry,
     SymMatrix,
@@ -213,7 +213,7 @@ def test_forbidden_rule_representatives_have_failing_samples():
         assert forbidden_pattern(M).rule == rule
         sample = find_failing_sample(M)
         assert sample is not None
-        assert sample in DEFAULT_LAMBDA_MU_PAIRS
+        assert sample in LAMBDA_MU_PAIRS
 
 
 def test_action_property_test():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interlace import realroots
+from interlace import polys, realroots
 from interlace.edgewise import e_vector, local_h
 from interlace.errors import (
     CertificateMismatchError,
@@ -513,7 +513,7 @@ def test_real_rootedness_from_one_early_exit_sequence(monkeypatch):
     # terms, 11 of them remainders; no gcd, squarefree part or Sturm chain
     h = local_h(6, 20)
     assert h.degree == 16 and h.coeffs[:5] == (0, 0, 0, 0, 8855)
-    divisions = _record_calls(monkeypatch, realroots, "pseudo_divmod")
+    divisions = _record_calls(monkeypatch, polys, "pseudo_divmod")
     gcds = _record_calls(monkeypatch, realroots, "poly_gcd")
     chains = _record_calls(monkeypatch, SturmChain, "of_squarefree")
     assert is_real_rooted(h)
