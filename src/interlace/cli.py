@@ -9,11 +9,15 @@ Polynomials on the command line use the ascending-coefficient comma format
 ("0,1,1" is x + x^2); semicolons separate polynomials in sequence arguments.
 The INTERLACE_BUDGET environment variable caps enumeration sizes
 (default 10^8 words); the enumerations also cap n at words.MAX_N.
+
+``main`` builds its argument parser on its first call and reuses that one
+parser on every later call; ``build_parser`` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -305,10 +309,16 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # built on the first call of main, not at import; parse_args keeps no
+    # state between calls, so every later call reuses it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

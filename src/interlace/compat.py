@@ -52,6 +52,16 @@ def _first_pair_of_each_ratio(weights) -> tuple[tuple[Fraction, Fraction], ...]:
 _PAIRS = _first_pair_of_each_ratio(_WEIGHTS)
 
 
+def _cleared(c1: Fraction, c2: Fraction) -> tuple[int, int]:
+    lcm = math.lcm(c1.denominator, c2.denominator)
+    return (c1.numerator * (lcm // c1.denominator), c2.numerator * (lcm // c2.denominator))
+
+
+# each pair of _PAIRS times the least common denominator of its two weights:
+# the integer weights that conic_combination uses for it
+_CLEARED_PAIRS = tuple(_cleared(c1, c2) for c1, c2 in _PAIRS)
+
+
 @dataclass(frozen=True)
 class CompatWitness:
     """Weights and the (denominator-cleared) combination that fails the root test."""
@@ -120,10 +130,10 @@ def compatible_pair_sampled(f: Poly, g: Poly, unchecked: bool = False) -> Compat
     if not unchecked:
         _require_admissible(f, "f")
         _require_admissible(g, "g")
-    for c1, c2 in _PAIRS:
-        combo = conic_combination((c1, c2), (f, g))
+    for weights, (a, b) in zip(_PAIRS, _CLEARED_PAIRS):
+        combo = a * f + b * g
         if not is_real_rooted(combo):
-            return CompatVerdict(FAIL, CompatWitness((c1, c2), combo))
+            return CompatVerdict(FAIL, CompatWitness(weights, combo))
     return CompatVerdict(PASS_SAMPLED)
 
 

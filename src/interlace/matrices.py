@@ -40,8 +40,12 @@ class Entry(enum.Enum):
     ONE = "1"
     X = "x"
 
+    def __init__(self, symbol: str):
+        # index into the module's entry tables, so that no hot path hashes a member
+        self._code = "01x".index(symbol)
+
     def to_poly(self) -> Poly:
-        return _ENTRY_POLY[self]
+        return _ENTRY_POLY[self._code]
 
     @staticmethod
     def from_string(s: str) -> "Entry":
@@ -51,8 +55,7 @@ class Entry(enum.Enum):
             raise PolyFormatError(f"matrix entries must be '0', '1' or 'x', got {s!r}")
 
 
-_ENTRY_POLY = {Entry.ZERO: ZERO, Entry.ONE: ONE, Entry.X: X}
-_POLY_ENTRY = {ZERO: Entry.ZERO, ONE: Entry.ONE, X: Entry.X}
+_ENTRY_POLY = (ZERO, ONE, X)
 
 
 @dataclass(frozen=True)
@@ -135,14 +138,32 @@ def _require_2x2(M: SymMatrix) -> None:
         raise DimensionMismatchError("a 2x2 matrix is required")
 
 
-def _inequality_sides(M: SymMatrix, lam: Fraction, mu: Fraction) -> tuple[Poly, Poly]:
-    """Denominator-cleared sides of the alternation inequality at one (lam, mu)."""
-    scale = lam.denominator * mu.denominator // math.gcd(lam.denominator, mu.denominator)
-    lin = Poly((int(mu * scale), int(lam * scale)))
-    e = M.entries
-    left = lin * e[0][1].to_poly() + scale * e[1][1].to_poly()
-    right = lin * e[0][0].to_poly() + scale * e[1][0].to_poly()
-    return left, right
+def _scaled(lam: Fraction, mu: Fraction) -> tuple[int, int, int]:
+    s = math.lcm(lam.denominator, mu.denominator)
+    return (mu.numerator * (s // mu.denominator), lam.numerator * (s // lam.denominator), s)
+
+
+# (mu*s, lam*s, s) for each sample pair, with s the least common denominator of
+# lam and mu: the integer coefficients of s*(lam*x + mu) and of s
+_SCALED_PAIRS = tuple(_scaled(lam, mu) for lam, mu in LAMBDA_MU_PAIRS)
+
+
+def _side(lin: Entry, one: Entry, m: int, l: int, s: int) -> Poly:
+    """(l*x + m) * lin + s * one for entries 0, 1 or x (codes 0, 1, 2)."""
+    c = [0, 0, 0]
+    if lin._code:
+        c[lin._code - 1] = m
+        c[lin._code] = l
+    if one._code:
+        c[one._code - 1] += s
+    return Poly(tuple(c))
+
+
+def _inequality_sides(M: SymMatrix, scaled: tuple[int, int, int]) -> tuple[Poly, Poly]:
+    """Denominator-cleared sides of the alternation inequality at one sample,
+    given as its row of _SCALED_PAIRS."""
+    (e00, e01), (e10, e11) = M.entries
+    return _side(e01, e11, *scaled), _side(e00, e10, *scaled)
 
 
 def find_failing_sample(M: SymMatrix) -> tuple[Fraction, Fraction] | None:
@@ -151,12 +172,12 @@ def find_failing_sample(M: SymMatrix) -> tuple[Fraction, Fraction] | None:
     Sides already tested at an earlier (lam, mu) held there and are skipped."""
     _require_2x2(M)
     tested = set()
-    for lam, mu in LAMBDA_MU_PAIRS:
-        sides = _inequality_sides(M, lam, mu)
+    for pair, scaled in zip(LAMBDA_MU_PAIRS, _SCALED_PAIRS):
+        sides = _inequality_sides(M, scaled)
         if sides in tested:
             continue
         if not interleaves(*sides):
-            return (lam, mu)
+            return pair
         tested.add(sides)
     return None
 
@@ -264,38 +285,57 @@ SEVEN_GENERATORS = tuple(
 )
 
 
+def _row_times_col(a0: int, a1: int, b0: int, b1: int) -> Entry | None:
+    # each nonzero term a*b is x^e with coefficient 1, so no sum cancels: it
+    # stays in the alphabet iff at most one term is nonzero, with e <= 1
+    exponents = [(a - 1) + (b - 1) for a, b in ((a0, b0), (a1, b1)) if a and b]
+    if not exponents:
+        return Entry.ZERO
+    if len(exponents) == 1 and exponents[0] <= 1:
+        return (Entry.ONE, Entry.X)[exponents[0]]
+    return None
+
+
+# a0*b0 + a1*b1 at index 27*a0 + 9*a1 + 3*b0 + b1 of entry codes, None off the alphabet
+_ROW_TIMES_COL = tuple(
+    _row_times_col(*codes) for codes in itertools.product(range(3), repeat=4)
+)
+
+
 def _symbolic_product(A: SymMatrix, B: SymMatrix) -> SymMatrix | None:
-    """Matrix product with polynomial entries, kept only if every entry is 0, 1 or x."""
-    rows = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            p = ZERO
-            for k in range(2):
-                p = p + A.entries[i][k].to_poly() * B.entries[k][j].to_poly()
-            entry = _POLY_ENTRY.get(p)
-            if entry is None:
-                return None
-            row.append(entry)
-        rows.append(tuple(row))
-    return SymMatrix(tuple(rows))
+    """2x2 matrix product, kept only if every entry is 0, 1 or x."""
+    (a00, a01), (a10, a11) = A.entries
+    (b00, b01), (b10, b11) = B.entries
+    row0, row1 = 27 * a00._code + 9 * a01._code, 27 * a10._code + 9 * a11._code
+    col0, col1 = 3 * b00._code + b10._code, 3 * b01._code + b11._code
+    t = _ROW_TIMES_COL
+    entries = ((t[row0 + col0], t[row0 + col1]), (t[row1 + col0], t[row1 + col1]))
+    if None in entries[0] or None in entries[1]:
+        return None
+    return SymMatrix(entries)
 
 
 def generator_closure() -> frozenset[SymMatrix]:
     """Close the seven generators under products whose entries stay in {0, 1, x}.
 
     Products with entries outside the alphabet are discarded and never used as
-    multiplicands; the generators themselves are members.
+    multiplicands; the generators themselves are members.  Each ordered pair
+    of members is multiplied exactly once: a member is multiplied with itself
+    and with every earlier member, both ways round, when its turn comes.
     """
-    members = set(SEVEN_GENERATORS)
-    grew = True
-    while grew:
-        grew = False
-        for a, b in itertools.product(tuple(members), repeat=2):
-            p = _symbolic_product(a, b)
-            if p is not None and p not in members:
-                members.add(p)
-                grew = True
+    members = list(SEVEN_GENERATORS)
+    known = set(members)
+
+    def keep(p: SymMatrix | None) -> None:
+        if p is not None and p not in known:
+            known.add(p)
+            members.append(p)
+
+    for k, a in enumerate(members):  # also walks the members appended on the way
+        for b in members[:k]:
+            keep(_symbolic_product(a, b))
+            keep(_symbolic_product(b, a))
+        keep(_symbolic_product(a, a))
     return frozenset(members)
 
 

@@ -455,6 +455,15 @@ REPORTS = [
      ["0,2;0,1;0,0,1"],
      {"command": "matrix apply", "params": {"file": "m3.json", "polys": "0;0,1;0,1"},
       "status": "OK", "result": "0,2;0,1;0,0,1"}, ""),
+    ("matrix apply joined negative polys", ["matrix", "apply", "x.json", "--polys=-1,1"],
+     None, 0, ["0,-1,1"],
+     {"command": "matrix apply", "params": {"file": "x.json", "polys": "-1,1"},
+      "status": "OK", "result": "0,-1,1"}, ""),
+    # argparse reads a separate "-1,1" as an option, so --polys lacks its value
+    ("matrix apply separate negative polys", ["matrix", "apply", "x.json", "--polys", "-1,1"],
+     None, 2, [], None,
+     "usage: interlace matrix apply [-h] [--polys POLYS] file\n"
+     "interlace matrix apply: error: argument --polys: expected one argument\n"),
     ("matrix closure", ["matrix", "closure"], None, 0,
      ["closure size: 40", "contained in allowed set: yes", "equals allowed set: yes"]
      + ALLOWED,
@@ -503,6 +512,7 @@ def test_report_branches(row, as_json, capsys, monkeypatch, tmp_path):
     (tmp_path / "m3.json").write_text(
         json.dumps([["0", "1", "1"], ["x", "0", "1"], ["x", "x", "0"]]))
     (tmp_path / "bad.json").write_text(json.dumps([["1", "x"], ["0", "1"]]))
+    (tmp_path / "x.json").write_text(json.dumps([["x"]]))
     if patch is not None:
         patch(monkeypatch)
     if as_json:
@@ -520,6 +530,53 @@ def test_matrix_closure_runs_no_sampled_classification(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "--json", "matrix", "closure")
     assert code == 0 and err == ""
     assert json.loads(out)["result"]["members"] == ALLOWED
+
+
+# runs of main calls in which a call could see state the previous call left behind
+PARSER_SEQUENCES = [
+    [["--json", "fh", "--f", "1,3,3,1"], ["fh", "--f", "1,3,3,1"]],
+    [["fh", "--f"], ["fh", "--h", "1,1,1"]],
+    [["check", "--unchecked", "compatible", "2,3,1", "2,-3,1"],
+     ["check", "compatible", "2,3,1", "2,-3,1"]],
+]
+
+
+@pytest.mark.parametrize("sequence", PARSER_SEQUENCES, ids=["json-then-text",
+                                                            "usage-error-then-valid",
+                                                            "unchecked-then-checked"])
+def test_shared_parser_keeps_no_state_between_calls(sequence, capsys, monkeypatch):
+    fresh = []
+    for argv in sequence:
+        cli._shared_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    try:
+        shared = [run_cli(capsys, *argv) for argv in sequence + sequence]
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(builds) == 1
+    assert shared == fresh + fresh
+    assert fresh[0] != fresh[1]  # a leak from the first call would show in the second
+
+
+def test_parser_is_not_built_at_import():
+    package_root = str(Path(interlace.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    probe = ("from interlace import cli; before = cli._shared_parser.cache_info().currsize; "
+             "cli.main(['fh', '--f', '1,1']); cli.main(['fh', '--f', '1,1']); "
+             "print(before, cli._shared_parser.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1,0", "1,0", "0", "1"]
 
 
 def test_module_invocation_subprocess():

@@ -67,9 +67,7 @@ def _brute_pair_verdict(f, g):
     return PASS_SAMPLED, None, None
 
 
-def test_pair_tests_each_weight_ratio_once(monkeypatch):
-    # the combination's real-rootedness depends only on c1/c2, and the default
-    # grid has 33 distinct ratios; the first failing pair is never skipped
+def _ratio_test_pairs():
     rng = random.Random(8)
     pairs = [(e_vector(4, 4).polys[1], e_vector(4, 4).polys[2]),
              (Poly((4, 4, 1)), Poly((9, 6, 1))),   # (x+2)^2, (x+3)^2
@@ -77,6 +75,13 @@ def test_pair_tests_each_weight_ratio_once(monkeypatch):
     pairs += [(Poly(tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 5))) + (1,)),
                Poly(tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 5))) + (1,)))
               for _ in range(30)]
+    return pairs
+
+
+def test_pair_tests_each_weight_ratio_once(monkeypatch):
+    # the combination's real-rootedness depends only on c1/c2, and the default
+    # grid has 33 distinct ratios; the first failing pair is never skipped
+    pairs = _ratio_test_pairs()
     expected = [_brute_pair_verdict(f, g) for f, g in pairs]
     assert {status for status, _, _ in expected} == {PASS_SAMPLED, FAIL}
     calls = []
@@ -95,6 +100,26 @@ def test_pair_tests_each_weight_ratio_once(monkeypatch):
             assert (verdict.witness.weights, verdict.witness.combination) == (weights, combo)
         else:
             assert len(calls) == 33
+
+
+def test_integer_weights_give_the_conic_combination():
+    # the table of cleared integer weights against conic_combination, at every
+    # pair it serves and on every incompatible input above
+    assert len(compat._CLEARED_PAIRS) == len(compat._PAIRS) == 33
+    inputs = _ratio_test_pairs() + [(X, ONE), (X * X, ONE)]
+    for f, g in inputs:
+        for weights, (a, b) in zip(compat._PAIRS, compat._CLEARED_PAIRS):
+            assert a * f + b * g == conic_combination(weights, (f, g))
+    failures = 0
+    for f, g in inputs:
+        verdict = compatible_pair_sampled(f, g, unchecked=True)
+        if verdict.status == FAIL:
+            failures += 1
+            w = verdict.witness
+            assert w.weights in compat._PAIRS
+            assert all(isinstance(c, Fraction) for c in w.weights)
+            assert w.combination == conic_combination(w.weights, (f, g))
+    assert failures >= 3
 
 
 def test_sampling_grids_are_the_documented_constants():

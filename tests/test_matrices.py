@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from interlace import matrices
 from interlace.edgewise import gamma_matrix
 from interlace.errors import (
     DimensionMismatchError,
@@ -28,7 +30,7 @@ from interlace.matrices import (
     preserves_check,
 )
 from interlace.polys import ONE, X, ZERO, Poly
-from interlace.realroots import in_fplus
+from interlace.realroots import in_fplus, interleaves
 from interlace.words import GammaVector, all_gamma_vectors
 
 S = SymMatrix.from_strings
@@ -129,6 +131,106 @@ def test_closure_equals_allowed_set():
     assert closure <= allowed
     assert closure == allowed
     assert len(closure) == 40
+
+
+# -- Poly-arithmetic references for the entry tables and the worklist closure --
+
+_ENTRY_POLY = {Entry.ZERO: ZERO, Entry.ONE: ONE, Entry.X: X}
+_POLY_ENTRY = {ZERO: Entry.ZERO, ONE: Entry.ONE, X: Entry.X}
+
+
+def _reference_product(A, B):
+    rows = []
+    for i in range(2):
+        row = []
+        for j in range(2):
+            p = ZERO
+            for k in range(2):
+                p = p + _ENTRY_POLY[A.entries[i][k]] * _ENTRY_POLY[B.entries[k][j]]
+            if p not in _POLY_ENTRY:
+                return None
+            row.append(_POLY_ENTRY[p])
+        rows.append(tuple(row))
+    return SymMatrix(tuple(rows))
+
+
+def _reference_closure():
+    members = set(SEVEN_GENERATORS)
+    grew = True
+    while grew:
+        grew = False
+        for a, b in itertools.product(tuple(members), repeat=2):
+            p = _reference_product(a, b)
+            if p is not None and p not in members:
+                members.add(p)
+                grew = True
+    return frozenset(members)
+
+
+def _reference_sides(M, lam, mu):
+    scale = lam.denominator * mu.denominator // math.gcd(lam.denominator, mu.denominator)
+    lin = Poly((int(mu * scale), int(lam * scale)))
+    e = M.entries
+    left = lin * _ENTRY_POLY[e[0][1]] + scale * _ENTRY_POLY[e[1][1]]
+    right = lin * _ENTRY_POLY[e[0][0]] + scale * _ENTRY_POLY[e[1][0]]
+    return left, right
+
+
+def test_symbolic_product_matches_poly_arithmetic_on_all_pairs():
+    from interlace.matrices import _symbolic_product
+
+    every = all_2x2_matrices()
+    for A, B in itertools.product(every, repeat=2):
+        assert _symbolic_product(A, B) == _reference_product(A, B), (A, B)
+
+
+def test_worklist_closure_matches_the_naive_fixpoint():
+    assert generator_closure() == _reference_closure()
+
+
+def test_closure_multiplies_each_ordered_pair_once(monkeypatch):
+    calls = []
+    product = matrices._symbolic_product
+
+    def counted(A, B):
+        calls.append((A, B))
+        return product(A, B)
+
+    monkeypatch.setattr(matrices, "_symbolic_product", counted)
+    closure = generator_closure()
+    assert len(calls) == len(closure) ** 2 == 1600
+    assert set(calls) == set(itertools.product(closure, repeat=2))
+
+
+def test_integer_sides_match_the_fraction_formula():
+    assert len(matrices._SCALED_PAIRS) == len(LAMBDA_MU_PAIRS) == 27
+    for M in all_2x2_matrices():
+        for (lam, mu), scaled in zip(LAMBDA_MU_PAIRS, matrices._SCALED_PAIRS):
+            assert matrices._inequality_sides(M, scaled) == _reference_sides(M, lam, mu)
+
+
+def test_failing_sample_matches_the_reference_on_all_81():
+    for M in all_2x2_matrices():
+        want = next((pair for pair in LAMBDA_MU_PAIRS
+                     if not interleaves(*_reference_sides(M, *pair))), None)
+        assert find_failing_sample(M) == want, M
+
+
+def test_sampled_test_calls_interleaves_at_every_untested_sample(monkeypatch):
+    # no sample is decided without interleaves, except a repeat of sides that held
+    for M in all_2x2_matrices():
+        calls = []
+
+        def counted(f, g):
+            calls.append((f, g))
+            return interleaves(f, g)
+
+        monkeypatch.setattr(matrices, "interleaves", counted)
+        failing = find_failing_sample(M)
+        upto = LAMBDA_MU_PAIRS if failing is None else \
+            LAMBDA_MU_PAIRS[:LAMBDA_MU_PAIRS.index(failing) + 1]
+        distinct = list(dict.fromkeys(_reference_sides(M, *pair) for pair in upto))
+        assert calls == distinct, M
 
 
 def test_closure_closed_under_admissible_products():
