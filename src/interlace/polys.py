@@ -4,7 +4,8 @@ Coefficients are stored in ascending degree order: ``coeffs[k]`` multiplies
 ``x**k``.  The canonical form is either the empty tuple (the zero polynomial)
 or a tuple whose last entry is nonzero.  Rational numbers only ever appear as
 evaluation points and interval endpoints; they are ``fractions.Fraction``
-throughout.
+throughout, except at ``Poly._sign_at``, which takes a point as an integer
+pair (num, den) so that bisections can keep their endpoints on an integer grid.
 
 The text format used by the CLI and all file I/O is comma-separated ascending
 coefficients: ``"0,1,1"`` is x + x**2 and ``"0"`` is the zero polynomial.
@@ -137,14 +138,23 @@ class Poly:
     def sign_at(self, t) -> int:
         """Sign (-1, 0 or 1) of the value at a rational t, in integer arithmetic.
 
-        With t = num/den and den > 0, Horner's rule on the homogenised form,
-        ``acc = acc*num + c*den**j``, gives den**deg * p(t), which has the sign
-        of p(t) and needs no rational intermediate.
+        A thin wrapper over ``_sign_at(t.numerator, t.denominator)``, the one
+        evaluation loop, which the integer-grid bisections of ``realroots``
+        call directly with unreduced (num, den) pairs.
+        """
+        return self._sign_at(t.numerator, t.denominator)
+
+    def _sign_at(self, num: int, den: int) -> int:
+        """Sign of the value at num/den for integers num and den > 0, which
+        need not be coprime.
+
+        Horner's rule on the homogenised form, ``acc = acc*num + c*den**j``,
+        gives den**deg * p(num/den), which has the sign of p(num/den) and needs
+        no rational intermediate.
         """
         cs = self.coeffs
         if not cs:
             return 0
-        num, den = t.numerator, t.denominator
         acc = cs[-1]
         den_pow = 1
         for c in reversed(cs[:-1]):

@@ -14,6 +14,15 @@ yields the multiplicity levels.  The root 0 has multiplicity k; any other
 isolated root lies on a level iff that squarefree level changes sign on its
 interval.  Rational roots are found exactly by a binary search over the grid
 c/|lead|.
+
+Every bisection of one polynomial on a sign change (refinement, moving an
+interval off the root 0, and the grid probes) runs on integers: an interval
+is a pair of numerators a, b over one denominator den, a halving maps it to
+(2a, a+b, 2den) or (a+b, 2b, 2den), and the sign at a/den comes from one
+homogeneous integer Horner (``Poly._sign_at``).  A Fraction is built once per
+interval end, and it normalises to the same rational that halving Fractions
+gives, so every certificate is unchanged.  The Sturm splits of isolation
+still evaluate the chain at Fraction midpoints.
 """
 
 from __future__ import annotations
@@ -155,13 +164,26 @@ def _sign_variations(values) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
+def _rational(value, what: str) -> Fraction:
+    """value as a Fraction: an int, a Fraction, a finite float or a string such
+    as "1/3"; anything else (NaN, infinities, None, malformed strings) raises
+    BadParametersError."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise BadParametersError(
+            f"{what} must be a finite rational number, got {value!r}") from exc
+
+
 def count_real_roots(f: Poly, lo=None, hi=None) -> int:
     """Number of distinct real roots of f in (lo, hi] by Sturm's theorem.
 
-    ``lo=None`` / ``hi=None`` stand for -inf / +inf.  Over the whole line the
-    count needs no squarefree part: by the generalised Sturm theorem the sign
-    variations of the remainder sequence of (h, h') between -inf and +inf
-    count the distinct real roots of h, here f with the x^k factor stripped.
+    ``lo=None`` / ``hi=None`` stand for -inf / +inf; any other bound that is
+    not a finite rational number raises BadParametersError.  Over the whole
+    line the count needs no squarefree part: by the generalised Sturm theorem
+    the sign variations of the remainder sequence of (h, h') between -inf and
+    +inf count the distinct real roots of h, here f with the x^k factor
+    stripped.
     """
     if f.is_zero:
         raise ZeroPolynomialError("root counting requires a nonzero polynomial")
@@ -169,16 +191,14 @@ def count_real_roots(f: Poly, lo=None, hi=None) -> int:
         h, k = _strip_x(f)
         chain = SturmChain(tuple(_remainder_sequence(h, poly_derivative(h))))
         return chain.count_in(None, None) + (k > 0)
-    if lo is not None and hi is not None and Fraction(lo) > Fraction(hi):
+    lo = None if lo is None else _rational(lo, "lo")
+    hi = None if hi is None else _rational(hi, "hi")
+    if lo is not None and hi is not None and lo > hi:
         raise EmptyIntervalError(f"empty interval ({lo}, {hi}]")
     p = squarefree_part(f)
     if p.degree == 0:
         return 0
-    chain = SturmChain.of_squarefree(p)
-    return chain.count_in(
-        None if lo is None else Fraction(lo),
-        None if hi is None else Fraction(hi),
-    )
+    return SturmChain.of_squarefree(p).count_in(lo, hi)
 
 
 def is_real_rooted(f: Poly) -> bool:
@@ -217,17 +237,17 @@ def _rational_root_in(q: Poly, lo: Fraction, hi: Fraction) -> Fraction | None:
     denominator dividing L = |lead(q)|, so it is c/L for an integer c.  q has
     the sign of q(lo) exactly at the grid points c/L below the root, which a
     binary search over c exploits: one evaluation at lo and at most
-    log2(L (hi - lo)) + 1 on the grid.
+    log2(L (hi - lo)) + 1 on the grid, each at the integer pair (c, L).
     """
     L = abs(q.leading_coefficient)
     s_lo = q.sign_at(lo)
-    a, b = math.floor(lo * L) + 1, math.ceil(hi * L) - 1
+    a = lo.numerator * L // lo.denominator + 1  # floor(lo L) + 1
+    b = -(-hi.numerator * L // hi.denominator) - 1  # ceil(hi L) - 1
     while a <= b:
         c = (a + b) // 2
-        t = Fraction(c, L)
-        s = q.sign_at(t)
+        s = q._sign_at(c, L)
         if s == 0:
-            return t
+            return Fraction(c, L)
         if s == s_lo:
             a = c + 1
         else:
@@ -295,10 +315,11 @@ def _isolate(q: Poly, chain: SturmChain,
         # hold irrational roots, so the bisection never lands on their root)
         for i, (lo, hi) in enumerate(intervals):
             if lo <= 0 <= hi:
-                s_lo = q.sign_at(lo)
-                while lo <= 0 <= hi:
-                    lo, hi, s_lo = _bisect_once(q, lo, hi, s_lo)
-                intervals[i] = (lo, hi)
+                a, b, den = _on_grid(lo, hi)
+                s_lo = q._sign_at(a, den)
+                while a <= 0 <= b:
+                    a, b, den, s_lo = _bisect_once(q, a, b, den, s_lo)
+                intervals[i] = (Fraction(a, den), Fraction(b, den))
     return points, intervals
 
 
@@ -334,35 +355,50 @@ def isolate_roots(f: Poly) -> RootCertificate:
                                  for lo, hi in records))
 
 
-def _bisect_once(p: Poly, lo: Fraction, hi: Fraction,
-                 s_lo: int) -> tuple[Fraction, Fraction, int]:
-    """One sign-change bisection step on an interval holding one simple root of
-    p, given s_lo, the sign of p at lo; returns the half holding the root and
-    the sign of p at its lower end."""
-    mid = (lo + hi) / 2
-    s = p.sign_at(mid)
+def _on_grid(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(a, b, den) with lo = a/den and hi = b/den over the least common denominator."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
+
+
+def _bisect_once(p: Poly, a: int, b: int, den: int,
+                 s_lo: int) -> tuple[int, int, int, int]:
+    """One sign-change bisection step on the interval [a/den, b/den] holding
+    one simple root of p, given s_lo, the sign of p at a/den; returns the half
+    holding the root over the denominator 2den (both ends at the midpoint if
+    it is the root) and the sign of p at its lower end."""
+    mid, den = a + b, 2 * den
+    s = p._sign_at(mid, den)
     if s == 0:
-        return mid, mid, 0
+        return mid, mid, den, 0
     if s == s_lo:
-        return mid, hi, s
-    return lo, mid, s_lo
+        return mid, 2 * b, den, s
+    return 2 * a, mid, den, s_lo
 
 
 def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate:
-    """Shrink every non-degenerate interval of cert below the given width."""
-    width = Fraction(width)
+    """Shrink every non-degenerate interval of cert below the given width, a
+    positive rational number (else BadParametersError).
+
+    Each interval is halved on the integer grid of ``_bisect_once``, with the
+    width test hi - lo >= width as (b - a) * width.den >= width.num * den.
+    """
+    width = _rational(width, "width")
     if width <= 0:
         raise BadParametersError("width must be positive")
     if f.is_zero:
         raise CertificateMismatchError("the zero polynomial has no certificate")
     p = _validated_squarefree_part(f, cert)
+    w_num, w_den = width.numerator, width.denominator
     out = []
     for iv in cert.intervals:
         lo, hi = iv.lo, iv.hi
-        if hi - lo >= width:
-            s_lo = p.sign_at(lo)
-            while hi - lo >= width:
-                lo, hi, s_lo = _bisect_once(p, lo, hi, s_lo)
+        a, b, den = _on_grid(lo, hi)
+        if (b - a) * w_den >= w_num * den:
+            s_lo = p._sign_at(a, den)
+            while (b - a) * w_den >= w_num * den:
+                a, b, den, s_lo = _bisect_once(p, a, b, den, s_lo)
+            lo, hi = Fraction(a, den), Fraction(b, den)
         out.append(RootInterval(lo, hi, iv.multiplicity))
     return RootCertificate(tuple(out))
 

@@ -91,14 +91,17 @@ points = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(big_coeffs, max_size=8), points, st.booleans())
-def test_sign_at_matches_rational_evaluation(cs, t, plant_root):
+@given(st.lists(big_coeffs, max_size=8), points, st.booleans(),
+       st.integers(min_value=1, max_value=1 << 70))
+def test_sign_at_matches_rational_evaluation(cs, t, plant_root, scale):
     p = Poly(tuple(cs))
     if plant_root:
         p = p * Poly((-t.numerator, t.denominator))  # (den x - num) vanishes at t
         assert p.sign_at(t) == 0
     v = p(t)
     assert p.sign_at(t) == (v > 0) - (v < 0)
+    # the integer pair need not be in lowest terms
+    assert p._sign_at(scale * t.numerator, scale * t.denominator) == p.sign_at(t)
 
 
 def test_text_format_round_trip():

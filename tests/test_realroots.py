@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from interlace import polys, realroots
 from interlace.edgewise import e_vector, local_h
 from interlace.errors import (
+    BadParametersError,
     CertificateMismatchError,
     EmptyIntervalError,
     NegativeLeadingCoefficientError,
@@ -77,6 +79,42 @@ def test_count_errors():
         count_real_roots(ZERO)
     with pytest.raises(EmptyIntervalError):
         count_real_roots(X, lo=1, hi=0)
+
+
+NOT_RATIONAL = [float("nan"), float("inf"), float("-inf"), "abc", "1/0", "", object(), 1j]
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL,
+                         ids=["nan", "inf", "-inf", "abc", "1/0", "empty", "object", "1j"])
+def test_bounds_and_widths_that_are_not_rational_numbers(bad):
+    f = Poly((-2, 0, 1))
+    cert = isolate_roots(f)
+    with pytest.raises(BadParametersError):
+        count_real_roots(f, lo=bad)
+    with pytest.raises(BadParametersError):
+        count_real_roots(f, hi=bad)
+    with pytest.raises(BadParametersError):
+        count_real_roots(f, lo=-1, hi=bad)
+    with pytest.raises(BadParametersError):
+        refine_certificate(f, cert, bad)
+
+
+def test_bounds_and_widths_in_every_accepted_form():
+    f = Poly((-2, 0, 1)) * Poly((-1, 3))  # roots -sqrt2, 1/3, sqrt2
+    for lo, hi, n in [(0, 2, 2), (Fraction(1, 3), 2, 1), (0.25, 1.5, 2), ("1/3", "3/2", 1),
+                      (" -3/2 ", "1e0", 2), (-2.0, "0.5", 2)]:
+        assert count_real_roots(f, lo=lo, hi=hi) == n, (lo, hi)
+    assert count_real_roots(f, lo=0.5) == 1 and count_real_roots(f, hi="1/3") == 2
+    cert = isolate_roots(f)
+    for width, same_as in [(1, Fraction(1)), (0.1, Fraction(0.1)), ("7/1000", Fraction(7, 1000)),
+                           (Fraction(1, 3), Fraction(1, 3))]:
+        assert refine_certificate(f, cert, width) == refine_certificate(f, cert, same_as)
+    for width in (0, -1, 0.0, "-1/3"):
+        with pytest.raises(BadParametersError, match="positive"):
+            refine_certificate(f, cert, width)
+    # None is an open end for count_real_roots, but no width
+    with pytest.raises(BadParametersError, match="finite rational"):
+        refine_certificate(f, cert, None)
 
 
 def test_count_over_non_dyadic_intervals():
@@ -216,12 +254,17 @@ def test_gcd_chain_built_once(monkeypatch):
     assert len(calls) == 9
 
 
-def test_refine_below_2_pow_minus_520():
+def test_refine_below_2_pow_minus_520(monkeypatch):
     f = Poly((-2, 0, 1))
     width = Fraction(1, 1 << 520)
-    out = refine_certificate(f, isolate_roots(f), width)
+    cert = isolate_roots(f)
+    calls = _count_sign_evaluations(monkeypatch)
+    out = refine_certificate(f, cert, width)
     assert len(out) == 2
     assert all(iv.hi - iv.lo < width for iv in out.intervals)
+    # per interval (-3, 0) and (0, 3): its two ends checked, the sign at its
+    # lower end, and one evaluation for each of 522 halvings
+    assert len(calls) == 2 * (2 + 1 + 522) == 1050
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,6 +307,51 @@ def test_certificate_of_planted_roots(planted, k, sqrt2, complex_pair, scale):
     assert all(iv.hi - iv.lo < Fraction(1, 1 << 30) for iv in refined.intervals)
 
 
+def _fraction_bisect_once(p: Poly, lo: Fraction, hi: Fraction,
+                          s_lo: int) -> tuple[Fraction, Fraction, int]:
+    """One bisection step in Fraction arithmetic on an interval holding one
+    simple root of p, given the sign of p at lo."""
+    mid = (lo + hi) / 2
+    s = p.sign_at(mid)
+    if s == 0:
+        return mid, mid, 0
+    if s == s_lo:
+        return mid, hi, s
+    return lo, mid, s_lo
+
+
+def _reference_rational_root_in(q: Poly, lo: Fraction, hi: Fraction) -> Fraction | None:
+    """Binary search for a rational root c/L, L = |lead(q)|, in Fractions."""
+    L = abs(q.leading_coefficient)
+    s_lo = q.sign_at(lo)
+    a, b = math.floor(lo * L) + 1, math.ceil(hi * L) - 1
+    while a <= b:
+        c = (a + b) // 2
+        s = q.sign_at(Fraction(c, L))
+        if s == 0:
+            return Fraction(c, L)
+        if s == s_lo:
+            a = c + 1
+        else:
+            b = c - 1
+    return None
+
+
+def _reference_refine(f: Poly, cert: RootCertificate, width: Fraction) -> RootCertificate:
+    """Halve every interval of a valid certificate in Fraction arithmetic until
+    it is narrower than width."""
+    p = squarefree_part(f)
+    out = []
+    for iv in cert.intervals:
+        lo, hi = iv.lo, iv.hi
+        if hi - lo >= width:
+            s_lo = p.sign_at(lo)
+            while hi - lo >= width:
+                lo, hi, s_lo = _fraction_bisect_once(p, lo, hi, s_lo)
+        out.append(RootInterval(lo, hi, iv.multiplicity))
+    return RootCertificate(tuple(out))
+
+
 def _reference_isolation(f: Poly) -> tuple[RootCertificate, int]:
     """Sturm bisection as it was done before one chain served isolation: the
     chain of the squarefree part, counted at both ends of every interval, and
@@ -286,7 +374,7 @@ def _reference_isolation(f: Poly) -> tuple[RootCertificate, int]:
             lo, hi = stack.pop()
             n = chain.count_in(lo, hi)
             if n == 1:
-                root = realroots._rational_root_in(q, lo, hi)
+                root = _reference_rational_root_in(q, lo, hi)
                 if root is None:
                     intervals.append((lo, hi))
                 else:
@@ -301,7 +389,7 @@ def _reference_isolation(f: Poly) -> tuple[RootCertificate, int]:
             if k and lo <= 0 <= hi:
                 s_lo = q.sign_at(lo)
                 while lo <= 0 <= hi:
-                    lo, hi, s_lo = realroots._bisect_once(q, lo, hi, s_lo)
+                    lo, hi, s_lo = _fraction_bisect_once(q, lo, hi, s_lo)
                 intervals[i] = (lo, hi)
     level_chains = [(s, SturmChain.of_squarefree(s)) for s in levels]
     out = []
@@ -337,6 +425,87 @@ def test_isolation_equals_reference_bisection(planted, k, sqrt2, complex_pair, s
     if complex_pair:
         f = f * Poly((1, 0, 1))
     assert isolate_roots(f) == _reference_isolation(f)[0]
+
+
+def _user_certificate(f: Poly, cert: RootCertificate, thirds: int,
+                      widen: bool) -> RootCertificate:
+    """cert with each open interval cut `thirds` times down to a third that
+    still isolates its root and, if widen, each exact root r widened to the
+    open interval (r - d, r + d), d a third of the gap to its nearest
+    neighbour, so that bisection's first midpoint is the root itself."""
+    p = squarefree_part(f)
+    ivs = list(cert.intervals)
+    for i, iv in enumerate(ivs):
+        lo, hi = iv.lo, iv.hi
+        for _ in range(thirds if not iv.is_point else 0):
+            step = (hi - lo) / 3
+            cuts = [lo, lo + step, hi - step, hi]
+            if p.sign_at(cuts[1]) == 0 or p.sign_at(cuts[2]) == 0:
+                break
+            lo, hi = next((u, v) for u, v in zip(cuts, cuts[1:])
+                          if p.sign_at(u) != p.sign_at(v))
+        ivs[i] = RootInterval(lo, hi, iv.multiplicity)
+    if widen:
+        base = list(ivs)
+        for i, iv in enumerate(base):
+            if iv.is_point:
+                left = base[i - 1].hi if i else iv.lo - 3
+                right = base[i + 1].lo if i + 1 < len(base) else iv.lo + 3
+                d = min(iv.lo - left, right - iv.lo) / 3
+                ivs[i] = RootInterval(iv.lo - d, iv.lo + d, iv.multiplicity)
+    return RootCertificate(tuple(ivs))
+
+
+WIDTHS = [Fraction(1, 3), Fraction(7, 1000), Fraction(5, 7), Fraction(1, 3 ** 25),
+          Fraction(1, 1 << 40), Fraction(10)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.fractions(min_value=-6, max_value=6, max_denominator=1 << 12),
+                  st.integers(min_value=1, max_value=3)),
+        max_size=4,
+    ),
+    st.integers(min_value=0, max_value=2),
+    st.lists(st.sampled_from([(2, 1), (3, 1), (5, 4), (2, 9), (7, 1 << 40)]), max_size=2,
+             unique=True),
+    st.booleans(),
+    st.one_of(st.sampled_from(WIDTHS),
+              st.fractions(min_value=Fraction(1, 10 ** 6), max_value=4, max_denominator=10 ** 6)),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+)
+def test_refinement_equals_fraction_bisection(planted, k, surds, complex_pair, width, thirds,
+                                              widen):
+    # rational roots with multiplicities, x^k, irrational roots +-sqrt(m/n)
+    # and a complex pair; certificates from isolation, cut to thirds and with
+    # exact roots widened to open intervals centred on them
+    f = Poly.monomial(k)
+    for a, mult in planted:
+        for _ in range(mult):
+            f = f * Poly((-a.numerator, a.denominator))
+    for m, n in surds:
+        f = f * Poly((-m, 0, n))
+    if complex_pair:
+        f = f * Poly((1, 0, 1))
+    cert = _user_certificate(f, isolate_roots(f), thirds, widen)
+    out = refine_certificate(f, cert, width)
+    expected = _reference_refine(f, cert, width)
+    assert out == expected
+    assert out.to_json_obj() == expected.to_json_obj()
+
+
+def test_refine_lands_on_a_rational_root():
+    # (x + 1)(x - 1)(x^2 - 2) with open intervals centred on -1 and 1: the
+    # first midpoints are the roots, which become point intervals
+    f = Poly((1, 1)) * Poly((-1, 1)) * Poly((-2, 0, 1))
+    cert = RootCertificate(tuple(RootInterval(Fraction(lo), Fraction(hi), 1) for lo, hi in
+                                 [(-3, Fraction(-4, 3)), (Fraction(-4, 3), Fraction(-2, 3)),
+                                  (Fraction(2, 3), Fraction(4, 3)), (Fraction(4, 3), 3)]))
+    out = refine_certificate(f, cert, Fraction(1, 3))
+    assert out == _reference_refine(f, cert, Fraction(1, 3))
+    assert [iv.lo for iv in out.intervals if iv.is_point] == [-1, 1]
 
 
 def test_isolation_walks_one_sequence_evaluated_once_per_split(monkeypatch):
@@ -383,14 +552,16 @@ def test_refine_rejects_intervals_that_do_not_each_hold_one_root():
 
 
 def _count_sign_evaluations(monkeypatch) -> list:
+    """Record every sign evaluation, at the one loop that ``Poly.sign_at`` and
+    the integer-grid bisections share."""
     calls = []
-    sign_at = Poly.sign_at
+    sign_at = Poly._sign_at
 
-    def counted(self, t):
-        calls.append(t)
-        return sign_at(self, t)
+    def counted(self, num, den):
+        calls.append((num, den))
+        return sign_at(self, num, den)
 
-    monkeypatch.setattr(Poly, "sign_at", counted)
+    monkeypatch.setattr(Poly, "_sign_at", counted)
     return calls
 
 
@@ -399,7 +570,7 @@ def test_isolate_when_a_bisection_midpoint_is_a_root(monkeypatch):
     f = Poly((5, 1)) * Poly((1, 1)) * Poly((-1, 1)) * Poly((-2, 0, 1))
     calls = _count_sign_evaluations(monkeypatch)
     cert = isolate_roots(f)
-    assert len(calls) <= 400
+    assert 0 < len(calls) <= 400
     assert [iv.lo for iv in cert.intervals if iv.is_point] == [-5, -1, 1]
     irrational = [iv for iv in cert.intervals if not iv.is_point]
     assert len(irrational) == 2
@@ -413,7 +584,7 @@ def test_isolate_rational_root_with_huge_denominator(monkeypatch):
     f = Poly((-3, 1 << 200)) * Poly((-2, 0, 1))
     calls = _count_sign_evaluations(monkeypatch)
     cert = isolate_roots(f)
-    assert len(calls) <= 800
+    assert 0 < len(calls) <= 800
     assert [iv.lo for iv in cert.intervals if iv.is_point] == [Fraction(3, 1 << 200)]
     assert len(cert) == 3
 
@@ -427,7 +598,7 @@ def test_isolate_quadratic_with_composite_or_huge_coefficients(monkeypatch, M, m
     f = Poly((M, 3 * M + 1, M))
     calls = _count_sign_evaluations(monkeypatch)
     cert = isolate_roots(f)
-    assert len(calls) <= max_calls
+    assert 0 < len(calls) <= max_calls
     assert len(cert) == 2 and not any(iv.is_point for iv in cert.intervals)
     for iv in cert.intervals:
         assert f.sign_at(iv.lo) * f.sign_at(iv.hi) == -1
