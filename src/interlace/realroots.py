@@ -6,6 +6,12 @@ procedure, ``_normal_sequence_end``, asks whether the remainder sequence of
 coefficients: on (f, f') with the x^k factor stripped it decides
 real-rootedness (generalised Sturm theorem), and on (g, f) it decides f << g
 (Hermite-Kakeya-Obreschkoff) together with the gcd it ends at.
+A palindromic h (c_i = c_{d-i}), such as every local h-polynomial with its
+x^k stripped, is decided at half the degree through its fold: for d = 2m,
+x^-m h(x) = q(x + 1/x) with deg q = m, so h = lead(h) prod (x^2 - y_i x + 1)
+over the roots y_i of q, and h is real-rooted iff q is real-rooted with
+every |y_i| >= 2 (an odd d first loses the root -1).  Isolation and root
+counting do not fold.
 Isolation walks one sequence too: for f = x^k h with h(0) != 0, the remainder
 sequence of (h, h') is the Sturm chain of the bisection (it counts the
 distinct roots of h between non-roots), evaluated once per split at the
@@ -209,13 +215,78 @@ def is_real_rooted(f: Poly) -> bool:
     real roots of h, and h has deg h - m distinct roots; a sequence of at most
     deg h - m + 1 terms reaches that many variations only when every step
     drops the degree by one and every leading coefficient is positive.
+
+    A palindromic h of degree at least 2 is decided through its fold instead,
+    at half the degree.  For an odd degree, h(-1) = (-1)^deg h(-1) = 0, and
+    h / (x + 1) is palindromic of even degree with the same verdict.  For
+    deg h = 2m, x^-m h(x) = c_m + sum_{j>=1} c_{m+j} (x^j + x^-j) = q(x + 1/x),
+    where x^j + x^-j = D_j(x + 1/x) with D_0 = 2, D_1 = y and
+    D_{j+1} = y D_j - D_{j-1}; q has degree m and lead(q) = lead(h).  So
+    h = lead(h) prod_i (x^2 - y_i x + 1) over the m roots y_i of q, and
+    x^2 - y x + 1 has real roots iff y is real and |y| >= 2.  Hence h is
+    real-rooted iff q is real-rooted, which the sequence of (q, q') decides,
+    and q has m roots, with multiplicity, in (-oo, -2] and [2, oo) together.
+    q(0) = 0 (the roots +-i) fails at once.  The roots of q in [2, oo) are
+    the roots of p(y) = q(y + 2) in [0, oo): the root 0, as often as p has
+    trailing zero coefficients, and the positive roots, which Descartes' rule
+    counts exactly when p is real-rooted.  With V the number of sign
+    variations and z the multiplicity of the root 0, the rule gives
+    V(p(y)) >= (positive roots) and V(p(-y)) >= (negative roots), while
+    V(p(y)) + V(p(-y)) <= deg p - z; when all deg p - z nonzero roots are
+    real, the two bounds sum to that, so both are equalities.  q(-y - 2)
+    counts the roots in (-oo, -2] alike.
     """
     if f.is_zero:
         return True
     h = _strip_x(f)[0]
     if h.leading_coefficient < 0:
         h = -h
+    if h.degree >= 2 and h.coeffs == h.coeffs[::-1]:
+        return _is_real_rooted_palindromic(h)
     return _normal_sequence_end(h, poly_derivative(h)) is not None
+
+
+def _is_real_rooted_palindromic(h: Poly) -> bool:
+    """is_real_rooted for a palindromic h with h(0) != 0 and lead(h) > 0,
+    decided on its fold q at half the degree (see ``is_real_rooted``)."""
+    if h.degree % 2:
+        h = exact_div(h, Poly((1, 1)))
+    q = _fold(h)
+    if q.coeffs[0] == 0 or _normal_sequence_end(q, poly_derivative(q)) is None:
+        return False
+    flipped = Poly(tuple(-c if i % 2 else c for i, c in enumerate(q.coeffs)))
+    return _roots_at_least_2(q) + _roots_at_least_2(flipped) == q.degree
+
+
+def _fold(h: Poly) -> Poly:
+    """The q of degree m with x^-m h(x) = q(x + 1/x), for a palindromic h of
+    degree 2m: q = c_m + sum_{j>=1} c_{m+j} D_j(y), where D_j(x + 1/x) =
+    x^j + x^-j, so D_0 = 2, D_1 = y and D_{j+1} = y D_j - D_{j-1}."""
+    c = h.coeffs
+    m = len(c) // 2
+    q = [c[m]] + [0] * m
+    d_prev, d = [2], [0, 1]
+    for cj in c[m + 1:]:
+        for i, e in enumerate(d):
+            q[i] += cj * e
+        d_next = [0] + d
+        for i, e in enumerate(d_prev):
+            d_next[i] -= e
+        d_prev, d = d, d_next
+    return Poly(tuple(q))
+
+
+def _roots_at_least_2(q: Poly) -> int:
+    """Descartes' bound on the roots of q in [2, oo), counted with multiplicity:
+    the trailing zeros of q(y + 2) (its zero coefficients below the first
+    nonzero one) plus its sign variations.  It is the exact count when q is
+    real-rooted."""
+    a = list(q.coeffs)
+    n = len(a) - 1
+    for i in range(n):  # Taylor shift y -> y + 2 by repeated synthetic division
+        for j in range(n - 1, i - 1, -1):
+            a[j] += 2 * a[j + 1]
+    return next(i for i, c in enumerate(a) if c) + _sign_variations(a)
 
 
 # -- root isolation -----------------------------------------------------------

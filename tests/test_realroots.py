@@ -618,6 +618,13 @@ def test_is_real_rooted_examples():
     assert is_real_rooted(ZERO)
     assert is_real_rooted(Poly((5,)))
     assert is_real_rooted(Poly((1, 2, 1)))
+    # palindromic boundary cases of the fold y = x + 1/x
+    assert not is_real_rooted(Poly((1, 1, 1)))  # y = -1: roots on the unit circle
+    assert not is_real_rooted(Poly((1, 0, 1)) * Poly((1, 1)))  # y = 0: roots +-i
+    assert not is_real_rooted(Poly((1, 0, 0, 0, 1)))  # y^2 - 2
+    assert is_real_rooted(Poly((1, -2, 1)))  # (x - 1)^2, y = 2
+    assert is_real_rooted(Poly((1, 3, 3, 1)))  # (x + 1)^3, odd, y = -2
+    assert is_real_rooted(Poly((0, 0, -2, -6, -2)))  # -2x^2 (x^2 + 3x + 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -632,6 +639,62 @@ def test_real_rooted_multiplicative(roots_a, roots_b):
 
 def test_real_rooted_product_with_complex_factor():
     assert not is_real_rooted(Poly((1, 0, 1)) * Poly((1, 1)))
+
+
+def _unfolded_real_rooted(f: Poly) -> bool:
+    """The reference: the remainder sequence of (h, h') at full degree."""
+    h = realroots._strip_x(f)[0]
+    if h.leading_coefficient < 0:
+        h = -h
+    return realroots._normal_sequence_end(h, poly_derivative(h)) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(min_value=1, max_value=9),
+                       st.integers(min_value=-9, max_value=9).filter(bool)), max_size=3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=3),
+    st.lists(st.integers(min_value=-5, max_value=5), max_size=3),
+    st.lists(st.integers(min_value=-6, max_value=6).flatmap(
+        lambda b: st.tuples(st.just(b), st.integers(min_value=b * b // 4 + 1,
+                                                    max_value=b * b // 4 + 9))), max_size=2),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([1, 3, -1, -6]),
+)
+def test_palindromic_real_rootedness_equals_unfolded_sequence(pairs, even_ones, minus_ones,
+                                                              unit_bs, quartets, k, scale):
+    # root pairs (rho, 1/rho) with rho = a/b, (x - 1)^(2j), (x + 1)^i,
+    # x^2 + bx + 1 (complex on the unit circle for |b| < 2, a double root
+    # +-1 for |b| = 2, a real pair for |b| > 2), complex quartets
+    # (x^2 + bx + c)(cx^2 + bx + 1) with b^2 < 4c, then x^k and a scaling
+    # that may be negative or carry content
+    h = ONE
+    for a, b in pairs:
+        h = h * Poly((-a, b)) * Poly((-b, a))
+    for _ in range(even_ones):
+        h = h * Poly((1, -2, 1))
+    for _ in range(minus_ones):
+        h = h * Poly((1, 1))
+    for b in unit_bs:
+        h = h * Poly((1, b, 1))
+    for b, c in quartets:
+        h = h * Poly((c, b, 1)) * Poly((1, b, c))
+    assert h.coeffs == h.coeffs[::-1]
+    real = all(abs(b) >= 2 for b in unit_bs) and not quartets
+    f = Poly.monomial(k, scale) * h
+    assert is_real_rooted(f) == real == _unfolded_real_rooted(f)
+    if h.degree % 2 == 0:
+        # the fold: x^m q(x + 1/x) = h(x), with x^m (x + 1/x)^i = x^(m-i) (x^2 + 1)^i
+        q, m = realroots._fold(h), h.degree // 2
+        assert q.degree == m and q.leading_coefficient == h.leading_coefficient
+        unfolded = ZERO
+        for i, c in enumerate(q.coeffs):
+            term = Poly.monomial(m - i, c)
+            for _ in range(i):
+                term = term * Poly((1, 0, 1))
+            unfolded = unfolded + term
+        assert unfolded == h
 
 
 @settings(max_examples=200, deadline=None)
@@ -680,8 +743,10 @@ def _record_calls(monkeypatch, owner, name) -> list:
 
 
 def test_real_rootedness_from_one_early_exit_sequence(monkeypatch):
-    # local_h(6, 20) = x^4 h with deg h = 12: the sequence of (h, h') has 13
-    # terms, 11 of them remainders; no gcd, squarefree part or Sturm chain
+    # local_h(6, 20) = x^4 h with h palindromic of degree 12: its fold q has
+    # degree 6, so the sequence of (q, q') has at most 5 remainders, and the
+    # whole-line count walks the 11 remainders of (h, h'); no gcd, squarefree
+    # part or Sturm chain
     h = local_h(6, 20)
     assert h.degree == 16 and h.coeffs[:5] == (0, 0, 0, 0, 8855)
     divisions = _record_calls(monkeypatch, polys, "pseudo_divmod")
@@ -691,10 +756,29 @@ def test_real_rootedness_from_one_early_exit_sequence(monkeypatch):
     assert len(divisions) <= 11 and gcds == [] and chains == []
     assert count_real_roots(h) == 13  # 12 simple roots and 0
     assert len(divisions) <= 22 and gcds == [] and chains == []
-    # a complex pair breaks the sequence within a few steps
+    # a complex pair: (1 + x + x^2) h is palindromic, and its fold is decided
+    # by the root count in [-2, 2]; (2 + x + x^2) h is not, and it breaks the
+    # sequence of (h, h') within a few steps
+    for pair in (Poly((1, 1, 1)), Poly((2, 1, 1))):
+        divisions.clear()
+        assert not is_real_rooted(pair * h)
+        assert len(divisions) <= 8 and gcds == []
+
+
+def test_palindromic_real_rootedness_at_half_degree(monkeypatch):
+    # local_h(10, 40) = x^4 h with h palindromic of degree 32: the 15
+    # remainders of (q, q') for the fold q of degree 16, against the 31
+    # remainders of (h, h') unfolded
+    h = local_h(10, 40)
+    assert h.degree == 36 and h.coeffs[:5] == (0, 0, 0, 0, 1)
+    assert h.coeffs[4:] == h.coeffs[4:][::-1]
+    divisions = _record_calls(monkeypatch, polys, "pseudo_divmod")
+    assert is_real_rooted(h)
+    assert len(divisions) == 15
+    # the roots +-i make q(0) = 0, which fails before any division
     divisions.clear()
-    assert not is_real_rooted(Poly((1, 1, 1)) * h)
-    assert len(divisions) <= 8 and gcds == []
+    assert not is_real_rooted(Poly((1, 0, 1)) * h)
+    assert divisions == []
 
 
 def test_interleaves_from_one_sequence(monkeypatch):
