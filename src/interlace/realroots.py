@@ -10,25 +10,33 @@ A palindromic h (c_i = c_{d-i}), such as every local h-polynomial with its
 x^k stripped, is decided at half the degree through its fold: for d = 2m,
 x^-m h(x) = q(x + 1/x) with deg q = m, so h = lead(h) prod (x^2 - y_i x + 1)
 over the roots y_i of q, and h is real-rooted iff q is real-rooted with
-every |y_i| >= 2 (an odd d first loses the root -1).  Isolation and root
-counting do not fold.
-Isolation walks one sequence too: for f = x^k h with h(0) != 0, the remainder
-sequence of (h, h') is the Sturm chain of the bisection (it counts the
-distinct roots of h between non-roots), evaluated once per split at the
-midpoint, and its last term is the first gcd of the repeated-gcd chain that
-yields the multiplicity levels.  The root 0 has multiplicity k; any other
-isolated root lies on a level iff that squarefree level changes sign on its
-interval.  Rational roots are found exactly by a binary search over the grid
-c/|lead|.
+every |y_i| >= 2 (an odd d first loses the root -1).  Root counting does not
+fold.
 
-Every bisection of one polynomial on a sign change (refinement, moving an
-interval off the root 0, and the grid probes) runs on integers: an interval
-is a pair of numerators a, b over one denominator den, a halving maps it to
-(2a, a+b, 2den) or (a+b, 2b, 2den), and the sign at a/den comes from one
-homogeneous integer Horner (``Poly._sign_at``).  A Fraction is built once per
-interval end, and it normalises to the same rational that halving Fractions
-gives, so every certificate is unchanged.  The Sturm splits of isolation
-still evaluate the chain at Fraction midpoints.
+Isolation walks one tree: for f = x^k h with h(0) != 0 and p the squarefree
+part of h, it bisects the Cauchy interval (-B, B) of p at midpoints moved off
+the roots of p until each interval holds one root, finds rational roots
+exactly by a binary search over the grid c/|lead(p)|, and moves intervals
+off the root 0 of f.  What counts the roots below a split point is
+pluggable.  In general it is the remainder sequence of (h, h'), the Sturm
+chain of the bisection (it counts the distinct roots of h between
+non-roots), evaluated once per split; its last term is the first gcd of the
+repeated-gcd chain that yields the multiplicity levels.  A squarefree
+palindromic h is isolated through its fold instead: the roots of q at half
+the degree, lifted by x = (y +- sqrt(y^2 - 4)) / 2 to disjoint rational
+intervals, are replayed, each split comparing the point with the known
+intervals and using the one sign of p that the tree already takes there.
+Either way the tree, and so the certificate, is the same.  The root 0 has
+multiplicity k; any other isolated root lies on a level iff that squarefree
+level changes sign on its interval.
+
+Every bisection (the tree, refinement, moving an interval off the root 0,
+and the grid probes) runs on integers: an interval is a pair of numerators
+a, b over one denominator den, a halving maps it to (2a, a+b, 2den) or
+(a+b, 2b, 2den), and the sign at a/den comes from one homogeneous integer
+Horner (``Poly._sign_at``), for p and for every member of a chain.  A
+Fraction is built once per certificate end, and it normalises to the same
+rational that halving Fractions gives, so every certificate is unchanged.
 """
 
 from __future__ import annotations
@@ -147,8 +155,10 @@ class SturmChain:
             raise ZeroPolynomialError("Sturm chain of 0 is undefined")
         return SturmChain(tuple(_remainder_sequence(p, poly_derivative(p))))
 
-    def variations_at(self, t: Fraction) -> int:
-        return _sign_variations([p.sign_at(t) for p in self.chain])
+    def variations_at(self, num: int, den: int = 1) -> int:
+        """Sign variations of the chain at num/den, for integers num and
+        den > 0 (any rational num with den = 1 also works)."""
+        return _sign_variations([p._sign_at(num, den) for p in self.chain])
 
     def variations_at_neg_inf(self) -> int:
         return _sign_variations(
@@ -160,8 +170,10 @@ class SturmChain:
 
     def count_in(self, lo, hi) -> int:
         """Distinct roots in (lo, hi]; None endpoints mean -inf / +inf."""
-        va = self.variations_at(lo) if lo is not None else self.variations_at_neg_inf()
-        vb = self.variations_at(hi) if hi is not None else self.variations_at_pos_inf()
+        va = (self.variations_at(lo.numerator, lo.denominator) if lo is not None
+              else self.variations_at_neg_inf())
+        vb = (self.variations_at(hi.numerator, hi.denominator) if hi is not None
+              else self.variations_at_pos_inf())
         return va - vb
 
 
@@ -300,29 +312,29 @@ def _root_bound(p: Poly) -> int:
     return 1 + (-(-m // an))
 
 
-def _rational_root_in(q: Poly, lo: Fraction, hi: Fraction) -> Fraction | None:
-    """The root of q in (lo, hi) if it is rational, else None.
+def _rational_root_in(q: Poly, a: int, b: int, den: int, s_lo: int) -> Fraction | None:
+    """The root of q in (a/den, b/den) if it is rational, else None; s_lo is
+    the sign of q at a/den.
 
-    (lo, hi) must hold exactly one root of q, a simple one, and neither end
-    may be a root.  A rational root of the integer polynomial q has a
+    The interval must hold exactly one root of q, a simple one, and neither
+    end may be a root.  A rational root of the integer polynomial q has a
     denominator dividing L = |lead(q)|, so it is c/L for an integer c.  q has
-    the sign of q(lo) exactly at the grid points c/L below the root, which a
-    binary search over c exploits: one evaluation at lo and at most
-    log2(L (hi - lo)) + 1 on the grid, each at the integer pair (c, L).
+    the sign s_lo exactly at the grid points c/L below the root, which a
+    binary search over c exploits: at most log2(L (b - a) / den) + 1
+    evaluations, each at the integer pair (c, L).
     """
     L = abs(q.leading_coefficient)
-    s_lo = q.sign_at(lo)
-    a = lo.numerator * L // lo.denominator + 1  # floor(lo L) + 1
-    b = -(-hi.numerator * L // hi.denominator) - 1  # ceil(hi L) - 1
-    while a <= b:
-        c = (a + b) // 2
+    lo = a * L // den + 1  # floor(a L / den) + 1
+    hi = -(-b * L // den) - 1  # ceil(b L / den) - 1
+    while lo <= hi:
+        c = (lo + hi) // 2
         s = q._sign_at(c, L)
         if s == 0:
             return Fraction(c, L)
         if s == s_lo:
-            a = c + 1
+            lo = c + 1
         else:
-            b = c - 1
+            hi = c - 1
     return None
 
 
@@ -347,51 +359,196 @@ def _root_structure(f: Poly) -> tuple[int, Poly, SturmChain, list[Poly]]:
     return k, q, chain, levels
 
 
-def _isolate(q: Poly, chain: SturmChain,
-             zero_root: bool) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
-    """Exact rational roots and open isolating intervals for the roots of a
-    squarefree q with q(0) != 0, plus the exact root 0 when zero_root; chain
-    counts the roots of q between non-roots.
+def _sturm_counter(chain: SturmChain):
+    """A root counter for ``_isolate`` from a chain that counts the roots of
+    its squarefree polynomial between non-roots: minus the sign variations."""
+    return lambda num, den, sign: -chain.variations_at(num, den)
 
-    Interval endpoints are never roots.  Each stack entry carries the sign
-    variations of the chain at both ends, so a split evaluates it once.
+
+def _replay_counter(known: list[tuple[int, int, int, int]]):
+    """A root counter for ``_isolate`` that replays known roots: the number of
+    roots of p below a non-root t = num/den, given the sign of p at t.
+
+    known holds closed intervals (lo_num, lo_den, hi_num, hi_den), ascending
+    and pairwise disjoint, each holding exactly one root of the squarefree
+    p of positive leading coefficient, and together every real root of p.
+    The roots of the intervals with hi <= t lie below t (t is no root), and
+    those of the intervals after the first with hi > t lie above it; a
+    binary search finds that interval.  Its root i lies below t iff p has at
+    t the sign it has right of root i, (-1)^(n - 1 - i) for n roots, and not
+    the sign left of it.
+    """
+    n = len(known)
+
+    def below(num: int, den: int, sign: int) -> int:
+        lo, hi = 0, n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            _, _, h_num, h_den = known[mid]
+            if h_num * den <= num * h_den:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < n and sign == (-1) ** (n - 1 - lo):
+            lo += 1
+        return lo
+
+    return below
+
+
+def _isolate(p: Poly, count, zero_root: bool, probe: bool = True
+             ) -> tuple[list[Fraction], list[tuple[int, int, int, int]]]:
+    """Exact rational roots and open isolating intervals for the roots of a
+    squarefree p with p(0) != 0 and lead(p) > 0, plus the exact root 0 when
+    zero_root.
+
+    count(num, den, sign) is any function that rises by exactly one at each
+    root of p, called at non-roots num/den with the sign of p there: the
+    Sturm chain of ``_sturm_counter`` or the known roots of
+    ``_replay_counter``.  Both drive the one tree: the Cauchy bound (-B, B),
+    midpoint splits moved off the roots of p, a stop at one root, the grid
+    probe for a rational root (if probe) and the move of intervals off the
+    root 0, so the certificate does not depend on the counter.
+
+    The tree runs on the integer grid: an interval is (a, b, den, s_a) for
+    (a/den, b/den) with s_a the sign of p at a/den, so each split evaluates
+    p once at its midpoint and count once.  Interval ends are never roots,
+    and the intervals come out in ascending order.
     """
     points = [Fraction(0)] if zero_root else []
-    if q.degree < 1:
+    if p.degree < 1:
         return points, []
-    bound = Fraction(_root_bound(q))
-    stack = [(-bound, bound, chain.variations_at(-bound), chain.variations_at(bound))]
-    intervals: list[tuple[Fraction, Fraction]] = []
+    bound = _root_bound(p)
+    s_neg = -1 if p.degree % 2 else 1  # no root at or below -B
+    stack = [(-bound, bound, 1, s_neg, count(-bound, 1, s_neg), count(bound, 1, 1))]
+    intervals = []
     while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
-        n = v_lo - v_hi
+        a, b, den, s_a, c_a, c_b = stack.pop()
+        n = c_b - c_a
         if n == 0:
             continue
         if n == 1:
-            root = _rational_root_in(q, lo, hi)
+            root = _rational_root_in(p, a, b, den, s_a) if probe else None
             if root is None:
-                intervals.append((lo, hi))
+                intervals.append((a, b, den, s_a))
             else:
                 points.append(root)
             continue
-        # split where q is nonzero; q has finitely many roots, so this ends
-        mid = (lo + hi) / 2
-        while q.sign_at(mid) == 0:
-            mid = (lo + mid) / 2
-        v_mid = chain.variations_at(mid)
-        stack.append((lo, mid, v_lo, v_mid))
-        stack.append((mid, hi, v_mid, v_hi))
+        # split where p is nonzero, halving towards a; p has finitely many
+        # roots, so this ends
+        lo, mid, d = 2 * a, a + b, 2 * den
+        s = p._sign_at(mid, d)
+        while s == 0:
+            lo, mid, d = 2 * lo, lo + mid, 2 * d
+            s = p._sign_at(mid, d)
+        c_mid = count(mid, d, s)
+        stack.append((mid, b * (d // den), d, s, c_mid, c_b))
+        stack.append((lo, mid, d, s_a, c_a, c_mid))
     if zero_root:
         # 0 is a root of the caller's polynomial: move intervals off it (they
         # hold irrational roots, so the bisection never lands on their root)
-        for i, (lo, hi) in enumerate(intervals):
-            if lo <= 0 <= hi:
-                a, b, den = _on_grid(lo, hi)
-                s_lo = q._sign_at(a, den)
-                while a <= 0 <= b:
-                    a, b, den, s_lo = _bisect_once(q, a, b, den, s_lo)
-                intervals[i] = (Fraction(a, den), Fraction(b, den))
+        for i, (a, b, den, s_a) in enumerate(intervals):
+            while a <= 0 <= b:
+                a, b, den, s_a = _bisect_once(p, a, b, den, s_a)
+            intervals[i] = (a, b, den, s_a)
     return points, intervals
+
+
+# -- the fold finder -------------------------------------------------------------
+
+_LIFT_BITS = 8  # starting precision of the lift
+
+
+def _fold_roots(p: Poly) -> list[tuple[int, int, int, int]] | None:
+    """The real roots of a palindromic p through its fold, as the known
+    intervals of ``_replay_counter``; None when p does not qualify.
+
+    p must have p(0) != 0 and lead(p) > 0.  It qualifies when it is a
+    palindrome of degree >= 2 and the fold q (``_fold``, x^-m g(x) =
+    q(x + 1/x)) of g = p, or of g = p / (x + 1) for an odd degree, is
+    squarefree with q(+-2) != 0; q(-2) = (-1)^m g(-1), so the root -1 of an
+    odd p is simple.  Then g = lead(g) prod (x^2 - y x + 1) over
+    the m distinct roots y of q, no factor has a double root (y != +-2), and
+    x determines y = x + 1/x, so p is squarefree.  Its real roots are -1 for
+    an odd degree and the two roots x and 1/x of each factor with a real
+    |y| > 2, none other.
+
+    q is isolated at half the degree by the Sturm tree, without the grid
+    probe (its cost grows with lead(q), and a rational root of q serves as
+    well inside an interval); every interval is cut at +-2 (one sign of q
+    each) and those inside (-2, 2) are dropped.  For
+    y >= 2, X(y) = (y + sqrt(y^2 - 4)) / 2 increases, so the roots X(y) and
+    1/X(y) lie in closed intervals whose rational ends come from
+    ``math.isqrt`` at the ends of the interval of y; y <= -2 lifts -y and
+    negates.  Where lifted intervals meet (or meet the point -1), each root
+    of q they came from is refined: its interval is halved while it is wider
+    than 2^-bits, else bits, the precision of its lift, doubles.  This goes
+    on until all are disjoint.  Disjoint closed intervals, each holding a root of p,
+    as many as p has real roots, hold exactly one root each.
+    """
+    c = p.coeffs
+    if p.degree < 2 or c != c[::-1]:
+        return None
+    odd = p.degree % 2
+    g = exact_div(p, Poly((1, 1))) if odd else p
+    q, j = _strip_x(_fold(g))
+    if j > 1:
+        return None
+    q = q.primitive()
+    chain = SturmChain(tuple(_remainder_sequence(q, poly_derivative(q))))
+    if chain.chain[-1].degree > 0:
+        return None
+    s_minus2, s_2 = q._sign_at(-2, 1), q._sign_at(2, 1)
+    if s_minus2 == 0 or s_2 == 0:
+        return None
+    roots = []  # [a, b, den, s_a, bits] for each root of q outside (-2, 2)
+    for a, b, den, s_a in _isolate(q, _sturm_counter(chain), False, probe=False)[1]:
+        for t, s_t in ((-2, s_minus2), (2, s_2)):
+            if a < t * den < b:  # the root is on the side where q changes sign
+                a, b, s_a = (t * den, b, s_t) if s_t == s_a else (a, t * den, s_a)
+        if b <= -2 * den or a >= 2 * den:
+            roots.append([a, b, den, s_a, _LIFT_BITS])
+    lifts = [_lift(r) for r in roots]
+    # (root of q, outer 0 or inner 1) ascending: the outer roots of y < -2 by
+    # rising y, the point -1, their inner roots by falling y, the inner roots
+    # of y > 2 by falling y, their outer roots by rising y
+    neg = [i for i, r in enumerate(roots) if r[0] < 0]
+    pos = [i for i, r in enumerate(roots) if r[0] > 0]
+    order = ([(i, 0) for i in neg] + [(None, 0)] * odd + [(i, 1) for i in reversed(neg)]
+             + [(i, 1) for i in reversed(pos)] + [(i, 0) for i in pos])
+    while True:
+        known = [(-1, 1, -1, 1) if i is None else lifts[i][side] for i, side in order]
+        stale = set()
+        for j, (left, right) in enumerate(zip(known, known[1:])):
+            if left[2] * right[1] >= right[0] * left[3]:  # the closed intervals meet
+                stale.update(i for i, _ in order[j:j + 2] if i is not None)
+        if not stale:
+            return known
+        for i in stale:  # halve the interval of y while wider than 2^-bits
+            a, b, den, s_a, bits = r = roots[i]
+            if a != b and (b - a) << bits > den:
+                r[:4] = _bisect_once(q, a, b, den, s_a)
+            else:
+                r[4] = 2 * bits
+            lifts[i] = _lift(r)
+
+
+def _lift(r) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
+    """Closed intervals (lo_num, lo_den, hi_num, hi_den) around the outer root
+    x (|x| > 1) and the inner root 1/x of x^2 - y x + 1 for the root y of q
+    in [a/den, b/den] (|y| >= 2), with ends rounded outwards to 2^-bits.
+
+    A rational root may be an end of its own interval, never of another's."""
+    a, b, den, _, bits = r
+    sign = -1 if a < 0 else 1
+    if sign < 0:
+        a, b = -b, -a
+    d = den << (bits + 1)
+    lo = (a << bits) + math.isqrt((a * a - 4 * den * den) << (2 * bits))
+    hi = (b << bits) + math.isqrt((b * b - 4 * den * den) << (2 * bits)) + 1
+    if sign > 0:
+        return (lo, d, hi, d), (d, hi, d, lo)
+    return (-hi, d, -lo, d), (-d, lo, -d, hi)
 
 
 def _multiplicity(k: int, levels: list[Poly], lo: Fraction, hi: Fraction) -> int:
@@ -415,12 +572,26 @@ def _multiplicity(k: int, levels: list[Poly], lo: Fraction, hi: Fraction) -> int
 
 def isolate_roots(f: Poly) -> RootCertificate:
     """Disjoint rational isolating intervals for every distinct real root of f,
-    with multiplicities recovered from the repeated-gcd chain."""
+    with multiplicities recovered from the repeated-gcd chain.
+
+    f = x^k h with a palindromic h that ``_fold_roots`` accepts is squarefree
+    apart from x^k: its roots come from the fold at half the degree and the
+    tree replays them, so no chain of h is built.  Every other f walks the
+    tree with the Sturm chain of h.  Both give the same certificate.
+    """
     if f.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of 0")
-    k, q, chain, levels = _root_structure(f)
-    points, intervals = _isolate(q, chain, k > 0)
-    records: list[tuple[Fraction, Fraction]] = [(a, a) for a in points] + intervals
+    h, k = _strip_x(f)
+    p = h.primitive_positive()
+    known = _fold_roots(p)
+    if known is None:
+        k, p, chain, levels = _root_structure(f)
+        count = _sturm_counter(chain)
+    else:
+        levels, count = [], _replay_counter(known)
+    points, intervals = _isolate(p, count, k > 0)
+    records = [(a, a) for a in points] + [(Fraction(a, den), Fraction(b, den))
+                                          for a, b, den, _ in intervals]
     records.sort(key=lambda iv: iv[0])
     return RootCertificate(tuple(RootInterval(lo, hi, _multiplicity(k, levels, lo, hi))
                                  for lo, hi in records))

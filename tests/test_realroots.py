@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -509,21 +510,121 @@ def test_refine_lands_on_a_rational_root():
 
 
 def test_isolation_walks_one_sequence_evaluated_once_per_split(monkeypatch):
-    # local_h(6, 20) = x^4 h with h squarefree: the sequence of (h, h') ends
+    # (2 + x + x^2) local_h(6, 20) = x^4 h with h squarefree and not
+    # palindromic, so it takes the Sturm path: the sequence of (h, h') ends
     # at a constant, so no gcd is taken, and each split evaluates the chain at
     # its midpoint only, after the two ends of (-B, B)
-    f = local_h(6, 20)
+    f = Poly((2, 1, 1)) * local_h(6, 20)
     expected, splits = _reference_isolation(f)
     gcds = _record_calls(monkeypatch, realroots, "poly_gcd")
     evaluations = _record_calls(monkeypatch, SturmChain, "variations_at")
     cert = isolate_roots(f)
     assert cert == expected
     assert gcds == []
-    assert len(evaluations) == splits + 2 == 40
+    assert len(evaluations) == splits + 2 == 41
     gcds.clear()
     evaluations.clear()
     refine_certificate(f, cert, Fraction(1, 1 << 20))
     assert gcds == [] and evaluations == []
+
+
+def test_palindromic_isolation_through_the_fold(monkeypatch):
+    # local_h(10, 40) = x^4 h with h palindromic of degree 32 and squarefree:
+    # its roots come from the fold q of degree m = 16, so no remainder
+    # sequence above degree m is built and no chain of h is evaluated, and
+    # the tree replays them into the certificate of the Sturm path
+    f = local_h(10, 40)
+    h, k = realroots._strip_x(f)
+    m = h.degree // 2
+    assert (k, m) == (4, 16)
+    with monkeypatch.context() as patched:
+        patched.setattr(realroots, "_fold_roots", lambda p: None)
+        sturm = isolate_roots(f)
+    sequences = _record_calls(monkeypatch, realroots, "_remainder_sequence")
+    evaluations = _record_calls(monkeypatch, SturmChain, "variations_at")
+    cert = isolate_roots(f)
+    assert cert == sturm
+    assert json.dumps(cert.to_json_obj()) == json.dumps(sturm.to_json_obj())
+    assert len(cert) == 33 and cert.intervals[-1].multiplicity == 4
+    assert max(a.degree for a, _ in sequences) == m
+    assert evaluations and max(chain.chain[0].degree for chain, *_ in evaluations) == m
+
+
+@pytest.mark.parametrize("r", range(3, 11))
+def test_local_h_isolation_equals_reference_bisection(r):
+    # the local h-polynomials up to degree about 40 take the fold; each
+    # certificate equals Sturm bisection in Fractions
+    for n in range(2, 42, 3):
+        f = local_h(r, n)
+        if f.degree > 40:
+            break
+        p = realroots._strip_x(f)[0]
+        if p.degree >= 2:
+            _check_known_roots(p, realroots._fold_roots(p))
+        cert = isolate_roots(f)
+        expected = _reference_isolation(f)[0]
+        assert cert == expected
+        assert json.dumps(cert.to_json_obj()) == json.dumps(expected.to_json_obj())
+
+
+def _check_known_roots(p: Poly, known) -> None:
+    """known, from the fold, must be ascending disjoint closed intervals, each
+    holding a root of p, as many as p has distinct real roots: then each
+    holds exactly one."""
+    ivs = [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in known]
+    assert len(ivs) == count_real_roots(p)
+    for lo, hi in ivs:
+        assert lo < hi and p.sign_at(lo) * p.sign_at(hi) <= 0 or lo == hi and p(lo) == 0
+    assert all(prev[1] < nxt[0] for prev, nxt in zip(ivs, ivs[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(min_value=-40, max_value=40),
+                       st.integers(min_value=1, max_value=9)), max_size=3),
+    st.lists(st.tuples(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9),
+                       st.sampled_from([1, -1])), max_size=2),
+    st.lists(st.tuples(st.sampled_from([-6, -3, -2, 2, 3, 5]), st.sampled_from([10, 20, 40]),
+                       st.sampled_from([1, -1])), max_size=2),
+    st.booleans(),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([1, 3, -1, -6]),
+)
+def test_palindromic_isolation_equals_reference_bisection(pairs, rational, near, minus_one, k,
+                                                          scale):
+    # palindromes from factors d x^2 - n x + d, whose fold is d y - n: real
+    # roots for |n/d| > 2 of either sign, a complex pair on the unit circle
+    # for |n/d| < 2, a double root +-1 for |n/d| = 2; factors
+    # (v x - s u)(u x - s v) with the rational roots s u/v and s v/u, so
+    # y = s (u^2 + v^2)/(u v) is rational too (a double root for u = v);
+    # y = c +- 2^-e, next to the dyadic ends the bisections of q cut at;
+    # maybe x + 1, then x^k and a scaling.  A repeated y or y = +-2 makes h
+    # non-squarefree, and it falls back to the Sturm path
+    h = ONE
+    ys = []
+    for n, d in pairs:
+        h = h * Poly((d, -n, d))
+        ys.append(Fraction(n, d))
+    for u, v, s in rational:
+        h = h * Poly((-s * u, v)) * Poly((-s * v, u))
+        ys.append(Fraction(s * (u * u + v * v), u * v))
+    for c, e, s in near:
+        h = h * Poly((1 << e, -(c << e) - s, 1 << e))
+        ys.append(c + Fraction(s, 1 << e))
+    if minus_one:
+        h = h * Poly((1, 1))
+    assert h.coeffs == h.coeffs[::-1]
+    folds = h.degree >= 2 and len(set(ys)) == len(ys) and all(abs(y) != 2 for y in ys)
+    p = (h * scale).primitive_positive()
+    known = realroots._fold_roots(p)
+    assert (known is not None) == folds
+    if folds:
+        _check_known_roots(p, known)
+    f = Poly.monomial(k, scale) * h
+    cert = isolate_roots(f)
+    expected = _reference_isolation(f)[0]
+    assert cert == expected
+    assert json.dumps(cert.to_json_obj()) == json.dumps(expected.to_json_obj())
 
 
 def test_refine_rejects_intervals_that_do_not_each_hold_one_root():
