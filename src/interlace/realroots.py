@@ -10,25 +10,27 @@ A palindromic h (c_i = c_{d-i}), such as every local h-polynomial with its
 x^k stripped, is decided at half the degree through its fold: for d = 2m,
 x^-m h(x) = q(x + 1/x) with deg q = m, so h = lead(h) prod (x^2 - y_i x + 1)
 over the roots y_i of q, and h is real-rooted iff q is real-rooted with
-every |y_i| >= 2 (an odd d first loses the root -1).  Root counting does not
-fold.
+every |y_i| >= 2 (an odd d first loses the root -1).
 
 Isolation walks one tree: for f = x^k h with h(0) != 0 and p the squarefree
 part of h, it bisects the Cauchy interval (-B, B) of p at midpoints moved off
 the roots of p until each interval holds one root, finds rational roots
 exactly by a binary search over the grid c/|lead(p)|, and moves intervals
 off the root 0 of f.  What counts the roots below a split point is
-pluggable.  In general it is the remainder sequence of (h, h'), the Sturm
-chain of the bisection (it counts the distinct roots of h between
-non-roots), evaluated once per split; its last term is the first gcd of the
-repeated-gcd chain that yields the multiplicity levels.  A squarefree
-palindromic h is isolated through its fold instead: the roots of q at half
-the degree, lifted by x = (y +- sqrt(y^2 - 4)) / 2 to disjoint rational
-intervals, are replayed, each split comparing the point with the known
-intervals and using the one sign of p that the tree already takes there.
-Either way the tree, and so the certificate, is the same.  The root 0 has
-multiplicity k; any other isolated root lies on a level iff that squarefree
-level changes sign on its interval.
+pluggable, and ``_root_structure`` chooses it for isolation and refinement
+alike.  A squarefree palindromic h is counted through its fold: y = t + 1/t
+is monotone on each of (-oo, -1], (-1, 0), (0, 1] and (1, oo), so the roots
+of h below t are a count of the roots of q against the one rational point
+y, which a binary search over the isolating intervals of q, found at half
+the degree, gives with at most one sign of q.  Any other h takes the
+remainder sequence of (h, h'), the Sturm chain of the bisection (it counts
+the distinct roots of h between non-roots), evaluated once per split; its
+last term is the first gcd of the repeated-gcd chain that yields the
+multiplicity levels.  Either way the tree, and so the certificate, is the
+same.  The root 0 has multiplicity k; any other isolated root lies on a
+level iff that squarefree level changes sign on its interval.
+``count_real_roots`` does not fold: it stays on the chain of h, a count
+independent of the fold's.
 
 Every bisection (the tree, refinement, moving an interval off the root 0,
 and the grid probes) runs on integers: an interval is a pair of numerators
@@ -42,6 +44,7 @@ rational that halving Fractions gives, so every certificate is unchanged.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -261,8 +264,6 @@ def is_real_rooted(f: Poly) -> bool:
 def _is_real_rooted_palindromic(h: Poly) -> bool:
     """is_real_rooted for a palindromic h with h(0) != 0 and lead(h) > 0,
     decided on its fold q at half the degree (see ``is_real_rooted``)."""
-    if h.degree % 2:
-        h = exact_div(h, Poly((1, 1)))
     q = _fold(h)
     if q.coeffs[0] == 0 or _normal_sequence_end(q, poly_derivative(q)) is None:
         return False
@@ -271,9 +272,13 @@ def _is_real_rooted_palindromic(h: Poly) -> bool:
 
 
 def _fold(h: Poly) -> Poly:
-    """The q of degree m with x^-m h(x) = q(x + 1/x), for a palindromic h of
-    degree 2m: q = c_m + sum_{j>=1} c_{m+j} D_j(y), where D_j(x + 1/x) =
+    """The q of degree m with x^-m g(x) = q(x + 1/x) for a palindromic h, where
+    g = h of degree 2m, or g = h / (x + 1) for an odd degree (h(-1) =
+    (-1)^deg h h(-1) = 0, and g is a palindrome too): q = c_m + sum_{j>=1}
+    c_{m+j} D_j(y) over the coefficients c of g, where D_j(x + 1/x) =
     x^j + x^-j, so D_0 = 2, D_1 = y and D_{j+1} = y D_j - D_{j-1}."""
+    if h.degree % 2:
+        h = exact_div(h, Poly((1, 1)))
     c = h.coeffs
     m = len(c) // 2
     q = [c[m]] + [0] * m
@@ -338,12 +343,16 @@ def _rational_root_in(q: Poly, a: int, b: int, den: int, s_lo: int) -> Fraction 
     return None
 
 
-def _root_structure(f: Poly) -> tuple[int, Poly, SturmChain, list[Poly]]:
-    """For a nonzero f = x^k h with h(0) != 0: k, the squarefree part q of h,
-    the Sturm chain of h, and the multiplicity levels of h: levels[j] holds
-    the distinct roots of h of multiplicity at least j + 2.
+def _root_structure(f: Poly
+                    ) -> tuple[int, Poly, Callable[[int, int], int], int, list[Poly]]:
+    """For a nonzero f = x^k h with h(0) != 0: k, the squarefree part p of h
+    (primitive, positive lead), a root counter of p for ``_isolate``, the
+    number of distinct real roots of f, and the multiplicity levels of h:
+    levels[j] holds the distinct roots of h of multiplicity at least j + 2.
 
-    The chain is the one remainder sequence of (h, h').  It counts the
+    A palindromic h that ``_fold_counter`` accepts is squarefree, so it has
+    no levels, and its count comes from the fold at half the degree.  Any
+    other h takes the one remainder sequence of (h, h').  It counts the
     distinct roots of h between any two non-roots (generalised Sturm
     theorem), and it ends at a positive multiple of gcd(h, h'), the first
     step of the repeated-gcd chain g[0] = h, g[i+1] = gcd(g[i], g[i]'), which
@@ -351,49 +360,111 @@ def _root_structure(f: Poly) -> tuple[int, Poly, SturmChain, list[Poly]]:
     multiplicity above i, so g[i] / g[i+1] is their squarefree part.
     """
     h, k = _strip_x(f)
+    p = h.primitive_positive()
+    fold = _fold_counter(p)
+    if fold is not None:
+        count, distinct = fold
+        return k, p, count, distinct + (k > 0), []
     chain = SturmChain(tuple(_remainder_sequence(h, poly_derivative(h))))
     gs = [h, chain.chain[-1].primitive_positive()]
     while gs[-1].degree >= 1:
         gs.append(poly_gcd(gs[-1], poly_derivative(gs[-1])))
-    q, *levels = [exact_div(g, d).primitive_positive() for g, d in zip(gs, gs[1:])]
-    return k, q, chain, levels
+    p, *levels = [exact_div(g, d).primitive_positive() for g, d in zip(gs, gs[1:])]
+    return k, p, _sturm_counter(chain), chain.count_in(None, None) + (k > 0), levels
 
 
 def _sturm_counter(chain: SturmChain):
     """A root counter for ``_isolate`` from a chain that counts the roots of
     its squarefree polynomial between non-roots: minus the sign variations."""
-    return lambda num, den, sign: -chain.variations_at(num, den)
+    return lambda num, den: -chain.variations_at(num, den)
 
 
-def _replay_counter(known: list[tuple[int, int, int, int]]):
-    """A root counter for ``_isolate`` that replays known roots: the number of
-    roots of p below a non-root t = num/den, given the sign of p at t.
+def _fold_counter(p: Poly):
+    """(count, distinct) for a palindromic p, read off its fold at half the
+    degree: count(num, den) is the number of roots of p below a non-root
+    num/den (den > 0), a root counter for ``_isolate``, and distinct is the
+    number of real roots of p; None when p does not qualify.
 
-    known holds closed intervals (lo_num, lo_den, hi_num, hi_den), ascending
-    and pairwise disjoint, each holding exactly one root of the squarefree
-    p of positive leading coefficient, and together every real root of p.
-    The roots of the intervals with hi <= t lie below t (t is no root), and
-    those of the intervals after the first with hi > t lie above it; a
-    binary search finds that interval.  Its root i lies below t iff p has at
-    t the sign it has right of root i, (-1)^(n - 1 - i) for n roots, and not
-    the sign left of it.
+    p must have p(0) != 0 and lead(p) > 0.  It qualifies when it is a
+    palindrome of degree >= 2 whose fold q (``_fold``, x^-m g(x) = q(x + 1/x)
+    with g = p, or g = p / (x + 1) for an odd degree), with a simple root 0
+    divided out, is squarefree with q(+-2) != 0.  Then g = lead(g)
+    prod (x^2 - y x + 1) over the distinct roots y of q (and 0, which gives
+    the roots +-i), no factor has a double root (y != +-2), x determines
+    y = x + 1/x, and q(-2) = (-1)^m g(-1) != 0, so p is squarefree.  Its
+    real roots are -1 for an odd degree and the roots x and 1/x of each
+    factor with a real |y| > 2.
+
+    q is isolated at half the degree by the Sturm tree, without the grid
+    probe, and its intervals stay in y-space.  B(y), the number of roots of
+    q below a non-root y, is a binary search over them: the intervals with
+    hi <= y lie below y, those after the first with hi > y lie above it, and
+    the root of that one lies below y iff y is inside it and q has at y the
+    sign opposite to its sign at lo.
+
+    Let n be the number of roots of q, odd = deg p mod 2 and
+    N = 2 B(-2) + odd.  A non-root t = num/den of p maps to y = t + 1/t =
+    (num^2 + den^2) / (num den), and q(y) = t^-m g(t) != 0 for t != 0: for
+    t = +-1 too, since q(+-2) != 0.  y increases on (-oo, -1] and on
+    (1, oo), from -oo to -2 and from 2 to oo, and decreases on (-1, 0) and
+    on (0, 1], from -2 to -oo and from oo to 2.  So each root y < -2 of q
+    gives one root of p below -1 and one in (-1, 0), each root y > 2 one in
+    (0, 1) and one above 1, and N counts the negative roots.  The roots of
+    p below t are:
+    - t <= -1: the roots x < -1 with y(x) < y(t) <= -2, B(y) of them;
+    - -1 < t < 0: the B(-2) + odd roots at or below -1, and the roots x in
+      (-1, t), those with y(t) < y(x) < -2, B(-2) - B(y) of them: N - B(y);
+    - t = 0: N;
+    - 0 < t <= 1: N and the roots x in (0, t), those with y(x) > y(t) >= 2,
+      n - B(y) of them: N + n - B(y);
+    - t > 1: N, the n - B(2) roots in (0, 1) and the roots x in (1, t),
+      those with 2 < y(x) < y(t), B(y) - B(2) of them: N + n - 2 B(2) + B(y).
+    Above every root that is N + 2 (n - B(2)) = distinct.
     """
+    c = p.coeffs
+    if p.degree < 2 or c != c[::-1]:
+        return None
+    q, j = _strip_x(_fold(p))
+    if j > 1:
+        return None
+    q = q.primitive()
+    chain = SturmChain(tuple(_remainder_sequence(q, poly_derivative(q))))
+    if chain.chain[-1].degree > 0 or q._sign_at(-2, 1) == 0 or q._sign_at(2, 1) == 0:
+        return None
+    known = _isolate(q, _sturm_counter(chain), False, probe=False)[1]
     n = len(known)
 
-    def below(num: int, den: int, sign: int) -> int:
+    def below(num: int, den: int) -> int:
         lo, hi = 0, n
         while lo < hi:
             mid = (lo + hi) // 2
-            _, _, h_num, h_den = known[mid]
-            if h_num * den <= num * h_den:
+            if known[mid][1] * den <= num * known[mid][2]:
                 lo = mid + 1
             else:
                 hi = mid
-        if lo < n and sign == (-1) ** (n - 1 - lo):
-            lo += 1
+        if lo < n:
+            a, _, d, s_a = known[lo]
+            if a * den < num * d and q._sign_at(num, den) != s_a:
+                lo += 1
         return lo
 
-    return below
+    below_2 = below(2, 1)
+    neg = 2 * below(-2, 1) + p.degree % 2
+
+    def count(num: int, den: int) -> int:
+        if num == 0:
+            return neg
+        y_num, y_den = num * num + den * den, num * den
+        b = below(y_num, y_den) if num > 0 else below(-y_num, -y_den)
+        if num <= -den:
+            return b
+        if num < 0:
+            return neg - b
+        if num <= den:
+            return neg + n - b
+        return neg + n - 2 * below_2 + b
+
+    return count, neg + 2 * (n - below_2)
 
 
 def _isolate(p: Poly, count, zero_root: bool, probe: bool = True
@@ -402,13 +473,14 @@ def _isolate(p: Poly, count, zero_root: bool, probe: bool = True
     squarefree p with p(0) != 0 and lead(p) > 0, plus the exact root 0 when
     zero_root.
 
-    count(num, den, sign) is any function that rises by exactly one at each
-    root of p, called at non-roots num/den with the sign of p there: the
-    Sturm chain of ``_sturm_counter`` or the known roots of
-    ``_replay_counter``.  Both drive the one tree: the Cauchy bound (-B, B),
-    midpoint splits moved off the roots of p, a stop at one root, the grid
-    probe for a rational root (if probe) and the move of intervals off the
-    root 0, so the certificate does not depend on the counter.
+    count(num, den) is any function that rises by exactly one at each root
+    of p, called at non-roots num/den with den > 0: minus the sign
+    variations of a Sturm chain (``_sturm_counter``) or the roots below,
+    read off the fold of a palindrome (``_fold_counter``).  Either drives
+    the one tree: the Cauchy bound (-B, B), midpoint splits moved off the
+    roots of p, a stop at one root, the grid probe for a rational root (if
+    probe) and the move of intervals off the root 0, so the certificate
+    does not depend on the counter.
 
     The tree runs on the integer grid: an interval is (a, b, den, s_a) for
     (a/den, b/den) with s_a the sign of p at a/den, so each split evaluates
@@ -420,7 +492,7 @@ def _isolate(p: Poly, count, zero_root: bool, probe: bool = True
         return points, []
     bound = _root_bound(p)
     s_neg = -1 if p.degree % 2 else 1  # no root at or below -B
-    stack = [(-bound, bound, 1, s_neg, count(-bound, 1, s_neg), count(bound, 1, 1))]
+    stack = [(-bound, bound, 1, s_neg, count(-bound, 1), count(bound, 1))]
     intervals = []
     while stack:
         a, b, den, s_a, c_a, c_b = stack.pop()
@@ -441,7 +513,7 @@ def _isolate(p: Poly, count, zero_root: bool, probe: bool = True
         while s == 0:
             lo, mid, d = 2 * lo, lo + mid, 2 * d
             s = p._sign_at(mid, d)
-        c_mid = count(mid, d, s)
+        c_mid = count(mid, d)
         stack.append((mid, b * (d // den), d, s, c_mid, c_b))
         stack.append((lo, mid, d, s_a, c_a, c_mid))
     if zero_root:
@@ -452,103 +524,6 @@ def _isolate(p: Poly, count, zero_root: bool, probe: bool = True
                 a, b, den, s_a = _bisect_once(p, a, b, den, s_a)
             intervals[i] = (a, b, den, s_a)
     return points, intervals
-
-
-# -- the fold finder -------------------------------------------------------------
-
-_LIFT_BITS = 8  # starting precision of the lift
-
-
-def _fold_roots(p: Poly) -> list[tuple[int, int, int, int]] | None:
-    """The real roots of a palindromic p through its fold, as the known
-    intervals of ``_replay_counter``; None when p does not qualify.
-
-    p must have p(0) != 0 and lead(p) > 0.  It qualifies when it is a
-    palindrome of degree >= 2 and the fold q (``_fold``, x^-m g(x) =
-    q(x + 1/x)) of g = p, or of g = p / (x + 1) for an odd degree, is
-    squarefree with q(+-2) != 0; q(-2) = (-1)^m g(-1), so the root -1 of an
-    odd p is simple.  Then g = lead(g) prod (x^2 - y x + 1) over
-    the m distinct roots y of q, no factor has a double root (y != +-2), and
-    x determines y = x + 1/x, so p is squarefree.  Its real roots are -1 for
-    an odd degree and the two roots x and 1/x of each factor with a real
-    |y| > 2, none other.
-
-    q is isolated at half the degree by the Sturm tree, without the grid
-    probe (its cost grows with lead(q), and a rational root of q serves as
-    well inside an interval); every interval is cut at +-2 (one sign of q
-    each) and those inside (-2, 2) are dropped.  For
-    y >= 2, X(y) = (y + sqrt(y^2 - 4)) / 2 increases, so the roots X(y) and
-    1/X(y) lie in closed intervals whose rational ends come from
-    ``math.isqrt`` at the ends of the interval of y; y <= -2 lifts -y and
-    negates.  Where lifted intervals meet (or meet the point -1), each root
-    of q they came from is refined: its interval is halved while it is wider
-    than 2^-bits, else bits, the precision of its lift, doubles.  This goes
-    on until all are disjoint.  Disjoint closed intervals, each holding a root of p,
-    as many as p has real roots, hold exactly one root each.
-    """
-    c = p.coeffs
-    if p.degree < 2 or c != c[::-1]:
-        return None
-    odd = p.degree % 2
-    g = exact_div(p, Poly((1, 1))) if odd else p
-    q, j = _strip_x(_fold(g))
-    if j > 1:
-        return None
-    q = q.primitive()
-    chain = SturmChain(tuple(_remainder_sequence(q, poly_derivative(q))))
-    if chain.chain[-1].degree > 0:
-        return None
-    s_minus2, s_2 = q._sign_at(-2, 1), q._sign_at(2, 1)
-    if s_minus2 == 0 or s_2 == 0:
-        return None
-    roots = []  # [a, b, den, s_a, bits] for each root of q outside (-2, 2)
-    for a, b, den, s_a in _isolate(q, _sturm_counter(chain), False, probe=False)[1]:
-        for t, s_t in ((-2, s_minus2), (2, s_2)):
-            if a < t * den < b:  # the root is on the side where q changes sign
-                a, b, s_a = (t * den, b, s_t) if s_t == s_a else (a, t * den, s_a)
-        if b <= -2 * den or a >= 2 * den:
-            roots.append([a, b, den, s_a, _LIFT_BITS])
-    lifts = [_lift(r) for r in roots]
-    # (root of q, outer 0 or inner 1) ascending: the outer roots of y < -2 by
-    # rising y, the point -1, their inner roots by falling y, the inner roots
-    # of y > 2 by falling y, their outer roots by rising y
-    neg = [i for i, r in enumerate(roots) if r[0] < 0]
-    pos = [i for i, r in enumerate(roots) if r[0] > 0]
-    order = ([(i, 0) for i in neg] + [(None, 0)] * odd + [(i, 1) for i in reversed(neg)]
-             + [(i, 1) for i in reversed(pos)] + [(i, 0) for i in pos])
-    while True:
-        known = [(-1, 1, -1, 1) if i is None else lifts[i][side] for i, side in order]
-        stale = set()
-        for j, (left, right) in enumerate(zip(known, known[1:])):
-            if left[2] * right[1] >= right[0] * left[3]:  # the closed intervals meet
-                stale.update(i for i, _ in order[j:j + 2] if i is not None)
-        if not stale:
-            return known
-        for i in stale:  # halve the interval of y while wider than 2^-bits
-            a, b, den, s_a, bits = r = roots[i]
-            if a != b and (b - a) << bits > den:
-                r[:4] = _bisect_once(q, a, b, den, s_a)
-            else:
-                r[4] = 2 * bits
-            lifts[i] = _lift(r)
-
-
-def _lift(r) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
-    """Closed intervals (lo_num, lo_den, hi_num, hi_den) around the outer root
-    x (|x| > 1) and the inner root 1/x of x^2 - y x + 1 for the root y of q
-    in [a/den, b/den] (|y| >= 2), with ends rounded outwards to 2^-bits.
-
-    A rational root may be an end of its own interval, never of another's."""
-    a, b, den, _, bits = r
-    sign = -1 if a < 0 else 1
-    if sign < 0:
-        a, b = -b, -a
-    d = den << (bits + 1)
-    lo = (a << bits) + math.isqrt((a * a - 4 * den * den) << (2 * bits))
-    hi = (b << bits) + math.isqrt((b * b - 4 * den * den) << (2 * bits)) + 1
-    if sign > 0:
-        return (lo, d, hi, d), (d, hi, d, lo)
-    return (-hi, d, -lo, d), (-d, lo, -d, hi)
 
 
 def _multiplicity(k: int, levels: list[Poly], lo: Fraction, hi: Fraction) -> int:
@@ -574,21 +549,14 @@ def isolate_roots(f: Poly) -> RootCertificate:
     """Disjoint rational isolating intervals for every distinct real root of f,
     with multiplicities recovered from the repeated-gcd chain.
 
-    f = x^k h with a palindromic h that ``_fold_roots`` accepts is squarefree
-    apart from x^k: its roots come from the fold at half the degree and the
-    tree replays them, so no chain of h is built.  Every other f walks the
-    tree with the Sturm chain of h.  Both give the same certificate.
+    The tree of ``_isolate`` walks the squarefree part of h, f = x^k h, with
+    the root counter of ``_root_structure``: the fold of a palindromic h at
+    half the degree, or else the Sturm chain of h.  Both give the same
+    certificate.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of 0")
-    h, k = _strip_x(f)
-    p = h.primitive_positive()
-    known = _fold_roots(p)
-    if known is None:
-        k, p, chain, levels = _root_structure(f)
-        count = _sturm_counter(chain)
-    else:
-        levels, count = [], _replay_counter(known)
+    k, p, count, _, levels = _root_structure(f)
     points, intervals = _isolate(p, count, k > 0)
     records = [(a, a) for a in points] + [(Fraction(a, den), Fraction(b, den))
                                           for a, b, den, _ in intervals]
@@ -653,9 +621,8 @@ def _validated_squarefree_part(f: Poly, cert: RootCertificate) -> Poly:
     holds at least one root; with as many intervals as distinct real roots,
     each holds exactly one, and only then are the multiplicities checked.
     """
-    k, q, chain, levels = _root_structure(f)
+    k, q, _, distinct, levels = _root_structure(f)
     p = q.shift_up() if k else q
-    distinct = chain.count_in(None, None) + (k > 0)
     if len(cert.intervals) != distinct:
         raise CertificateMismatchError(
             f"certificate lists {len(cert.intervals)} roots, polynomial has {distinct}"

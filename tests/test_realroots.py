@@ -530,15 +530,15 @@ def test_isolation_walks_one_sequence_evaluated_once_per_split(monkeypatch):
 
 def test_palindromic_isolation_through_the_fold(monkeypatch):
     # local_h(10, 40) = x^4 h with h palindromic of degree 32 and squarefree:
-    # its roots come from the fold q of degree m = 16, so no remainder
-    # sequence above degree m is built and no chain of h is evaluated, and
-    # the tree replays them into the certificate of the Sturm path
+    # its roots are counted through the fold q of degree m = 16, so no
+    # remainder sequence above degree m is built and no chain of h is
+    # evaluated, and the tree gives the certificate of the Sturm path
     f = local_h(10, 40)
     h, k = realroots._strip_x(f)
     m = h.degree // 2
     assert (k, m) == (4, 16)
     with monkeypatch.context() as patched:
-        patched.setattr(realroots, "_fold_roots", lambda p: None)
+        patched.setattr(realroots, "_fold_counter", lambda p: None)
         sturm = isolate_roots(f)
     sequences = _record_calls(monkeypatch, realroots, "_remainder_sequence")
     evaluations = _record_calls(monkeypatch, SturmChain, "variations_at")
@@ -550,32 +550,80 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
     assert evaluations and max(chain.chain[0].degree for chain, *_ in evaluations) == m
 
 
+def test_palindromic_refinement_through_the_fold(monkeypatch):
+    # local_h(10, 40) = x^4 h as above: refinement checks a certificate
+    # against the fold's root count, so it builds no remainder sequence above
+    # degree m = 16 and refines as the Sturm path does, and it still rejects
+    # a dropped interval, an interval widened over two roots and a wrong
+    # multiplicity of the root 0
+    f = local_h(10, 40)
+    m = realroots._strip_x(f)[0].degree // 2
+    cert = isolate_roots(f)
+    width = Fraction(1, 1 << 20)
+    with monkeypatch.context() as patched:
+        patched.setattr(realroots, "_fold_counter", lambda p: None)
+        sturm = refine_certificate(f, cert, width)
+    sequences = _record_calls(monkeypatch, realroots, "_remainder_sequence")
+    out = refine_certificate(f, cert, width)
+    assert out == sturm
+    assert json.dumps(out.to_json_obj()) == json.dumps(sturm.to_json_obj())
+    assert max(a.degree for a, _ in sequences) == m
+    ivs = cert.intervals
+    assert len(ivs) == 33 and ivs[-1] == RootInterval(Fraction(0), Fraction(0), 4)
+    assert not any(iv.is_point for iv in ivs[:-1])
+    with pytest.raises(CertificateMismatchError, match="certificate lists 32 roots"):
+        refine_certificate(f, RootCertificate(ivs[1:]), width)
+    # the first interval widened over the second root, and (1, 2), which
+    # holds no root, to keep the number of intervals
+    widened = ((RootInterval(ivs[0].lo, ivs[1].hi, 1),) + ivs[2:]
+               + (RootInterval(Fraction(1), Fraction(2), 1),))
+    with pytest.raises(CertificateMismatchError, match="does not isolate one root"):
+        refine_certificate(f, RootCertificate(widened), width)
+    wrong_mult = ivs[:-1] + (RootInterval(Fraction(0), Fraction(0), 3),)
+    with pytest.raises(CertificateMismatchError, match="multiplicity mismatch"):
+        refine_certificate(f, RootCertificate(wrong_mult), width)
+
+
 @pytest.mark.parametrize("r", range(3, 11))
 def test_local_h_isolation_equals_reference_bisection(r):
-    # the local h-polynomials up to degree about 40 take the fold; each
-    # certificate equals Sturm bisection in Fractions
+    # the local h-polynomials up to degree about 40 take the fold; its count
+    # agrees with the Sturm chain, and each certificate equals Sturm
+    # bisection in Fractions
     for n in range(2, 42, 3):
         f = local_h(r, n)
         if f.degree > 40:
             break
         p = realroots._strip_x(f)[0]
         if p.degree >= 2:
-            _check_known_roots(p, realroots._fold_roots(p))
+            _check_fold_counter(p, realroots._fold_counter(p))
         cert = isolate_roots(f)
         expected = _reference_isolation(f)[0]
         assert cert == expected
         assert json.dumps(cert.to_json_obj()) == json.dumps(expected.to_json_obj())
 
 
-def _check_known_roots(p: Poly, known) -> None:
-    """known, from the fold, must be ascending disjoint closed intervals, each
-    holding a root of p, as many as p has distinct real roots: then each
-    holds exactly one."""
-    ivs = [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in known]
-    assert len(ivs) == count_real_roots(p)
-    for lo, hi in ivs:
-        assert lo < hi and p.sign_at(lo) * p.sign_at(hi) <= 0 or lo == hi and p(lo) == 0
-    assert all(prev[1] < nxt[0] for prev, nxt in zip(ivs, ivs[1:]))
+def _check_fold_counter(p: Poly, fold) -> None:
+    """fold = (count, distinct) from ``_fold_counter`` against the Sturm chain
+    of ``count_real_roots``, which does not fold: distinct is the whole-line
+    count, and at -1, 0 and 1 (those that are no roots) and at every point
+    where the tree of ``_isolate`` counts, the count below t equals the
+    chain's count on (-oo, t], so every difference of the count equals the
+    chain's count between the points.  Each count is checked before the tree
+    uses it, so a wrong one fails rather than splitting the tree forever."""
+    count, distinct = fold
+    assert distinct == count_real_roots(p)
+    # the chain that count_real_roots(p, lo, hi) builds, built once
+    chain = SturmChain.of_squarefree(squarefree_part(p))
+
+    def checked(num, den):
+        below = count(num, den)
+        assert below == chain.count_in(None, Fraction(num, den))
+        return below
+
+    for t in (-1, 0, 1):
+        if p.sign_at(Fraction(t)) != 0:
+            checked(t, 1)
+    realroots._isolate(p, checked, False)
 
 
 @settings(max_examples=300, deadline=None)
@@ -616,10 +664,10 @@ def test_palindromic_isolation_equals_reference_bisection(pairs, rational, near,
     assert h.coeffs == h.coeffs[::-1]
     folds = h.degree >= 2 and len(set(ys)) == len(ys) and all(abs(y) != 2 for y in ys)
     p = (h * scale).primitive_positive()
-    known = realroots._fold_roots(p)
-    assert (known is not None) == folds
+    fold = realroots._fold_counter(p)
+    assert (fold is not None) == folds
     if folds:
-        _check_known_roots(p, known)
+        _check_fold_counter(p, fold)
     f = Poly.monomial(k, scale) * h
     cert = isolate_roots(f)
     expected = _reference_isolation(f)[0]
