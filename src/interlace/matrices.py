@@ -31,7 +31,7 @@ from .errors import (
     PolyFormatError,
     PreconditionViolatedError,
 )
-from .polys import ONE, X, ZERO, Poly
+from .polys import ZERO, Poly
 from .realroots import in_fplus, interleaves
 
 
@@ -44,18 +44,12 @@ class Entry(enum.Enum):
         # index into the module's entry tables, so that no hot path hashes a member
         self._code = "01x".index(symbol)
 
-    def to_poly(self) -> Poly:
-        return _ENTRY_POLY[self._code]
-
     @staticmethod
     def from_string(s: str) -> "Entry":
         try:
             return Entry(s)
         except ValueError:
             raise PolyFormatError(f"matrix entries must be '0', '1' or 'x', got {s!r}")
-
-
-_ENTRY_POLY = (ZERO, ONE, X)
 
 
 @dataclass(frozen=True)

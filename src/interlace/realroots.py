@@ -7,10 +7,15 @@ coefficients: on (f, f') with the x^k factor stripped it decides
 real-rootedness (generalised Sturm theorem), and on (g, f) it decides f << g
 (Hermite-Kakeya-Obreschkoff) together with the gcd it ends at.
 A palindromic h (c_i = c_{d-i}), such as every local h-polynomial with its
-x^k stripped, is decided at half the degree through its fold: for d = 2m,
-x^-m h(x) = q(x + 1/x) with deg q = m, so h = lead(h) prod (x^2 - y_i x + 1)
-over the roots y_i of q, and h is real-rooted iff q is real-rooted with
-every |y_i| >= 2 (an odd d first loses the root -1).
+x^k stripped, goes through one fold: for d = 2m, x^-m h(x) = q(x + 1/x)
+with deg q = m, so h = lead(h) prod (x^2 - y_i x + 1) over the roots y_i of
+q (an odd d first loses the root -1), and h is real-rooted iff q is
+real-rooted with every |y_i| >= 2.  When q is squarefree with q(+-2) != 0
+(``_fold_chain``), Sturm counts on the one chain of (q, q') at half the
+degree decide real-rootedness, give the number of real roots of h and
+drive isolation; no Descartes count is taken.  A palindrome whose fold is
+not squarefree or vanishes at +-2 is decided and isolated at full degree,
+like any other h.
 
 Isolation walks one tree: for f = x^k h with h(0) != 0 and p the squarefree
 part of h, it bisects the Cauchy interval (-B, B) of p at midpoints moved off
@@ -18,11 +23,13 @@ the roots of p until each interval holds one root, finds rational roots
 exactly by a binary search over the grid c/|lead(p)|, and moves intervals
 off the root 0 of f.  What counts the roots below a split point is
 pluggable, and ``_root_structure`` chooses it for isolation and refinement
-alike.  A squarefree palindromic h is counted through its fold: y = t + 1/t
-is monotone on each of (-oo, -1], (-1, 0), (0, 1] and (1, oo), so the roots
-of h below t are a count of the roots of q against the one rational point
-y, which a binary search over the isolating intervals of q, found at half
-the degree, gives with at most one sign of q.  Any other h takes the
+alike.  A palindromic h whose fold qualifies is counted through it:
+y = t + 1/t is monotone on each of (-oo, -1], (-1, 0), (0, 1] and (1, oo),
+so the roots of h below t are a count of the roots of q against the one
+rational point y, which a binary search over the isolating intervals of q
+gives with at most one sign of q.  q is isolated when the tree first asks
+for such a count, so refinement, which needs only the number of real roots
+(chain counts at +-2 and +-oo), never isolates it.  Any other h takes the
 remainder sequence of (h, h'), the Sturm chain of the bisection (it counts
 the distinct roots of h between non-roots), evaluated once per split; its
 last term is the first gcd of the repeated-gcd chain that yields the
@@ -231,25 +238,15 @@ def is_real_rooted(f: Poly) -> bool:
     deg h - m + 1 terms reaches that many variations only when every step
     drops the degree by one and every leading coefficient is positive.
 
-    A palindromic h of degree at least 2 is decided through its fold instead,
-    at half the degree.  For an odd degree, h(-1) = (-1)^deg h(-1) = 0, and
-    h / (x + 1) is palindromic of even degree with the same verdict.  For
-    deg h = 2m, x^-m h(x) = c_m + sum_{j>=1} c_{m+j} (x^j + x^-j) = q(x + 1/x),
-    where x^j + x^-j = D_j(x + 1/x) with D_0 = 2, D_1 = y and
-    D_{j+1} = y D_j - D_{j-1}; q has degree m and lead(q) = lead(h).  So
-    h = lead(h) prod_i (x^2 - y_i x + 1) over the m roots y_i of q, and
-    x^2 - y x + 1 has real roots iff y is real and |y| >= 2.  Hence h is
-    real-rooted iff q is real-rooted, which the sequence of (q, q') decides,
-    and q has m roots, with multiplicity, in (-oo, -2] and [2, oo) together.
-    q(0) = 0 (the roots +-i) fails at once.  The roots of q in [2, oo) are
-    the roots of p(y) = q(y + 2) in [0, oo): the root 0, as often as p has
-    trailing zero coefficients, and the positive roots, which Descartes' rule
-    counts exactly when p is real-rooted.  With V the number of sign
-    variations and z the multiplicity of the root 0, the rule gives
-    V(p(y)) >= (positive roots) and V(p(-y)) >= (negative roots), while
-    V(p(y)) + V(p(-y)) <= deg p - z; when all deg p - z nonzero roots are
-    real, the two bounds sum to that, so both are equalities.  q(-y - 2)
-    counts the roots in (-oo, -2] alike.
+    A palindromic h of degree at least 2 is decided through its fold q
+    (``_fold``) instead, at half the degree: h = lead(h) prod (x^2 - y_i x + 1)
+    over the roots y_i of q (an odd degree first loses the root -1), and
+    x^2 - y x + 1 has real roots iff y is real and |y| >= 2.  So h is
+    real-rooted iff every root of q is real and lies outside (-2, 2).
+    q(0) = 0 (the roots +-i) fails at once.  When q is squarefree with
+    q(+-2) != 0 (``_fold_chain``), Sturm counts on its chain decide the rest:
+    all deg q roots of q are real and none lies in [-2, 2].  A fold that is
+    not squarefree or vanishes at +-2 is decided at full degree, on (h, h').
     """
     if f.is_zero:
         return True
@@ -257,18 +254,13 @@ def is_real_rooted(f: Poly) -> bool:
     if h.leading_coefficient < 0:
         h = -h
     if h.degree >= 2 and h.coeffs == h.coeffs[::-1]:
-        return _is_real_rooted_palindromic(h)
+        q = _fold(h)
+        if q.coeffs[0] == 0:
+            return False
+        chain = _fold_chain(q)
+        if chain is not None:
+            return chain.count_in(None, None) == q.degree and chain.count_in(-2, 2) == 0
     return _normal_sequence_end(h, poly_derivative(h)) is not None
-
-
-def _is_real_rooted_palindromic(h: Poly) -> bool:
-    """is_real_rooted for a palindromic h with h(0) != 0 and lead(h) > 0,
-    decided on its fold q at half the degree (see ``is_real_rooted``)."""
-    q = _fold(h)
-    if q.coeffs[0] == 0 or _normal_sequence_end(q, poly_derivative(q)) is None:
-        return False
-    flipped = Poly(tuple(-c if i % 2 else c for i, c in enumerate(q.coeffs)))
-    return _roots_at_least_2(q) + _roots_at_least_2(flipped) == q.degree
 
 
 def _fold(h: Poly) -> Poly:
@@ -293,17 +285,14 @@ def _fold(h: Poly) -> Poly:
     return Poly(tuple(q))
 
 
-def _roots_at_least_2(q: Poly) -> int:
-    """Descartes' bound on the roots of q in [2, oo), counted with multiplicity:
-    the trailing zeros of q(y + 2) (its zero coefficients below the first
-    nonzero one) plus its sign variations.  It is the exact count when q is
-    real-rooted."""
-    a = list(q.coeffs)
-    n = len(a) - 1
-    for i in range(n):  # Taylor shift y -> y + 2 by repeated synthetic division
-        for j in range(n - 1, i - 1, -1):
-            a[j] += 2 * a[j + 1]
-    return next(i for i, c in enumerate(a) if c) + _sign_variations(a)
+def _fold_chain(q: Poly) -> SturmChain | None:
+    """The Sturm chain of (q, q') for a fold q that is squarefree with
+    q(+-2) != 0, the folds that both ``is_real_rooted`` and ``_fold_counter``
+    decide on it; None for any other q."""
+    if q._sign_at(-2, 1) == 0 or q._sign_at(2, 1) == 0:
+        return None
+    chain = SturmChain(tuple(_remainder_sequence(q, poly_derivative(q))))
+    return chain if chain.chain[-1].degree == 0 else None
 
 
 # -- root isolation -----------------------------------------------------------
@@ -395,22 +384,24 @@ def _fold_counter(p: Poly):
     real roots are -1 for an odd degree and the roots x and 1/x of each
     factor with a real |y| > 2.
 
-    q is isolated at half the degree by the Sturm tree, without the grid
-    probe, and its intervals stay in y-space.  B(y), the number of roots of
-    q below a non-root y, is a binary search over them: the intervals with
-    hi <= y lie below y, those after the first with hi > y lie above it, and
-    the root of that one lies below y iff y is inside it and q has at y the
-    sign opposite to its sign at lo.
+    n, the number of roots of q, and B(2) and B(-2), with B(y) the number of
+    roots of q below a non-root y, are Sturm counts on the chain of q at
+    +-oo and +-2, so distinct needs no isolation, and ``refine_certificate``,
+    which uses only distinct, never isolates q.  The first B(y) at any other y isolates q at half the degree,
+    once, by the Sturm tree on that chain without the grid probe, and its
+    intervals stay in y-space.  B(y) is then a binary search over them: the
+    intervals with hi <= y lie below y, those after the first with hi > y
+    lie above it, and the root of that one lies below y iff y is inside it
+    and q has at y the sign opposite to its sign at lo.
 
-    Let n be the number of roots of q, odd = deg p mod 2 and
-    N = 2 B(-2) + odd.  A non-root t = num/den of p maps to y = t + 1/t =
-    (num^2 + den^2) / (num den), and q(y) = t^-m g(t) != 0 for t != 0: for
-    t = +-1 too, since q(+-2) != 0.  y increases on (-oo, -1] and on
-    (1, oo), from -oo to -2 and from 2 to oo, and decreases on (-1, 0) and
-    on (0, 1], from -2 to -oo and from oo to 2.  So each root y < -2 of q
-    gives one root of p below -1 and one in (-1, 0), each root y > 2 one in
-    (0, 1) and one above 1, and N counts the negative roots.  The roots of
-    p below t are:
+    Let odd = deg p mod 2 and N = 2 B(-2) + odd.  A non-root t = num/den of
+    p maps to y = t + 1/t = (num^2 + den^2) / (num den), and
+    q(y) = t^-m g(t) != 0 for t != 0: for t = +-1 too, since q(+-2) != 0.
+    y increases on (-oo, -1] and on (1, oo), from -oo to -2 and from 2 to
+    oo, and decreases on (-1, 0) and on (0, 1], from -2 to -oo and from oo
+    to 2.  So each root y < -2 of q gives one root of p below -1 and one in
+    (-1, 0), each root y > 2 one in (0, 1) and one above 1, and N counts the
+    negative roots.  The roots of p below t are:
     - t <= -1: the roots x < -1 with y(x) < y(t) <= -2, B(y) of them;
     - -1 < t < 0: the B(-2) + odd roots at or below -1, and the roots x in
       (-1, t), those with y(t) < y(x) < -2, B(-2) - B(y) of them: N - B(y);
@@ -421,20 +412,22 @@ def _fold_counter(p: Poly):
       those with 2 < y(x) < y(t), B(y) - B(2) of them: N + n - 2 B(2) + B(y).
     Above every root that is N + 2 (n - B(2)) = distinct.
     """
-    c = p.coeffs
-    if p.degree < 2 or c != c[::-1]:
+    if p.degree < 2 or p.coeffs != p.coeffs[::-1]:
         return None
     q, j = _strip_x(_fold(p))
-    if j > 1:
-        return None
     q = q.primitive()
-    chain = SturmChain(tuple(_remainder_sequence(q, poly_derivative(q))))
-    if chain.chain[-1].degree > 0 or q._sign_at(-2, 1) == 0 or q._sign_at(2, 1) == 0:
+    chain = _fold_chain(q) if j <= 1 else None
+    if chain is None:
         return None
-    known = _isolate(q, _sturm_counter(chain), False, probe=False)[1]
-    n = len(known)
+    n = chain.count_in(None, None)
+    below_2 = chain.count_in(None, 2)
+    neg = 2 * chain.count_in(None, -2) + p.degree % 2
+    known = None  # the isolating intervals of q, once the first B(y) needs them
 
     def below(num: int, den: int) -> int:
+        nonlocal known
+        if known is None:
+            known = _isolate(q, _sturm_counter(chain), False, probe=False)[1]
         lo, hi = 0, n
         while lo < hi:
             mid = (lo + hi) // 2
@@ -447,9 +440,6 @@ def _fold_counter(p: Poly):
             if a * den < num * d and q._sign_at(num, den) != s_a:
                 lo += 1
         return lo
-
-    below_2 = below(2, 1)
-    neg = 2 * below(-2, 1) + p.degree % 2
 
     def count(num: int, den: int) -> int:
         if num == 0:

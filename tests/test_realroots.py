@@ -532,7 +532,8 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
     # local_h(10, 40) = x^4 h with h palindromic of degree 32 and squarefree:
     # its roots are counted through the fold q of degree m = 16, so no
     # remainder sequence above degree m is built and no chain of h is
-    # evaluated, and the tree gives the certificate of the Sturm path
+    # evaluated, q is isolated once, and the tree gives the certificate of
+    # the Sturm path
     f = local_h(10, 40)
     h, k = realroots._strip_x(f)
     m = h.degree // 2
@@ -542,18 +543,21 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
         sturm = isolate_roots(f)
     sequences = _record_calls(monkeypatch, realroots, "_remainder_sequence")
     evaluations = _record_calls(monkeypatch, SturmChain, "variations_at")
+    isolations = _record_calls(monkeypatch, realroots, "_isolate")
     cert = isolate_roots(f)
     assert cert == sturm
     assert json.dumps(cert.to_json_obj()) == json.dumps(sturm.to_json_obj())
     assert len(cert) == 33 and cert.intervals[-1].multiplicity == 4
     assert max(a.degree for a, _ in sequences) == m
     assert evaluations and max(chain.chain[0].degree for chain, *_ in evaluations) == m
+    assert [p.degree for p, *_ in isolations] == [2 * m, m]  # the tree of h, then q once
 
 
 def test_palindromic_refinement_through_the_fold(monkeypatch):
     # local_h(10, 40) = x^4 h as above: refinement checks a certificate
     # against the fold's root count, so it builds no remainder sequence above
-    # degree m = 16 and refines as the Sturm path does, and it still rejects
+    # degree m = 16 and refines as the Sturm path does; that count comes from
+    # the chain of q alone, so q is never isolated; and it still rejects
     # a dropped interval, an interval widened over two roots and a wrong
     # multiplicity of the root 0
     f = local_h(10, 40)
@@ -564,10 +568,12 @@ def test_palindromic_refinement_through_the_fold(monkeypatch):
         patched.setattr(realroots, "_fold_counter", lambda p: None)
         sturm = refine_certificate(f, cert, width)
     sequences = _record_calls(monkeypatch, realroots, "_remainder_sequence")
+    isolations = _record_calls(monkeypatch, realroots, "_isolate")
     out = refine_certificate(f, cert, width)
     assert out == sturm
     assert json.dumps(out.to_json_obj()) == json.dumps(sturm.to_json_obj())
     assert max(a.degree for a, _ in sequences) == m
+    assert isolations == []
     ivs = cert.intervals
     assert len(ivs) == 33 and ivs[-1] == RootInterval(Fraction(0), Fraction(0), 4)
     assert not any(iv.is_point for iv in ivs[:-1])
@@ -774,6 +780,11 @@ def test_is_real_rooted_examples():
     assert is_real_rooted(Poly((1, -2, 1)))  # (x - 1)^2, y = 2
     assert is_real_rooted(Poly((1, 3, 3, 1)))  # (x + 1)^3, odd, y = -2
     assert is_real_rooted(Poly((0, 0, -2, -6, -2)))  # -2x^2 (x^2 + 3x + 1)
+    # palindromes whose fold q is not squarefree: decided at full degree, or
+    # at once when q(0) = 0
+    assert is_real_rooted(Poly((1, 6, 11, 6, 1)))  # (x^2 + 3x + 1)^2, q = (y + 3)^2
+    assert not is_real_rooted(Poly((1, 2, 3, 2, 1)))  # (x^2 + x + 1)^2, q = (y + 1)^2
+    assert not is_real_rooted(Poly((1, 0, 2, 0, 1)))  # (x^2 + 1)^2, q = y^2
 
 
 @settings(max_examples=40, deadline=None)
@@ -883,9 +894,9 @@ def _record_calls(monkeypatch, owner, name) -> list:
     calls = []
     fn = getattr(owner, name)
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, recorded)
     return calls

@@ -1,12 +1,10 @@
 """The exact checks that CI pins on the installed entry point, run here from
 the source tree: the ``run:`` block of that step in
 ``.github/workflows/tests.yml``, under ``bash -e``, with an ``interlace`` on
-PATH that runs ``python -m interlace`` on ``src``."""
+PATH that runs ``python -m interlace`` on ``src`` (the ``interlace_env``
+fixture)."""
 
-import os
-import shlex
 import subprocess
-import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -33,15 +31,8 @@ def _entry_point_script() -> str:
     return "".join(line.strip() + "\n" for line in block if line.strip() != "pip install .")
 
 
-def test_entry_point_step_of_the_workflow(tmp_path):
+def test_entry_point_step_of_the_workflow(tmp_path, interlace_env):
     script = _entry_point_script()
-    bin_dir = tmp_path / "bin"
-    bin_dir.mkdir()
-    shim = bin_dir / "interlace"
-    shim.write_text(f"#!/bin/sh\nPYTHONPATH={shlex.quote(str(REPO / 'src'))} "
-                    f"exec {shlex.quote(sys.executable)} -m interlace \"$@\"\n")
-    shim.chmod(0o755)
-    env = dict(os.environ, PATH=os.pathsep.join((str(bin_dir), os.environ.get("PATH", ""))))
-    proc = subprocess.run(["bash", "-e", "-c", script], cwd=tmp_path, env=env,
+    proc = subprocess.run(["bash", "-e", "-c", script], cwd=tmp_path, env=interlace_env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
