@@ -158,8 +158,9 @@ def cmd_check(args) -> Report:
         verdict = compat.compatible_family_sampled(polys, unchecked=unchecked)
     else:  # conditions-ab
         verdict = compat.check_conditions_ab(polys, unchecked=unchecked)
-    if verdict.is_pass:
-        return Report("check", params, PASS, lines=["PASS"])
+    if verdict.is_pass:  # status PASS, but JSON names the sampled verdict
+        return Report("check", params, PASS, result={"verdict": verdict.status},
+                      lines=["PASS"])
     witness = verdict.witness.to_json_obj()
     return Report("check", params, FAIL, witness=witness, lines=["FAIL " + json.dumps(witness)])
 

@@ -13,12 +13,11 @@ untouched and keeps all arithmetic over the integers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParametersError, NotRealRootedError
-from .polys import Poly, X
+from .polys import Poly, X, _on_grid
 from .realroots import is_real_rooted
 
 PASS_SAMPLED = "PASS_SAMPLED"
@@ -52,14 +51,9 @@ def _first_pair_of_each_ratio(weights) -> tuple[tuple[Fraction, Fraction], ...]:
 _PAIRS = _first_pair_of_each_ratio(_WEIGHTS)
 
 
-def _cleared(c1: Fraction, c2: Fraction) -> tuple[int, int]:
-    lcm = math.lcm(c1.denominator, c2.denominator)
-    return (c1.numerator * (lcm // c1.denominator), c2.numerator * (lcm // c2.denominator))
-
-
 # each pair of _PAIRS times the least common denominator of its two weights:
 # the integer weights that conic_combination uses for it
-_CLEARED_PAIRS = tuple(_cleared(c1, c2) for c1, c2 in _PAIRS)
+_CLEARED_PAIRS = tuple(_on_grid(c1, c2)[0] for c1, c2 in _PAIRS)
 
 
 @dataclass(frozen=True)
@@ -104,20 +98,36 @@ def conic_combination(weights, polys) -> Poly:
     ws = [Fraction(w) for w in weights]
     if len(ws) != len(polys):
         raise BadParametersError("one weight per polynomial required")
-    lcm = 1
-    for w in ws:
-        lcm = lcm * w.denominator // math.gcd(lcm, w.denominator)
     out = Poly(())
-    for w, p in zip(ws, polys):
-        out = out + int(w * lcm) * p
+    for c, p in zip(_on_grid(*ws)[0], polys):
+        out = out + c * p
     return out
 
 
-def _require_admissible(p: Poly, label: str) -> None:
-    if any(c < 0 for c in p.coeffs):
-        raise NotRealRootedError(label, "negative coefficient")
-    if not is_real_rooted(p):
-        raise NotRealRootedError(label, "not real-rooted")
+def _sampled(labelled, tests, unchecked: bool) -> CompatVerdict:
+    """The one sampled loop: each (label, p) of labelled must be admissible
+    (nonnegative coefficients, real-rooted) unless unchecked, and then each
+    (f, g, condition, pair) of tests has c1*f + c2*g tested at the weight
+    pairs of _PAIRS in order; the first combination that is not real-rooted
+    is the FAIL witness.
+
+    A test with f == g stops after its first pair: every c1*f + c2*f is a
+    positive multiple of f, so that pair decides all of them.
+    """
+    if not unchecked:
+        for label, p in labelled:
+            if any(c < 0 for c in p.coeffs):
+                raise NotRealRootedError(label, "negative coefficient")
+            if not is_real_rooted(p):
+                raise NotRealRootedError(label, "not real-rooted")
+    for f, g, condition, pair in tests:
+        for weights, (a, b) in zip(_PAIRS, _CLEARED_PAIRS):
+            combo = a * f + b * g
+            if not is_real_rooted(combo):
+                return CompatVerdict(FAIL, CompatWitness(weights, combo, condition, pair))
+            if f == g:
+                break
+    return CompatVerdict(PASS_SAMPLED)
 
 
 def compatible_pair_sampled(f: Poly, g: Poly, unchecked: bool = False) -> CompatVerdict:
@@ -127,60 +137,40 @@ def compatible_pair_sampled(f: Poly, g: Poly, unchecked: bool = False) -> Compat
     ``unchecked`` skips the admissibility precondition so that counterexample
     explorations may feed inputs with negative coefficients.
     """
-    if not unchecked:
-        _require_admissible(f, "f")
-        _require_admissible(g, "g")
-    for weights, (a, b) in zip(_PAIRS, _CLEARED_PAIRS):
-        combo = a * f + b * g
-        if not is_real_rooted(combo):
-            return CompatVerdict(FAIL, CompatWitness(weights, combo))
-    return CompatVerdict(PASS_SAMPLED)
+    return _sampled((("f", f), ("g", g)), ((f, g, None, None),), unchecked)
 
 
 def compatible_family_sampled(fs, unchecked: bool = False) -> CompatVerdict:
     """Pairwise sampled compatibility, plus sampled full conic combinations.
 
     For positive leading coefficients, pairwise compatibility of the family is
-    equivalent to full compatibility, so the pair tests carry the weight; the
-    full combinations are a cheap cross-check at the same grid resolution.
+    equivalent to full compatibility, so the pair tests (i <= j) carry the
+    weight; the full combinations are a cheap cross-check at the same grid
+    resolution.
     """
     fs = list(fs)
-    if not unchecked:
-        for idx, p in enumerate(fs):
-            _require_admissible(p, str(idx))
-    for i in range(len(fs)):
-        for j in range(i, len(fs)):
-            verdict = compatible_pair_sampled(fs[i], fs[j], unchecked=True)
-            if not verdict.is_pass:
-                w = verdict.witness
-                return CompatVerdict(FAIL, CompatWitness(w.weights, w.combination, pair=(i, j)))
-    if len(fs) > 2:
-        weight_vectors = [(Fraction(1),) * len(fs)]
-        weight_vectors += [tuple(c**k for k in range(len(fs))) for c in _WEIGHTS]
+    n = len(fs)
+    verdict = _sampled(((str(i), p) for i, p in enumerate(fs)),
+                       ((fs[i], fs[j], None, (i, j)) for i in range(n) for j in range(i, n)),
+                       unchecked)
+    if verdict.is_pass and n > 2:
+        weight_vectors = [(Fraction(1),) * n]
+        weight_vectors += [tuple(c**k for k in range(n)) for c in _WEIGHTS]
         for ws in weight_vectors:
             combo = conic_combination(ws, fs)
             if not is_real_rooted(combo):
                 return CompatVerdict(FAIL, CompatWitness(ws, combo))
-    return CompatVerdict(PASS_SAMPLED)
+    return verdict
 
 
 def check_conditions_ab(fs, unchecked: bool = False) -> CompatVerdict:
     """Sampled check that (f_i, f_j) and (x*f_i, f_j) are compatible for i <= j."""
     fs = list(fs)
-    if not unchecked:
-        for idx, p in enumerate(fs):
-            _require_admissible(p, str(idx))
-    for i in range(len(fs)):
-        for j in range(i, len(fs)):
-            for condition, left in (("a", fs[i]), ("b", X * fs[i])):
-                verdict = compatible_pair_sampled(left, fs[j], unchecked=True)
-                if not verdict.is_pass:
-                    w = verdict.witness
-                    return CompatVerdict(
-                        FAIL,
-                        CompatWitness(w.weights, w.combination, condition=condition, pair=(i, j)),
-                    )
-    return CompatVerdict(PASS_SAMPLED)
+    n = len(fs)
+    return _sampled(((str(i), p) for i, p in enumerate(fs)),
+                    ((left, fs[j], condition, (i, j)) for i in range(n) for j in range(i, n)
+                     for condition, left in (("a", fs[i]), ("b", X * fs[i]))),
+                    unchecked)
 
 
 def theorem_comp_transform(fs) -> list[Poly]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParametersError, InvalidGammaError, MalformedVectorError
+from .errors import BadParametersError, MalformedVectorError
 from .matrices import Entry, SymMatrix
 from .polys import ONE, ZERO, Poly
 from .words import GammaVector, _validate_gamma
@@ -91,8 +91,7 @@ def gamma_matrix(r: int, gamma: GammaVector) -> SymMatrix:
     """The r x r recurrence matrix of a restriction profile:
     entry (i, j) is 0 when |i - j| <= gamma[i], 1 when j - i > gamma[i], and
     x when i - j > gamma[i]."""
-    if not isinstance(gamma, GammaVector) or gamma.r != r:
-        raise InvalidGammaError(f"profile of length {r} required")
+    _validate_gamma(r, gamma)
     g = gamma.gamma
     rows = []
     for i in range(r):

@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +30,7 @@ from .errors import (
     PolyFormatError,
     PreconditionViolatedError,
 )
-from .polys import ZERO, Poly
+from .polys import ZERO, Poly, _on_grid
 from .realroots import in_fplus, interleaves
 
 
@@ -132,14 +131,10 @@ def _require_2x2(M: SymMatrix) -> None:
         raise DimensionMismatchError("a 2x2 matrix is required")
 
 
-def _scaled(lam: Fraction, mu: Fraction) -> tuple[int, int, int]:
-    s = math.lcm(lam.denominator, mu.denominator)
-    return (mu.numerator * (s // mu.denominator), lam.numerator * (s // lam.denominator), s)
-
-
 # (mu*s, lam*s, s) for each sample pair, with s the least common denominator of
 # lam and mu: the integer coefficients of s*(lam*x + mu) and of s
-_SCALED_PAIRS = tuple(_scaled(lam, mu) for lam, mu in LAMBDA_MU_PAIRS)
+_SCALED_PAIRS = tuple((*nums, s) for nums, s in
+                      (_on_grid(mu, lam) for lam, mu in LAMBDA_MU_PAIRS))
 
 
 def _side(lin: Entry, one: Entry, m: int, l: int, s: int) -> Poly:

@@ -3,9 +3,10 @@
 Coefficients are stored in ascending degree order: ``coeffs[k]`` multiplies
 ``x**k``.  The canonical form is either the empty tuple (the zero polynomial)
 or a tuple whose last entry is nonzero.  Rational numbers only ever appear as
-evaluation points and interval endpoints; they are ``fractions.Fraction``
-throughout, except at ``Poly._sign_at``, which takes a point as an integer
-pair (num, den) so that bisections can keep their endpoints on an integer grid.
+evaluation points, interval endpoints and weights; they are
+``fractions.Fraction`` throughout, except at ``Poly._sign_at``, which takes a
+point as an integer pair (num, den) so that bisections can keep their
+endpoints on an integer grid, and ``_on_grid`` puts rationals on such a grid.
 
 The text format used by the CLI and all file I/O is comma-separated ascending
 coefficients: ``"0,1,1"`` is x + x**2 and ``"0"`` is the zero polynomial.
@@ -255,6 +256,14 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     if s != 1:
         raise ValueError("quotient is not integral")
     return q
+
+
+def _on_grid(*points) -> tuple[tuple[int, ...], int]:
+    """(nums, den) with points[i] = nums[i] / den over the least common
+    denominator den of the rational points (1 for none): the one place that
+    clears denominators, for interval ends and for weights alike."""
+    den = math.lcm(*(t.denominator for t in points))
+    return tuple(t.numerator * (den // t.denominator) for t in points), den
 
 
 def parse_poly_list(text: str) -> list[Poly]:

@@ -10,12 +10,14 @@ A palindromic h (c_i = c_{d-i}), such as every local h-polynomial with its
 x^k stripped, goes through one fold: for d = 2m, x^-m h(x) = q(x + 1/x)
 with deg q = m, so h = lead(h) prod (x^2 - y_i x + 1) over the roots y_i of
 q (an odd d first loses the root -1), and h is real-rooted iff q is
-real-rooted with every |y_i| >= 2.  When q is squarefree with q(+-2) != 0
-(``_fold_chain``), Sturm counts on the one chain of (q, q') at half the
-degree decide real-rootedness, give the number of real roots of h and
-drive isolation; no Descartes count is taken.  A palindrome whose fold is
-not squarefree or vanishes at +-2 is decided and isolated at full degree,
-like any other h.
+real-rooted with every |y_i| >= 2.  ``_fold_counter`` is the one owner of
+the fold: when q is squarefree with q(+-2) != 0, Sturm counts on the one
+chain of (q, q') at half the degree give the number of real roots of h,
+which decides real-rootedness (h is real-rooted iff it has deg h of them),
+and drive isolation; no Descartes count is taken.  A palindrome whose fold
+is not squarefree or vanishes at +-2 is decided and isolated at full
+degree, like any other h.  Before either, ``is_real_rooted`` rejects any h
+with h(i) = 0 from two alternating sums of its coefficients.
 
 Isolation walks one tree: for f = x^k h with h(0) != 0 and p the squarefree
 part of h, it bisects the Cauchy interval (-B, B) of p at midpoints moved off
@@ -50,7 +52,6 @@ rational that halving Fractions gives, so every certificate is unchanged.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,7 +63,7 @@ from .errors import (
     NegativeLeadingCoefficientError,
     ZeroPolynomialError,
 )
-from .polys import Poly, _remainder_sequence, exact_div, poly_derivative, poly_gcd
+from .polys import Poly, _on_grid, _remainder_sequence, exact_div, poly_derivative, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -238,28 +239,24 @@ def is_real_rooted(f: Poly) -> bool:
     deg h - m + 1 terms reaches that many variations only when every step
     drops the degree by one and every leading coefficient is positive.
 
-    A palindromic h of degree at least 2 is decided through its fold q
-    (``_fold``) instead, at half the degree: h = lead(h) prod (x^2 - y_i x + 1)
-    over the roots y_i of q (an odd degree first loses the root -1), and
-    x^2 - y x + 1 has real roots iff y is real and |y| >= 2.  So h is
-    real-rooted iff every root of q is real and lies outside (-2, 2).
-    q(0) = 0 (the roots +-i) fails at once.  When q is squarefree with
-    q(+-2) != 0 (``_fold_chain``), Sturm counts on its chain decide the rest:
-    all deg q roots of q are real and none lies in [-2, 2].  A fold that is
-    not squarefree or vanishes at +-2 is decided at full degree, on (h, h').
+    Two answers come first.  For any h, h(i) = (c_0 - c_2 + c_4 - ...) +
+    i (c_1 - c_3 + c_5 - ...) over the coefficients c of h, and h(i) = 0 puts
+    the roots +-i on h, with no division.  A palindromic h whose fold
+    qualifies (``_fold_counter``) is squarefree, so it is real-rooted iff its
+    number of distinct real roots, which the fold counts at half the degree,
+    is deg h.  Every other h is decided at full degree, on (h, h').
     """
     if f.is_zero:
         return True
     h = _strip_x(f)[0]
     if h.leading_coefficient < 0:
         h = -h
-    if h.degree >= 2 and h.coeffs == h.coeffs[::-1]:
-        q = _fold(h)
-        if q.coeffs[0] == 0:
-            return False
-        chain = _fold_chain(q)
-        if chain is not None:
-            return chain.count_in(None, None) == q.degree and chain.count_in(-2, 2) == 0
+    c = h.coeffs
+    if sum(c[::4]) == sum(c[2::4]) and sum(c[1::4]) == sum(c[3::4]):
+        return False
+    fold = _fold_counter(h)
+    if fold is not None:
+        return fold[1] == h.degree
     return _normal_sequence_end(h, poly_derivative(h)) is not None
 
 
@@ -283,16 +280,6 @@ def _fold(h: Poly) -> Poly:
             d_next[i] -= e
         d_prev, d = d, d_next
     return Poly(tuple(q))
-
-
-def _fold_chain(q: Poly) -> SturmChain | None:
-    """The Sturm chain of (q, q') for a fold q that is squarefree with
-    q(+-2) != 0, the folds that both ``is_real_rooted`` and ``_fold_counter``
-    decide on it; None for any other q."""
-    if q._sign_at(-2, 1) == 0 or q._sign_at(2, 1) == 0:
-        return None
-    chain = SturmChain(tuple(_remainder_sequence(q, poly_derivative(q))))
-    return chain if chain.chain[-1].degree == 0 else None
 
 
 # -- root isolation -----------------------------------------------------------
@@ -372,12 +359,15 @@ def _fold_counter(p: Poly):
     """(count, distinct) for a palindromic p, read off its fold at half the
     degree: count(num, den) is the number of roots of p below a non-root
     num/den (den > 0), a root counter for ``_isolate``, and distinct is the
-    number of real roots of p; None when p does not qualify.
+    number of real roots of p; None when p does not qualify.  It is the one
+    place that qualifies and counts a fold, for ``is_real_rooted``,
+    ``isolate_roots`` and ``refine_certificate``.
 
     p must have p(0) != 0 and lead(p) > 0.  It qualifies when it is a
     palindrome of degree >= 2 whose fold q (``_fold``, x^-m g(x) = q(x + 1/x)
     with g = p, or g = p / (x + 1) for an odd degree), with a simple root 0
-    divided out, is squarefree with q(+-2) != 0.  Then g = lead(g)
+    divided out, is squarefree with q(+-2) != 0; the signs at +-2 come
+    first, so a q they reject costs no division.  Then g = lead(g)
     prod (x^2 - y x + 1) over the distinct roots y of q (and 0, which gives
     the roots +-i), no factor has a double root (y != +-2), x determines
     y = x + 1/x, and q(-2) = (-1)^m g(-1) != 0, so p is squarefree.  Its
@@ -386,13 +376,15 @@ def _fold_counter(p: Poly):
 
     n, the number of roots of q, and B(2) and B(-2), with B(y) the number of
     roots of q below a non-root y, are Sturm counts on the chain of q at
-    +-oo and +-2, so distinct needs no isolation, and ``refine_certificate``,
-    which uses only distinct, never isolates q.  The first B(y) at any other y isolates q at half the degree,
-    once, by the Sturm tree on that chain without the grid probe, and its
-    intervals stay in y-space.  B(y) is then a binary search over them: the
-    intervals with hi <= y lie below y, those after the first with hi > y
-    lie above it, and the root of that one lies below y iff y is inside it
-    and q has at y the sign opposite to its sign at lo.
+    +-oo and +-2, so distinct needs no isolation.  ``is_real_rooted``
+    compares distinct with deg p, and ``refine_certificate`` checks a
+    certificate's length against it; neither isolates q.  The first B(y) at
+    any other y isolates q at half the degree, once, by the Sturm tree on
+    that chain without the grid probe, and its intervals stay in y-space.
+    B(y) is then a binary search over them: the intervals with hi <= y lie
+    below y, those after the first with hi > y lie above it, and the root of
+    that one lies below y iff y is inside it and q has at y the sign opposite
+    to its sign at lo.
 
     Let odd = deg p mod 2 and N = 2 B(-2) + odd.  A non-root t = num/den of
     p maps to y = t + 1/t = (num^2 + den^2) / (num den), and
@@ -416,8 +408,10 @@ def _fold_counter(p: Poly):
         return None
     q, j = _strip_x(_fold(p))
     q = q.primitive()
-    chain = _fold_chain(q) if j <= 1 else None
-    if chain is None:
+    if j > 1 or q._sign_at(-2, 1) == 0 or q._sign_at(2, 1) == 0:
+        return None
+    chain = SturmChain(tuple(_remainder_sequence(q, poly_derivative(q))))
+    if chain.chain[-1].degree != 0:
         return None
     n = chain.count_in(None, None)
     below_2 = chain.count_in(None, 2)
@@ -555,12 +549,6 @@ def isolate_roots(f: Poly) -> RootCertificate:
                                  for lo, hi in records))
 
 
-def _on_grid(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-    """(a, b, den) with lo = a/den and hi = b/den over the least common denominator."""
-    den = math.lcm(lo.denominator, hi.denominator)
-    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
-
-
 def _bisect_once(p: Poly, a: int, b: int, den: int,
                  s_lo: int) -> tuple[int, int, int, int]:
     """One sign-change bisection step on the interval [a/den, b/den] holding
@@ -593,7 +581,7 @@ def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate
     out = []
     for iv in cert.intervals:
         lo, hi = iv.lo, iv.hi
-        a, b, den = _on_grid(lo, hi)
+        (a, b), den = _on_grid(lo, hi)
         if (b - a) * w_den >= w_num * den:
             s_lo = p._sign_at(a, den)
             while (b - a) * w_den >= w_num * den:

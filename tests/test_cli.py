@@ -139,6 +139,25 @@ def test_check_conditions_ab(capsys):
     assert code == 0
 
 
+def test_sampled_pass_names_its_verdict_under_json(capsys):
+    # a sampled pass keeps status PASS and exit 0 and its text; the JSON
+    # result names the compat verdict, so it cannot pass for an exact PASS
+    E34 = [str(p) for p in interlace.e_vector(3, 4).polys]
+    for argv in (["compatible", "0,1", "1,1"], ["compatible", "--unchecked", "1,-1", "1,1"],
+                 ["conditions-ab"] + E34):
+        code, out, err = run_cli(capsys, "--json", "check", *argv)
+        report = json.loads(out)
+        assert (code, err, report["status"]) == (0, "", "PASS")
+        assert report["result"] == {"verdict": "PASS_SAMPLED"}
+        assert run_cli(capsys, "check", *argv) == (0, "PASS\n", "")
+    # a FAIL is exact: its report is unchanged, with the witness and no result
+    code, out, _ = run_cli(capsys, "--json", "check", "conditions-ab", "0,1", "1")
+    assert code == 1 and "result" not in json.loads(out)
+    # exact checks carry no sampled verdict
+    code, out, _ = run_cli(capsys, "--json", "check", "interleave", "0,1", "-1,0,1")
+    assert code == 0 and "result" not in json.loads(out)
+
+
 def test_check_unchecked_after_the_kind(capsys):
     # the polynomials take the rest of the line, --unchecked included
     first = run_cli(capsys, "--json", "check", "--unchecked", "compatible", "2,3,1", "2,-3,1")
@@ -406,7 +425,7 @@ REPORTS = [
       "status": "FAIL", "witness": {"f": "-1,0,1", "g": "0,1"}}, ""),
     ("check compatible pass", ["check", "compatible", "0,1", "1,1"], None, 0, ["PASS"],
      {"command": "check", "params": _check("compatible", "0,1", "1,1"),
-      "status": "PASS"}, ""),
+      "status": "PASS", "result": {"verdict": "PASS_SAMPLED"}}, ""),
     ("check compatible fail", ["check", "--unchecked", "compatible", "2,3,1", "2,-3,1"],
      None, 1,
      ['FAIL {"weights": ["1/8", "1/8"], "combination": "4,0,2", "pair": [0, 1]}'],
@@ -416,7 +435,7 @@ REPORTS = [
     ("check conditions-ab pass", ["check", "conditions-ab", "0", "0,1", "0,1"], None, 0,
      ["PASS"],
      {"command": "check", "params": _check("conditions-ab", "0", "0,1", "0,1"),
-      "status": "PASS"}, ""),
+      "status": "PASS", "result": {"verdict": "PASS_SAMPLED"}}, ""),
     ("check conditions-ab fail", ["check", "conditions-ab", "0,1", "1"], None, 1,
      ['FAIL {"weights": ["1/8", "1/8"], "combination": "1,0,1", "condition": "b", '
       '"pair": [0, 1]}'],

@@ -198,3 +198,158 @@ def test_verdict_json():
     obj = verdict.witness.to_json_obj()
     assert set(obj) == {"weights", "combination", "condition", "pair"}
     assert all("/" in w for w in obj["weights"])
+
+
+def test_equal_pair_decided_at_its_first_weight_pair(monkeypatch):
+    # every c1*f + c2*f is a positive multiple of f: the first pair (1/8, 1/8),
+    # whose combination is 2f, gives the verdict and the witness of all 64
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return is_real_rooted(p)
+
+    real_rooted = [ZERO, ONE, Poly((2, 3, 1)), e_vector(4, 4).polys[0]]
+    not_real_rooted = [Poly((1, 0, 1)), Poly((1, 1, 1)) * Poly((2, 1))]
+    expected = {f: _brute_pair_verdict(f, f) for f in real_rooted + not_real_rooted}
+    assert {status for status, _, _ in expected.values()} == {PASS_SAMPLED, FAIL}
+    monkeypatch.setattr(compat, "is_real_rooted", counted)
+    for f in real_rooted + not_real_rooted:
+        status, weights, combo = expected[f]
+        for unchecked in (True, False):
+            calls.clear()
+            if not unchecked and f in not_real_rooted:
+                with pytest.raises(NotRealRootedError):
+                    compatible_pair_sampled(f, f, unchecked=unchecked)
+                assert calls == [f]  # the admissibility test of f, no combination
+                continue
+            verdict = compatible_pair_sampled(f, f, unchecked=unchecked)
+            admissibility = [] if unchecked else [f, f]
+            assert calls == admissibility + [2 * f]
+            assert verdict.status == status
+            if status == FAIL:
+                assert (verdict.witness.weights, verdict.witness.combination) == (weights, combo)
+    # a family tests each diagonal pair once, and condition (a) of each
+    # diagonal pair of the conditions test too
+    fs = [Poly((0, 2)), X, Poly((0, 0, 1))]
+    calls.clear()
+    assert compatible_family_sampled(fs, unchecked=True).is_pass
+    assert len(calls) == 3 * 1 + 3 * 33 + 1 + len(compat._WEIGHTS)  # and the full combinations
+    fs = list(e_vector(3, 4).polys)  # three distinct members
+    calls.clear()
+    assert check_conditions_ab(fs, unchecked=True).is_pass
+    assert len(calls) == 3 * 1 + 3 * 33 + 6 * 33  # (a) off the diagonal, and (b)
+
+
+# -- the three loops that the one sampled loop replaced, at all 64 weight pairs --
+
+
+def _reference_admissible(p, label):
+    if any(c < 0 for c in p.coeffs):
+        raise NotRealRootedError(label, "negative coefficient")
+    if not is_real_rooted(p):
+        raise NotRealRootedError(label, "not real-rooted")
+
+
+def _witness_obj(weights, combo, condition=None, pair=None):
+    obj = {"weights": [f"{w.numerator}/{w.denominator}" for w in weights],
+           "combination": combo.to_string()}
+    if condition is not None:
+        obj["condition"] = condition
+    if pair is not None:
+        obj["pair"] = list(pair)
+    return obj
+
+
+def _reference_pair(f, g, condition=None, pair=None):
+    status, weights, combo = _brute_pair_verdict(f, g)
+    return None if status == PASS_SAMPLED else _witness_obj(weights, combo, condition, pair)
+
+
+def _reference_verdict(kind, fs, unchecked):
+    """(status, witness JSON) of compatible_pair_sampled on fs[0], fs[1], of
+    compatible_family_sampled or of check_conditions_ab on fs, by the loops
+    of the three functions before they shared one, at all 64 weight pairs."""
+    if kind == "pair":
+        if not unchecked:
+            _reference_admissible(fs[0], "f")
+            _reference_admissible(fs[1], "g")
+        witness = _reference_pair(fs[0], fs[1])
+        return (PASS_SAMPLED, None) if witness is None else (FAIL, witness)
+    if not unchecked:
+        for idx, p in enumerate(fs):
+            _reference_admissible(p, str(idx))
+    for i in range(len(fs)):
+        for j in range(i, len(fs)):
+            lefts = [(None, fs[i])] if kind == "family" else [("a", fs[i]), ("b", X * fs[i])]
+            for condition, left in lefts:
+                witness = _reference_pair(left, fs[j], condition, (i, j))
+                if witness is not None:
+                    return FAIL, witness
+    if kind == "family" and len(fs) > 2:
+        weight_vectors = [(Fraction(1),) * len(fs)]
+        weight_vectors += [tuple(c**k for k in range(len(fs))) for c in compat._WEIGHTS]
+        for ws in weight_vectors:
+            combo = conic_combination(ws, fs)
+            if not is_real_rooted(combo):
+                return FAIL, _witness_obj(ws, combo)
+    return PASS_SAMPLED, None
+
+
+def _library_verdict(kind, fs, unchecked):
+    if kind == "pair":
+        verdict = compatible_pair_sampled(fs[0], fs[1], unchecked=unchecked)
+    elif kind == "family":
+        verdict = compatible_family_sampled(fs, unchecked=unchecked)
+    else:
+        verdict = check_conditions_ab(fs, unchecked=unchecked)
+    return verdict.status, None if verdict.witness is None else verdict.witness.to_json_obj()
+
+
+def _outcome(verdict, kind, fs, unchecked):
+    try:
+        return verdict(kind, fs, unchecked)
+    except NotRealRootedError as exc:
+        return "raises", exc.which, exc.reason, str(exc)
+
+
+def _random_families(seed, count):
+    """Families of 1 to 4 members: products of linear factors x + a (a >= 0,
+    so admissible, or a < 0), random coefficient lists (negative ones too),
+    repeated members and the zero polynomial."""
+    rng = random.Random(seed)
+    families = []
+    for _ in range(count):
+        fs = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.random()
+            if fs and kind < 0.2:
+                fs.append(rng.choice(fs))
+            elif kind < 0.6:
+                p = Poly((rng.randint(1, 3),))
+                for _ in range(rng.randint(0, 3)):
+                    p = p * Poly((rng.choice((0, 1, 1, 2, 3, 5, -1, -2)), 1))
+                fs.append(p)
+            elif kind < 0.95:
+                fs.append(Poly(tuple(rng.randint(-3, 6) for _ in range(rng.randint(1, 4)))))
+            else:
+                fs.append(ZERO)
+        families.append(fs)
+    return families
+
+
+def test_one_sampled_loop_equals_the_three_loops_it_replaced():
+    families = [list(e_vector(r, n).polys) for r in (2, 3, 4) for n in (1, 2, 3, 4)]
+    families += [[Poly((2, 3, 1)), Poly((2, 3, 1)), Poly((2, -3, 1))],
+                 [X, X], [X, ONE, X], [Poly((1, 0, 1))] * 2]
+    families += _random_families(19, 60)
+    seen = set()
+    for fs in families:
+        for unchecked in (True, False):
+            for kind in ("pair", "family", "conditions"):
+                if kind == "pair" and len(fs) < 2:
+                    continue
+                want = _outcome(_reference_verdict, kind, fs, unchecked)
+                assert _outcome(_library_verdict, kind, fs, unchecked) == want, (kind, fs)
+                seen.add(want[0])
+    assert seen == {PASS_SAMPLED, FAIL, "raises"}

@@ -941,6 +941,27 @@ def test_palindromic_real_rootedness_at_half_degree(monkeypatch):
     assert divisions == []
 
 
+def test_palindrome_verdict_from_the_one_fold_counter(monkeypatch):
+    # is_real_rooted reads a palindrome's verdict off _fold_counter, its one
+    # fold: one call, and still the 15 remainders of (q, q') for local_h(10, 40)
+    h = local_h(10, 40)
+    folds = _record_calls(monkeypatch, realroots, "_fold_counter")
+    divisions = _record_calls(monkeypatch, polys, "pseudo_divmod")
+    assert is_real_rooted(h)
+    assert len(folds) == 1 and len(divisions) == 15
+    # h(i) = 0 is read off the coefficients for any h: no division, whether h
+    # is not palindromic or an odd palindrome, which folds after dividing by x + 1
+    g = Poly((1, 0, 1)) * local_h(6, 20)  # x^4 times a palindrome of degree 14
+    skewed, odd = Poly((2, 1, 1)) * g, Poly((1, 1)) * g
+    assert skewed.coeffs[4:] != skewed.coeffs[4:][::-1]
+    assert odd.coeffs[4:] == odd.coeffs[4:][::-1] and odd.degree == 19
+    for f in (skewed, odd):
+        folds.clear()
+        divisions.clear()
+        assert not is_real_rooted(f)
+        assert divisions == [] and folds == []
+
+
 def test_interleaves_from_one_sequence(monkeypatch):
     # f << g is decided by the remainder sequence of (g, f), which also ends
     # at their gcd: no separate gcd, no exact division
