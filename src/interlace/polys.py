@@ -4,9 +4,10 @@ Coefficients are stored in ascending degree order: ``coeffs[k]`` multiplies
 ``x**k``.  The canonical form is either the empty tuple (the zero polynomial)
 or a tuple whose last entry is nonzero.  Rational numbers only ever appear as
 evaluation points, interval endpoints and weights; they are
-``fractions.Fraction`` throughout, except at ``Poly._sign_at``, which takes a
-point as an integer pair (num, den) so that bisections can keep their
-endpoints on an integer grid, and ``_on_grid`` puts rationals on such a grid.
+``fractions.Fraction`` throughout, except at ``Poly._value_at`` and
+``Poly._sign_at``, which take a point as an integer pair (num, den) so that
+bisections can keep their endpoints on an integer grid, and ``_on_grid``
+puts rationals on such a grid.
 
 The text format used by the CLI and all file I/O is comma-separated ascending
 coefficients: ``"0,1,1"`` is x + x**2 and ``"0"`` is the zero polynomial.
@@ -139,29 +140,41 @@ class Poly:
     def sign_at(self, t) -> int:
         """Sign (-1, 0 or 1) of the value at a rational t, in integer arithmetic.
 
-        A thin wrapper over ``_sign_at(t.numerator, t.denominator)``, the one
-        evaluation loop, which the integer-grid bisections of ``realroots``
-        call directly with unreduced (num, den) pairs.
+        A thin wrapper over ``_sign_at(t.numerator, t.denominator)``, which
+        reads the sign off ``_value_at``, the one evaluation loop that the
+        integer-grid bisections of ``realroots`` call directly with unreduced
+        (num, den) pairs.
         """
         return self._sign_at(t.numerator, t.denominator)
 
     def _sign_at(self, num: int, den: int) -> int:
         """Sign of the value at num/den for integers num and den > 0, which
-        need not be coprime.
+        need not be coprime: the sign of ``_value_at(num, den)``."""
+        v = self._value_at(num, den)
+        return (v > 0) - (v < 0)
+
+    def _value_at(self, num: int, den: int) -> int:
+        """den**deg * p(num/den) for integers num and den > 0, which need not
+        be coprime: the one evaluation loop.
 
         Horner's rule on the homogenised form, ``acc = acc*num + c*den**j``,
-        gives den**deg * p(num/den), which has the sign of p(num/den) and needs
-        no rational intermediate.
+        needs no rational intermediate; the value has the sign of p(num/den),
+        and at one den the values at two points are in the ratio of p's.
+        With den = 1 it is plain Horner.
         """
         cs = self.coeffs
         if not cs:
             return 0
         acc = cs[-1]
+        if den == 1:
+            for c in reversed(cs[:-1]):
+                acc = acc * num + c
+            return acc
         den_pow = 1
         for c in reversed(cs[:-1]):
             den_pow *= den
             acc = acc * num + c * den_pow
-        return (acc > 0) - (acc < 0)
+        return acc
 
     # -- rendering ---------------------------------------------------------
 

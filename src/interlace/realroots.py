@@ -45,9 +45,11 @@ Every bisection (the tree, refinement, moving an interval off the root 0,
 and the grid probes) runs on integers: an interval is a pair of numerators
 a, b over one denominator den, a halving maps it to (2a, a+b, 2den) or
 (a+b, 2b, 2den), and the sign at a/den comes from one homogeneous integer
-Horner (``Poly._sign_at``), for p and for every member of a chain.  A
-Fraction is built once per certificate end, and it normalises to the same
-rational that halving Fractions gives, so every certificate is unchanged.
+Horner (``Poly._value_at``), for p and for every member of a chain;
+refinement finds the interval that halving would by secants on the same
+grid (``_qir``).  A Fraction is built once per certificate end, and it
+normalises to the same rational that halving Fractions gives, so every
+certificate is unchanged.
 """
 
 from __future__ import annotations
@@ -68,17 +70,22 @@ from .polys import Poly, _on_grid, _remainder_sequence, exact_div, poly_derivati
 
 @dataclass(frozen=True)
 class RootInterval:
-    """One isolating interval: a degenerate interval (lo == hi) is an exact root."""
+    """One isolating interval: a degenerate interval (lo == hi) is an exact
+    root.  The ends are stored as Fractions; BadParametersError if malformed."""
 
     lo: Fraction
     hi: Fraction
     multiplicity: int
 
     def __post_init__(self):
+        for end in ("lo", "hi"):
+            if type(getattr(self, end)) is not Fraction:
+                object.__setattr__(self, end, _rational(getattr(self, end), end))
         if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be positive")
+            raise BadParametersError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+        m = self.multiplicity
+        if type(m) is not int or m < 1:
+            raise BadParametersError(f"multiplicity must be a positive int, got {m!r}")
 
     @property
     def is_point(self) -> bool:
@@ -99,11 +106,13 @@ class RootCertificate:
 
     def __post_init__(self):
         ivs = self.intervals
+        if type(ivs) is not tuple or not all(type(iv) is RootInterval for iv in ivs):
+            raise BadParametersError("a certificate holds a tuple of RootIntervals")
         for prev, nxt in zip(ivs, ivs[1:]):
             if prev.hi > nxt.lo:
-                raise ValueError("intervals overlap")
+                raise BadParametersError("intervals overlap")
             if prev.hi == nxt.lo and prev.is_point and nxt.is_point:
-                raise ValueError("duplicate exact root")
+                raise BadParametersError("duplicate exact root")
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -169,7 +178,7 @@ class SturmChain:
     def variations_at(self, num: int, den: int = 1) -> int:
         """Sign variations of the chain at num/den, for integers num and
         den > 0 (any rational num with den = 1 also works)."""
-        return _sign_variations([p._sign_at(num, den) for p in self.chain])
+        return _sign_variations([p._value_at(num, den) for p in self.chain])
 
     def variations_at_neg_inf(self) -> int:
         return _sign_variations(
@@ -502,10 +511,11 @@ def _isolate(p: Poly, count, zero_root: bool, probe: bool = True
         stack.append((lo, mid, d, s_a, c_a, c_mid))
     if zero_root:
         # 0 is a root of the caller's polynomial: move intervals off it (they
-        # hold irrational roots, so the bisection never lands on their root)
+        # hold irrational roots, so the bisection never lands on their root;
+        # the ends keep the signs s_a and -s_a, which stand for the values)
         for i, (a, b, den, s_a) in enumerate(intervals):
             while a <= 0 <= b:
-                a, b, den, s_a = _bisect_once(p, a, b, den, s_a)
+                a, b, den = _bisect_once(p, a, b, den, s_a, -s_a)[:3]
             intervals[i] = (a, b, den, s_a)
     return points, intervals
 
@@ -549,27 +559,64 @@ def isolate_roots(f: Poly) -> RootCertificate:
                                  for lo, hi in records))
 
 
-def _bisect_once(p: Poly, a: int, b: int, den: int,
-                 s_lo: int) -> tuple[int, int, int, int]:
-    """One sign-change bisection step on the interval [a/den, b/den] holding
-    one simple root of p, given s_lo, the sign of p at a/den; returns the half
-    holding the root over the denominator 2den (both ends at the midpoint if
-    it is the root) and the sign of p at its lower end."""
+def _bisect_once(p: Poly, a: int, b: int, den: int, v_a: int, v_b: int
+                 ) -> tuple[int, int, int, int, int]:
+    """One bisection step on [a/den, b/den], which holds one simple root of
+    p, given integers v_a, v_b with the signs of p at its ends: the half
+    holding the root over 2den (both ends at the midpoint, values 0, if it
+    is the root) and its end values; values of ``Poly._value_at`` over den
+    come out as its values over 2den."""
     mid, den = a + b, 2 * den
-    s = p._sign_at(mid, den)
-    if s == 0:
-        return mid, mid, den, 0
-    if s == s_lo:
-        return mid, 2 * b, den, s
-    return 2 * a, mid, den, s_lo
+    v = p._value_at(mid, den)
+    if v == 0:
+        return mid, mid, den, 0, 0
+    if (v > 0) == (v_a > 0):
+        return mid, 2 * b, den, v, v_b << p.degree
+    return 2 * a, mid, den, v_a << p.degree, v
+
+
+def _qir(p: Poly, a: int, b: int, den: int, level: int) -> tuple[int, int, int]:
+    """What `level` steps of ``_bisect_once`` return on [a/den, b/den] (one
+    simple root of p inside, none at the ends), by quadratic interval
+    refinement (J. Abbott, ACM Commun. Comput. Algebra 48(1), 2014): the
+    secant through p at the ends of the current cell picks one of its 2^j
+    subcells, never past `level`, kept if p changes sign at its ends, and j
+    doubles; on a miss j halves, down to 2, and one bisection step follows.
+    The cells of level L, (a 2^L + i w, a 2^L + (i+1) w) / (den 2^L) with
+    w = b - a, meet only at ends, so one cell of the last level has a sign
+    change at non-root ends: the one bisection keeps.  A root first on the
+    grid at level L <= `level` is inside no cell of level L or more, so
+    neither method passes level L without meeting it as an end, and both
+    return it as a point."""
+    deg, w, j = p.degree, b - a, 2
+    v_a, v_b = p._value_at(a, den), p._value_at(b, den)
+    while level > 0 and a < b:
+        j = min(j, level)
+        if j > 1:
+            n, d = 1 << j, den << j
+            i = n * v_a // (v_a - v_b)  # in [0, n): v_a, v_b differ in sign
+            lo = a * n + i * w
+            v_lo = v_a << deg * j if i == 0 else p._value_at(lo, d)
+            v_hi = v_b << deg * j if i == n - 1 else p._value_at(lo + w, d)
+            if v_lo == 0 or v_hi == 0:  # the root is an end
+                return (lo, lo, d) if v_lo == 0 else (lo + w, lo + w, d)
+            if (v_lo > 0) != (v_hi > 0):
+                a, b, den, v_a, v_b, level, j = lo, lo + w, d, v_lo, v_hi, level - j, 2 * j
+                continue
+            j = max(j // 2, 2)
+        a, b, den, v_a, v_b = _bisect_once(p, a, b, den, v_a, v_b)
+        level -= 1
+    return a, b, den
 
 
 def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate:
     """Shrink every non-degenerate interval of cert below the given width, a
     positive rational number (else BadParametersError).
 
-    Each interval is halved on the integer grid of ``_bisect_once``, with the
-    width test hi - lo >= width as (b - a) * width.den >= width.num * den.
+    Each interval comes out as halving it on the integer grid of
+    ``_bisect_once`` leaves it after the least number K of halvings with
+    (b - a) * width.den < width.num * den * 2^K; ``_qir`` gets there with
+    O(log K) evaluations on a well separated root, and K from bit lengths.
     """
     width = _rational(width, "width")
     if width <= 0:
@@ -582,10 +629,12 @@ def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate
     for iv in cert.intervals:
         lo, hi = iv.lo, iv.hi
         (a, b), den = _on_grid(lo, hi)
-        if (b - a) * w_den >= w_num * den:
-            s_lo = p._sign_at(a, den)
-            while (b - a) * w_den >= w_num * den:
-                a, b, den, s_lo = _bisect_once(p, a, b, den, s_lo)
+        have, want = (b - a) * w_den, w_num * den
+        level = max(have.bit_length() - want.bit_length(), 0)
+        if want << level <= have:
+            level += 1
+        if level:
+            a, b, den = _qir(p, a, b, den, level)
             lo, hi = Fraction(a, den), Fraction(b, den)
         out.append(RootInterval(lo, hi, iv.multiplicity))
     return RootCertificate(tuple(out))

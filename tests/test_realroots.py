@@ -98,6 +98,10 @@ def test_bounds_and_widths_that_are_not_rational_numbers(bad):
         count_real_roots(f, lo=-1, hi=bad)
     with pytest.raises(BadParametersError):
         refine_certificate(f, cert, bad)
+    with pytest.raises(BadParametersError):
+        RootInterval(bad, 2, 1)
+    with pytest.raises(BadParametersError):
+        RootInterval(-2, bad, 1)
 
 
 def test_bounds_and_widths_in_every_accepted_form():
@@ -116,6 +120,32 @@ def test_bounds_and_widths_in_every_accepted_form():
     # None is an open end for count_real_roots, but no width
     with pytest.raises(BadParametersError, match="finite rational"):
         refine_certificate(f, cert, None)
+    # interval ends take the same forms
+    g = Poly((-2, 0, 1))
+    exact = RootCertificate((RootInterval(Fraction(-3, 2), Fraction(-5, 4), 1),
+                             RootInterval(Fraction(5, 4), Fraction(3, 2), 1)))
+    for ends in [((-1.5, -1.25), (1.25, 1.5)), (("-3/2", " -1.25"), (Fraction(5, 4), "3/2"))]:
+        made = RootCertificate(tuple(RootInterval(lo, hi, 1) for lo, hi in ends))
+        assert made == exact
+        assert refine_certificate(g, made, 1 / 8) == refine_certificate(g, exact, Fraction(1, 8))
+
+
+def test_malformed_intervals_and_certificates():
+    iv = RootInterval(1, 2, 1)
+    assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+    assert iv == RootInterval(Fraction(1), Fraction(2), 1)
+    assert hash(iv) == hash(RootInterval(Fraction(1), Fraction(2), 1))
+    assert iv.to_json_obj() == {"lo": "1/1", "hi": "2/1", "mult": 1}
+    for lo, hi, mult in [(2, 1, 1), ("2", "1", 1), (0, 1, 0), (0, 1, -1), (0, 1, 1.5),
+                         (0, 1, "1"), (0, 1, True), (0, 1, None)]:
+        with pytest.raises(BadParametersError):
+            RootInterval(lo, hi, mult)
+    point = RootInterval(1, 1, 1)
+    for intervals in [(RootInterval(0, 2, 1), RootInterval(1, 3, 1)), (point, point),
+                      [iv], (iv, (2, 3, 1)), (1, 2), None]:
+        with pytest.raises(BadParametersError):
+            RootCertificate(intervals)
+    assert len(RootCertificate((RootInterval(0, 1, 1), point, RootInterval(1, 2, 1)))) == 3
 
 
 def test_count_over_non_dyadic_intervals():
@@ -263,9 +293,28 @@ def test_refine_below_2_pow_minus_520(monkeypatch):
     out = refine_certificate(f, cert, width)
     assert len(out) == 2
     assert all(iv.hi - iv.lo < width for iv in out.intervals)
-    # per interval (-3, 0) and (0, 3): its two ends checked, the sign at its
-    # lower end, and one evaluation for each of 522 halvings
-    assert len(calls) == 2 * (2 + 1 + 522) == 1050
+    # per interval (-3, 0) and (0, 3), where bisection makes 522 halvings:
+    # its two ends checked, the values at them, 22 evaluations in 12 secant
+    # guesses and one for each of the 2 bisection steps after a miss
+    assert len(calls) == 2 * (2 + 2 + 22 + 2) == 56
+
+
+MIGNOTTE = Poly((-2, 400, -20000) + (0,) * 17 + (1,))  # x^20 - 2(100x - 1)^2
+
+
+@pytest.mark.parametrize("f, width, expected", [
+    (Poly((-3814977668324157077, 0, 3419197581502107467)), Fraction(1, 1 << 300), 60),
+    (MIGNOTTE, Fraction(1, 1 << 64), 70),
+    (MIGNOTTE, Fraction(1, 1 << 200), 126),
+], ids=["ax^2-b 2^-300", "mignotte 2^-64", "mignotte 2^-200"])
+def test_refinement_evaluation_counts(monkeypatch, f, width, expected):
+    # exact counts at the one loop, validation included; bisection, one
+    # evaluation per halving, makes 610, 154 and 684
+    cert = isolate_roots(f)
+    calls = _count_sign_evaluations(monkeypatch)
+    out = refine_certificate(f, cert, width)
+    assert len(calls) == expected
+    assert out == _reference_refine(f, cert, width)
 
 
 @settings(max_examples=150, deadline=None)
@@ -509,6 +558,82 @@ def test_refine_lands_on_a_rational_root():
     assert [iv.lo for iv in out.intervals if iv.is_point] == [-1, 1]
 
 
+def _dyadic_widened(cert: RootCertificate, level: int, index: int) -> RootCertificate:
+    """cert with each exact root r widened to an open interval of width a
+    third of the gap to its nearest neighbour, on whose bisection grid r is
+    first a point at the given level: r - i d to r + (2^level - i) d for an
+    odd i < 2^level drawn from index."""
+    ivs = list(cert.intervals)
+    i = 2 * (index % (1 << (level - 1))) + 1
+    for n, iv in enumerate(cert.intervals):
+        if iv.is_point:
+            left = cert.intervals[n - 1].hi if n else iv.lo - 3
+            right = cert.intervals[n + 1].lo if n + 1 < len(ivs) else iv.lo + 3
+            d = min(iv.lo - left, right - iv.lo) / (3 << level)
+            ivs[n] = RootInterval(iv.lo - i * d, iv.lo + ((1 << level) - i) * d, iv.multiplicity)
+    return RootCertificate(tuple(ivs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=1 << 10),
+                       st.integers(min_value=1, max_value=2)), max_size=2),
+    st.integers(min_value=0, max_value=2),
+    st.one_of(st.none(), st.tuples(st.integers(min_value=3, max_value=12),
+                                   st.integers(min_value=2, max_value=60))),
+    st.booleans(),
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=0, max_value=1 << 13),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from([Fraction(10), Fraction(3, 7), Fraction(1, 3 ** 40), Fraction(1, 1 << 64),
+                     Fraction(1, 1 << 9), Fraction(1, 1000)]),
+)
+def test_secant_refinement_returns_the_bisection_cell(planted, k, clustered, surd, level, index,
+                                                     thirds, width):
+    # x^k, rational roots with multiplicities, the clustered pair of
+    # x^d - 2(ax - 1)^2 and +-sqrt(2); exact roots widened so that they are
+    # grid points first at `level`, which refinement lands on when it makes
+    # at least that many halvings, and open intervals cut to thirds
+    f = Poly.monomial(k)
+    for a, mult in planted:
+        for _ in range(mult):
+            f = f * Poly((-a.numerator, a.denominator))
+    if clustered:
+        d, a = clustered
+        f = f * (Poly.monomial(d) - Poly((-1, a)) * Poly((-2, 2 * a)))
+    if surd:
+        f = f * Poly((-2, 0, 1))
+    cert = _user_certificate(f, _dyadic_widened(isolate_roots(f), level, index), thirds, False)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_sign_evaluations(mp)
+        bisections = _record_calls(mp, realroots, "_bisect_once")
+        refine_certificate(f, cert, 1 << 200)  # the checks of cert alone
+        checks = len(calls)
+        out = refine_certificate(f, cert, width)
+        secant = len(calls) - 2 * checks
+        del calls[:]
+        expected = _reference_refine(f, cert, width)
+        halving = len(calls)
+    assert out == expected
+    assert out.to_json_obj() == expected.to_json_obj()
+    # bisection makes 1 + h evaluations on an interval it halves h times; the
+    # secant search at most 2 more at its ends, 2 for a final guess and 2 for
+    # each miss, which a bisection step follows
+    refined = sum(1 for iv in cert.intervals if iv.hi - iv.lo >= width)
+    assert secant <= halving + 3 * refined + 2 * len(bisections)
+
+
+def test_refinement_at_cell_widths():
+    # (0, 3) holds sqrt(2): a width of exactly 3 / 2^K takes K + 1 halvings,
+    # a width above the interval's none
+    f = Poly((-2, 0, 1))
+    cert = isolate_roots(f)
+    assert cert.intervals[1].hi == 3
+    for width in [Fraction(4), Fraction(3, 7)] + [Fraction(3, 1 << n) + e for n in range(12)
+                                                  for e in (0, Fraction(1, 1 << 40))]:
+        assert refine_certificate(f, cert, width) == _reference_refine(f, cert, width)
+
+
 def test_isolation_walks_one_sequence_evaluated_once_per_split(monkeypatch):
     # (2 + x + x^2) local_h(6, 20) = x^4 h with h squarefree and not
     # palindromic, so it takes the Sturm path: the sequence of (h, h') ends
@@ -707,16 +832,17 @@ def test_refine_rejects_intervals_that_do_not_each_hold_one_root():
 
 
 def _count_sign_evaluations(monkeypatch) -> list:
-    """Record every sign evaluation, at the one loop that ``Poly.sign_at`` and
-    the integer-grid bisections share."""
+    """Record every evaluation at ``Poly._value_at``, the one loop behind
+    ``Poly.sign_at``, the integer-grid bisections and the secant steps of
+    refinement."""
     calls = []
-    sign_at = Poly._sign_at
+    value_at = Poly._value_at
 
     def counted(self, num, den):
         calls.append((num, den))
-        return sign_at(self, num, den)
+        return value_at(self, num, den)
 
-    monkeypatch.setattr(Poly, "_sign_at", counted)
+    monkeypatch.setattr(Poly, "_value_at", counted)
     return calls
 
 
