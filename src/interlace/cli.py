@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import compat, edgewise, matrices, words
 from .errors import InterlaceError
 from .polys import Poly, parse_poly_list
-from .realroots import interleaves, is_real_rooted, isolate_roots
+from .realroots import _certificate, _roots, interleaves
 from .words import DEFAULT_BUDGET, GammaVector
 
 PASS, FAIL, OK, ERROR = "PASS", "FAIL", "OK", "ERROR"
@@ -141,9 +141,11 @@ def cmd_check(args) -> Report:
     if args.kind == "realrooted":
         certificates = []
         for p in polys:
-            if not is_real_rooted(p):
+            # one root record decides and certifies; 0 is real-rooted with no record
+            roots = p.is_zero or _roots(p, verdict=True)
+            if roots is None:
                 return Report("check", params, FAIL, witness={"poly": str(p)}, lines=["FAIL"])
-            certificates.append(None if p.is_zero else isolate_roots(p).to_json_obj())
+            certificates.append(None if roots is True else _certificate(roots).to_json_obj())
         return Report("check", params, PASS, result={"certificates": certificates},
                       lines=["PASS"])
     if args.kind == "interleave":

@@ -1,45 +1,53 @@
 """Exact real-root certification and the interleaving order on root sets.
 
 Everything here is driven by integer remainder sequences.  One decision
-procedure, ``_normal_sequence_end``, asks whether the remainder sequence of
+procedure, ``_normal_sequence``, asks whether the remainder sequence of
 (a, b) drops the degree by one at every step with positive leading
-coefficients: on (f, f') with the x^k factor stripped it decides
-real-rootedness (generalised Sturm theorem), and on (g, f) it decides f << g
-(Hermite-Kakeya-Obreschkoff) together with the gcd it ends at.
-A palindromic h (c_i = c_{d-i}), such as every local h-polynomial with its
-x^k stripped, goes through one fold: for d = 2m, x^-m h(x) = q(x + 1/x)
+coefficients, and returns its terms if so: on (h, h') for f = x^k h it
+decides real-rootedness (generalised Sturm theorem), and on (g, f) it
+decides f << g (Hermite-Kakeya-Obreschkoff) together with the gcd it ends
+at.  A palindromic h (c_i = c_{d-i}), such as every local h-polynomial with
+its x^k stripped, goes through one fold: for d = 2m, x^-m h(x) = q(x + 1/x)
 with deg q = m, so h = lead(h) prod (x^2 - y_i x + 1) over the roots y_i of
 q (an odd d first loses the root -1), and h is real-rooted iff q is
-real-rooted with every |y_i| >= 2.  ``_fold_counter`` is the one owner of
-the fold: when q is squarefree with q(+-2) != 0, Sturm counts on the one
-chain of (q, q') at half the degree give the number of real roots of h,
-which decides real-rootedness (h is real-rooted iff it has deg h of them),
-and drive isolation; no Descartes count is taken.  A palindrome whose fold
-is not squarefree or vanishes at +-2 is decided and isolated at full
-degree, like any other h.  Before either, ``is_real_rooted`` rejects any h
-with h(i) = 0 from two alternating sums of its coefficients.
+real-rooted with every |y_i| >= 2.  ``_fold_counter`` owns the fold: when q
+is squarefree with q(+-2) != 0, Sturm counts on the one chain of (q, q') at
+half the degree give the number of real roots of h and drive isolation; no
+Descartes count is taken.
+
+One root record per polynomial (``_roots``) is the one owner of the choice
+between the fold and the chain: it holds k, h and either the fold's
+(count, distinct) or the remainder sequence of (h, h').  ``is_real_rooted``
+asks for it with verdict=True, which rejects any h with h(i) = 0 from two
+alternating sums of its coefficients, compares the fold's count of real
+roots with deg h, and stops the sequence at its first abnormal step;
+``isolate_roots``, ``refine_certificate`` and ``check realrooted`` of the
+CLI read the same record, the CLI the very record that decided its verdict.
+A palindrome whose fold is not squarefree or vanishes at +-2 takes the chain
+at full degree, like any other h.  Only isolation and certificate
+validation derive more from the record: the root counter, the Sturm chain
+and the multiplicity levels.
 
 Isolation walks one tree: for f = x^k h with h(0) != 0 and p the squarefree
 part of h, it bisects the Cauchy interval (-B, B) of p at midpoints moved off
 the roots of p until each interval holds one root, finds rational roots
 exactly by a binary search over the grid c/|lead(p)|, and moves intervals
 off the root 0 of f.  What counts the roots below a split point is
-pluggable, and ``_root_structure`` chooses it for isolation and refinement
-alike.  A palindromic h whose fold qualifies is counted through it:
-y = t + 1/t is monotone on each of (-oo, -1], (-1, 0), (0, 1] and (1, oo),
-so the roots of h below t are a count of the roots of q against the one
-rational point y, which a binary search over the isolating intervals of q
-gives with at most one sign of q.  q is isolated when the tree first asks
-for such a count, so refinement, which needs only the number of real roots
-(chain counts at +-2 and +-oo), never isolates it.  Any other h takes the
-remainder sequence of (h, h'), the Sturm chain of the bisection (it counts
-the distinct roots of h between non-roots), evaluated once per split; its
-last term is the first gcd of the repeated-gcd chain that yields the
-multiplicity levels.  Either way the tree, and so the certificate, is the
-same.  The root 0 has multiplicity k; any other isolated root lies on a
-level iff that squarefree level changes sign on its interval.
-``count_real_roots`` does not fold: it stays on the chain of h, a count
-independent of the fold's.
+pluggable, and the record decides it.  A folded h is counted through the
+fold: y = t + 1/t is monotone on each of (-oo, -1], (-1, 0), (0, 1] and
+(1, oo), so the roots of h below t are a count of the roots of q against
+the one rational point y, which a binary search over the isolating
+intervals of q gives with at most one sign of q.  q is isolated when the
+tree first asks for such a count, so refinement, which needs only the
+number of real roots (chain counts at +-2 and +-oo), never isolates it.
+Any other h takes its remainder sequence of (h, h'), the Sturm chain of the
+bisection (it counts the distinct roots of h between non-roots), evaluated
+once per split; its last term is the first gcd of the repeated-gcd chain
+that yields the multiplicity levels.  Either way the tree, and so the
+certificate, is the same.  The root 0 has multiplicity k; any other
+isolated root lies on a level iff that squarefree level changes sign on its
+interval.  ``count_real_roots`` does not fold: it stays on the chain of h,
+a count independent of the fold's.
 
 Every bisection (the tree, refinement, moving an interval off the root 0,
 and the grid probes) runs on integers: an interval is a pair of numerators
@@ -47,7 +55,8 @@ a, b over one denominator den, a halving maps it to (2a, a+b, 2den) or
 (a+b, 2b, 2den), and the sign at a/den comes from one homogeneous integer
 Horner (``Poly._value_at``), for p and for every member of a chain;
 refinement finds the interval that halving would by secants on the same
-grid (``_qir``).  A Fraction is built once per certificate end, and it
+grid (``_qir``), starting from the values at the ends that validating the
+certificate took, so each end is evaluated once.  A Fraction is built once per certificate end, and it
 normalises to the same rational that halving Fractions gives, so every
 certificate is unchanged.
 """
@@ -57,6 +66,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     BadParametersError,
@@ -134,26 +144,26 @@ def squarefree_part(f: Poly) -> Poly:
     return exact_div(f, d).primitive_positive()
 
 
-def _normal_sequence_end(a: Poly, b: Poly) -> Poly | None:
-    """The last term of the remainder sequence of (a, b), a positive multiple
-    of gcd(a, b), if every step drops the degree by exactly one and every term
-    after a has a positive leading coefficient; else None.
+def _normal_sequence(a: Poly, b: Poly) -> tuple[Poly, ...] | None:
+    """The remainder sequence of (a, b), whose last term is a positive
+    multiple of gcd(a, b), if every step drops the degree by exactly one and
+    every term after a has a positive leading coefficient; else None.
 
     Stops at the first step that breaks the rule, so a None is cheap.
     """
     seq = _remainder_sequence(a, b)
-    prev = next(seq)
+    terms = [next(seq)]
     for p in seq:
-        if p.degree != prev.degree - 1 or p.leading_coefficient <= 0:
+        if p.degree != terms[-1].degree - 1 or p.leading_coefficient <= 0:
             return None
-        prev = p
-    return prev
+        terms.append(p)
+    return tuple(terms)
 
 
 def _strip_x(f: Poly) -> tuple[Poly, int]:
-    """(h, k) with f = x^k h and h(0) != 0, for a nonzero f."""
+    """(h, k) with f = x^k h and h(0) != 0, for a nonzero f (f itself when k = 0)."""
     k = next(i for i, c in enumerate(f.coeffs) if c)
-    return Poly(f.coeffs[k:]), k
+    return (Poly(f.coeffs[k:]) if k else f), k
 
 
 @dataclass(frozen=True)
@@ -242,31 +252,55 @@ def count_real_roots(f: Poly, lo=None, hi=None) -> int:
 def is_real_rooted(f: Poly) -> bool:
     """True iff all complex zeros of f are real; constants and 0 count as real-rooted.
 
-    With f = x^k h, h(0) != 0 and lead(h) > 0, let m = deg gcd(h, h').  The
-    sign variations of the remainder sequence of (h, h') count the distinct
-    real roots of h, and h has deg h - m distinct roots; a sequence of at most
-    deg h - m + 1 terms reaches that many variations only when every step
-    drops the degree by one and every leading coefficient is positive.
-
-    Two answers come first.  For any h, h(i) = (c_0 - c_2 + c_4 - ...) +
-    i (c_1 - c_3 + c_5 - ...) over the coefficients c of h, and h(i) = 0 puts
-    the roots +-i on h, with no division.  A palindromic h whose fold
-    qualifies (``_fold_counter``) is squarefree, so it is real-rooted iff its
-    number of distinct real roots, which the fold counts at half the degree,
-    is deg h.  Every other h is decided at full degree, on (h, h').
+    Decided by ``_roots`` with verdict=True, which stops at the first sign
+    that f is not: h(i) = 0, a fold with fewer than deg h real roots, or an
+    abnormal step of the remainder sequence of (h, h').
     """
-    if f.is_zero:
-        return True
-    h = _strip_x(f)[0]
-    if h.leading_coefficient < 0:
-        h = -h
+    return f.is_zero or _roots(f, verdict=True) is not None
+
+
+class _Roots(NamedTuple):
+    """The root record of a nonzero f = x^k h, from ``_roots``: h(0) != 0 and
+    lead(h) > 0, with either the fold's (count, distinct) of
+    ``_fold_counter`` or the remainder sequence of (h, h')."""
+
+    k: int
+    h: Poly
+    fold: tuple[Callable[[int, int], int], int] | None
+    terms: tuple[Poly, ...] | None
+
+
+def _roots(f: Poly, verdict: bool = False) -> _Roots | None:
+    """The root record of a nonzero f, the one place that chooses between the
+    fold and the chain, for verdicts, isolation and certificate validation.
+
+    A palindromic h that ``_fold_counter`` accepts keeps its fold, which
+    counts the roots of h at half the degree; any other h keeps the
+    remainder sequence of (h, h'), which counts the distinct roots of h
+    between non-roots (generalised Sturm theorem) and ends at a positive
+    multiple of gcd(h, h').
+
+    With verdict, the record of a real-rooted f, else None.  With
+    m = deg gcd(h, h'), the sequence counts the distinct real roots of h,
+    and h has deg h - m distinct roots; a sequence of at most deg h - m + 1
+    terms reaches that many sign variations only when it is normal
+    (``_normal_sequence``), so the walk stops at its first abnormal step.  A
+    folded h is squarefree, so it is real-rooted iff it has deg h distinct
+    real roots.  First of all, for any h, h(i) = (c_0 - c_2 + c_4 - ...) +
+    i (c_1 - c_3 + c_5 - ...) over the coefficients c of h, and h(i) = 0
+    puts the roots +-i on h, with no division.
+    """
+    h, k = _strip_x(f)
+    h = -h if h.leading_coefficient < 0 else h
     c = h.coeffs
-    if sum(c[::4]) == sum(c[2::4]) and sum(c[1::4]) == sum(c[3::4]):
-        return False
+    if verdict and sum(c[::4]) == sum(c[2::4]) and sum(c[1::4]) == sum(c[3::4]):
+        return None
     fold = _fold_counter(h)
     if fold is not None:
-        return fold[1] == h.degree
-    return _normal_sequence_end(h, poly_derivative(h)) is not None
+        return None if verdict and fold[1] != h.degree else _Roots(k, h, fold, None)
+    dh = poly_derivative(h)
+    terms = _normal_sequence(h, dh) if verdict else tuple(_remainder_sequence(h, dh))
+    return None if terms is None else _Roots(k, h, None, terms)
 
 
 def _fold(h: Poly) -> Poly:
@@ -328,34 +362,23 @@ def _rational_root_in(q: Poly, a: int, b: int, den: int, s_lo: int) -> Fraction 
     return None
 
 
-def _root_structure(f: Poly
-                    ) -> tuple[int, Poly, Callable[[int, int], int], int, list[Poly]]:
-    """For a nonzero f = x^k h with h(0) != 0: k, the squarefree part p of h
-    (primitive, positive lead), a root counter of p for ``_isolate``, the
-    number of distinct real roots of f, and the multiplicity levels of h:
-    levels[j] holds the distinct roots of h of multiplicity at least j + 2.
+def _levels(r: _Roots) -> list[Poly]:
+    """The squarefree part p of h (primitive, positive lead) and then the
+    multiplicity levels of h, from its root record: levels[j] holds the
+    distinct roots of h of multiplicity at least j + 2.
 
-    A palindromic h that ``_fold_counter`` accepts is squarefree, so it has
-    no levels, and its count comes from the fold at half the degree.  Any
-    other h takes the one remainder sequence of (h, h').  It counts the
-    distinct roots of h between any two non-roots (generalised Sturm
-    theorem), and it ends at a positive multiple of gcd(h, h'), the first
-    step of the repeated-gcd chain g[0] = h, g[i+1] = gcd(g[i], g[i]'), which
-    ends at a constant: the distinct roots of g[i] are the roots of h of
-    multiplicity above i, so g[i] / g[i+1] is their squarefree part.
+    A folded h is squarefree, so it has no levels.  Otherwise the last term
+    of the chain is a positive multiple of gcd(h, h'), the first step of the
+    repeated-gcd chain g[0] = h, g[i+1] = gcd(g[i], g[i]'), which ends at a
+    constant: the distinct roots of g[i] are the roots of h of multiplicity
+    above i, so g[i] / g[i+1] is their squarefree part.
     """
-    h, k = _strip_x(f)
-    p = h.primitive_positive()
-    fold = _fold_counter(p)
-    if fold is not None:
-        count, distinct = fold
-        return k, p, count, distinct + (k > 0), []
-    chain = SturmChain(tuple(_remainder_sequence(h, poly_derivative(h))))
-    gs = [h, chain.chain[-1].primitive_positive()]
+    if r.fold:
+        return [r.h.primitive_positive()]
+    gs = [r.h, r.terms[-1].primitive_positive()]
     while gs[-1].degree >= 1:
         gs.append(poly_gcd(gs[-1], poly_derivative(gs[-1])))
-    p, *levels = [exact_div(g, d).primitive_positive() for g, d in zip(gs, gs[1:])]
-    return k, p, _sturm_counter(chain), chain.count_in(None, None) + (k > 0), levels
+    return [exact_div(g, d).primitive_positive() for g, d in zip(gs, gs[1:])]
 
 
 def _sturm_counter(chain: SturmChain):
@@ -369,8 +392,7 @@ def _fold_counter(p: Poly):
     degree: count(num, den) is the number of roots of p below a non-root
     num/den (den > 0), a root counter for ``_isolate``, and distinct is the
     number of real roots of p; None when p does not qualify.  It is the one
-    place that qualifies and counts a fold, for ``is_real_rooted``,
-    ``isolate_roots`` and ``refine_certificate``.
+    place that qualifies and counts a fold, and ``_roots`` its one caller.
 
     p must have p(0) != 0 and lead(p) > 0.  It qualifies when it is a
     palindrome of degree >= 2 whose fold q (``_fold``, x^-m g(x) = q(x + 1/x)
@@ -385,7 +407,7 @@ def _fold_counter(p: Poly):
 
     n, the number of roots of q, and B(2) and B(-2), with B(y) the number of
     roots of q below a non-root y, are Sturm counts on the chain of q at
-    +-oo and +-2, so distinct needs no isolation.  ``is_real_rooted``
+    +-oo and +-2, so distinct needs no isolation.  A verdict of ``_roots``
     compares distinct with deg p, and ``refine_certificate`` checks a
     certificate's length against it; neither isolates q.  The first B(y) at
     any other y isolates q at half the degree, once, by the Sturm tree on
@@ -544,18 +566,24 @@ def isolate_roots(f: Poly) -> RootCertificate:
     with multiplicities recovered from the repeated-gcd chain.
 
     The tree of ``_isolate`` walks the squarefree part of h, f = x^k h, with
-    the root counter of ``_root_structure``: the fold of a palindromic h at
-    half the degree, or else the Sturm chain of h.  Both give the same
+    the root counter of the record ``_roots``: the fold of a palindromic h
+    at half the degree, or else the Sturm chain of h.  Both give the same
     certificate.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of 0")
-    k, p, count, _, levels = _root_structure(f)
-    points, intervals = _isolate(p, count, k > 0)
+    return _certificate(_roots(f))
+
+
+def _certificate(r: _Roots) -> RootCertificate:
+    """The certificate of ``isolate_roots`` from the root record r of f."""
+    p, *levels = _levels(r)
+    count = r.fold[0] if r.fold else _sturm_counter(SturmChain(r.terms))
+    points, intervals = _isolate(p, count, r.k > 0)
     records = [(a, a) for a in points] + [(Fraction(a, den), Fraction(b, den))
                                           for a, b, den, _ in intervals]
     records.sort(key=lambda iv: iv[0])
-    return RootCertificate(tuple(RootInterval(lo, hi, _multiplicity(k, levels, lo, hi))
+    return RootCertificate(tuple(RootInterval(lo, hi, _multiplicity(r.k, levels, lo, hi))
                                  for lo, hi in records))
 
 
@@ -575,9 +603,11 @@ def _bisect_once(p: Poly, a: int, b: int, den: int, v_a: int, v_b: int
     return 2 * a, mid, den, v_a << p.degree, v
 
 
-def _qir(p: Poly, a: int, b: int, den: int, level: int) -> tuple[int, int, int]:
+def _qir(p: Poly, a: int, b: int, den: int, v_a: int, v_b: int, level: int
+         ) -> tuple[int, int, int]:
     """What `level` steps of ``_bisect_once`` return on [a/den, b/den] (one
-    simple root of p inside, none at the ends), by quadratic interval
+    simple root of p inside, none at the ends, where ``Poly._value_at`` gives
+    v_a and v_b over den), by quadratic interval
     refinement (J. Abbott, ACM Commun. Comput. Algebra 48(1), 2014): the
     secant through p at the ends of the current cell picks one of its 2^j
     subcells, never past `level`, kept if p changes sign at its ends, and j
@@ -589,7 +619,6 @@ def _qir(p: Poly, a: int, b: int, den: int, level: int) -> tuple[int, int, int]:
     neither method passes level L without meeting it as an end, and both
     return it as a point."""
     deg, w, j = p.degree, b - a, 2
-    v_a, v_b = p._value_at(a, den), p._value_at(b, den)
     while level > 0 and a < b:
         j = min(j, level)
         if j > 1:
@@ -623,56 +652,65 @@ def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate
         raise BadParametersError("width must be positive")
     if f.is_zero:
         raise CertificateMismatchError("the zero polynomial has no certificate")
-    p = _validated_squarefree_part(f, cert)
+    p, grid = _validated_squarefree_part(f, cert)
     w_num, w_den = width.numerator, width.denominator
     out = []
-    for iv in cert.intervals:
+    for iv, (a, b, den, v_a, v_b) in zip(cert.intervals, grid):
         lo, hi = iv.lo, iv.hi
-        (a, b), den = _on_grid(lo, hi)
         have, want = (b - a) * w_den, w_num * den
         level = max(have.bit_length() - want.bit_length(), 0)
         if want << level <= have:
             level += 1
         if level:
-            a, b, den = _qir(p, a, b, den, level)
+            a, b, den = _qir(p, a, b, den, v_a, v_b, level)
             lo, hi = Fraction(a, den), Fraction(b, den)
         out.append(RootInterval(lo, hi, iv.multiplicity))
     return RootCertificate(tuple(out))
 
 
-def _validated_squarefree_part(f: Poly, cert: RootCertificate) -> Poly:
-    """The squarefree part p of a nonzero f, once cert is checked against f.
+def _validated_squarefree_part(f: Poly, cert: RootCertificate
+                               ) -> tuple[Poly, list[tuple[int, int, int, int, int]]]:
+    """The squarefree part p of a nonzero f, once cert is checked against f,
+    and each interval on its grid: (a, b, den, v_a, v_b) with the ends
+    a/den, b/den and the values of p there from ``Poly._value_at`` (0 at a
+    point), so refinement evaluates no end again.
 
     Every point must be a root of f and every open interval must see a strict
     sign change of p with nonzero ends, so each of the disjoint intervals
     holds at least one root; with as many intervals as distinct real roots,
     each holds exactly one, and only then are the multiplicities checked.
     """
-    k, q, _, distinct, levels = _root_structure(f)
-    p = q.shift_up() if k else q
+    r = _roots(f)
+    q, *levels = _levels(r)
+    p = q.shift_up() if r.k else q
+    distinct = (r.fold[1] if r.fold else SturmChain(r.terms).count_in(None, None)) + (r.k > 0)
     if len(cert.intervals) != distinct:
         raise CertificateMismatchError(
             f"certificate lists {len(cert.intervals)} roots, polynomial has {distinct}"
         )
+    grid = []
     for iv in cert.intervals:
+        (a, b), den = _on_grid(iv.lo, iv.hi)
+        v_a = v_b = 0
         if iv.is_point:
             if f.sign_at(iv.lo) != 0:
                 raise CertificateMismatchError(f"{iv.lo} is not a root")
-            continue
-        s_lo, s_hi = p.sign_at(iv.lo), p.sign_at(iv.hi)
-        if s_lo == 0 or s_hi == 0:
-            raise CertificateMismatchError("interval endpoint is a root")
-        if s_lo == s_hi:
-            raise CertificateMismatchError(
-                f"interval ({iv.lo}, {iv.hi}) does not isolate one root"
-            )
+        else:
+            v_a, v_b = p._value_at(a, den), p._value_at(b, den)
+            if v_a == 0 or v_b == 0:
+                raise CertificateMismatchError("interval endpoint is a root")
+            if (v_a > 0) == (v_b > 0):
+                raise CertificateMismatchError(
+                    f"interval ({iv.lo}, {iv.hi}) does not isolate one root"
+                )
+        grid.append((a, b, den, v_a, v_b))
     for iv in cert.intervals:
-        mult = _multiplicity(k, levels, iv.lo, iv.hi)
+        mult = _multiplicity(r.k, levels, iv.lo, iv.hi)
         if mult != iv.multiplicity:
             raise CertificateMismatchError(
                 f"multiplicity mismatch on ({iv.lo}, {iv.hi}): {iv.multiplicity} != {mult}"
             )
-    return p
+    return p, grid
 
 
 # -- interleaving --------------------------------------------------------------
@@ -706,8 +744,8 @@ def interleaves(f: Poly, g: Poly) -> bool:
         return False
     if f.degree == g.degree:
         f, g = -(f.leading_coefficient * g - g.leading_coefficient * f), f
-    d = _normal_sequence_end(g, f)
-    return d is not None and is_real_rooted(d)
+    terms = _normal_sequence(g, f)
+    return terms is not None and is_real_rooted(terms[-1])
 
 
 def is_interlacing_seq(fs) -> bool:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,11 +7,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import interlace
-from interlace import cli, matrices, words
+from interlace import cli, matrices, polys, realroots, words
 from interlace.cli import main
+from interlace.edgewise import e_vector, local_h
 from interlace.polys import Poly
+from interlace.realroots import is_real_rooted, isolate_roots
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +115,76 @@ def test_check_realrooted_json_certificates(capsys):
         [{"lo": "-1/1", "hi": "-1/1", "mult": 2}],
         None,
     ]
+
+
+def _recorded(monkeypatch, owner, name) -> list:
+    calls = []
+    fn = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def test_check_realrooted_walks_one_sequence_per_polynomial(capsys, monkeypatch):
+    # one root record decides and certifies: the fold's chain of q for
+    # local_h(10, 40), the chain of (h, h') for E_1, which is no palindrome,
+    # and for (x^2 + 3x + 1)^2 the chain of its fold q = (y + 3)^2, which
+    # is not squarefree, and then the chain of (h, h')
+    E1 = e_vector(10, 30).polys[1]
+    assert E1.coeffs[4:] != E1.coeffs[4:][::-1]
+    sequences = _recorded(monkeypatch, realroots, "_remainder_sequence")
+    for p, walked in ((local_h(10, 40), 1), (E1, 1), (Poly((1, 6, 11, 6, 1)), 2)):
+        sequences.clear()
+        assert run_cli(capsys, "check", "realrooted", str(p))[:2] == (0, "PASS\n")
+        assert len(sequences) == walked
+    # a FAIL stops where is_real_rooted does: (2 + x + x^2) local_h(6, 20)
+    # breaks the sequence of (h, h') within a few steps, and takes no gcd
+    divisions = _recorded(monkeypatch, polys, "pseudo_divmod")
+    gcds = _recorded(monkeypatch, realroots, "poly_gcd")
+    f = Poly((2, 1, 1)) * local_h(6, 20)
+    assert run_cli(capsys, "check", "realrooted", str(f))[:2] == (1, "FAIL\n")
+    assert len(divisions) <= 8 and gcds == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(min_value=-9, max_value=9),
+                       st.integers(min_value=1, max_value=4),
+                       st.integers(min_value=1, max_value=3)), max_size=3),
+    st.lists(st.integers(min_value=-6, max_value=6), max_size=2),
+    st.lists(st.integers(min_value=-4, max_value=4).flatmap(
+        lambda b: st.tuples(st.just(b), st.integers(min_value=b * b // 4 + 1,
+                                                    max_value=b * b // 4 + 6))), max_size=1),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([1, 2, -1, -3]),
+)
+def test_check_realrooted_agrees_with_the_library(planted, palindromic, complex_pair, k, scale):
+    # rational roots a/d of multiplicity 1 to 3, palindromic factors
+    # x^2 - b x + 1 (real roots for |b| > 2, a double root +-1 for |b| = 2,
+    # a pair on the unit circle otherwise), maybe x^2 + b x + c with
+    # b^2 < 4c, then x^k and a scaling: PASS iff is_real_rooted, with the
+    # certificate of isolate_roots
+    f = Poly.monomial(k, scale)
+    for a, d, mult in planted:
+        for _ in range(mult):
+            f = f * Poly((-a, d))
+    for b in palindromic:
+        f = f * Poly((1, -b, 1))
+    for b, c in complex_pair:
+        f = f * Poly((c, b, 1))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--json", "check", "realrooted", str(f)])
+    report = json.loads(out.getvalue())
+    assert (code == 0) == (report["status"] == "PASS") == is_real_rooted(f)
+    if code == 0:
+        assert report["result"]["certificates"] == [isolate_roots(f).to_json_obj()]
+    else:
+        assert code == 1 and report["witness"] == {"poly": str(f)}
 
 
 def test_check_interleave_with_negative_coefficients(capsys):
@@ -312,7 +388,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     def broken(*_):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "isolate_roots", broken)
+    monkeypatch.setattr(cli, "_certificate", broken)
     code, out, err = run_cli(capsys, "check", "realrooted", "0,1,1")
     assert code == 3 and out == ""
     assert err.strip() == "error: internal: RuntimeError: boom"
@@ -361,11 +437,11 @@ def _closure_with_forbidden(monkeypatch):
     monkeypatch.setattr(cli.matrices, "generator_closure", lambda: closure | {extra})
 
 
-def _broken_isolate_roots(monkeypatch):
+def _broken_certificate(monkeypatch):
     def broken(*_):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "isolate_roots", broken)
+    monkeypatch.setattr(cli, "_certificate", broken)
 
 
 def _edge(r, n, gamma=None, component=None):
@@ -444,7 +520,7 @@ REPORTS = [
                   "pair": [0, 1]}}, ""),
     ("check usage error", ["check", "interleave", "0,1"], None, 2, [], None,
      "error: interleave takes exactly two polynomials\n"),
-    ("check internal error", ["check", "realrooted", "0,1,1"], _broken_isolate_roots, 3,
+    ("check internal error", ["check", "realrooted", "0,1,1"], _broken_certificate, 3,
      [],
      {"command": "check", "params": {"unchecked": False, "kind": "realrooted",
                                      "polys": ["0,1,1"]}, "status": "ERROR"},

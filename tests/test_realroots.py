@@ -294,21 +294,22 @@ def test_refine_below_2_pow_minus_520(monkeypatch):
     assert len(out) == 2
     assert all(iv.hi - iv.lo < width for iv in out.intervals)
     # per interval (-3, 0) and (0, 3), where bisection makes 522 halvings:
-    # its two ends checked, the values at them, 22 evaluations in 12 secant
-    # guesses and one for each of the 2 bisection steps after a miss
-    assert len(calls) == 2 * (2 + 2 + 22 + 2) == 56
+    # its two ends checked, whose values the secants reuse, 22 evaluations in
+    # 12 secant guesses and one for each of the 2 bisection steps after a miss
+    assert len(calls) == 2 * (2 + 22 + 2) == 52
 
 
 MIGNOTTE = Poly((-2, 400, -20000) + (0,) * 17 + (1,))  # x^20 - 2(100x - 1)^2
 
 
 @pytest.mark.parametrize("f, width, expected", [
-    (Poly((-3814977668324157077, 0, 3419197581502107467)), Fraction(1, 1 << 300), 60),
-    (MIGNOTTE, Fraction(1, 1 << 64), 70),
-    (MIGNOTTE, Fraction(1, 1 << 200), 126),
+    (Poly((-3814977668324157077, 0, 3419197581502107467)), Fraction(1, 1 << 300), 56),
+    (MIGNOTTE, Fraction(1, 1 << 64), 66),
+    (MIGNOTTE, Fraction(1, 1 << 200), 118),
 ], ids=["ax^2-b 2^-300", "mignotte 2^-64", "mignotte 2^-200"])
 def test_refinement_evaluation_counts(monkeypatch, f, width, expected):
-    # exact counts at the one loop, validation included; bisection, one
+    # exact counts at the one loop, validation included, whose values at the
+    # ends of each refined interval the secants reuse; bisection, one
     # evaluation per halving, makes 610, 154 and 684
     cert = isolate_roots(f)
     calls = _count_sign_evaluations(monkeypatch)
@@ -932,7 +933,7 @@ def _unfolded_real_rooted(f: Poly) -> bool:
     h = realroots._strip_x(f)[0]
     if h.leading_coefficient < 0:
         h = -h
-    return realroots._normal_sequence_end(h, poly_derivative(h)) is not None
+    return realroots._normal_sequence(h, poly_derivative(h)) is not None
 
 
 @settings(max_examples=300, deadline=None)
