@@ -1,19 +1,23 @@
 """Exact real-root certification and the interleaving order on root sets.
 
-Everything here is driven by integer remainder sequences.  One decision
-procedure, ``_normal_sequence``, asks whether the remainder sequence of
-(a, b) drops the degree by one at every step with positive leading
-coefficients, and returns its terms if so: on (h, h') for f = x^k h it
-decides real-rootedness (generalised Sturm theorem), and on (g, f) it
-decides f << g (Hermite-Kakeya-Obreschkoff) together with the gcd it ends
-at.  A palindromic h (c_i = c_{d-i}), such as every local h-polynomial with
-its x^k stripped, goes through one fold: for d = 2m, x^-m h(x) = q(x + 1/x)
+Every verdict here rests on exact integer signs: of remainder sequences
+or, for a fold, of q at points guessed in floats.  One decision procedure,
+``_normal_sequence``, asks whether the remainder sequence of (a, b) drops
+the degree by one at every step with positive leading coefficients, and
+returns its terms if so: on (h, h') for f = x^k h it decides
+real-rootedness (generalised Sturm theorem), and on (g, f) it decides
+f << g (Hermite-Kakeya-Obreschkoff) together with the gcd it ends at.  A
+palindromic h (c_i = c_{d-i}), such as every local h-polynomial with its x^k
+stripped, goes through one fold: for d = 2m, x^-m h(x) = q(x + 1/x)
 with deg q = m, so h = lead(h) prod (x^2 - y_i x + 1) over the roots y_i of
 q (an odd d first loses the root -1), and h is real-rooted iff q is
 real-rooted with every |y_i| >= 2.  ``_fold_counter`` owns the fold: when q
-is squarefree with q(+-2) != 0, Sturm counts on the one chain of (q, q') at
-half the degree give the number of real roots of h and drive isolation; no
-Descartes count is taken.
+is squarefree with q(+-2) != 0, isolating intervals of q at half the degree
+give the number of real roots of h and drive isolation.  They are the gaps
+between deg q + 1 separators that Laguerre's method guesses in floats and
+exact signs of q prove (``_separators``, the certifying-algorithm pattern),
+and only when that proof fails come from the one chain of (q, q'), by Sturm
+counts and the Sturm tree; no Descartes count is taken.
 
 One root record per polynomial (``_roots``) is the one owner of the choice
 between the fold and the chain: it holds k, h and either the fold's
@@ -37,13 +41,13 @@ pluggable, and the record decides it.  A folded h is counted through the
 fold: y = t + 1/t is monotone on each of (-oo, -1], (-1, 0), (0, 1] and
 (1, oo), so the roots of h below t are a count of the roots of q against
 the one rational point y, which a binary search over the isolating
-intervals of q gives with at most one sign of q.  q is isolated when the
-tree first asks for such a count, so refinement, which needs only the
-number of real roots (chain counts at +-2 and +-oo), never isolates it.
-Any other h takes its remainder sequence of (h, h'), the Sturm chain of the
-bisection (it counts the distinct roots of h between non-roots), evaluated
-once per split; its last term is the first gcd of the repeated-gcd chain
-that yields the multiplicity levels.  Either way the tree, and so the
+intervals of q gives with at most one sign of q.  On the chain of q, q is
+isolated when the tree first asks for such a count, so refinement, which
+needs only the number of real roots (chain counts at +-2 and +-oo), never
+isolates it.  Any other h takes its remainder sequence of (h, h'), the
+Sturm chain of the bisection (it counts the distinct roots of h between
+non-roots), evaluated once per split; its last term is the first gcd of the
+repeated-gcd chain that yields the multiplicity levels.  Either way the tree, and so the
 certificate, is the same.  The root 0 has multiplicity k; any other
 isolated root lies on a level iff that squarefree level changes sign on its
 interval.  ``count_real_roots`` does not fold: it stays on the chain of h,
@@ -56,13 +60,14 @@ a, b over one denominator den, a halving maps it to (2a, a+b, 2den) or
 Horner (``Poly._value_at``), for p and for every member of a chain;
 refinement finds the interval that halving would by secants on the same
 grid (``_qir``), starting from the values at the ends that validating the
-certificate took, so each end is evaluated once.  A Fraction is built once per certificate end, and it
-normalises to the same rational that halving Fractions gives, so every
-certificate is unchanged.
+certificate took, so each end is evaluated once.  A Fraction is built once
+per certificate end, and it normalises to the same rational that halving
+Fractions gives, so every certificate is unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -336,6 +341,96 @@ def _root_bound(p: Poly) -> int:
     return 1 + (-(-m // an))
 
 
+def _guessed_separators(q: Poly) -> list[tuple[int, int]] | None:
+    """deg q - 1 points num/den, ascending, guessed in floats to separate the
+    roots of q, or None when a guess does not converge or a float overflows.
+    Only a guess: ``_separators`` proves or rejects it.
+
+    q(y) is first shifted exactly to q(w + s), s = 2 if the roots of q sum
+    to more than 0 and s = -2 otherwise: the roots of a fold cluster at 2 or
+    -2, and floats near 0 resolve them where floats near +-2 cannot.
+    Laguerre's method with implicit (Maehly) deflation then finds the roots
+    one by one, each started next to a root modulus of the Newton polygon of
+    log2|c_i|, on the side of s, and evaluates the polynomial in 1/w for
+    |w| > 1, so no power of a root overflows.  It stops when the value is
+    down to rounding noise or a step to 2^-32 of |w|: Laguerre converges
+    cubically, so the step taken is then down to rounding noise too.  Between
+    each two sorted guesses the point is the least multiple of the power of
+    two in (gap/4, gap/2] that lies in the middle half of the gap.
+    """
+    n, cs = q.degree, list(q.coeffs)
+    s = 2 if n and cs[-2] < 0 else -2  # the side of the mean root
+    for i in range(n):  # cs becomes q(w + s), exactly
+        for k in range(n - 1, i - 1, -1):
+            cs[k] += s * cs[k + 1]
+    hull = []  # upper convex hull of (i, log2|c_i|)
+    for pt in [(i, math.log2(abs(c))) for i, c in enumerate(cs) if c]:
+        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])
+                                 <= (pt[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append(pt)
+    found, points = [], []
+    try:
+        cs = [float(c) for c in cs]
+        for (i, li), (j, lj) in zip(hull, hull[1:]):
+            for _ in range(i, j):
+                x, m = math.copysign(1.01 * 2 ** ((li - lj) / (j - i)), s), n - len(found)
+                for _ in range(60):
+                    inside = abs(x) <= 1
+                    t = x if inside else 1 / x
+                    v = dv = ddv = size = 0.0  # p, p', p''/2 and sum |c_i t^i| at t
+                    for c in (reversed(cs) if inside else cs):
+                        v, dv, ddv = v * t + c, dv * t + v, ddv * t + dv
+                        size = size * abs(t) + abs(c)
+                    if abs(v) <= 2 ** -53 * size:  # a root, as far as floats tell
+                        break
+                    g, r = dv / v, 2 * ddv / v  # p'/p and p''/p at t
+                    g, h = (g, g * g - r) if inside else (  # p'/p and -(p'/p)' at x
+                        t * (n - t * g), t * t * (n - 2 * t * g - t * t * (r - g * g)))
+                    for z in found:
+                        g, h = g - 1 / (x - z), h - 1 / (x - z) ** 2
+                    e = max(m * h - g * g, 0.0)  # >= 0 at a real x for real roots
+                    step = m / (g + math.copysign(math.sqrt((m - 1) * e), g))
+                    x -= step
+                    if abs(step) <= 2 ** -32 * abs(x):
+                        break
+                else:
+                    return None
+                found.append(x)
+        found.sort()
+        for lo, hi in zip(found, found[1:]):
+            unit = math.ldexp(1.0, math.frexp(hi - lo)[1] - 2)  # <= (hi - lo) / 2
+            points.append((math.ceil((lo + (hi - lo) / 4) / unit) * unit).as_integer_ratio())
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return None
+    return [(a + s * den, den) for a, den in points]
+
+
+def _separators(q: Poly) -> list[tuple[int, int, int, int]] | None:
+    """The deg q isolating intervals (a, b, den, s_a) of a q with
+    lead(q) > 0, ascending, from separators guessed in floats and proven by
+    exact signs, or None when the guess or the proof fails.
+
+    The points are -B (``_root_bound``), the deg q - 1 points of
+    ``_guessed_separators`` and B.  If these n + 1 = deg q + 1 increasing
+    points give n strict sign changes of q, with no zero, then each gap
+    holds one root, so q has n simple real roots.  Only exact signs decide,
+    so no verdict rests on a float (the certifying-algorithm pattern:
+    McConnell, Mehlhorn, Naher and Schweitzer, Comput. Sci. Rev. 5, 2011).
+    """
+    guess = _guessed_separators(q)
+    if guess is None:
+        return None
+    bound = _root_bound(q)
+    grid = [(a, den, q._sign_at(a, den)) for a, den in [(-bound, 1)] + guess + [(bound, 1)]]
+    gaps = list(zip(grid, grid[1:]))
+    if len(gaps) != q.degree or any(a * db >= b * da or u * v >= 0
+                                    for (a, da, u), (b, db, v) in gaps):
+        return None
+    return [(a * (max(da, db) // da), b * (max(da, db) // db), max(da, db), u)
+            for (a, da, u), (b, db, _) in gaps]
+
+
 def _rational_root_in(q: Poly, a: int, b: int, den: int, s_lo: int) -> Fraction | None:
     """The root of q in (a/den, b/den) if it is rational, else None; s_lo is
     the sign of q at a/den.
@@ -405,17 +500,23 @@ def _fold_counter(p: Poly):
     real roots are -1 for an odd degree and the roots x and 1/x of each
     factor with a real |y| > 2.
 
-    n, the number of roots of q, and B(2) and B(-2), with B(y) the number of
-    roots of q below a non-root y, are Sturm counts on the chain of q at
-    +-oo and +-2, so distinct needs no isolation.  A verdict of ``_roots``
-    compares distinct with deg p, and ``refine_certificate`` checks a
-    certificate's length against it; neither isolates q.  The first B(y) at
-    any other y isolates q at half the degree, once, by the Sturm tree on
-    that chain without the grid probe, and its intervals stay in y-space.
-    B(y) is then a binary search over them: the intervals with hi <= y lie
-    below y, those after the first with hi > y lie above it, and the root of
-    that one lies below y iff y is inside it and q has at y the sign opposite
-    to its sign at lo.
+    The counts come from isolating intervals of q, in y-space, and B(y), the
+    number of roots of q below a non-root y, is a binary search over them:
+    the intervals with hi <= y lie below y, those after the first with
+    hi > y lie above it, and the root of that one lies below y iff y is
+    inside it and q has at y the sign opposite to its sign at lo.  First,
+    ``_separators`` tries to prove deg q + 1 points guessed in floats: then
+    q is squarefree with n = deg q real roots, the gaps between the points
+    are its intervals, and B(2) and B(-2) are two binary searches; no
+    remainder sequence is built.  Only when that fails does q take its
+    chain: q qualifies iff the chain ends at a constant, and n, the number
+    of real roots of q, B(2) and B(-2) are Sturm counts on it at +-oo and
+    +-2, so distinct needs no isolation.  A verdict of ``_roots`` compares
+    distinct with deg p, and ``refine_certificate`` checks a certificate's
+    length against it; on the chain, neither isolates q.  The first B(y) at
+    any other y then isolates q at half the degree, once, by the Sturm tree
+    on that chain without the grid probe.  The values are exact either way,
+    so the tree of p, and its certificate, do not depend on the path.
 
     Let odd = deg p mod 2 and N = 2 B(-2) + odd.  A non-root t = num/den of
     p maps to y = t + 1/t = (num^2 + den^2) / (num den), and
@@ -441,13 +542,12 @@ def _fold_counter(p: Poly):
     q = q.primitive()
     if j > 1 or q._sign_at(-2, 1) == 0 or q._sign_at(2, 1) == 0:
         return None
-    chain = SturmChain(tuple(_remainder_sequence(q, poly_derivative(q))))
-    if chain.chain[-1].degree != 0:
-        return None
-    n = chain.count_in(None, None)
-    below_2 = chain.count_in(None, 2)
-    neg = 2 * chain.count_in(None, -2) + p.degree % 2
-    known = None  # the isolating intervals of q, once the first B(y) needs them
+    known = _separators(q)  # the isolating intervals of q, if proven
+    if known is None:
+        chain = SturmChain(tuple(_remainder_sequence(q, poly_derivative(q))))
+        if chain.chain[-1].degree != 0:
+            return None
+        n, below_2, below_m2 = (chain.count_in(None, y) for y in (None, 2, -2))
 
     def below(num: int, den: int) -> int:
         nonlocal known
@@ -465,6 +565,11 @@ def _fold_counter(p: Poly):
             if a * den < num * d and q._sign_at(num, den) != s_a:
                 lo += 1
         return lo
+
+    if known is not None:  # proven: q is squarefree with deg q real roots
+        n = q.degree
+        below_2, below_m2 = below(2, 1), below(-2, 1)
+    neg = 2 * below_m2 + p.degree % 2
 
     def count(num: int, den: int) -> int:
         if num == 0:

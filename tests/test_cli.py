@@ -130,17 +130,23 @@ def _recorded(monkeypatch, owner, name) -> list:
 
 
 def test_check_realrooted_walks_one_sequence_per_polynomial(capsys, monkeypatch):
-    # one root record decides and certifies: the fold's chain of q for
-    # local_h(10, 40), the chain of (h, h') for E_1, which is no palindrome,
-    # and for (x^2 + 3x + 1)^2 the chain of its fold q = (y + 3)^2, which
-    # is not squarefree, and then the chain of (h, h')
+    # one root record decides and certifies: no sequence for local_h(10, 40),
+    # whose fold q is proven real-rooted from its separators (the chain of q
+    # when the guess fails), the chain of (h, h') for E_1, which is no
+    # palindrome, and for (x^2 + 3x + 1)^2 the chain of its fold
+    # q = (y + 3)^2, which is not squarefree, and then the chain of (h, h')
     E1 = e_vector(10, 30).polys[1]
     assert E1.coeffs[4:] != E1.coeffs[4:][::-1]
     sequences = _recorded(monkeypatch, realroots, "_remainder_sequence")
-    for p, walked in ((local_h(10, 40), 1), (E1, 1), (Poly((1, 6, 11, 6, 1)), 2)):
+    for p, walked in ((local_h(10, 40), 0), (E1, 1), (Poly((1, 6, 11, 6, 1)), 2)):
         sequences.clear()
         assert run_cli(capsys, "check", "realrooted", str(p))[:2] == (0, "PASS\n")
         assert len(sequences) == walked
+    with monkeypatch.context() as patched:
+        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        sequences.clear()
+        assert run_cli(capsys, "check", "realrooted", str(local_h(10, 40)))[:2] == (0, "PASS\n")
+        assert len(sequences) == 1
     # a FAIL stops where is_real_rooted does: (2 + x + x^2) local_h(6, 20)
     # breaks the sequence of (h, h') within a few steps, and takes no gcd
     divisions = _recorded(monkeypatch, polys, "pseudo_divmod")

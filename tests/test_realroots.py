@@ -656,10 +656,12 @@ def test_isolation_walks_one_sequence_evaluated_once_per_split(monkeypatch):
 
 def test_palindromic_isolation_through_the_fold(monkeypatch):
     # local_h(10, 40) = x^4 h with h palindromic of degree 32 and squarefree:
-    # its roots are counted through the fold q of degree m = 16, so no
-    # remainder sequence above degree m is built and no chain of h is
-    # evaluated, q is isolated once, and the tree gives the certificate of
-    # the Sturm path
+    # its roots are counted through the fold q of degree m = 16.  Its
+    # separators prove q real-rooted, so no remainder sequence is built, no
+    # chain is evaluated and q is not isolated: the tree of h is the one
+    # tree.  With the guess failing, the chain of q is the one sequence, no
+    # chain of h is evaluated and q is isolated once.  Either way the tree
+    # gives the certificate of the Sturm path
     f = local_h(10, 40)
     h, k = realroots._strip_x(f)
     m = h.degree // 2
@@ -670,22 +672,28 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
     sequences = _record_calls(monkeypatch, realroots, "_remainder_sequence")
     evaluations = _record_calls(monkeypatch, SturmChain, "variations_at")
     isolations = _record_calls(monkeypatch, realroots, "_isolate")
-    cert = isolate_roots(f)
-    assert cert == sturm
-    assert json.dumps(cert.to_json_obj()) == json.dumps(sturm.to_json_obj())
-    assert len(cert) == 33 and cert.intervals[-1].multiplicity == 4
-    assert max(a.degree for a, _ in sequences) == m
-    assert evaluations and max(chain.chain[0].degree for chain, *_ in evaluations) == m
-    assert [p.degree for p, *_ in isolations] == [2 * m, m]  # the tree of h, then q once
+    for guessed, trees in ((True, [2 * m]), (False, [2 * m, m])):
+        with monkeypatch.context() as patched:
+            if not guessed:
+                patched.setattr(realroots, "_guessed_separators", lambda q: None)
+            for calls in (sequences, evaluations, isolations):
+                calls.clear()
+            cert = isolate_roots(f)
+        assert cert == sturm
+        assert json.dumps(cert.to_json_obj()) == json.dumps(sturm.to_json_obj())
+        assert len(cert) == 33 and cert.intervals[-1].multiplicity == 4
+        assert [a.degree for a, _ in sequences] == ([] if guessed else [m])
+        assert {chain.chain[0].degree for chain, *_ in evaluations} == (set() if guessed else {m})
+        assert [p.degree for p, *_ in isolations] == trees  # the tree of h (then q once)
 
 
 def test_palindromic_refinement_through_the_fold(monkeypatch):
     # local_h(10, 40) = x^4 h as above: refinement checks a certificate
-    # against the fold's root count, so it builds no remainder sequence above
-    # degree m = 16 and refines as the Sturm path does; that count comes from
-    # the chain of q alone, so q is never isolated; and it still rejects
-    # a dropped interval, an interval widened over two roots and a wrong
-    # multiplicity of the root 0
+    # against the fold's root count, which the separators of q give with no
+    # remainder sequence at all (with the guess failing, the chain of q
+    # alone), and refines as the Sturm path does; q is never isolated; and it
+    # still rejects a dropped interval, an interval widened over two roots
+    # and a wrong multiplicity of the root 0
     f = local_h(10, 40)
     m = realroots._strip_x(f)[0].degree // 2
     cert = isolate_roots(f)
@@ -695,11 +703,16 @@ def test_palindromic_refinement_through_the_fold(monkeypatch):
         sturm = refine_certificate(f, cert, width)
     sequences = _record_calls(monkeypatch, realroots, "_remainder_sequence")
     isolations = _record_calls(monkeypatch, realroots, "_isolate")
-    out = refine_certificate(f, cert, width)
-    assert out == sturm
-    assert json.dumps(out.to_json_obj()) == json.dumps(sturm.to_json_obj())
-    assert max(a.degree for a, _ in sequences) == m
-    assert isolations == []
+    for guessed in (True, False):
+        with monkeypatch.context() as patched:
+            if not guessed:
+                patched.setattr(realroots, "_guessed_separators", lambda q: None)
+            sequences.clear()
+            out = refine_certificate(f, cert, width)
+        assert out == sturm
+        assert json.dumps(out.to_json_obj()) == json.dumps(sturm.to_json_obj())
+        assert [a.degree for a, _ in sequences] == ([] if guessed else [m])
+        assert isolations == []
     ivs = cert.intervals
     assert len(ivs) == 33 and ivs[-1] == RootInterval(Fraction(0), Fraction(0), 4)
     assert not any(iv.is_point for iv in ivs[:-1])
@@ -734,22 +747,26 @@ def test_local_h_isolation_equals_reference_bisection(r):
         assert json.dumps(cert.to_json_obj()) == json.dumps(expected.to_json_obj())
 
 
-def _check_fold_counter(p: Poly, fold) -> None:
-    """fold = (count, distinct) from ``_fold_counter`` against the Sturm chain
-    of ``count_real_roots``, which does not fold: distinct is the whole-line
-    count, and at -1, 0 and 1 (those that are no roots) and at every point
-    where the tree of ``_isolate`` counts, the count below t equals the
-    chain's count on (-oo, t], so every difference of the count equals the
+def _check_fold_counter(p: Poly, fold, reference=None) -> None:
+    """fold = (count, distinct) from ``_fold_counter`` against a reference
+    (count, distinct): by default the Sturm chain of ``count_real_roots``,
+    which does not fold, with its whole-line count and its count on
+    (-oo, t].  distinct equals the reference's, and so does the count below
+    t at -1, 0 and 1 (those that are no roots) and at every point where the
+    tree of ``_isolate`` counts, so every difference of the count equals the
     chain's count between the points.  Each count is checked before the tree
     uses it, so a wrong one fails rather than splitting the tree forever."""
     count, distinct = fold
-    assert distinct == count_real_roots(p)
-    # the chain that count_real_roots(p, lo, hi) builds, built once
-    chain = SturmChain.of_squarefree(squarefree_part(p))
+    if reference is None:
+        # the chain that count_real_roots(p, lo, hi) builds, built once
+        chain = SturmChain.of_squarefree(squarefree_part(p))
+        reference = (lambda num, den: chain.count_in(None, Fraction(num, den)),
+                     count_real_roots(p))
+    assert distinct == reference[1]
 
     def checked(num, den):
         below = count(num, den)
-        assert below == chain.count_in(None, Fraction(num, den))
+        assert below == reference[0](num, den)
         return below
 
     for t in (-1, 0, 1):
@@ -758,8 +775,33 @@ def _check_fold_counter(p: Poly, fold) -> None:
     realroots._isolate(p, checked, False)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+def _proven_and_chain_folds(p: Poly) -> tuple:
+    """(proven, fold, chain_fold) for a p that folds: whether the separators
+    of its fold q proved q (``_separators``), ``_fold_counter(p)``, and
+    ``_fold_counter(p)`` with the guess forced to fail, so on the chain of q."""
+    proofs = []
+    separators = realroots._separators
+
+    def recorded(q):
+        proofs.append(separators(q))
+        return proofs[-1]
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(realroots, "_separators", recorded)
+        fold = realroots._fold_counter(p)
+        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        chain_fold = realroots._fold_counter(p)
+    assert len(proofs) == 2 and proofs[1] is None
+    return proofs[0] is not None, fold, chain_fold
+
+
+# palindromes from factors d x^2 - n x + d, whose fold is d y - n: real
+# roots for |n/d| > 2 of either sign, a complex pair on the unit circle for
+# |n/d| < 2, a double root +-1 for |n/d| = 2; factors (v x - s u)(u x - s v)
+# with the rational roots s u/v and s v/u, so y = s (u^2 + v^2)/(u v) is
+# rational too (a double root for u = v); y = c +- 2^-e, next to the dyadic
+# ends the bisections of q cut at; maybe x + 1, then x^k and a scaling
+PALINDROMES = (
     st.lists(st.tuples(st.integers(min_value=-40, max_value=40),
                        st.integers(min_value=1, max_value=9)), max_size=3),
     st.lists(st.tuples(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9),
@@ -770,16 +812,10 @@ def _check_fold_counter(p: Poly, fold) -> None:
     st.integers(min_value=0, max_value=3),
     st.sampled_from([1, 3, -1, -6]),
 )
-def test_palindromic_isolation_equals_reference_bisection(pairs, rational, near, minus_one, k,
-                                                          scale):
-    # palindromes from factors d x^2 - n x + d, whose fold is d y - n: real
-    # roots for |n/d| > 2 of either sign, a complex pair on the unit circle
-    # for |n/d| < 2, a double root +-1 for |n/d| = 2; factors
-    # (v x - s u)(u x - s v) with the rational roots s u/v and s v/u, so
-    # y = s (u^2 + v^2)/(u v) is rational too (a double root for u = v);
-    # y = c +- 2^-e, next to the dyadic ends the bisections of q cut at;
-    # maybe x + 1, then x^k and a scaling.  A repeated y or y = +-2 makes h
-    # non-squarefree, and it falls back to the Sturm path
+
+
+def _palindrome(pairs, rational, near, minus_one) -> tuple[Poly, list]:
+    """The palindrome h of the factors above, and the roots y of its fold."""
     h = ONE
     ys = []
     for n, d in pairs:
@@ -794,6 +830,16 @@ def test_palindromic_isolation_equals_reference_bisection(pairs, rational, near,
     if minus_one:
         h = h * Poly((1, 1))
     assert h.coeffs == h.coeffs[::-1]
+    return h, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(*PALINDROMES)
+def test_palindromic_isolation_equals_reference_bisection(pairs, rational, near, minus_one, k,
+                                                          scale):
+    # a repeated y or y = +-2 makes h non-squarefree, and it falls back to
+    # the Sturm path
+    h, ys = _palindrome(pairs, rational, near, minus_one)
     folds = h.degree >= 2 and len(set(ys)) == len(ys) and all(abs(y) != 2 for y in ys)
     p = (h * scale).primitive_positive()
     fold = realroots._fold_counter(p)
@@ -805,6 +851,84 @@ def test_palindromic_isolation_equals_reference_bisection(pairs, rational, near,
     expected = _reference_isolation(f)[0]
     assert cert == expected
     assert json.dumps(cert.to_json_obj()) == json.dumps(expected.to_json_obj())
+
+
+@settings(max_examples=300, deadline=None)
+@given(*PALINDROMES)
+def test_proven_fold_counts_equal_the_chain_fold(pairs, rational, near, minus_one, k, scale):
+    # the fold counter from proven separators and the one from the chain of
+    # q agree at every count the tree asks for; the separators prove every
+    # fold whose roots y are rationals of small height, here all but the
+    # ones with a factor of y = c +- 2^-e (whether h is real-rooted or not,
+    # since the roots y inside (-2, 2) are real too), and a constant q, the
+    # fold of x^2 + 1 with its root 0 divided out, which has no roots to
+    # separate and no division on its chain
+    h, ys = _palindrome(pairs, rational, near, minus_one)
+    if h.degree < 2 or len(set(ys)) != len(ys) or any(abs(y) == 2 for y in ys):
+        return
+    p = (h * scale).primitive_positive()
+    proven, fold, chain_fold = _proven_and_chain_folds(p)
+    assert proven or near or ys == [0]
+    _check_fold_counter(p, fold, chain_fold)
+    f = Poly.monomial(k, scale) * h
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        expected = isolate_roots(f)
+    assert json.dumps(isolate_roots(f).to_json_obj()) == json.dumps(expected.to_json_obj())
+
+
+@pytest.mark.parametrize("h, forge", [
+    # q = (y + 3)(y + 5)(y + 8): no root between the forged -7 and -6
+    (Poly((1, 3, 1)) * Poly((1, 5, 1)) * Poly((1, 8, 1)), lambda q: [(-7, 1), (-6, 1)]),
+    # the forged separator -5 is a root of q
+    (Poly((1, 3, 1)) * Poly((1, 5, 1)) * Poly((1, 8, 1)), lambda q: [(-5, 1), (-4, 1)]),
+    # q = (2^1100 y + 3 2^1100 + 1)(y + 7) has coefficients above the float
+    # range (y - 2^1100 - 1 would do too, but it puts a root of h at about
+    # 2^-1100, 1100 halvings deep)
+    (Poly((1 << 1100, (3 << 1100) + 1, 1 << 1100)) * Poly((1, 7, 1)), None),
+    # the roots y = 3 +- 2^-62 of q are closer than 2^-60
+    (Poly((1 << 62, -(3 << 62) - 1, 1 << 62)) * Poly((1 << 62, -(3 << 62) + 1, 1 << 62))
+     * Poly((1, 7, 1)), None),
+    # q = (y^2 + 1) q' has the complex roots +-i
+    (Poly((1, 0, 3, 0, 1)) * realroots._strip_x(local_h(10, 60))[0], None),
+], ids=["forged-no-sign-change", "forged-zero", "above-float-range", "roots-within-2^-60",
+        "complex-roots"])
+def test_fold_falls_back_to_the_chain_of_q(monkeypatch, h, forge):
+    # the separators do not prove q, so the fold takes the chain of q: the
+    # same (count, distinct) at every count the tree asks for, and the same
+    # verdict and certificate, as with the guess forced to fail; a forged
+    # guess replaces one that proves q
+    p = h.primitive_positive()
+    if forge is not None:
+        assert _proven_and_chain_folds(p)[0]
+        monkeypatch.setattr(realroots, "_guessed_separators", forge)
+    proven, fold, chain_fold = _proven_and_chain_folds(p)
+    assert not proven
+    _check_fold_counter(p, fold, chain_fold)
+    f = X * h
+    with monkeypatch.context() as patched:
+        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        expected = isolate_roots(f), is_real_rooted(f)
+    assert (isolate_roots(f), is_real_rooted(f)) == expected
+    assert json.dumps(isolate_roots(f).to_json_obj()) == json.dumps(expected[0].to_json_obj())
+
+
+def test_fold_root_inside_minus_2_2_fails_by_the_proof(monkeypatch):
+    # (x^2 + x + 1) local_h(6, 20) = x^4 h: the fold of h has the root -1,
+    # which gives h the roots exp(+-2 pi i / 3).  The separators prove q
+    # real-rooted, and its count of the real roots of h, two short of
+    # deg h, is the FAIL, with no division; the chain of q agrees
+    f = Poly((1, 1, 1)) * local_h(6, 20)
+    h = realroots._strip_x(f)[0]
+    proven, fold, chain_fold = _proven_and_chain_folds(h)
+    assert proven and fold[1] == h.degree - 2
+    _check_fold_counter(h, fold, chain_fold)
+    divisions = _record_calls(monkeypatch, polys, "pseudo_divmod")
+    assert not is_real_rooted(f)
+    assert divisions == []
+    monkeypatch.setattr(realroots, "_guessed_separators", lambda q: None)
+    assert not is_real_rooted(f)
+    assert divisions
 
 
 def test_refine_rejects_intervals_that_do_not_each_hold_one_root():
@@ -1053,14 +1177,19 @@ def test_real_rootedness_from_one_early_exit_sequence(monkeypatch):
 
 
 def test_palindromic_real_rootedness_at_half_degree(monkeypatch):
-    # local_h(10, 40) = x^4 h with h palindromic of degree 32: the 15
-    # remainders of (q, q') for the fold q of degree 16, against the 31
+    # local_h(10, 40) = x^4 h with h palindromic of degree 32: no division,
+    # since the separators of the fold q of degree 16 prove it real-rooted;
+    # with the guess failing, the 15 remainders of (q, q'), against the 31
     # remainders of (h, h') unfolded
     h = local_h(10, 40)
     assert h.degree == 36 and h.coeffs[:5] == (0, 0, 0, 0, 1)
     assert h.coeffs[4:] == h.coeffs[4:][::-1]
     divisions = _record_calls(monkeypatch, polys, "pseudo_divmod")
     assert is_real_rooted(h)
+    assert divisions == []
+    with monkeypatch.context() as patched:
+        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        assert is_real_rooted(h)
     assert len(divisions) == 15
     # the roots +-i make q(0) = 0, which fails before any division
     divisions.clear()
@@ -1070,12 +1199,18 @@ def test_palindromic_real_rootedness_at_half_degree(monkeypatch):
 
 def test_palindrome_verdict_from_the_one_fold_counter(monkeypatch):
     # is_real_rooted reads a palindrome's verdict off _fold_counter, its one
-    # fold: one call, and still the 15 remainders of (q, q') for local_h(10, 40)
+    # fold: one call, and no division for local_h(10, 40), whose fold is
+    # proven from its separators; with the guess failing, still one call and
+    # the 15 remainders of (q, q')
     h = local_h(10, 40)
     folds = _record_calls(monkeypatch, realroots, "_fold_counter")
     divisions = _record_calls(monkeypatch, polys, "pseudo_divmod")
     assert is_real_rooted(h)
-    assert len(folds) == 1 and len(divisions) == 15
+    assert len(folds) == 1 and divisions == []
+    with monkeypatch.context() as patched:
+        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        assert is_real_rooted(h)
+    assert len(folds) == 2 and len(divisions) == 15
     # h(i) = 0 is read off the coefficients for any h: no division, whether h
     # is not palindromic or an odd palindrome, which folds after dividing by x + 1
     g = Poly((1, 0, 1)) * local_h(6, 20)  # x^4 times a palindrome of degree 14
