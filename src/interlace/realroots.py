@@ -21,33 +21,36 @@ counts and the Sturm tree; no Descartes count is taken.
 
 One root record per polynomial (``_roots``) is the one owner of the choice
 between the fold and the chain: it holds k, h and either the fold's
-(count, distinct) or the remainder sequence of (h, h').  ``is_real_rooted``
-asks for it with verdict=True, which rejects any h with h(i) = 0 from two
-alternating sums of its coefficients, compares the fold's count of real
-roots with deg h, and stops the sequence at its first abnormal step;
-``isolate_roots``, ``refine_certificate`` and ``check realrooted`` of the
-CLI read the same record, the CLI the very record that decided its verdict.
-A palindrome whose fold is not squarefree or vanishes at +-2 takes the chain
-at full degree, like any other h.  Only isolation and certificate
-validation derive more from the record: the root counter, the Sturm chain
-and the multiplicity levels.
+(count, distinct, probe) or the remainder sequence of (h, h').
+``is_real_rooted`` asks for it with verdict=True, which rejects any h with
+h(i) = 0 from two alternating sums of its coefficients, compares the fold's
+count of real roots with deg h, and stops the sequence at its first
+abnormal step; ``isolate_roots``, ``refine_certificate`` and ``check
+realrooted`` of the CLI read the same record, the CLI the very record that
+decided its verdict.  A palindrome whose fold is not squarefree or vanishes
+at +-2 takes the chain at full degree, like any other h.  Only isolation
+and certificate validation derive more from the record: the root counter
+and probe, the Sturm chain and the multiplicity levels.
 
 Isolation walks one tree: for f = x^k h with h(0) != 0 and p the squarefree
 part of h, it bisects the Cauchy interval (-B, B) of p at midpoints moved off
-the roots of p until each interval holds one root, finds rational roots
-exactly by a binary search over the grid c/|lead(p)|, and moves intervals
-off the root 0 of f.  What counts the roots below a split point is
-pluggable, and the record decides it.  A folded h is counted through the
+the roots of p until each interval holds one root, probes each leaf for a
+rational root, and moves intervals off the root 0 of f.  The record gives
+the counter of the roots below a point, None exactly at a root of p, and
+the probe; p is squarefree, so its sign at a split is the parity of the
+count, and no split takes a sign of p.  A folded h is counted through the
 fold: y = t + 1/t is monotone on each of (-oo, -1], (-1, 0), (0, 1] and
-(1, oo), so the roots of h below t are a count of the roots of q against
-the one rational point y, which a binary search over the isolating
-intervals of q gives with at most one sign of q.  On the chain of q, q is
-isolated when the tree first asks for such a count, so refinement, which
-needs only the number of real roots (chain counts at +-2 and +-oo), never
-isolates it.  Any other h takes its remainder sequence of (h, h'), the
-Sturm chain of the bisection (it counts the distinct roots of h between
-non-roots), evaluated once per split; its last term is the first gcd of the
-repeated-gcd chain that yields the multiplicity levels.  Either way the tree, and so the
+(1, oo), so the roots of h below t are a count of the roots of q against y,
+a binary search over isolating intervals of q.  The first count narrows
+the proven gaps to brackets about 2^-29 wide around the guessed roots,
+each proven by two signs of q, so that only a y inside a bracket takes a
+sign of q; on the chain of q it isolates q.  Verdicts and refinement need
+only the number of real roots and do neither.  The probe of a fold finds
+the rational roots of q in those intervals and maps them to those of h,
+with no sign of h.  Any other h takes its remainder sequence of (h, h'),
+the Sturm chain of the bisection, evaluated once per split, and the grid
+probe over c/|lead(p)|; its last term is the first gcd of the repeated-gcd
+chain that yields the multiplicity levels.  Either way the tree, and so the
 certificate, is the same.  The root 0 has multiplicity k; any other
 isolated root lies on a level iff that squarefree level changes sign on its
 interval.  ``count_real_roots`` does not fold: it stays on the chain of h,
@@ -67,6 +70,7 @@ Fractions gives, so every certificate is unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -190,10 +194,12 @@ class SturmChain:
             raise ZeroPolynomialError("Sturm chain of 0 is undefined")
         return SturmChain(tuple(_remainder_sequence(p, poly_derivative(p))))
 
-    def variations_at(self, num: int, den: int = 1) -> int:
+    def variations_at(self, num: int, den: int = 1, off_roots: bool = False) -> int | None:
         """Sign variations of the chain at num/den, for integers num and
-        den > 0 (any rational num with den = 1 also works)."""
-        return _sign_variations([p._value_at(num, den) for p in self.chain])
+        den > 0 (any rational num with den = 1 also works); None at a root
+        of the chain's first member if off_roots."""
+        values = [p._value_at(num, den) for p in self.chain]
+        return None if off_roots and not values[0] else _sign_variations(values)
 
     def variations_at_neg_inf(self) -> int:
         return _sign_variations(
@@ -271,7 +277,7 @@ class _Roots(NamedTuple):
 
     k: int
     h: Poly
-    fold: tuple[Callable[[int, int], int], int] | None
+    fold: tuple[Callable[[int, int], int | None], int, Callable] | None
     terms: tuple[Poly, ...] | None
 
 
@@ -341,10 +347,11 @@ def _root_bound(p: Poly) -> int:
     return 1 + (-(-m // an))
 
 
-def _guessed_separators(q: Poly) -> list[tuple[int, int]] | None:
-    """deg q - 1 points num/den, ascending, guessed in floats to separate the
-    roots of q, or None when a guess does not converge or a float overflows.
-    Only a guess: ``_separators`` proves or rejects it.
+def _guessed_separators(q: Poly) -> tuple[list[tuple[int, int]], list[float], int] | None:
+    """(points, roots, s): deg q - 1 points num/den, ascending, guessed in
+    floats to separate the roots of q, and the deg q guessed roots w + s,
+    ascending, as floats w; None when a guess does not converge or a float
+    overflows.  Only a guess: ``_separators`` proves or rejects it.
 
     q(y) is first shifted exactly to q(w + s), s = 2 if the roots of q sum
     to more than 0 and s = -2 otherwise: the roots of a fold cluster at 2 or
@@ -403,13 +410,14 @@ def _guessed_separators(q: Poly) -> list[tuple[int, int]] | None:
             points.append((math.ceil((lo + (hi - lo) / 4) / unit) * unit).as_integer_ratio())
     except (OverflowError, ValueError, ZeroDivisionError):
         return None
-    return [(a + s * den, den) for a, den in points]
+    return [(a + s * den, den) for a, den in points], found, s
 
 
-def _separators(q: Poly) -> list[tuple[int, int, int, int]] | None:
-    """The deg q isolating intervals (a, b, den, s_a) of a q with
-    lead(q) > 0, ascending, from separators guessed in floats and proven by
-    exact signs, or None when the guess or the proof fails.
+def _separators(q: Poly) -> tuple[list[tuple[int, int, int, int]], list[float], int] | None:
+    """(gaps, roots, s): the deg q isolating intervals (a, b, den, s_a) of a
+    q with lead(q) > 0, ascending, from separators guessed in floats and
+    proven by exact signs, and the guesses of ``_guessed_separators`` for
+    their roots; None when the guess or the proof fails.
 
     The points are -B (``_root_bound``), the deg q - 1 points of
     ``_guessed_separators`` and B.  If these n + 1 = deg q + 1 increasing
@@ -422,13 +430,48 @@ def _separators(q: Poly) -> list[tuple[int, int, int, int]] | None:
     if guess is None:
         return None
     bound = _root_bound(q)
-    grid = [(a, den, q._sign_at(a, den)) for a, den in [(-bound, 1)] + guess + [(bound, 1)]]
+    grid = [(a, den, q._sign_at(a, den)) for a, den in [(-bound, 1)] + guess[0] + [(bound, 1)]]
     gaps = list(zip(grid, grid[1:]))
     if len(gaps) != q.degree or any(a * db >= b * da or u * v >= 0
                                     for (a, da, u), (b, db, v) in gaps):
         return None
     return [(a * (max(da, db) // da), b * (max(da, db) // db), max(da, db), u)
-            for (a, da, u), (b, db, _) in gaps]
+            for (a, da, u), (b, db, _) in gaps], guess[1], guess[2]
+
+
+def _narrowed(q: Poly, gap: tuple[int, int, int, int], w: float, s: int
+              ) -> tuple[int, int, int, int]:
+    """The gap (a, b, den, s_a) of one root of q narrowed to the dyadic
+    bracket w (1 -+ 2^-30) + s around its guess w + s, if two exact signs
+    inside the gap prove that the bracket holds the root; else the gap."""
+    a, b, den, s_a = gap
+    num, d = w.as_integer_ratio()
+    d <<= 30
+    lo, hi = (num << 30) - abs(num) + s * d, (num << 30) + abs(num) + s * d
+    if a * d < lo * den and hi * den < b * d and q._sign_at(lo, d) == s_a == -q._sign_at(hi, d):
+        return lo, hi, d, s_a
+    return gap
+
+
+def _below(q: Poly, ivs: list[tuple[int, int, int, int]], num: int, den: int) -> int | None:
+    """B(y), the number of roots of q below y = num/den (den > 0), from
+    isolating intervals ivs of all of them, ascending, or None if q(y) = 0:
+    the intervals with hi <= y lie below y, those after the first with
+    hi > y above it, and the root of that one lies below y iff y is inside
+    it and q has at y the sign opposite to its sign at lo."""
+    lo, hi = 0, len(ivs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ivs[mid][1] * den <= num * ivs[mid][2]:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo < len(ivs) and ivs[lo][0] * den < num * ivs[lo][2]:
+        s = q._sign_at(num, den)
+        if s == 0:
+            return None
+        lo += s != ivs[lo][3]
+    return lo
 
 
 def _rational_root_in(q: Poly, a: int, b: int, den: int, s_lo: int) -> Fraction | None:
@@ -478,16 +521,21 @@ def _levels(r: _Roots) -> list[Poly]:
 
 def _sturm_counter(chain: SturmChain):
     """A root counter for ``_isolate`` from a chain that counts the roots of
-    its squarefree polynomial between non-roots: minus the sign variations."""
-    return lambda num, den: -chain.variations_at(num, den)
+    its first member between non-roots: minus the sign variations, None at a
+    root of the first member."""
+    def count(num: int, den: int) -> int | None:
+        v = chain.variations_at(num, den, True)
+        return None if v is None else -v
+    return count
 
 
 def _fold_counter(p: Poly):
-    """(count, distinct) for a palindromic p, read off its fold at half the
-    degree: count(num, den) is the number of roots of p below a non-root
-    num/den (den > 0), a root counter for ``_isolate``, and distinct is the
-    number of real roots of p; None when p does not qualify.  It is the one
-    place that qualifies and counts a fold, and ``_roots`` its one caller.
+    """(count, distinct, probe) for a palindromic p, read off its fold at
+    half the degree, or None when p does not qualify: count(num, den) is the
+    number of roots of p below num/den (den > 0), None at a root of p;
+    distinct is the number of real roots of p; probe(a, b, den, s_a) is the
+    rational root of p in (a/den, b/den), if any.  It is the one place that
+    qualifies and counts a fold, and ``_roots`` its one caller.
 
     p must have p(0) != 0 and lead(p) > 0.  It qualifies when it is a
     palindrome of degree >= 2 whose fold q (``_fold``, x^-m g(x) = q(x + 1/x)
@@ -500,32 +548,28 @@ def _fold_counter(p: Poly):
     real roots are -1 for an odd degree and the roots x and 1/x of each
     factor with a real |y| > 2.
 
-    The counts come from isolating intervals of q, in y-space, and B(y), the
-    number of roots of q below a non-root y, is a binary search over them:
-    the intervals with hi <= y lie below y, those after the first with
-    hi > y lie above it, and the root of that one lies below y iff y is
-    inside it and q has at y the sign opposite to its sign at lo.  First,
+    The counts come from isolating intervals of q, in y-space: B(y), the
+    number of roots of q below y, is ``_below`` over them.  First,
     ``_separators`` tries to prove deg q + 1 points guessed in floats: then
     q is squarefree with n = deg q real roots, the gaps between the points
-    are its intervals, and B(2) and B(-2) are two binary searches; no
-    remainder sequence is built.  Only when that fails does q take its
-    chain: q qualifies iff the chain ends at a constant, and n, the number
-    of real roots of q, B(2) and B(-2) are Sturm counts on it at +-oo and
-    +-2, so distinct needs no isolation.  A verdict of ``_roots`` compares
-    distinct with deg p, and ``refine_certificate`` checks a certificate's
-    length against it; on the chain, neither isolates q.  The first B(y) at
-    any other y then isolates q at half the degree, once, by the Sturm tree
-    on that chain without the grid probe.  The values are exact either way,
-    so the tree of p, and its certificate, do not depend on the path.
+    are its intervals, and B(+-2) are two binary searches; no remainder
+    sequence is built.  Only when that fails does q take its chain: q
+    qualifies iff the chain ends at a constant, and n, B(2) and B(-2) are
+    Sturm counts on it at +-oo and +-2.  That is all that a verdict and
+    ``refine_certificate`` ask for.  The first count narrows every proven
+    gap to the bracket around its guess (``_narrowed``), or on the chain
+    isolates q, once, by the Sturm tree without a probe.  The values are
+    exact either way, so the tree of p, and its certificate, do not depend
+    on the path.
 
-    Let odd = deg p mod 2 and N = 2 B(-2) + odd.  A non-root t = num/den of
-    p maps to y = t + 1/t = (num^2 + den^2) / (num den), and
-    q(y) = t^-m g(t) != 0 for t != 0: for t = +-1 too, since q(+-2) != 0.
+    Let odd = deg p mod 2 and N = 2 B(-2) + odd.  A t = num/den != 0 maps to
+    y = t + 1/t = (num^2 + den^2) / (num den), and q(y) = t^-m g(t) is 0 iff
+    t is a root of p other than the root -1 of an odd degree: q(+-2) != 0.
     y increases on (-oo, -1] and on (1, oo), from -oo to -2 and from 2 to
     oo, and decreases on (-1, 0) and on (0, 1], from -2 to -oo and from oo
     to 2.  So each root y < -2 of q gives one root of p below -1 and one in
     (-1, 0), each root y > 2 one in (0, 1) and one above 1, and N counts the
-    negative roots.  The roots of p below t are:
+    negative roots.  The roots of p below a non-root t are:
     - t <= -1: the roots x < -1 with y(x) < y(t) <= -2, B(y) of them;
     - -1 < t < 0: the B(-2) + odd roots at or below -1, and the roots x in
       (-1, t), those with y(t) < y(x) < -2, B(-2) - B(y) of them: N - B(y);
@@ -535,6 +579,10 @@ def _fold_counter(p: Poly):
     - t > 1: N, the n - B(2) roots in (0, 1) and the roots x in (1, t),
       those with 2 < y(x) < y(t), B(y) - B(2) of them: N + n - 2 B(2) + B(y).
     Above every root that is N + 2 (n - B(2)) = distinct.
+
+    The rational roots of p, found on the first probe, are -1 for an odd
+    degree and x = (c +- D) / (2L) for each rational root y = c/L of q
+    (``_rational_root_in`` on its interval) with c^2 - 4L^2 = D^2, D > 0.
     """
     if p.degree < 2 or p.coeffs != p.coeffs[::-1]:
         return None
@@ -542,41 +590,31 @@ def _fold_counter(p: Poly):
     q = q.primitive()
     if j > 1 or q._sign_at(-2, 1) == 0 or q._sign_at(2, 1) == 0:
         return None
-    known = _separators(q)  # the isolating intervals of q, if proven
-    if known is None:
+    proof = _separators(q)  # the gaps of q and the guesses in them, if proven
+    if proof is None:
         chain = SturmChain(tuple(_remainder_sequence(q, poly_derivative(q))))
         if chain.chain[-1].degree != 0:
             return None
         n, below_2, below_m2 = (chain.count_in(None, y) for y in (None, 2, -2))
-
-    def below(num: int, den: int) -> int:
-        nonlocal known
-        if known is None:
-            known = _isolate(q, _sturm_counter(chain), False, probe=False)[1]
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if known[mid][1] * den <= num * known[mid][2]:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < n:
-            a, _, d, s_a = known[lo]
-            if a * den < num * d and q._sign_at(num, den) != s_a:
-                lo += 1
-        return lo
-
-    if known is not None:  # proven: q is squarefree with deg q real roots
+    else:  # proven: q is squarefree with deg q real roots
         n = q.degree
-        below_2, below_m2 = below(2, 1), below(-2, 1)
-    neg = 2 * below_m2 + p.degree % 2
+        below_2, below_m2 = _below(q, proof[0], 2, 1), _below(q, proof[0], -2, 1)
+    odd = p.degree % 2
+    neg = 2 * below_m2 + odd
+    ivs = roots = None  # the intervals of q for the counts, the rational roots of p
 
-    def count(num: int, den: int) -> int:
+    def count(num: int, den: int) -> int | None:
+        nonlocal ivs
+        if ivs is None:
+            ivs = (_isolate(q, _sturm_counter(chain), None)[1] if proof is None
+                   else [_narrowed(q, gap, w, proof[2]) for gap, w in zip(*proof[:2])])
         if num == 0:
             return neg
+        if odd and num == -den:
+            return None
         y_num, y_den = num * num + den * den, num * den
-        b = below(y_num, y_den) if num > 0 else below(-y_num, -y_den)
-        if num <= -den:
+        b = _below(q, ivs, y_num, y_den) if num > 0 else _below(q, ivs, -y_num, -y_den)
+        if b is None or num <= -den:
             return b
         if num < 0:
             return neg - b
@@ -584,58 +622,74 @@ def _fold_counter(p: Poly):
             return neg + n - b
         return neg + n - 2 * below_2 + b
 
-    return count, neg + 2 * (n - below_2)
+    def probe(a: int, b: int, den: int, s_a: int) -> Fraction | None:
+        nonlocal roots
+        if roots is None:
+            roots = [Fraction(-1)] if odd else []
+            for y in filter(None, (_rational_root_in(q, *iv) for iv in ivs)):
+                c, L = y.numerator, y.denominator
+                D = math.isqrt(max(c * c - 4 * L * L, 0))
+                if D and D * D == c * c - 4 * L * L:
+                    roots += [Fraction(c - D, 2 * L), Fraction(c + D, 2 * L)]
+        return next((x for x in roots
+                     if a * x.denominator < x.numerator * den < b * x.denominator), None)
+
+    return count, neg + 2 * (n - below_2), probe
 
 
-def _isolate(p: Poly, count, zero_root: bool, probe: bool = True
+def _isolate(p: Poly, count, probe, zero_root: bool = False
              ) -> tuple[list[Fraction], list[tuple[int, int, int, int]]]:
     """Exact rational roots and open isolating intervals for the roots of a
     squarefree p with p(0) != 0 and lead(p) > 0, plus the exact root 0 when
     zero_root.
 
     count(num, den) is any function that rises by exactly one at each root
-    of p, called at non-roots num/den with den > 0: minus the sign
+    of p and is None exactly at the roots, for den > 0: minus the sign
     variations of a Sturm chain (``_sturm_counter``) or the roots below,
-    read off the fold of a palindrome (``_fold_counter``).  Either drives
-    the one tree: the Cauchy bound (-B, B), midpoint splits moved off the
-    roots of p, a stop at one root, the grid probe for a rational root (if
-    probe) and the move of intervals off the root 0, so the certificate
-    does not depend on the counter.
+    read off the fold of a palindrome (``_fold_counter``).  probe(a, b, den,
+    s_a) returns the root of p in a leaf if it is rational, else None: the
+    grid probe ``_rational_root_in`` on p, or the rational roots of the fold;
+    with no probe, every root gets an interval.  Either drives the one tree:
+    the Cauchy bound (-B, B), midpoint splits moved off the roots of p
+    towards a, a stop at one root, the probe and the move of intervals off
+    the root 0, so the certificate does not depend on the counter.
 
-    The tree runs on the integer grid: an interval is (a, b, den, s_a) for
-    (a/den, b/den) with s_a the sign of p at a/den, so each split evaluates
-    p once at its midpoint and count once.  Interval ends are never roots,
-    and the intervals come out in ascending order.
+    The tree runs on the integer grid: an interval is (a, b, den, c_a, c_b)
+    for (a/den, b/den) with the counts at its ends, so a split counts at
+    its midpoint (and at each move off a root) and takes no sign of p.  p
+    is squarefree with the sign s_neg = (-1)^deg p at -B, so its sign at a
+    non-root t is s_neg (-1)^(c(t) - c(-B)); complex roots change no sign.
+    Interval ends are never roots, and the intervals, (a, b, den, s_a) with
+    s_a the sign of p at a/den, come out in ascending order.
     """
     points = [Fraction(0)] if zero_root else []
     if p.degree < 1:
         return points, []
     bound = _root_bound(p)
     s_neg = -1 if p.degree % 2 else 1  # no root at or below -B
-    stack = [(-bound, bound, 1, s_neg, count(-bound, 1), count(bound, 1))]
+    c_neg = count(-bound, 1)
+    stack = [(-bound, bound, 1, c_neg, count(bound, 1))]
     intervals = []
     while stack:
-        a, b, den, s_a, c_a, c_b = stack.pop()
+        a, b, den, c_a, c_b = stack.pop()
         n = c_b - c_a
-        if n == 0:
-            continue
         if n == 1:
-            root = _rational_root_in(p, a, b, den, s_a) if probe else None
+            s_a = -s_neg if (c_a - c_neg) % 2 else s_neg
+            root = probe(a, b, den, s_a) if probe else None
             if root is None:
                 intervals.append((a, b, den, s_a))
             else:
                 points.append(root)
-            continue
-        # split where p is nonzero, halving towards a; p has finitely many
-        # roots, so this ends
-        lo, mid, d = 2 * a, a + b, 2 * den
-        s = p._sign_at(mid, d)
-        while s == 0:
-            lo, mid, d = 2 * lo, lo + mid, 2 * d
-            s = p._sign_at(mid, d)
-        c_mid = count(mid, d)
-        stack.append((mid, b * (d // den), d, s, c_mid, c_b))
-        stack.append((lo, mid, d, s_a, c_a, c_mid))
+        elif n > 1:
+            # split where p is nonzero, halving towards a; p has finitely
+            # many roots, so this ends
+            lo, mid, d = 2 * a, a + b, 2 * den
+            c_mid = count(mid, d)
+            while c_mid is None:
+                lo, mid, d = 2 * lo, lo + mid, 2 * d
+                c_mid = count(mid, d)
+            stack.append((mid, b * (d // den), d, c_mid, c_b))
+            stack.append((lo, mid, d, c_a, c_mid))
     if zero_root:
         # 0 is a root of the caller's polynomial: move intervals off it (they
         # hold irrational roots, so the bisection never lands on their root;
@@ -683,8 +737,11 @@ def isolate_roots(f: Poly) -> RootCertificate:
 def _certificate(r: _Roots) -> RootCertificate:
     """The certificate of ``isolate_roots`` from the root record r of f."""
     p, *levels = _levels(r)
-    count = r.fold[0] if r.fold else _sturm_counter(SturmChain(r.terms))
-    points, intervals = _isolate(p, count, r.k > 0)
+    if r.fold:
+        count, _, probe = r.fold
+    else:
+        count, probe = _sturm_counter(SturmChain(r.terms)), functools.partial(_rational_root_in, p)
+    points, intervals = _isolate(p, count, probe, r.k > 0)
     records = [(a, a) for a in points] + [(Fraction(a, den), Fraction(b, den))
                                           for a, b, den, _ in intervals]
     records.sort(key=lambda iv: iv[0])

@@ -661,7 +661,9 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
     # chain is evaluated and q is not isolated: the tree of h is the one
     # tree.  With the guess failing, the chain of q is the one sequence, no
     # chain of h is evaluated and q is isolated once.  Either way the tree
-    # gives the certificate of the Sturm path
+    # gives the certificate of the Sturm path, and h is evaluated only to
+    # move the interval that ends at the root 0 off it: the splits take
+    # their signs from the counts and the leaves probe the roots of q
     f = local_h(10, 40)
     h, k = realroots._strip_x(f)
     m = h.degree // 2
@@ -672,11 +674,16 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
     sequences = _record_calls(monkeypatch, realroots, "_remainder_sequence")
     evaluations = _record_calls(monkeypatch, SturmChain, "variations_at")
     isolations = _record_calls(monkeypatch, realroots, "_isolate")
+    bisections = _record_calls(monkeypatch, realroots, "_bisect_once")
+    degrees = []
+    value_at = Poly._value_at
+    monkeypatch.setattr(Poly, "_value_at",
+                        lambda p, num, den: degrees.append(p.degree) or value_at(p, num, den))
     for guessed, trees in ((True, [2 * m]), (False, [2 * m, m])):
         with monkeypatch.context() as patched:
             if not guessed:
                 patched.setattr(realroots, "_guessed_separators", lambda q: None)
-            for calls in (sequences, evaluations, isolations):
+            for calls in (sequences, evaluations, isolations, bisections, degrees):
                 calls.clear()
             cert = isolate_roots(f)
         assert cert == sturm
@@ -685,6 +692,7 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
         assert [a.degree for a, _ in sequences] == ([] if guessed else [m])
         assert {chain.chain[0].degree for chain, *_ in evaluations} == (set() if guessed else {m})
         assert [p.degree for p, *_ in isolations] == trees  # the tree of h (then q once)
+        assert degrees.count(2 * m) == len(bisections) == 15
 
 
 def test_palindromic_refinement_through_the_fold(monkeypatch):
@@ -748,31 +756,39 @@ def test_local_h_isolation_equals_reference_bisection(r):
 
 
 def _check_fold_counter(p: Poly, fold, reference=None) -> None:
-    """fold = (count, distinct) from ``_fold_counter`` against a reference
-    (count, distinct): by default the Sturm chain of ``count_real_roots``,
-    which does not fold, with its whole-line count and its count on
-    (-oo, t].  distinct equals the reference's, and so does the count below
-    t at -1, 0 and 1 (those that are no roots) and at every point where the
-    tree of ``_isolate`` counts, so every difference of the count equals the
-    chain's count between the points.  Each count is checked before the tree
-    uses it, so a wrong one fails rather than splitting the tree forever."""
-    count, distinct = fold
+    """fold = (count, distinct, probe) from ``_fold_counter`` against a
+    reference (count, distinct): by default the Sturm chain of
+    ``count_real_roots``, which does not fold, with its whole-line count and
+    its count on (-oo, t] at the t that are no roots of p.  distinct equals
+    the reference's; the count is None exactly at the roots of p and equals
+    the reference's at -1, 0 and 1 and at every point where the tree of
+    ``_isolate`` counts, so every difference of the count equals the chain's
+    count between the points; and the probe gives every leaf of that tree
+    the rational root that the grid probe of p finds in it.  Each count is
+    checked before the tree uses it, so a wrong one fails rather than
+    splitting the tree forever."""
+    count, distinct, probe = fold
     if reference is None:
         # the chain that count_real_roots(p, lo, hi) builds, built once
         chain = SturmChain.of_squarefree(squarefree_part(p))
-        reference = (lambda num, den: chain.count_in(None, Fraction(num, den)),
-                     count_real_roots(p))
+        reference = (lambda num, den: None if p._sign_at(num, den) == 0
+                     else chain.count_in(None, Fraction(num, den)), count_real_roots(p))
     assert distinct == reference[1]
 
     def checked(num, den):
         below = count(num, den)
+        assert (below is None) == (p._sign_at(num, den) == 0)
         assert below == reference[0](num, den)
         return below
 
+    def checked_probe(a, b, den, s_a):
+        root = probe(a, b, den, s_a)
+        assert root == realroots._rational_root_in(p, a, b, den, s_a)
+        return root
+
     for t in (-1, 0, 1):
-        if p.sign_at(Fraction(t)) != 0:
-            checked(t, 1)
-    realroots._isolate(p, checked, False)
+        checked(t, 1)
+    realroots._isolate(p, checked, checked_probe)
 
 
 def _proven_and_chain_folds(p: Poly) -> tuple:
@@ -799,13 +815,20 @@ def _proven_and_chain_folds(p: Poly) -> tuple:
 # roots for |n/d| > 2 of either sign, a complex pair on the unit circle for
 # |n/d| < 2, a double root +-1 for |n/d| = 2; factors (v x - s u)(u x - s v)
 # with the rational roots s u/v and s v/u, so y = s (u^2 + v^2)/(u v) is
-# rational too (a double root for u = v); y = c +- 2^-e, next to the dyadic
-# ends the bisections of q cut at; maybe x + 1, then x^k and a scaling
+# rational too (a double root for u = v); rational factors d x^2 - n x + d
+# with d = u v up to 3600, n = s (u^2 + v^2 + e) and e in {0, 1}, whose
+# fold d y - n has a root of large denominator, with the rational roots x
+# of the factors above for e = 0 and mostly irrational ones for e = 1;
+# y = c +- 2^-e, next to the dyadic ends the bisections of q cut at; maybe
+# x + 1, then x^k and a scaling
 PALINDROMES = (
     st.lists(st.tuples(st.integers(min_value=-40, max_value=40),
                        st.integers(min_value=1, max_value=9)), max_size=3),
     st.lists(st.tuples(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9),
                        st.sampled_from([1, -1])), max_size=2),
+    st.lists(st.tuples(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60),
+                       st.sampled_from([1, -1]), st.integers(min_value=0, max_value=1)),
+             max_size=2),
     st.lists(st.tuples(st.sampled_from([-6, -3, -2, 2, 3, 5]), st.sampled_from([10, 20, 40]),
                        st.sampled_from([1, -1])), max_size=2),
     st.booleans(),
@@ -814,11 +837,11 @@ PALINDROMES = (
 )
 
 
-def _palindrome(pairs, rational, near, minus_one) -> tuple[Poly, list]:
+def _palindrome(pairs, rational, wide, near, minus_one) -> tuple[Poly, list]:
     """The palindrome h of the factors above, and the roots y of its fold."""
     h = ONE
     ys = []
-    for n, d in pairs:
+    for n, d in pairs + [(s * (u * u + v * v + e), u * v) for u, v, s, e in wide]:
         h = h * Poly((d, -n, d))
         ys.append(Fraction(n, d))
     for u, v, s in rational:
@@ -835,11 +858,11 @@ def _palindrome(pairs, rational, near, minus_one) -> tuple[Poly, list]:
 
 @settings(max_examples=300, deadline=None)
 @given(*PALINDROMES)
-def test_palindromic_isolation_equals_reference_bisection(pairs, rational, near, minus_one, k,
-                                                          scale):
+def test_palindromic_isolation_equals_reference_bisection(pairs, rational, wide, near, minus_one,
+                                                          k, scale):
     # a repeated y or y = +-2 makes h non-squarefree, and it falls back to
     # the Sturm path
-    h, ys = _palindrome(pairs, rational, near, minus_one)
+    h, ys = _palindrome(pairs, rational, wide, near, minus_one)
     folds = h.degree >= 2 and len(set(ys)) == len(ys) and all(abs(y) != 2 for y in ys)
     p = (h * scale).primitive_positive()
     fold = realroots._fold_counter(p)
@@ -855,7 +878,8 @@ def test_palindromic_isolation_equals_reference_bisection(pairs, rational, near,
 
 @settings(max_examples=300, deadline=None)
 @given(*PALINDROMES)
-def test_proven_fold_counts_equal_the_chain_fold(pairs, rational, near, minus_one, k, scale):
+def test_proven_fold_counts_equal_the_chain_fold(pairs, rational, wide, near, minus_one, k,
+                                                 scale):
     # the fold counter from proven separators and the one from the chain of
     # q agree at every count the tree asks for; the separators prove every
     # fold whose roots y are rationals of small height, here all but the
@@ -863,7 +887,7 @@ def test_proven_fold_counts_equal_the_chain_fold(pairs, rational, near, minus_on
     # since the roots y inside (-2, 2) are real too), and a constant q, the
     # fold of x^2 + 1 with its root 0 divided out, which has no roots to
     # separate and no division on its chain
-    h, ys = _palindrome(pairs, rational, near, minus_one)
+    h, ys = _palindrome(pairs, rational, wide, near, minus_one)
     if h.degree < 2 or len(set(ys)) != len(ys) or any(abs(y) == 2 for y in ys):
         return
     p = (h * scale).primitive_positive()
@@ -879,9 +903,9 @@ def test_proven_fold_counts_equal_the_chain_fold(pairs, rational, near, minus_on
 
 @pytest.mark.parametrize("h, forge", [
     # q = (y + 3)(y + 5)(y + 8): no root between the forged -7 and -6
-    (Poly((1, 3, 1)) * Poly((1, 5, 1)) * Poly((1, 8, 1)), lambda q: [(-7, 1), (-6, 1)]),
+    (Poly((1, 3, 1)) * Poly((1, 5, 1)) * Poly((1, 8, 1)), [(-7, 1), (-6, 1)]),
     # the forged separator -5 is a root of q
-    (Poly((1, 3, 1)) * Poly((1, 5, 1)) * Poly((1, 8, 1)), lambda q: [(-5, 1), (-4, 1)]),
+    (Poly((1, 3, 1)) * Poly((1, 5, 1)) * Poly((1, 8, 1)), [(-5, 1), (-4, 1)]),
     # q = (2^1100 y + 3 2^1100 + 1)(y + 7) has coefficients above the float
     # range (y - 2^1100 - 1 would do too, but it puts a root of h at about
     # 2^-1100, 1100 halvings deep)
@@ -897,11 +921,12 @@ def test_fold_falls_back_to_the_chain_of_q(monkeypatch, h, forge):
     # the separators do not prove q, so the fold takes the chain of q: the
     # same (count, distinct) at every count the tree asks for, and the same
     # verdict and certificate, as with the guess forced to fail; a forged
-    # guess replaces one that proves q
+    # guess of the separators replaces one that proves q
     p = h.primitive_positive()
     if forge is not None:
         assert _proven_and_chain_folds(p)[0]
-        monkeypatch.setattr(realroots, "_guessed_separators", forge)
+        guess = realroots._guessed_separators
+        monkeypatch.setattr(realroots, "_guessed_separators", lambda q: (forge,) + guess(q)[1:])
     proven, fold, chain_fold = _proven_and_chain_folds(p)
     assert not proven
     _check_fold_counter(p, fold, chain_fold)
@@ -929,6 +954,156 @@ def test_fold_root_inside_minus_2_2_fails_by_the_proof(monkeypatch):
     monkeypatch.setattr(realroots, "_guessed_separators", lambda q: None)
     assert not is_real_rooted(f)
     assert divisions
+
+
+# y = 5/2 and y = -10/3 have the square discriminants 25 - 16 = 3^2 and
+# 100 - 36 = 8^2, so their factors (2x - 1)(x - 2) and (3x + 1)(x + 3) have
+# rational roots; y = 3 gives the irrational roots (3 +- sqrt 5)/2; x + 1
+# makes the degree odd and adds the root -1
+RATIONAL_FOLDS = {
+    "y=5/2": (Poly((2, -5, 2)), [Fraction(1, 2), Fraction(2)]),
+    "y=-10/3": (Poly((3, 10, 3)), [Fraction(-3), Fraction(-1, 3)]),
+    "y=3": (Poly((1, -3, 1)), []),
+    "y=5/2,odd": (Poly((2, -5, 2)) * Poly((1, 1)), [Fraction(-1), Fraction(1, 2), Fraction(2)]),
+    "y=-10/3,3,odd": (Poly((3, 10, 3)) * Poly((1, -3, 1)) * Poly((1, 1)),
+                      [Fraction(-3), Fraction(-1), Fraction(-1, 3)]),
+    "y=3,odd": (Poly((1, -3, 1)) * Poly((1, 1)), [Fraction(-1)]),
+}
+
+
+@pytest.mark.parametrize("name", list(RATIONAL_FOLDS))
+@pytest.mark.parametrize("with_local_h", [False, True], ids=["alone", "times-local_h(6,20)"])
+def test_rational_roots_through_the_fold(monkeypatch, name, with_local_h):
+    # the fold finds the rational roots of h from the rational roots of q in
+    # its intervals, with no sign of h at a leaf: every grid probe is on q.
+    # The certificate equals the one of the forced chain of q and of Sturm
+    # bisection in Fractions, and lists the rational roots as points (and the
+    # root 0 of local_h(6, 20) = x^4 h')
+    h, rational = RATIONAL_FOLDS[name]
+    f = h * local_h(6, 20) if with_local_h else h
+    p = realroots._strip_x(f)[0]
+    proven, fold, chain_fold = _proven_and_chain_folds(p)
+    assert proven
+    _check_fold_counter(p, fold, chain_fold)
+    probes = _record_calls(monkeypatch, realroots, "_rational_root_in")
+    cert = isolate_roots(f)
+    m = realroots._strip_x(realroots._fold(p))[0].degree
+    assert {q.degree for q, *_ in probes} == {m}
+    with monkeypatch.context() as patched:
+        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        chain = isolate_roots(f)
+    expected = _reference_isolation(f)[0]
+    assert cert == chain == expected
+    assert json.dumps(cert.to_json_obj()) == json.dumps(expected.to_json_obj())
+    assert json.dumps(chain.to_json_obj()) == json.dumps(expected.to_json_obj())
+    points = [iv.lo for iv in cert.intervals if iv.is_point]
+    assert points == sorted(rational + ([Fraction(0)] if with_local_h else []))
+
+
+def test_a_bracket_that_misses_its_root_stays_its_gap(monkeypatch):
+    # local_h(10, 40) = x^4 h: the guesses of the 16 roots of its fold q are
+    # forged, a third of them moved by 1 % (their brackets miss the root)
+    # and a third moved 8-fold (outside their gap, or missing the root); the
+    # proof of q does not read them, and each forged bracket stays its gap
+    # while the others are proven narrow.  The counts and the certificate
+    # stay those of the chain of q
+    f = local_h(10, 40)
+    p = realroots._strip_x(f)[0]
+    cert = isolate_roots(f)
+    guess = realroots._guessed_separators
+
+    def forged(q):
+        points, found, s = guess(q)
+        moved = [w * 1.01 if i % 3 == 0 else w * 8 if i % 3 == 1 else w
+                 for i, w in enumerate(found)]
+        return points, moved, s
+
+    monkeypatch.setattr(realroots, "_guessed_separators", forged)
+    narrowed = []
+    narrow = realroots._narrowed
+
+    def recorded(q, gap, w, s):
+        narrowed.append((gap, narrow(q, gap, w, s)))
+        return narrowed[-1][1]
+
+    monkeypatch.setattr(realroots, "_narrowed", recorded)
+    proven, fold, chain_fold = _proven_and_chain_folds(p)
+    assert proven
+    _check_fold_counter(p, fold, chain_fold)
+    assert len(narrowed) == 16
+    for i, (gap, out) in enumerate(narrowed):
+        a, b, den, _ = gap
+        lo, hi, d, _ = out
+        if i % 3 == 2:
+            assert out != gap and a * d < lo * den < hi * den < b * d
+            assert (hi - lo) * 2 ** 28 < abs(lo + hi)  # about 2^-29 of the root
+        else:
+            assert out == gap
+    assert isolate_roots(f) == cert
+    assert json.dumps(isolate_roots(f).to_json_obj()) == json.dumps(cert.to_json_obj())
+
+
+def test_the_counters_are_none_exactly_at_the_roots():
+    # (2x - 1)(x - 2)(x + 1) h' with h' = local_h(6, 20) / x^4: the fold of
+    # this odd-degree palindrome counts None at 1/2, 2 and -1 (where
+    # y = t + 1/t = -2 is no root of q), also over unreduced denominators,
+    # and a number at every other point of a grid; so does the fold on the
+    # chain of q, and the chain of a non-palindrome with the roots -3, 1/2
+    # and +-sqrt 2
+    p = Poly((2, -5, 2)) * Poly((1, 1)) * realroots._strip_x(local_h(6, 20))[0]
+    fold = realroots._fold_counter(p)
+    proven, _, chain_fold = _proven_and_chain_folds(p)
+    assert proven and p.degree % 2
+    chain = realroots._roots(Poly((3, 1)) * Poly((-1, 2)) * Poly((-2, 0, 1)))
+    assert chain.fold is None
+    g = chain.h
+    sturm = realroots._sturm_counter(SturmChain(chain.terms))
+    points = [(k, 12) for k in range(-60, 61)] + [(-1, 1), (-3, 3), (1, 2), (6, 3), (2, 1)]
+    for counter, poly in ((fold[0], p), (chain_fold[0], p), (sturm, g)):
+        roots = []
+        for num, den in points:
+            c = counter(num, den)
+            assert (c is None) == (poly._sign_at(num, den) == 0)
+            if c is None:
+                roots.append(Fraction(num, den))
+        assert set(roots) == ({Fraction(-1), Fraction(1, 2), Fraction(2)} if poly is p
+                              else {Fraction(-3), Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("f, folds, met", [
+    (local_h(10, 40), True, set()),
+    (Poly((2, -5, 2)) * Poly((1, 1)) * Poly((1, 4, 1)), True, {Fraction(-1), Fraction(2)}),
+    (Poly((2, 1, 1)) * local_h(6, 20), False, set()),
+    (Poly((5, 1)) * Poly((1, 1)) * Poly((-1, 1)) * Poly((-2, 0, 1)), False,
+     {Fraction(-1), Fraction(1)}),
+], ids=["fold", "fold-midpoint-roots", "chain", "chain-midpoint-root"])
+def test_the_parity_sign_is_the_sign_of_p_at_every_split(f, folds, met):
+    # _isolate takes the sign of p at a split from the counts,
+    # s_neg (-1)^(c(t) - c(-B)), and evaluates nothing outside them: it
+    # equals the sign of p at every point of one recorded tree, and a count
+    # of None is a root.  (2x^2 - 5x + 2)(x + 1)(x^2 + 4x + 1), of odd
+    # degree, meets its roots -1 (as -16/16) and 2 at midpoints, and
+    # (x + 5)(x + 1)(x - 1)(x^2 - 2) its roots -1 and 1
+    r = realroots._roots(f)
+    assert (r.fold is not None) == folds
+    p = realroots._levels(r)[0]
+    count = r.fold[0] if r.fold else realroots._sturm_counter(SturmChain(r.terms))
+    seen = []
+
+    def recorded(num, den):
+        inside = len(evaluations)
+        seen.append((num, den, count(num, den)))
+        del evaluations[inside:]
+        return seen[-1][2]
+
+    with pytest.MonkeyPatch.context() as patched:
+        evaluations = _count_sign_evaluations(patched)
+        realroots._isolate(p, recorded, None)
+        assert evaluations == []
+    c_neg, s_neg = seen[0][2], (-1) ** p.degree
+    for num, den, c in seen:
+        assert p._sign_at(num, den) == (0 if c is None else s_neg * (-1) ** (c - c_neg))
+    assert {Fraction(num, den) for num, den, c in seen if c is None} == met
 
 
 def test_refine_rejects_intervals_that_do_not_each_hold_one_root():
