@@ -11,7 +11,9 @@ r-fold edgewise subdivision of the (n-1)-simplex.  The jump-restricted
 generalization changes only which letters h may precede letter i: those with
 |i - h| > gamma[i].  So it is the same step with reach gamma[i] at letter i,
 started from the one-letter word 0; both families run one step function, by
-prefix and suffix sums.
+prefix and suffix sums of components packed into integers (Kronecker
+substitution: coefficient j in bits [jw, (j+1)w)), so adding two components
+is one integer addition and multiplying by x one shift.
 """
 
 from __future__ import annotations
@@ -53,28 +55,43 @@ def e_base(r: int) -> EVector:
     return e_gamma(r, 1, None)
 
 
-def _step(polys: tuple[Poly, ...], reach: tuple[int, ...]) -> tuple[Poly, ...]:
-    """E'_i = x * (E_0 + ... + E_{i-reach[i]-1}) + (E_{i+reach[i]+1} + ... + E_{r-1}).
-
-    below[k] is the sum of the components before k and above[k] the sum of
-    those after k, so the step costs O(r) additions whatever the reach.
-    """
-    r = len(polys)
-    below = [ZERO] * r
-    above = [ZERO] * r
+def _step(comps: list[int], reach: tuple[int, ...], w: int) -> list[int]:
+    """E'_i = x * (E_0 + ... + E_{i-reach[i]-1}) + (E_{i+reach[i]+1} + ... + E_{r-1})
+    on components packed at slot width w: below[k] sums the components before
+    k and above[k] those after k, so a step is O(r) additions whatever the reach."""
+    r = len(comps)
+    below = [0] * r
+    above = [0] * r
     for k in range(1, r):
-        below[k] = below[k - 1] + polys[k - 1]
+        below[k] = below[k - 1] + comps[k - 1]
     for k in range(r - 2, -1, -1):
-        above[k] = above[k + 1] + polys[k + 1]
-    return tuple(
-        (below[i - g].shift_up() if i > g else ZERO) + (above[i + g] if i + g < r else ZERO)
-        for i, g in enumerate(reach)
-    )
+        above[k] = above[k + 1] + comps[k + 1]
+    return [((below[i - g] << w) if i > g else 0) + (above[i + g] if i + g < r else 0)
+            for i, g in enumerate(reach)]
+
+
+def _run(polys: tuple[Poly, ...], reach: tuple[int, ...], n: int, steps: int) -> EVector:
+    """The vector at n after ``steps`` steps from polys, packed at slot width
+    w = ((r-1)^n).bit_length() + 1 and unpacked once.  No slot carries: every
+    coefficient is nonnegative, so a slot of a sum is the sum of the slots.
+    Slot j + 1 of a stepped component is slot j of a below plus slot j + 1 of
+    an above, sums over disjoint components, so it and every slot of a partial
+    sum is at most the mass of the vector stepped from.  That mass counts
+    words, at most (r-1)^n < 2^w, and a hand-built EVector's validation caps
+    it at (r-1)^(n-1)."""
+    r = len(polys)
+    w = ((r - 1) ** n).bit_length() + 1
+    comps = [sum(c << (j * w) for j, c in enumerate(p.coeffs)) for p in polys]
+    for _ in range(steps):
+        comps = _step(comps, reach, w)
+    mask = (1 << w) - 1
+    return EVector(r, n, tuple(Poly(tuple(v >> j & mask for j in range(0, v.bit_length(), w)))
+                               for v in comps))
 
 
 def e_step(v: EVector) -> EVector:
     """One application of the recurrence: the step with zero reach."""
-    return EVector(v.r, v.n + 1, _step(v.polys, (0,) * v.r))
+    return _run(v.polys, (0,) * v.r, v.n + 1, 1)
 
 
 def e_vector(r: int, n: int) -> EVector:
@@ -113,7 +130,7 @@ def e_gamma(r: int, n: int, gamma: GammaVector | None) -> EVector:
     gamma None is the zero profile of the plain family.  It starts from the
     one-letter word 0, the vector (1, 0, ..., 0), whose first step is the
     restricted base in closed form: x at each letter c with c > gamma[c], and
-    0 elsewhere.  The vector is validated once, at the end.
+    0 elsewhere.  The vector is unpacked and validated once, at the end.
     """
     if not isinstance(n, int) or n < 1:
         raise BadParametersError(f"need n >= 1, got {n}")
@@ -122,10 +139,7 @@ def e_gamma(r: int, n: int, gamma: GammaVector | None) -> EVector:
     if gamma is not None:
         _validate_gamma(r, gamma)
     reach = gamma.gamma if gamma is not None else (0,) * r
-    polys = (ONE,) + (ZERO,) * (r - 1)
-    for _ in range(n):
-        polys = _step(polys, reach)
-    return EVector(r, n, polys)
+    return _run((ONE,) + (ZERO,) * (r - 1), reach, n, n)
 
 
 # -- face-count / h-count transform -------------------------------------------
@@ -166,16 +180,10 @@ class HVector:
 def _binomial_transform(entries: tuple[int, ...], shift: Poly) -> tuple[int, ...]:
     """Coefficients of sum_i entries[i] * shift^(d-i), read off descending."""
     d = len(entries) - 1
-    acc = Poly(())
-    power = ONE
-    powers = [power]
-    for _ in range(d):
-        power = power * shift
-        powers.append(power)
-    for i, c in enumerate(entries):
-        acc = acc + c * powers[d - i]
-    coeffs = list(acc.coeffs) + [0] * (d + 1 - len(acc.coeffs))
-    return tuple(coeffs[d - k] for k in range(d + 1))
+    acc = ZERO
+    for c in entries:  # Horner's rule in shift
+        acc = acc * shift + Poly((c,))
+    return tuple(reversed(acc.coeffs + (0,) * (d + 1 - len(acc.coeffs))))
 
 
 def fh_transform(f: FVector) -> HVector:

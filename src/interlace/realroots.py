@@ -453,12 +453,13 @@ def _narrowed(q: Poly, gap: tuple[int, int, int, int], w: float, s: int
     return gap
 
 
-def _below(q: Poly, ivs: list[tuple[int, int, int, int]], num: int, den: int) -> int | None:
+def _below(q: Poly, ivs: list[tuple[int, int, int, int]], num: int, den: int,
+           sign: int | None = None) -> int | None:
     """B(y), the number of roots of q below y = num/den (den > 0), from
     isolating intervals ivs of all of them, ascending, or None if q(y) = 0:
     the intervals with hi <= y lie below y, those after the first with
     hi > y above it, and the root of that one lies below y iff y is inside
-    it and q has at y the sign opposite to its sign at lo."""
+    it and q has at y the sign opposite to its sign at lo (sign, if known)."""
     lo, hi = 0, len(ivs)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -467,7 +468,7 @@ def _below(q: Poly, ivs: list[tuple[int, int, int, int]], num: int, den: int) ->
         else:
             hi = mid
     if lo < len(ivs) and ivs[lo][0] * den < num * ivs[lo][2]:
-        s = q._sign_at(num, den)
+        s = q._sign_at(num, den) if sign is None else sign
         if s == 0:
             return None
         lo += s != ivs[lo][3]
@@ -588,7 +589,7 @@ def _fold_counter(p: Poly):
         return None
     q, j = _strip_x(_fold(p))
     q = q.primitive()
-    if j > 1 or q._sign_at(-2, 1) == 0 or q._sign_at(2, 1) == 0:
+    if j > 1 or (s_m2 := q._sign_at(-2, 1)) == 0 or (s_2 := q._sign_at(2, 1)) == 0:
         return None
     proof = _separators(q)  # the gaps of q and the guesses in them, if proven
     if proof is None:
@@ -598,7 +599,7 @@ def _fold_counter(p: Poly):
         n, below_2, below_m2 = (chain.count_in(None, y) for y in (None, 2, -2))
     else:  # proven: q is squarefree with deg q real roots
         n = q.degree
-        below_2, below_m2 = _below(q, proof[0], 2, 1), _below(q, proof[0], -2, 1)
+        below_2, below_m2 = _below(q, proof[0], 2, 1, s_2), _below(q, proof[0], -2, 1, s_m2)
     odd = p.degree % 2
     neg = 2 * below_m2 + odd
     ivs = roots = None  # the intervals of q for the counts, the rational roots of p

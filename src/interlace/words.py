@@ -15,16 +15,16 @@ Word families over the alphabet {0, ..., r-1}, always starting with 0:
 The plain families are the zero profile, which every entry point also takes
 as gamma None.  Every family is walked over its profile's transition rows,
 each two ranges between cut points, built into a table only when that is no
-larger than the (r-1)^n open words.  One enumerator yields the words
-themselves.  One walker tallies the ascent polynomials for all three oracles,
-taking the last two letters of each word from a table of the admissible
-two-letter continuations, shortened or left out wherever it would outnumber
-the words walked.  Every word is still visited once and adds its own 1 to
-the count of its last letter and ascents; nothing is grouped by
-multiplicity, and nothing here calls the recurrences.  The closed oracle,
-``oracle_local_h``, walks the closed words only.  Every entry point checks n
-and r first, then the profile, then the budget of (r-1)^n open words and the
-cap MAX_N on n.
+larger than the (r-1)^n open words.  One enumerator, an odometer over
+those rows, yields the words themselves.  One walker tallies the ascent
+polynomials for all three oracles, taking the last two letters of each word
+from a table of the admissible two-letter continuations, shortened or left
+out wherever it would outnumber the words walked.  Every word is still
+visited once and adds its own 1 to the count of its last letter and
+ascents; nothing is grouped by multiplicity, and nothing here calls the
+recurrences.  The closed oracle, ``oracle_local_h``, walks the closed words
+only.  Every entry point checks n and r first, then the profile, then the
+budget of (r-1)^n open words and the cap MAX_N on n.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from .polys import Poly
 
 DEFAULT_BUDGET = 10**8
 
-# the walk and the enumerator recurse once per letter after the leading 0, so n
-# stays below Python's default recursion limit of 1000 calls, with headroom for
-# the callers' own frames
+# the walk recurses once per letter after the leading 0, so n stays below
+# Python's default recursion limit of 1000 calls, with headroom for the
+# callers' own frames
 MAX_N = 900
 
 
@@ -55,7 +55,7 @@ class Word:
     def __post_init__(self):
         if len(self.letters) < 1:
             raise BadParametersError("a word has at least one letter")
-        if any(not 0 <= c < self.alphabet_size for c in self.letters):
+        if min(self.letters) < 0 or max(self.letters) >= self.alphabet_size:
             raise BadParametersError("letter out of alphabet range")
 
     def __str__(self) -> str:
@@ -167,19 +167,21 @@ class _Rows:
 def _word_stream(
     n: int, r: int, trans: list[list[int]] | _Rows, closed: bool
 ) -> Iterator[Word]:
-    """The one enumerator: the admissible words in lexicographic order."""
+    """The one enumerator: the admissible words in lexicographic order, by an
+    odometer whose its[k] runs over the letters that may follow word[k]."""
     word = [0] * (n + 1)
-
-    def rec(pos: int) -> Iterator[Word]:
-        if pos > n:
-            if not closed or word[n] == 0:
-                yield Word(tuple(word), r)
-            return
-        for c in trans[word[pos - 1]]:
+    its = [iter(trans[0])]
+    while its:
+        pos = len(its)
+        c = next(its[-1], None)
+        if c is None:
+            its.pop()
+        elif pos < n:
             word[pos] = c
-            yield from rec(pos + 1)
-
-    return rec(1)
+            its.append(iter(trans[c]))
+        elif not closed or c == 0:
+            word[pos] = c
+            yield Word(tuple(word), r)
 
 
 # the walker places at most the last _TAIL letters of each word from a table, not by recursion

@@ -142,6 +142,94 @@ def test_recurrences_stay_independent_of_the_oracles(monkeypatch):
         assert e_gamma(r, n, g).polys == polys
 
 
+def _reference_step(polys: tuple[Poly, ...], reach: tuple[int, ...]) -> tuple[Poly, ...]:
+    """The step in Poly arithmetic, the reference for the packed one:
+    E'_i = x * (E_0 + ... + E_{i-reach[i]-1}) + (E_{i+reach[i]+1} + ... + E_{r-1})."""
+    r = len(polys)
+    below = [ZERO] * r
+    above = [ZERO] * r
+    for k in range(1, r):
+        below[k] = below[k - 1] + polys[k - 1]
+    for k in range(r - 2, -1, -1):
+        above[k] = above[k + 1] + polys[k + 1]
+    return tuple(
+        (below[i - g].shift_up() if i > g else ZERO) + (above[i + g] if i + g < r else ZERO)
+        for i, g in enumerate(reach)
+    )
+
+
+def _reference_gamma(r: int, n: int, reach: tuple[int, ...]) -> tuple[Poly, ...]:
+    polys = (ONE,) + (ZERO,) * (r - 1)
+    for _ in range(n):
+        polys = _reference_step(polys, reach)
+    return polys
+
+
+@st.composite
+def _profiles(draw) -> GammaVector:
+    r = draw(st.integers(min_value=2, max_value=10))
+    g = [draw(st.integers(min_value=0, max_value=r - 2))]
+    while len(g) < r:
+        g.append(draw(st.integers(min_value=max(0, g[-1] - 1), max_value=min(r - 2, g[-1] + 1))))
+    return GammaVector(tuple(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_profiles(), st.integers(min_value=1, max_value=30))
+def test_packed_e_gamma_equals_the_poly_step(gamma, n):
+    assert e_gamma(gamma.r, n, gamma).polys == _reference_gamma(gamma.r, n, gamma.gamma)
+
+
+def test_e_step_continues_e_gamma():
+    for r in range(2, 9):
+        for n in range(1, 13):
+            assert e_step(e_gamma(r, n, None)) == e_gamma(r, n + 1, None), (r, n)
+
+
+def test_two_letters_fill_two_bit_slots():
+    # at r = 2 the one open word alternates its last letter, and every slot
+    # holds 0 or 1 in w = (1).bit_length() + 1 = 2 bits
+    for n in range(1, 31):
+        top = Poly.monomial((n + 1) // 2)
+        assert e_gamma(2, n, None).polys == ((ZERO, top) if n % 2 else (top, ZERO)), n
+    assert e_step(EVector(2, 5, (ZERO, Poly.monomial(3)))).polys == (Poly.monomial(3), ZERO)
+    assert e_step(EVector(2, 5, (Poly.monomial(7), ZERO))).polys == (ZERO, Poly.monomial(8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=6), st.data())
+def test_e_step_at_maximal_mass(r, n, data):
+    # hand-built vectors of mass (r-1)^n, the most their validation admits,
+    # in at most n + 3 coefficients per component: the step sums all of it
+    # into single slots without a carry
+    mass = (r - 1) ** n
+    slots = r * (n + 3)
+    cuts = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=mass),
+                                     min_size=slots - 1, max_size=slots - 1)))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [mass])]
+    v = EVector(r, n, tuple(Poly(tuple(parts[i:i + n + 3])) for i in range(0, slots, n + 3)))
+    assert e_step(v).polys == _reference_step(v.polys, (0,) * r)
+    # all of the mass in the top coefficient of one component
+    for i in (0, r - 1):
+        v = EVector(r, n, tuple(Poly.monomial(n, mass) if k == i else ZERO for k in range(r)))
+        assert e_step(v).polys == _reference_step(v.polys, (0,) * r)
+
+
+def test_the_step_runs_no_poly_arithmetic(monkeypatch):
+    expected = {(r, n, g): _reference_gamma(r, n, g.gamma)
+                for r in range(2, 6) for n in (1, 4, 9) for g in all_gamma_vectors(r)}
+    stepped = e_step(e_vector(5, 5))
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("the recurrence ran Poly arithmetic per step")
+
+    monkeypatch.setattr(Poly, "__add__", forbidden)
+    monkeypatch.setattr(Poly, "shift_up", forbidden)
+    for (r, n, g), polys in expected.items():
+        assert e_gamma(r, n, g).polys == polys
+    assert e_step(e_vector(5, 5)) == stepped
+
+
 @pytest.mark.parametrize("r,n,gamma,error", [
     (3, 0, GammaVector.zeros(3), BadParametersError),
     (3, "3", GammaVector.zeros(3), BadParametersError),

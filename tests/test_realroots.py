@@ -695,6 +695,16 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
         assert degrees.count(2 * m) == len(bisections) == 15
 
 
+def test_a_proven_fold_evaluates_q_at_plus_minus_2_once(monkeypatch):
+    # the signs of q at +-2 that qualify the fold also place +-2 among the
+    # proven gaps of q: B(+-2) takes no second evaluation there
+    h = local_h(10, 60)
+    calls = _count_sign_evaluations(monkeypatch)
+    assert is_real_rooted(h)
+    assert len(calls) == 27
+    assert sorted(c for c in calls if c in ((2, 1), (-2, 1))) == [(-2, 1), (2, 1)]
+
+
 def test_palindromic_refinement_through_the_fold(monkeypatch):
     # local_h(10, 40) = x^4 h as above: refinement checks a certificate
     # against the fold's root count, which the separators of q give with no

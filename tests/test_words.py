@@ -31,6 +31,18 @@ def test_ascents():
     assert ascents(Word((0,), 1)) == 0
 
 
+def test_word_accepts_exactly_the_letters_in_its_alphabet():
+    for size in range(1, 4):
+        for letters in product(range(-2, 5), repeat=3):
+            if all(0 <= c < size for c in letters):
+                assert Word(letters, size).letters == letters
+            else:
+                with pytest.raises(BadParametersError, match="letter out of alphabet range"):
+                    Word(letters, size)
+    with pytest.raises(BadParametersError, match="at least one letter"):
+        Word((), 3)
+
+
 def test_enumerate_sw_prime_small():
     assert [w.letters for w in enumerate_sw_prime(1, 3)] == [(0, 1), (0, 2)]
     assert [w.letters for w in enumerate_sw_prime(2, 2)] == [(0, 1, 0)]
