@@ -111,19 +111,17 @@ def cmd_edgewise(args) -> Report:
 def cmd_fh(args) -> Report:
     if (args.f is None) == (args.h is None):
         raise UsageError("exactly one of --f or --h is required")
+    if args.f is not None:
+        key, text, transform, vector = "f", args.f, edgewise.fh_transform, edgewise.FVector
+    else:
+        key, text, transform, vector = "h", args.h, edgewise.hf_transform, edgewise.HVector
     try:
-        if args.f is not None:
-            entries = tuple(int(v) for v in args.f.split(","))
-            out = edgewise.fh_transform(edgewise.FVector(entries)).entries
-            params = {"f": list(entries)}
-        else:
-            entries = tuple(int(v) for v in args.h.split(","))
-            out = edgewise.hf_transform(edgewise.HVector(entries)).entries
-            params = {"h": list(entries)}
+        entries = tuple(int(v) for v in text.split(","))
+        out = transform(vector(entries)).entries
     except ValueError as exc:
         raise UsageError(f"cannot parse vector: {exc}") from exc
     rendered = ",".join(str(v) for v in out)
-    return Report("fh", params, OK, result=rendered, lines=[rendered])
+    return Report("fh", {key: list(entries)}, OK, result=rendered, lines=[rendered])
 
 
 # -- check ---------------------------------------------------------------------

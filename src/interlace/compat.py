@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import BadParametersError, NotRealRootedError
-from .polys import Poly, X, _on_grid
+from .polys import ZERO, Poly, X, _on_grid, _rational
 from .realroots import is_real_rooted
 
 PASS_SAMPLED = "PASS_SAMPLED"
@@ -94,11 +95,14 @@ class CompatVerdict:
 
 
 def conic_combination(weights, polys) -> Poly:
-    """Integer polynomial proportional to sum(w_i * p_i) by a positive factor."""
-    ws = [Fraction(w) for w in weights]
+    """Integer polynomial proportional to sum(w_i * p_i) by a positive factor.
+
+    Weights are read as by ``_rational``: a malformed weight (NaN, an
+    infinity, None, "1/0", "abc") raises BadParametersError."""
+    ws = [_rational(w, "weight") for w in weights]
     if len(ws) != len(polys):
         raise BadParametersError("one weight per polynomial required")
-    out = Poly(())
+    out = ZERO
     for c, p in zip(_on_grid(*ws)[0], polys):
         out = out + c * p
     return out
@@ -174,20 +178,17 @@ def check_conditions_ab(fs, unchecked: bool = False) -> CompatVerdict:
 
 
 def theorem_comp_transform(fs) -> list[Poly]:
-    """Map (f_1, ..., f_n) to (g_1, ..., g_n) with
-    g_k = sum_{h<k} x*f_h + sum_{h>k} f_h.
+    """Map (f_0, ..., f_{n-1}) to (g_0, ..., g_{n-1}) with
+    g_k = x*(f_0 + ... + f_{k-1}) + (f_{k+1} + ... + f_{n-1}).
 
     This is exactly the action of the square matrix with 0 on the diagonal,
-    1 above and x below.
+    1 above and x below.  The two sums come from one prefix pass and one
+    suffix pass, the sums that ``edgewise._step`` takes, here on ``Poly`` so
+    that negative coefficients are allowed.
     """
     fs = list(fs)
-    out = []
-    for k in range(len(fs)):
-        g = Poly(())
-        for h in range(len(fs)):
-            if h < k:
-                g = g + (X * fs[h])
-            elif h > k:
-                g = g + fs[h]
-        out.append(g)
-    return out
+    if not fs:
+        return []
+    below = [ZERO, *accumulate(fs[:-1])]
+    above = [ZERO, *accumulate(reversed(fs[1:]))][::-1]
+    return [lo.shift_up() + hi for lo, hi in zip(below, above)]

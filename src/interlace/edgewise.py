@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import BadParametersError, MalformedVectorError
 from .matrices import Entry, SymMatrix
 from .polys import ONE, ZERO, Poly
-from .words import GammaVector, _validate_gamma
+from .words import GammaVector, _validate_gamma, _validate_nr
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class EVector:
     polys: tuple[Poly, ...]
 
     def __post_init__(self):
-        if self.r < 2 or self.n < 1:
-            raise BadParametersError(f"need r >= 2 and n >= 1, got r={self.r}, n={self.n}")
+        _validate_nr(self.n, self.r)
         if len(self.polys) != self.r:
             raise BadParametersError("one component per letter required")
         if any(c < 0 for p in self.polys for c in p.coeffs):
@@ -132,10 +131,7 @@ def e_gamma(r: int, n: int, gamma: GammaVector | None) -> EVector:
     restricted base in closed form: x at each letter c with c > gamma[c], and
     0 elsewhere.  The vector is unpacked and validated once, at the end.
     """
-    if not isinstance(n, int) or n < 1:
-        raise BadParametersError(f"need n >= 1, got {n}")
-    if not isinstance(r, int) or r < 2:
-        raise BadParametersError(f"need r >= 2, got {r}")
+    _validate_nr(n, r)
     if gamma is not None:
         _validate_gamma(r, gamma)
     reach = gamma.gamma if gamma is not None else (0,) * r

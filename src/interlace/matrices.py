@@ -30,7 +30,7 @@ from .errors import (
     PolyFormatError,
     PreconditionViolatedError,
 )
-from .polys import ZERO, Poly, _on_grid
+from .polys import ZERO, Poly, _on_grid, _rational
 from .realroots import in_fplus, interleaves
 
 
@@ -340,30 +340,29 @@ def preserves_check(G: SymMatrix) -> bool:
 
 
 def ferrers_check(G: SymMatrix) -> bool:
-    """One-entries up-right closed and x-entries down-left closed."""
+    """One-entries up-right closed and x-entries down-left closed, by neighbours.
+
+    A 1 needs a 1 directly above it and directly to its right, and an x needs
+    an x directly below it and directly to its left; a cell on the border is
+    exempt in that direction.  That is the closure: by induction along the
+    path up and then right, a 1 at (i, j) forces a 1 at every (k, l) with
+    k <= i and l >= j, and likewise an x along the path down and then left.
+    """
     e = G.entries
-    for i in range(G.rows):
-        for j in range(G.cols):
-            if e[i][j] is Entry.ONE:
-                if any(
-                    e[k][l] is not Entry.ONE
-                    for k in range(i + 1)
-                    for l in range(j, G.cols)
-                ):
-                    return False
-            elif e[i][j] is Entry.X:
-                if any(
-                    e[k][l] is not Entry.X
-                    for k in range(i, G.rows)
-                    for l in range(j + 1)
-                ):
-                    return False
-    return True
+    # (a, b) with b directly above or directly to the right of a
+    pairs = itertools.chain(
+        (pair for lower, upper in zip(e[1:], e) for pair in zip(lower, upper)),
+        (pair for row in e for pair in zip(row, row[1:])))
+    return all((a is not Entry.ONE or b is Entry.ONE) and (b is not Entry.X or a is Entry.X)
+               for a, b in pairs)
 
 
 def minors_nonneg(G) -> bool:
-    """All 2x2 minors of a nonnegative numeric matrix are nonnegative."""
-    rows = [list(map(Fraction, row)) for row in G]
+    """All 2x2 minors of a nonnegative numeric matrix are nonnegative.
+
+    Entries are read as by ``_rational``: a malformed entry (NaN, an infinity,
+    None, "1/0", "abc") raises BadParametersError."""
+    rows = [[_rational(v, "matrix entry") for v in row] for row in G]
     if any(v < 0 for row in rows for v in row):
         raise NegativeEntryError("matrix entries must be nonnegative")
     m, n = len(rows), len(rows[0]) if rows else 0

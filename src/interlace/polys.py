@@ -7,7 +7,8 @@ evaluation points, interval endpoints and weights; they are
 ``fractions.Fraction`` throughout, except at ``Poly._value_at`` and
 ``Poly._sign_at``, which take a point as an integer pair (num, den) so that
 bisections can keep their endpoints on an integer grid, and ``_on_grid``
-puts rationals on such a grid.
+puts rationals on such a grid.  ``_rational`` is the one parser of the
+rationals a caller passes in.
 
 The text format used by the CLI and all file I/O is comma-separated ascending
 coefficients: ``"0,1,1"`` is x + x**2 and ``"0"`` is the zero polynomial.
@@ -17,8 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import BothZeroError, PolyFormatError
+from .errors import BadParametersError, BothZeroError, PolyFormatError
 
 # degree of the zero polynomial
 NEG_INFINITY_DEGREE = -math.inf
@@ -269,6 +271,18 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     if s != 1:
         raise ValueError("quotient is not integral")
     return q
+
+
+def _rational(value, what: str) -> Fraction:
+    """value as a Fraction: an int, a Fraction, a finite float or a string such
+    as "1/3"; anything else (NaN, infinities, None, malformed strings) raises
+    BadParametersError.  The one parser of rationals at the public boundary:
+    interval ends and widths, weights and numeric matrix entries."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise BadParametersError(
+            f"{what} must be a finite rational number, got {value!r}") from exc
 
 
 def _on_grid(*points) -> tuple[tuple[int, ...], int]:

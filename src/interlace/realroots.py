@@ -84,7 +84,8 @@ from .errors import (
     NegativeLeadingCoefficientError,
     ZeroPolynomialError,
 )
-from .polys import Poly, _on_grid, _remainder_sequence, exact_div, poly_derivative, poly_gcd
+from .polys import (Poly, _on_grid, _rational, _remainder_sequence, exact_div, poly_derivative,
+                    poly_gcd)
 
 
 @dataclass(frozen=True)
@@ -221,17 +222,6 @@ class SturmChain:
 def _sign_variations(values) -> int:
     signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def _rational(value, what: str) -> Fraction:
-    """value as a Fraction: an int, a Fraction, a finite float or a string such
-    as "1/3"; anything else (NaN, infinities, None, malformed strings) raises
-    BadParametersError."""
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise BadParametersError(
-            f"{what} must be a finite rational number, got {value!r}") from exc
 
 
 def count_real_roots(f: Poly, lo=None, hi=None) -> int:
@@ -901,8 +891,7 @@ def interleaves(f: Poly, g: Poly) -> bool:
         if not p.is_zero and p.leading_coefficient < 0:
             raise NegativeLeadingCoefficientError(f"{p} has a negative leading coefficient")
     if f.is_zero or g.is_zero:
-        other = g if f.is_zero else f
-        return other.is_zero or is_real_rooted(other)
+        return is_real_rooted(g if f.is_zero else f)
     if f.degree not in (g.degree - 1, g.degree):
         return False
     if f.degree == g.degree:

@@ -98,6 +98,7 @@ class GammaVector:
 
 
 def _validate_nr(n: int, r: int) -> None:
+    """The one check of the (n, r) domain, for the oracles and the recurrences alike."""
     if not (isinstance(n, int) and isinstance(r, int) and n >= 1 and r >= 2):
         raise BadParametersError(f"need integers n >= 1 and r >= 2, got n={n}, r={r}")
 

@@ -49,6 +49,12 @@ def test_edgewise_bad_parameters(capsys):
     assert code == 2
 
 
+def test_edgewise_and_words_share_the_domain_message(capsys):
+    line = "error: BadParametersError: need integers n >= 1 and r >= 2, got n=1, r=1\n"
+    for command in ("edgewise", "words"):
+        assert run_cli(capsys, command, "--r", "1", "--n", "1") == (2, "", line), command
+
+
 def test_edgewise_component_range_checked_before_any_work(capsys, monkeypatch):
     calls = []
 

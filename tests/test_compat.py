@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interlace import compat
 from interlace.compat import (
@@ -15,8 +17,8 @@ from interlace.compat import (
     theorem_comp_transform,
 )
 from interlace.edgewise import e_base, e_step, e_vector
-from interlace.errors import NotRealRootedError
-from interlace.matrices import LAMBDA_MU_PAIRS
+from interlace.errors import BadParametersError, NotRealRootedError
+from interlace.matrices import LAMBDA_MU_PAIRS, Entry, SymMatrix, apply
 from interlace.polys import ONE, X, ZERO, Poly
 from interlace.realroots import is_real_rooted
 
@@ -24,6 +26,19 @@ from interlace.realroots import is_real_rooted
 def test_conic_combination_clears_denominators():
     combo = conic_combination((Fraction(1, 2), Fraction(1, 3)), (X, ONE))
     assert combo == Poly((2, 3))
+
+
+@pytest.mark.parametrize("bad", ["abc", float("nan"), float("inf"), "1/0", None],
+                         ids=["abc", "nan", "inf", "1/0", "None"])
+def test_conic_combination_rejects_a_malformed_weight(bad):
+    with pytest.raises(BadParametersError, match="weight must be a finite rational"):
+        conic_combination((1, bad), (X, ONE))
+
+
+@pytest.mark.parametrize("weight", [2, Fraction(2), 2.0, "2/1"],
+                         ids=["int", "Fraction", "float", "str"])
+def test_conic_combination_accepts_rational_weights(weight):
+    assert conic_combination((weight, "1/3"), (X, ONE)) == Poly((1, 6))
 
 
 def test_pair_degree_one_always_passes():
@@ -172,6 +187,41 @@ def test_transform_examples():
     assert theorem_comp_transform([ZERO, X, X]) == [Poly((0, 2)), X, Poly((0, 0, 1))]
     assert theorem_comp_transform([Poly((2, 1))]) == [ZERO]
     assert theorem_comp_transform([ONE, ONE]) == [ONE, X]
+
+
+def _reference_comp_transform(fs) -> list[Poly]:
+    """The comp transform term by term, the reference for the prefix sums:
+    g_k = sum_{h<k} x*f_h + sum_{h>k} f_h."""
+    fs = list(fs)
+    out = []
+    for k in range(len(fs)):
+        g = ZERO
+        for h in range(len(fs)):
+            if h < k:
+                g = g + (X * fs[h])
+            elif h > k:
+                g = g + fs[h]
+        out.append(g)
+    return out
+
+
+_families = st.lists(st.lists(st.integers(-50, 50), max_size=6).map(lambda cs: Poly(tuple(cs))),
+                     max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families)
+def test_comp_transform_equals_the_reference(fs):
+    assert theorem_comp_transform(fs) == _reference_comp_transform(fs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families.filter(len))
+def test_comp_transform_is_the_action_of_the_step_matrix(fs):
+    n = len(fs)
+    step = SymMatrix(tuple(tuple(Entry.ZERO if i == j else Entry.ONE if j > i else Entry.X
+                                 for j in range(n)) for i in range(n)))
+    assert theorem_comp_transform(fs) == apply(step, fs)
 
 
 def test_transform_chain_reproduces_recurrence():

@@ -20,7 +20,14 @@ from interlace.errors import BadParametersError, InvalidGammaError, MalformedVec
 from interlace.matrices import apply
 from interlace.polys import ONE, X, ZERO, Poly
 from interlace.realroots import is_real_rooted
-from interlace.words import GammaVector, all_gamma_vectors, oracle_E, oracle_E_gamma, oracle_local_h
+from interlace.words import (
+    GammaVector,
+    all_gamma_vectors,
+    enumerate_sw_prime,
+    oracle_E,
+    oracle_E_gamma,
+    oracle_local_h,
+)
 
 
 def test_e_base():
@@ -244,6 +251,22 @@ def test_the_step_runs_no_poly_arithmetic(monkeypatch):
 def test_e_gamma_invalid_inputs(r, n, gamma, error):
     with pytest.raises(error):
         e_gamma(r, n, gamma)
+
+
+@pytest.mark.parametrize("call,args,n,r", [
+    (e_gamma, (1, 1, None), 1, 1),
+    (e_gamma, (3, 0, None), 0, 3),
+    (EVector, (1, 1, ()), 1, 1),
+    (EVector, (2.0, 1, (ONE, ONE)), 1, 2.0),
+    (oracle_E, (0, 3), 0, 3),
+    (enumerate_sw_prime, (3, 1), 3, 1),
+], ids=["e_gamma-1-1", "e_gamma-3-0", "EVector-1-1", "EVector-float-r", "oracle_E-0-3",
+        "enumerate_sw_prime-3-1"])
+def test_one_message_for_the_n_r_domain(call, args, n, r):
+    # e_gamma and EVector take (r, n), the oracles (n, r): one check words them alike
+    with pytest.raises(BadParametersError) as info:
+        call(*args)
+    assert str(info.value) == f"need integers n >= 1 and r >= 2, got n={n}, r={r}"
 
 
 @pytest.mark.parametrize("call,args", [

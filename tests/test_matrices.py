@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interlace import matrices
 from interlace.edgewise import gamma_matrix
 from interlace.errors import (
+    BadParametersError,
     DimensionMismatchError,
     NegativeEntryError,
     PreconditionViolatedError,
@@ -253,13 +256,56 @@ def test_preserves_check_examples():
             assert preserves_check(gamma_matrix(r, g))
 
 
+def _reference_ferrers(G: SymMatrix) -> bool:
+    """The staircase test by its closure, the reference for the neighbour rule:
+    every cell up and to the right of a 1 is a 1, and every cell down and to
+    the left of an x is an x."""
+    e = G.entries
+    for i in range(G.rows):
+        for j in range(G.cols):
+            if e[i][j] is Entry.ONE:
+                if any(e[k][l] is not Entry.ONE for k in range(i + 1) for l in range(j, G.cols)):
+                    return False
+            elif e[i][j] is Entry.X:
+                if any(e[k][l] is not Entry.X for k in range(i, G.rows) for l in range(j + 1)):
+                    return False
+    return True
+
+
 def test_ferrers_check_examples():
     assert ferrers_check(FERRERS_EXAMPLE_1)
     assert ferrers_check(FERRERS_EXAMPLE_2)
     assert not ferrers_check(S([["1", "0"], ["0", "1"]]))
-    for r in range(2, 6):
+    for r in range(2, 7):
         for g in all_gamma_vectors(r):
-            assert ferrers_check(gamma_matrix(r, g))
+            M = gamma_matrix(r, g)
+            assert ferrers_check(M) and _reference_ferrers(M), g
+
+
+@st.composite
+def _sym_matrices(draw) -> SymMatrix:
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=6))
+    entry = st.sampled_from(list(Entry))
+    if draw(st.booleans()):
+        # a staircase (ones starting and xs ending at nondecreasing columns
+        # going down), with at most one cell redrawn, so that both verdicts occur
+        ones = sorted(draw(st.lists(st.integers(0, cols), min_size=rows, max_size=rows)))
+        xs = sorted(draw(st.lists(st.integers(0, cols), min_size=rows, max_size=rows)))
+        grid = [[Entry.X if j < min(x, o) else Entry.ONE if j >= o else Entry.ZERO
+                 for j in range(cols)] for x, o in zip(xs, ones)]
+        if draw(st.booleans()):
+            grid[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(entry)
+    else:
+        grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    return SymMatrix(tuple(map(tuple, grid)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sym_matrices())
+def test_ferrers_neighbour_rule_equals_the_closure(M):
+    assert ferrers_check(M) == _reference_ferrers(M)
 
 
 def test_twenty_ferrers_shapes_allowed():
@@ -273,6 +319,7 @@ def test_ferrers_implies_preserves_exhaustive_small():
         for n in (1, 2, 3):
             for combo in itertools.product(Entry, repeat=m * n):
                 M = SymMatrix(tuple(tuple(combo[i * n: (i + 1) * n]) for i in range(m)))
+                assert ferrers_check(M) == _reference_ferrers(M), M
                 if ferrers_check(M):
                     assert preserves_check(M), M
 
@@ -301,6 +348,22 @@ def test_minors_nonneg():
     assert minors_nonneg([[Fraction(1, 2), 1], [0, 3]])
     with pytest.raises(NegativeEntryError):
         minors_nonneg([[1, -1], [0, 1]])
+
+
+@pytest.mark.parametrize("bad", ["abc", float("nan"), float("inf"), "1/0", None],
+                         ids=["abc", "nan", "inf", "1/0", "None"])
+def test_minors_nonneg_rejects_a_malformed_entry(bad):
+    with pytest.raises(BadParametersError, match="matrix entry must be a finite rational"):
+        minors_nonneg([[1, bad], [0, 1]])
+
+
+@pytest.mark.parametrize("good,value", [
+    (2, Fraction(2)), (Fraction(1, 3), Fraction(1, 3)), (0.25, Fraction(1, 4)),
+    ("1/3", Fraction(1, 3)),
+], ids=["int", "Fraction", "float", "str"])
+def test_minors_nonneg_accepts_rational_entries(good, value):
+    # the minor 1*value - 1*(1/3) of [[1, 1/3], [1, value]] is negative iff value < 1/3
+    assert minors_nonneg([[1, Fraction(1, 3)], [1, good]]) is (value >= Fraction(1, 3))
 
 
 def test_forbidden_rule_representatives_have_failing_samples():
