@@ -4,6 +4,7 @@ One report path: each command returns one ``Report``, which ``main`` renders
 once, as its text lines or under ``--json`` as one stable JSON object; an
 internal error becomes an ERROR report on the same path.  Exit codes follow the
 status: 0 PASS/OK, 1 FAIL, 3 ERROR; usage errors exit 2 with a message on stderr.
+A reader that closes stdout early does not change the exit code.
 
 Polynomials on the command line use the ascending-coefficient comma format
 ("0,1,1" is x + x^2); semicolons separate polynomials in sequence arguments.
@@ -70,14 +71,24 @@ class Report:
     lines: Sequence[str] = ()
 
     def render(self, as_json: bool) -> int:
-        """Print the report and return its exit code."""
-        if as_json:
-            obj = {"command": self.command, "params": self.params, "status": self.status,
-                   "result": self.result, "witness": self.witness}
-            print(json.dumps({k: v for k, v in obj.items() if v is not None}))
-        else:
-            for line in self.lines:
-                print(line)
+        """Print the report and return its exit code.
+
+        A reader that closed stdout early (``| head``) took what it wanted, so
+        a broken pipe keeps the report's exit code: fd 1 then points at
+        os.devnull, where the interpreter's last flush of what is still
+        buffered lands quietly."""
+        try:
+            if as_json:
+                obj = {"command": self.command, "params": self.params, "status": self.status,
+                       "result": self.result, "witness": self.witness}
+                print(json.dumps({k: v for k, v in obj.items() if v is not None}))
+            else:
+                for line in self.lines:
+                    print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return _EXIT_CODES[self.status]
 
 

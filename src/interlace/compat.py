@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import BadParametersError, NotRealRootedError
-from .polys import ZERO, Poly, X, _on_grid, _rational
+from .polys import ZERO, Poly, X, _listed, _on_grid, _rational, _rational_text
 from .realroots import is_real_rooted
 
 PASS_SAMPLED = "PASS_SAMPLED"
@@ -68,7 +68,7 @@ class CompatWitness:
 
     def to_json_obj(self) -> dict:
         obj = {
-            "weights": [f"{w.numerator}/{w.denominator}" for w in self.weights],
+            "weights": [_rational_text(w) for w in self.weights],
             "combination": self.combination.to_string(),
         }
         if self.condition is not None:
@@ -98,8 +98,10 @@ def conic_combination(weights, polys) -> Poly:
     """Integer polynomial proportional to sum(w_i * p_i) by a positive factor.
 
     Weights are read as by ``_rational``: a malformed weight (NaN, an
-    infinity, None, "1/0", "abc") raises BadParametersError."""
-    ws = [_rational(w, "weight") for w in weights]
+    infinity, None, "1/0", "abc"), or weights or polys that are not
+    iterable, raise BadParametersError."""
+    ws = [_rational(w, "weight") for w in _listed(weights, "weights")]
+    polys = _listed(polys, "polys")
     if len(ws) != len(polys):
         raise BadParametersError("one weight per polynomial required")
     out = ZERO

@@ -30,8 +30,8 @@ from .errors import (
     PolyFormatError,
     PreconditionViolatedError,
 )
-from .polys import ZERO, Poly, _on_grid, _rational
-from .realroots import in_fplus, interleaves
+from .polys import ZERO, Poly, _listed, _on_grid, _rational
+from .realroots import _fplus_fault, in_fplus, interleaves
 
 
 class Entry(enum.Enum):
@@ -361,8 +361,10 @@ def minors_nonneg(G) -> bool:
     """All 2x2 minors of a nonnegative numeric matrix are nonnegative.
 
     Entries are read as by ``_rational``: a malformed entry (NaN, an infinity,
-    None, "1/0", "abc") raises BadParametersError."""
-    rows = [[_rational(v, "matrix entry") for v in row] for row in G]
+    None, "1/0", "abc"), or a matrix or row that is not iterable, raises
+    BadParametersError."""
+    rows = [[_rational(v, "matrix entry") for v in _listed(row, "a matrix row")]
+            for row in _listed(G, "a numeric matrix")]
     if any(v < 0 for row in rows for v in row):
         raise NegativeEntryError("matrix entries must be nonnegative")
     m, n = len(rows), len(rows[0]) if rows else 0
@@ -394,17 +396,12 @@ def action_property_test(G: SymMatrix, fs) -> ActionReport:
     """Apply G to an admissible sequence and verify the output is admissible.
 
     The input must be an interlacing sequence with nonnegative coefficients;
-    on failure the report pinpoints the offending output index or pair.
+    on failure the report pinpoints the offending output index or pair, the
+    first fault of ``realroots._fplus_fault``.
     """
     fs = list(fs)
     if not in_fplus(fs):
         raise PreconditionViolatedError("input sequence is not admissible")
-    out = apply(G, fs)
-    for k, p in enumerate(out):
-        if any(c < 0 for c in p.coeffs):
-            return ActionReport(False, tuple(out), ActionFailure("negative_coefficient", (k,)))
-    for k in range(len(out)):
-        for l in range(k + 1, len(out)):
-            if not interleaves(out[k], out[l]):
-                return ActionReport(False, tuple(out), ActionFailure("not_interleaving", (k, l)))
-    return ActionReport(True, tuple(out))
+    out = tuple(apply(G, fs))
+    fault = _fplus_fault(out)
+    return ActionReport(fault is None, out, None if fault is None else ActionFailure(*fault))

@@ -8,7 +8,8 @@ evaluation points, interval endpoints and weights; they are
 ``Poly._sign_at``, which take a point as an integer pair (num, den) so that
 bisections can keep their endpoints on an integer grid, and ``_on_grid``
 puts rationals on such a grid.  ``_rational`` is the one parser of the
-rationals a caller passes in.
+rationals a caller passes in, and ``_rational_text`` the one printer of
+their JSON text.
 
 The text format used by the CLI and all file I/O is comma-separated ascending
 coefficients: ``"0,1,1"`` is x + x**2 and ``"0"`` is the zero polynomial.
@@ -283,6 +284,22 @@ def _rational(value, what: str) -> Fraction:
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise BadParametersError(
             f"{what} must be a finite rational number, got {value!r}") from exc
+
+
+def _listed(values, what: str) -> list:
+    """list(values), or BadParametersError when values is not iterable: the
+    shape check of the sequences a caller passes in, before _rational reads
+    their members."""
+    try:
+        return list(values)
+    except TypeError:
+        raise BadParametersError(f"{what} must be iterable, got {values!r}") from None
+
+
+def _rational_text(q: Fraction) -> str:
+    """The JSON text "n/d" of a rational, "0/1" and "3/1" included: the one
+    printer of the interval ends of certificates and the weights of witnesses."""
+    return f"{q.numerator}/{q.denominator}"
 
 
 def _on_grid(*points) -> tuple[tuple[int, ...], int]:

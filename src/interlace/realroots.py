@@ -84,8 +84,8 @@ from .errors import (
     NegativeLeadingCoefficientError,
     ZeroPolynomialError,
 )
-from .polys import (Poly, _on_grid, _rational, _remainder_sequence, exact_div, poly_derivative,
-                    poly_gcd)
+from .polys import (Poly, _on_grid, _rational, _rational_text, _remainder_sequence, exact_div,
+                    poly_derivative, poly_gcd)
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,8 @@ class RootInterval:
         return self.lo == self.hi
 
     def to_json_obj(self) -> dict:
-        def fmt(q: Fraction) -> str:
-            return f"{q.numerator}/{q.denominator}"
-
-        return {"lo": fmt(self.lo), "hi": fmt(self.hi), "mult": self.multiplicity}
+        return {"lo": _rational_text(self.lo), "hi": _rational_text(self.hi),
+                "mult": self.multiplicity}
 
 
 @dataclass(frozen=True)
@@ -900,19 +898,33 @@ def interleaves(f: Poly, g: Poly) -> bool:
     return terms is not None and is_real_rooted(terms[-1])
 
 
+def _first_bad_pair(fs) -> tuple[int, int] | None:
+    """The one pair walk: the first (k, l) with k < l, in row order, for which
+    fs[k] << fs[l] is false, or None when every pair interleaves."""
+    for k, f in enumerate(fs):
+        for l in range(k + 1, len(fs)):
+            if not interleaves(f, fs[l]):
+                return k, l
+    return None
+
+
+def _fplus_fault(fs) -> tuple[str, tuple[int, ...]] | None:
+    """The first fault against F+ (interlacing, nonnegative coefficients):
+    ("negative_coefficient", (k,)) for the first member with a negative
+    coefficient, or else ("not_interleaving", (k, l)) for the walk's pair;
+    None for a member of F+."""
+    for k, p in enumerate(fs):
+        if any(c < 0 for c in p.coeffs):
+            return "negative_coefficient", (k,)
+    pair = _first_bad_pair(fs)
+    return None if pair is None else ("not_interleaving", pair)
+
+
 def is_interlacing_seq(fs) -> bool:
     """True iff fs[i] interleaves fs[j] for every i < j (vacuously true for len <= 1)."""
-    fs = list(fs)
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            if not interleaves(fs[i], fs[j]):
-                return False
-    return True
+    return _first_bad_pair(list(fs)) is None
 
 
 def in_fplus(fs) -> bool:
     """Interlacing sequence with all coefficients nonnegative."""
-    fs = list(fs)
-    if any(c < 0 for p in fs for c in p.coeffs):
-        return False
-    return is_interlacing_seq(fs)
+    return _fplus_fault(list(fs)) is None

@@ -100,7 +100,7 @@ class GammaVector:
 def _validate_nr(n: int, r: int) -> None:
     """The one check of the (n, r) domain, for the oracles and the recurrences alike."""
     if not (isinstance(n, int) and isinstance(r, int) and n >= 1 and r >= 2):
-        raise BadParametersError(f"need integers n >= 1 and r >= 2, got n={n}, r={r}")
+        raise BadParametersError(f"need integers n >= 1 and r >= 2, got n={n!r}, r={r!r}")
 
 
 def check_budget(n: int, r: int, budget: int) -> None:
@@ -293,8 +293,7 @@ def oracle_E_gamma(
 
 def all_gamma_vectors(r: int) -> Iterator[GammaVector]:
     """Every valid profile of length r, in lexicographic order."""
-    if r < 2:
-        raise BadParametersError("need r >= 2")
+    _validate_nr(1, r)  # a profile serves every n >= 1, so the least n stands in
 
     def rec(prefix: list[int]) -> Iterator[GammaVector]:
         if len(prefix) == r:

@@ -700,3 +700,20 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "PASS"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(as_json):
+    # stdout is a pipe whose read end is closed before the child starts, so
+    # every write fails, unlike `| head`, where the reader may still be there
+    package_root = str(Path(interlace.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    argv = [sys.executable, "-m", "interlace", *(["--json"] if as_json else []),
+            "matrix", "closure"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")

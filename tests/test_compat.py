@@ -35,6 +35,13 @@ def test_conic_combination_rejects_a_malformed_weight(bad):
         conic_combination((1, bad), (X, ONE))
 
 
+@pytest.mark.parametrize("weights,polys,what", [(3, [X], "weights"), ([1], X, "polys")],
+                         ids=["weights", "polys"])
+def test_conic_combination_rejects_what_is_not_a_sequence(weights, polys, what):
+    with pytest.raises(BadParametersError, match=f"{what} must be iterable"):
+        conic_combination(weights, polys)
+
+
 @pytest.mark.parametrize("weight", [2, Fraction(2), 2.0, "2/1"],
                          ids=["int", "Fraction", "float", "str"])
 def test_conic_combination_accepts_rational_weights(weight):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interlace import matrices
-from interlace.edgewise import gamma_matrix
+from interlace.edgewise import e_vector, gamma_matrix
 from interlace.errors import (
     BadParametersError,
     DimensionMismatchError,
@@ -18,6 +18,8 @@ from interlace.errors import (
 from interlace.matrices import (
     LAMBDA_MU_PAIRS,
     SEVEN_GENERATORS,
+    ActionFailure,
+    ActionReport,
     Entry,
     SymMatrix,
     action_property_test,
@@ -366,6 +368,17 @@ def test_minors_nonneg_accepts_rational_entries(good, value):
     assert minors_nonneg([[1, Fraction(1, 3)], [1, good]]) is (value >= Fraction(1, 3))
 
 
+@pytest.mark.parametrize("G,what", [(5, "a numeric matrix"), ([[1, 2], 3], "a matrix row")],
+                         ids=["int", "int-row"])
+def test_minors_nonneg_rejects_a_matrix_that_is_not_rows(G, what):
+    with pytest.raises(BadParametersError, match=f"{what} must be iterable"):
+        minors_nonneg(G)
+
+
+def test_minors_nonneg_of_no_rows_holds():
+    assert minors_nonneg([]) is True
+
+
 def test_forbidden_rule_representatives_have_failing_samples():
     reps = {
         "I": S([["x", "0"], ["1", "0"]]),
@@ -391,6 +404,37 @@ def test_action_property_test():
     assert report.passed and list(report.outputs) == fs
     with pytest.raises(PreconditionViolatedError):
         action_property_test(ident, [Poly((0, 1)), Poly((1, 1))])  # x << x+1 fails
+
+
+def _reference_action_property_test(G, fs):
+    """``action_property_test`` as it was before the F+ walk: its own
+    negative-coefficient scan and pairwise interleaves loop on the outputs."""
+    out = apply(G, fs)
+    for k, p in enumerate(out):
+        if any(c < 0 for c in p.coeffs):
+            return ActionReport(False, tuple(out), ActionFailure("negative_coefficient", (k,)))
+    for k in range(len(out)):
+        for l in range(k + 1, len(out)):
+            if not interleaves(out[k], out[l]):
+                return ActionReport(False, tuple(out), ActionFailure("not_interleaving", (k, l)))
+    return ActionReport(True, tuple(out))
+
+
+@st.composite
+def _actions(draw):
+    """A matrix of 1 to 4 rows over {0, 1, x} acting on E(r, n), an input in F+."""
+    r, n = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 4))
+    grid = draw(st.lists(st.lists(st.sampled_from(list(Entry)), min_size=r, max_size=r),
+                         min_size=rows, max_size=rows))
+    return SymMatrix(tuple(map(tuple, grid))), list(e_vector(r, n).polys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_actions())
+def test_action_property_test_matches_the_old_loops(action):
+    G, fs = action
+    assert action_property_test(G, fs) == _reference_action_property_test(G, fs)
 
 
 def test_action_failure_on_forbidden_matrix():

@@ -1597,3 +1597,68 @@ def test_in_fplus():
     assert not in_fplus([X, Poly((1, 1))])
     assert not in_fplus([Poly((-1, 0, 1)), X])  # negative coefficient short-circuits
     assert in_fplus([])
+
+
+# -- the F+ walk against the double loops it replaced -------------------------
+
+
+def _reference_is_interlacing_seq(fs) -> bool:
+    """The r^2 loop that ``is_interlacing_seq`` ran before the walk."""
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            if not realroots.interleaves(fs[i], fs[j]):
+                return False
+    return True
+
+
+def _reference_fplus_fault(fs):
+    """The scan and the pair loop that ``action_property_test`` ran on its
+    outputs before the walk: the first member with a negative coefficient,
+    else the first pair in row order that does not interleave."""
+    for k, p in enumerate(fs):
+        if any(c < 0 for c in p.coeffs):
+            return "negative_coefficient", (k,)
+    for k in range(len(fs)):
+        for l in range(k + 1, len(fs)):
+            if not realroots.interleaves(fs[k], fs[l]):
+                return "not_interleaving", (k, l)
+    return None
+
+
+def _outcome(fn, fs):
+    """fn(fs), or the type of what it raised, with the interleaves calls it
+    made, in order."""
+    calls = []
+
+    def recorded(f, g):
+        calls.append((f, g))
+        return interleaves(f, g)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(realroots, "interleaves", recorded)
+        try:
+            value = fn(fs)
+        except Exception as exc:
+            value = type(exc)
+    return value, calls
+
+
+# members: real-rooted products of (x + a) with a >= 0, constants among them;
+# and 0, a negative coefficient, no real root, a double root, and anything at
+# all, a negative leading coefficient included
+_MEMBERS = st.one_of(
+    st.lists(st.integers(-4, 0), max_size=3).map(product_of_roots),
+    st.sampled_from([ZERO, Poly((3,)), Poly((-1, 1)), Poly((1, 0, 1)), Poly((1, 2, 1))]),
+    st.lists(st.integers(-3, 3), max_size=4).map(Poly),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_MEMBERS, max_size=5))
+def test_fplus_walk_matches_the_double_loops(fs):
+    # same verdict, same first fault, same interleaves calls in the same order
+    verdict = _outcome(is_interlacing_seq, fs)
+    assert verdict == _outcome(_reference_is_interlacing_seq, fs)
+    fault = _outcome(realroots._fplus_fault, fs)
+    assert fault == _outcome(_reference_fplus_fault, fs)
+    assert _outcome(in_fplus, fs) == (fault[0] is None, fault[1])

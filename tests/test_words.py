@@ -219,6 +219,12 @@ def test_gamma_length_mismatch():
         oracle_E_gamma(2, 4, GammaVector((0, 0)))
 
 
+@pytest.mark.parametrize("r", [2.5, "3", 1, True], ids=["float", "str", "one", "bool"])
+def test_all_gamma_vectors_checks_r_as_the_oracles_do(r):
+    with pytest.raises(BadParametersError, match=r"need integers n >= 1 and r >= 2, got n=1, r="):
+        all_gamma_vectors(r)
+
+
 def test_all_gamma_vectors_counts():
     assert sum(1 for _ in all_gamma_vectors(2)) == 1
     assert sum(1 for _ in all_gamma_vectors(3)) == 8
