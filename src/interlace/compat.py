@@ -98,10 +98,11 @@ def conic_combination(weights, polys) -> Poly:
     """Integer polynomial proportional to sum(w_i * p_i) by a positive factor.
 
     Weights are read as by ``_rational``: a malformed weight (NaN, an
-    infinity, None, "1/0", "abc"), or weights or polys that are not
-    iterable, raise BadParametersError."""
+    infinity, None, "1/0", "abc"), weights or polys that are not iterable or
+    are a string, and a member of polys that is not a Poly raise
+    BadParametersError."""
     ws = [_rational(w, "weight") for w in _listed(weights, "weights")]
-    polys = _listed(polys, "polys")
+    polys = _listed(polys, "polys", Poly)
     if len(ws) != len(polys):
         raise BadParametersError("one weight per polynomial required")
     out = ZERO
@@ -154,7 +155,7 @@ def compatible_family_sampled(fs, unchecked: bool = False) -> CompatVerdict:
     weight; the full combinations are a cheap cross-check at the same grid
     resolution.
     """
-    fs = list(fs)
+    fs = _listed(fs, "fs", Poly)
     n = len(fs)
     verdict = _sampled(((str(i), p) for i, p in enumerate(fs)),
                        ((fs[i], fs[j], None, (i, j)) for i in range(n) for j in range(i, n)),
@@ -171,7 +172,7 @@ def compatible_family_sampled(fs, unchecked: bool = False) -> CompatVerdict:
 
 def check_conditions_ab(fs, unchecked: bool = False) -> CompatVerdict:
     """Sampled check that (f_i, f_j) and (x*f_i, f_j) are compatible for i <= j."""
-    fs = list(fs)
+    fs = _listed(fs, "fs", Poly)
     n = len(fs)
     return _sampled(((str(i), p) for i, p in enumerate(fs)),
                     ((left, fs[j], condition, (i, j)) for i in range(n) for j in range(i, n)
@@ -188,7 +189,7 @@ def theorem_comp_transform(fs) -> list[Poly]:
     suffix pass, the sums that ``edgewise._step`` takes, here on ``Poly`` so
     that negative coefficients are allowed.
     """
-    fs = list(fs)
+    fs = _listed(fs, "fs", Poly)
     if not fs:
         return []
     below = [ZERO, *accumulate(fs[:-1])]

@@ -102,7 +102,7 @@ class SymMatrix:
 
 def apply(G: SymMatrix, fs) -> list[Poly]:
     """g_k = sum_i G[k][i] * f_i with 0/1/x substituted for the symbols."""
-    fs = list(fs)
+    fs = _listed(fs, "fs", Poly)
     if G.cols != len(fs):
         raise DimensionMismatchError(f"{G.cols} columns cannot act on {len(fs)} polynomials")
     out = []
@@ -399,7 +399,7 @@ def action_property_test(G: SymMatrix, fs) -> ActionReport:
     on failure the report pinpoints the offending output index or pair, the
     first fault of ``realroots._fplus_fault``.
     """
-    fs = list(fs)
+    fs = _listed(fs, "fs", Poly)
     if not in_fplus(fs):
         raise PreconditionViolatedError("input sequence is not admissible")
     out = tuple(apply(G, fs))

@@ -27,13 +27,6 @@ from .errors import BadParametersError, BothZeroError, PolyFormatError
 NEG_INFINITY_DEGREE = -math.inf
 
 
-def _canonical(coeffs) -> tuple[int, ...]:
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 @dataclass(frozen=True)
 class Poly:
     """Immutable polynomial over the integers."""
@@ -41,11 +34,17 @@ class Poly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        cs = _canonical(self.coeffs)
+        try:
+            cs = list(self.coeffs)
+        except TypeError:
+            raise BadParametersError(
+                f"integer coefficients required, got {self.coeffs!r}") from None
+        while cs and cs[-1] == 0:  # the canonical form
+            cs.pop()
         for c in cs:
             if not isinstance(c, int):
-                raise TypeError(f"integer coefficients required, got {c!r}")
-        object.__setattr__(self, "coeffs", cs)
+                raise BadParametersError(f"integer coefficients required, got {c!r}")
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     # -- constructors ------------------------------------------------------
 
@@ -116,9 +115,7 @@ class Poly:
         if isinstance(other, int):
             return Poly(tuple(other * c for c in self.coeffs))
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        out = [0] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)  # no entry when a or b is 0
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -129,8 +126,6 @@ class Poly:
 
     def shift_up(self) -> "Poly":
         """Multiply by x."""
-        if self.is_zero:
-            return self
         return Poly((0,) + self.coeffs)
 
     def __call__(self, t):
@@ -286,14 +281,21 @@ def _rational(value, what: str) -> Fraction:
             f"{what} must be a finite rational number, got {value!r}") from exc
 
 
-def _listed(values, what: str) -> list:
-    """list(values), or BadParametersError when values is not iterable: the
-    shape check of the sequences a caller passes in, before _rational reads
-    their members."""
+def _listed(values, what: str, kind: type = object) -> list:
+    """list(values), or BadParametersError when values is not iterable, is a
+    str or bytes (whose characters are no members) or holds a member that is
+    not a kind: the one shape check of the sequences a caller passes in, of
+    polynomials (kind Poly) or of values that _rational reads next."""
+    if isinstance(values, (str, bytes)):
+        raise BadParametersError(f"{what} must be a sequence, not the string {values!r}")
     try:
-        return list(values)
+        out = list(values)
     except TypeError:
         raise BadParametersError(f"{what} must be iterable, got {values!r}") from None
+    for v in out:
+        if not isinstance(v, kind):
+            raise BadParametersError(f"{what} must hold {kind.__name__}s, got {v!r}")
+    return out
 
 
 def _rational_text(q: Fraction) -> str:

@@ -20,39 +20,45 @@ and only when that proof fails come from the one chain of (q, q'), by Sturm
 counts and the Sturm tree; no Descartes count is taken.
 
 One root record per polynomial (``_roots``) is the one owner of the choice
-between the fold and the chain: it holds k, h and either the fold's
-(count, distinct, probe) or the remainder sequence of (h, h').
-``is_real_rooted`` asks for it with verdict=True, which rejects any h with
-h(i) = 0 from two alternating sums of its coefficients, compares the fold's
-count of real roots with deg h, and stops the sequence at its first
-abnormal step; ``isolate_roots``, ``refine_certificate`` and ``check
-realrooted`` of the CLI read the same record, the CLI the very record that
-decided its verdict.  A palindrome whose fold is not squarefree or vanishes
-at +-2 takes the chain at full degree, like any other h.  Only isolation
-and certificate validation derive more from the record: the root counter
-and probe, the Sturm chain and the multiplicity levels.
+between the fold and the chain, and it has one shape whichever produced
+it: (k, h, gcd, count, distinct, probe) for f = x^k h.  gcd is a positive
+multiple of gcd(h, h'): 1 for a fold, whose h is squarefree, and the last
+term of the remainder sequence of (h, h') on the chain.  The counter
+triple follows one convention: count(num, den) is the number of distinct
+real roots of h below num/den, None at a root; distinct is their number;
+probe(p, a, b, den, s_a) is the rational root, if any, of the squarefree
+part p of h in a leaf of the tree.  The fold reads them off q
+(``_fold_counter``); the chain counts V(-oo) - V(t) over the sign
+variations V of its terms and probes on the grid of p
+(``_chain_counter``).  ``is_real_rooted`` asks for the record with
+verdict=True, which rejects any h with h(i) = 0 from two alternating sums
+of its coefficients, stops the sequence at its first abnormal step, and
+accepts h iff distinct = deg h - deg gcd, the number of its distinct
+roots; ``isolate_roots``, ``refine_certificate`` and ``check realrooted``
+of the CLI read the same record, the CLI the very record that decided its
+verdict.  A palindrome whose fold is not squarefree or vanishes at +-2
+takes the chain at full degree, like any other h.
 
 Isolation walks one tree: for f = x^k h with h(0) != 0 and p the squarefree
 part of h, it bisects the Cauchy interval (-B, B) of p at midpoints moved off
 the roots of p until each interval holds one root, probes each leaf for a
 rational root, and moves intervals off the root 0 of f.  The record gives
-the counter of the roots below a point, None exactly at a root of p, and
-the probe; p is squarefree, so its sign at a split is the parity of the
-count, and no split takes a sign of p.  A folded h is counted through the
-fold: y = t + 1/t is monotone on each of (-oo, -1], (-1, 0), (0, 1] and
-(1, oo), so the roots of h below t are a count of the roots of q against y,
-a binary search over isolating intervals of q.  The first count narrows
-the proven gaps to brackets about 2^-29 wide around the guessed roots,
-each proven by two signs of q, so that only a y inside a bracket takes a
-sign of q; on the chain of q it isolates q.  Verdicts and refinement need
-only the number of real roots and do neither.  The probe of a fold finds
-the rational roots of q in those intervals and maps them to those of h,
-with no sign of h.  Any other h takes its remainder sequence of (h, h'),
-the Sturm chain of the bisection, evaluated once per split, and the grid
-probe over c/|lead(p)|; its last term is the first gcd of the repeated-gcd
-chain that yields the multiplicity levels.  Either way the tree, and so the
-certificate, is the same.  The root 0 has multiplicity k; any other
-isolated root lies on a level iff that squarefree level changes sign on its
+the count and the probe; p is squarefree, so its sign at a split is the
+parity of the count, and no split takes a sign of p.  A folded h is
+counted through the fold: y = t + 1/t is monotone on each of (-oo, -1],
+(-1, 0), (0, 1] and (1, oo), so the roots of h below t are a count of the
+roots of q against y, a binary search over isolating intervals of q.  The
+first count narrows the proven gaps to brackets about 2^-29 wide around
+the guessed roots, each proven by two signs of q, so that only a y inside
+a bracket takes a sign of q; on the chain of q it isolates q.  Verdicts
+and refinement need only the number of real roots and do neither.  The
+probe of a fold finds the rational roots of q in those intervals and maps
+them to those of h, with no sign of h.  Any other h evaluates its
+remainder sequence of (h, h') once per split, and the grid probe tries
+c/|lead(p)|.  Either way the tree, and so the certificate, is the same.
+The gcd is the first step of the repeated-gcd chain that yields the
+multiplicity levels.  The root 0 has multiplicity k; any other isolated
+root lies on a level iff that squarefree level changes sign on its
 interval.  ``count_real_roots`` does not fold: it stays on the chain of h,
 a count independent of the fold's.
 
@@ -70,7 +76,6 @@ Fractions gives, so every certificate is unchanged.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -84,8 +89,8 @@ from .errors import (
     NegativeLeadingCoefficientError,
     ZeroPolynomialError,
 )
-from .polys import (Poly, _on_grid, _rational, _rational_text, _remainder_sequence, exact_div,
-                    poly_derivative, poly_gcd)
+from .polys import (ONE, Poly, _listed, _on_grid, _rational, _rational_text,
+                    _remainder_sequence, exact_div, poly_derivative, poly_gcd)
 
 
 @dataclass(frozen=True)
@@ -146,8 +151,6 @@ def squarefree_part(f: Poly) -> Poly:
     """f / gcd(f, f'): same distinct roots, all simple; primitive, positive lead."""
     if f.is_zero:
         raise ZeroPolynomialError("squarefree part of 0 is undefined")
-    if f.degree == 0:
-        return Poly((1,))
     d = poly_gcd(f, poly_derivative(f))
     return exact_div(f, d).primitive_positive()
 
@@ -242,31 +245,30 @@ def count_real_roots(f: Poly, lo=None, hi=None) -> int:
     hi = None if hi is None else _rational(hi, "hi")
     if lo is not None and hi is not None and lo > hi:
         raise EmptyIntervalError(f"empty interval ({lo}, {hi}]")
-    p = squarefree_part(f)
-    if p.degree == 0:
-        return 0
-    return SturmChain.of_squarefree(p).count_in(lo, hi)
+    return SturmChain.of_squarefree(squarefree_part(f)).count_in(lo, hi)
 
 
 def is_real_rooted(f: Poly) -> bool:
     """True iff all complex zeros of f are real; constants and 0 count as real-rooted.
 
     Decided by ``_roots`` with verdict=True, which stops at the first sign
-    that f is not: h(i) = 0, a fold with fewer than deg h real roots, or an
-    abnormal step of the remainder sequence of (h, h').
+    that f is not: h(i) = 0, an abnormal step of the remainder sequence of
+    (h, h'), or fewer distinct real roots than h has distinct roots.
     """
     return f.is_zero or _roots(f, verdict=True) is not None
 
 
 class _Roots(NamedTuple):
-    """The root record of a nonzero f = x^k h, from ``_roots``: h(0) != 0 and
-    lead(h) > 0, with either the fold's (count, distinct) of
-    ``_fold_counter`` or the remainder sequence of (h, h')."""
+    """The root record of a nonzero f = x^k h, from ``_roots``: h(0) != 0,
+    lead(h) > 0, gcd a positive multiple of gcd(h, h'), and the counter
+    (count, distinct, probe) of h that ``_isolate`` takes."""
 
     k: int
     h: Poly
-    fold: tuple[Callable[[int, int], int | None], int, Callable] | None
-    terms: tuple[Poly, ...] | None
+    gcd: Poly
+    count: Callable[[int, int], int | None]
+    distinct: int
+    probe: Callable[[Poly, int, int, int, int], Fraction | None]
 
 
 def _roots(f: Poly, verdict: bool = False) -> _Roots | None:
@@ -274,20 +276,20 @@ def _roots(f: Poly, verdict: bool = False) -> _Roots | None:
     fold and the chain, for verdicts, isolation and certificate validation.
 
     A palindromic h that ``_fold_counter`` accepts keeps its fold, which
-    counts the roots of h at half the degree; any other h keeps the
-    remainder sequence of (h, h'), which counts the distinct roots of h
-    between non-roots (generalised Sturm theorem) and ends at a positive
-    multiple of gcd(h, h').
+    counts the roots of h at half the degree, with gcd 1; any other h keeps
+    the counter of its remainder sequence of (h, h') (``_chain_counter``),
+    which ends at a positive multiple of gcd(h, h').
 
-    With verdict, the record of a real-rooted f, else None.  With
-    m = deg gcd(h, h'), the sequence counts the distinct real roots of h,
-    and h has deg h - m distinct roots; a sequence of at most deg h - m + 1
-    terms reaches that many sign variations only when it is normal
-    (``_normal_sequence``), so the walk stops at its first abnormal step.  A
-    folded h is squarefree, so it is real-rooted iff it has deg h distinct
-    real roots.  First of all, for any h, h(i) = (c_0 - c_2 + c_4 - ...) +
-    i (c_1 - c_3 + c_5 - ...) over the coefficients c of h, and h(i) = 0
-    puts the roots +-i on h, with no division.
+    With verdict, the record of a real-rooted f, else None.  h has
+    deg h - deg gcd distinct roots, and it is real-rooted iff distinct is
+    that number: a fold, with gcd 1, compares its count with deg h.  On the
+    chain, a sequence of at most deg h - deg gcd + 1 terms reaches that many
+    sign variations only when it is normal (``_normal_sequence``), so the
+    walk stops at its first abnormal step, and a normal one has that count
+    with no sign taken.  First of all, for any h,
+    h(i) = (c_0 - c_2 + c_4 - ...) + i (c_1 - c_3 + c_5 - ...) over the
+    coefficients c of h, and h(i) = 0 puts the roots +-i on h, with no
+    division.
     """
     h, k = _strip_x(f)
     h = -h if h.leading_coefficient < 0 else h
@@ -295,11 +297,10 @@ def _roots(f: Poly, verdict: bool = False) -> _Roots | None:
     if verdict and sum(c[::4]) == sum(c[2::4]) and sum(c[1::4]) == sum(c[3::4]):
         return None
     fold = _fold_counter(h)
-    if fold is not None:
-        return None if verdict and fold[1] != h.degree else _Roots(k, h, fold, None)
-    dh = poly_derivative(h)
-    terms = _normal_sequence(h, dh) if verdict else tuple(_remainder_sequence(h, dh))
-    return None if terms is None else _Roots(k, h, None, terms)
+    if fold:
+        return None if verdict and fold[1] != h.degree else _Roots(k, h, ONE, *fold)
+    chain = _chain_counter(h, verdict)
+    return None if chain is None else _Roots(k, h, *chain)
 
 
 def _fold(h: Poly) -> Poly:
@@ -494,37 +495,53 @@ def _levels(r: _Roots) -> list[Poly]:
     multiplicity levels of h, from its root record: levels[j] holds the
     distinct roots of h of multiplicity at least j + 2.
 
-    A folded h is squarefree, so it has no levels.  Otherwise the last term
-    of the chain is a positive multiple of gcd(h, h'), the first step of the
-    repeated-gcd chain g[0] = h, g[i+1] = gcd(g[i], g[i]'), which ends at a
-    constant: the distinct roots of g[i] are the roots of h of multiplicity
-    above i, so g[i] / g[i+1] is their squarefree part.
+    The record's gcd is the first step of the repeated-gcd chain g[0] = h,
+    g[i+1] = gcd(g[i], g[i]'), which ends at a constant: the distinct roots
+    of g[i] are the roots of h of multiplicity above i, so g[i] / g[i+1] is
+    their squarefree part, g[i] itself when g[i+1] = 1.
     """
-    if r.fold:
-        return [r.h.primitive_positive()]
-    gs = [r.h, r.terms[-1].primitive_positive()]
+    gs = [r.h, r.gcd.primitive_positive()]
     while gs[-1].degree >= 1:
         gs.append(poly_gcd(gs[-1], poly_derivative(gs[-1])))
-    return [exact_div(g, d).primitive_positive() for g, d in zip(gs, gs[1:])]
+    return [(exact_div(g, d) if d.degree else g).primitive_positive() for g, d in zip(gs, gs[1:])]
 
 
-def _sturm_counter(chain: SturmChain):
-    """A root counter for ``_isolate`` from a chain that counts the roots of
-    its first member between non-roots: minus the sign variations, None at a
-    root of the first member."""
+def _chain_counter(p: Poly, verdict: bool = False):
+    """(gcd, count, distinct, probe) of p from its remainder sequence of
+    (p, p'), whose last term gcd is a positive multiple of gcd(p, p'); with
+    verdict, None unless the sequence is normal (``_normal_sequence``).
+
+    count(num, den) = V(-oo) - V(num/den) over the sign variations V of the
+    terms is the number of distinct real roots of p below num/den
+    (generalised Sturm theorem), None at a root of p; distinct = V(-oo) -
+    V(oo); the probe is the grid probe ``_rational_root_in``.  For
+    lead(p) > 0 a normal sequence drops the degree by one at each step with
+    positive leading coefficients, so V(-oo) = deg p - deg gcd and V(oo) = 0
+    take no sign, and its chain is built at the first count.
+    """
+    dp = poly_derivative(p)
+    terms = _normal_sequence(p, dp) if verdict else tuple(_remainder_sequence(p, dp))
+    if terms is None:
+        return None
+    chain = None if verdict else SturmChain(terms)
+    v_neg = len(terms) - 1 if verdict else chain.variations_at_neg_inf()
+
     def count(num: int, den: int) -> int | None:
+        nonlocal chain
+        chain = chain or SturmChain(terms)
         v = chain.variations_at(num, den, True)
-        return None if v is None else -v
-    return count
+        return None if v is None else v_neg - v
+
+    return terms[-1], count, v_neg if verdict else chain.count_in(None, None), _rational_root_in
 
 
 def _fold_counter(p: Poly):
     """(count, distinct, probe) for a palindromic p, read off its fold at
     half the degree, or None when p does not qualify: count(num, den) is the
     number of roots of p below num/den (den > 0), None at a root of p;
-    distinct is the number of real roots of p; probe(a, b, den, s_a) is the
-    rational root of p in (a/den, b/den), if any.  It is the one place that
-    qualifies and counts a fold, and ``_roots`` its one caller.
+    distinct is the number of real roots of p; probe(p, a, b, den, s_a) is
+    the rational root of p in (a/den, b/den), if any.  It is the one place
+    that qualifies and counts a fold, and ``_roots`` its one caller.
 
     p must have p(0) != 0 and lead(p) > 0.  It qualifies when it is a
     palindrome of degree >= 2 whose fold q (``_fold``, x^-m g(x) = q(x + 1/x)
@@ -544,7 +561,7 @@ def _fold_counter(p: Poly):
     are its intervals, and B(+-2) are two binary searches; no remainder
     sequence is built.  Only when that fails does q take its chain: q
     qualifies iff the chain ends at a constant, and n, B(2) and B(-2) are
-    Sturm counts on it at +-oo and +-2.  That is all that a verdict and
+    read off its counter (``_chain_counter``).  That is all that a verdict and
     ``refine_certificate`` ask for.  The first count narrows every proven
     gap to the bracket around its guess (``_narrowed``), or on the chain
     isolates q, once, by the Sturm tree without a probe.  The values are
@@ -581,10 +598,10 @@ def _fold_counter(p: Poly):
         return None
     proof = _separators(q)  # the gaps of q and the guesses in them, if proven
     if proof is None:
-        chain = SturmChain(tuple(_remainder_sequence(q, poly_derivative(q))))
-        if chain.chain[-1].degree != 0:
+        gcd, count_q, n, _ = _chain_counter(q)
+        if gcd.degree != 0:
             return None
-        n, below_2, below_m2 = (chain.count_in(None, y) for y in (None, 2, -2))
+        below_2, below_m2 = count_q(2, 1), count_q(-2, 1)
     else:  # proven: q is squarefree with deg q real roots
         n = q.degree
         below_2, below_m2 = _below(q, proof[0], 2, 1, s_2), _below(q, proof[0], -2, 1, s_m2)
@@ -595,7 +612,7 @@ def _fold_counter(p: Poly):
     def count(num: int, den: int) -> int | None:
         nonlocal ivs
         if ivs is None:
-            ivs = (_isolate(q, _sturm_counter(chain), None)[1] if proof is None
+            ivs = (_isolate(q, count_q, None)[1] if proof is None
                    else [_narrowed(q, gap, w, proof[2]) for gap, w in zip(*proof[:2])])
         if num == 0:
             return neg
@@ -611,7 +628,7 @@ def _fold_counter(p: Poly):
             return neg + n - b
         return neg + n - 2 * below_2 + b
 
-    def probe(a: int, b: int, den: int, s_a: int) -> Fraction | None:
+    def probe(_: Poly, a: int, b: int, den: int, s_a: int) -> Fraction | None:
         nonlocal roots
         if roots is None:
             roots = [Fraction(-1)] if odd else []
@@ -632,16 +649,16 @@ def _isolate(p: Poly, count, probe, zero_root: bool = False
     squarefree p with p(0) != 0 and lead(p) > 0, plus the exact root 0 when
     zero_root.
 
-    count(num, den) is any function that rises by exactly one at each root
-    of p and is None exactly at the roots, for den > 0: minus the sign
-    variations of a Sturm chain (``_sturm_counter``) or the roots below,
-    read off the fold of a palindrome (``_fold_counter``).  probe(a, b, den,
-    s_a) returns the root of p in a leaf if it is rational, else None: the
-    grid probe ``_rational_root_in`` on p, or the rational roots of the fold;
-    with no probe, every root gets an interval.  Either drives the one tree:
-    the Cauchy bound (-B, B), midpoint splits moved off the roots of p
-    towards a, a stop at one root, the probe and the move of intervals off
-    the root 0, so the certificate does not depend on the counter.
+    count(num, den) is the number of distinct real roots of p below num/den
+    (den > 0), None exactly at the roots, whoever produced it: a chain
+    (``_chain_counter``) or the fold of a palindrome (``_fold_counter``).
+    probe(p, a, b, den, s_a) returns the root of p in a leaf if it is
+    rational, else None: the grid probe ``_rational_root_in``, or the
+    rational roots of the fold; with no probe, every root gets an interval.
+    Either drives the one tree: the Cauchy bound (-B, B), midpoint splits
+    moved off the roots of p towards a, a stop at one root, the probe and
+    the move of intervals off the root 0, so the certificate does not depend
+    on the counter.
 
     The tree runs on the integer grid: an interval is (a, b, den, c_a, c_b)
     for (a/den, b/den) with the counts at its ends, so a split counts at
@@ -664,7 +681,7 @@ def _isolate(p: Poly, count, probe, zero_root: bool = False
         n = c_b - c_a
         if n == 1:
             s_a = -s_neg if (c_a - c_neg) % 2 else s_neg
-            root = probe(a, b, den, s_a) if probe else None
+            root = probe(p, a, b, den, s_a) if probe else None
             if root is None:
                 intervals.append((a, b, den, s_a))
             else:
@@ -726,11 +743,7 @@ def isolate_roots(f: Poly) -> RootCertificate:
 def _certificate(r: _Roots) -> RootCertificate:
     """The certificate of ``isolate_roots`` from the root record r of f."""
     p, *levels = _levels(r)
-    if r.fold:
-        count, _, probe = r.fold
-    else:
-        count, probe = _sturm_counter(SturmChain(r.terms)), functools.partial(_rational_root_in, p)
-    points, intervals = _isolate(p, count, probe, r.k > 0)
+    points, intervals = _isolate(p, r.count, r.probe, r.k > 0)
     records = [(a, a) for a in points] + [(Fraction(a, den), Fraction(b, den))
                                           for a, b, den, _ in intervals]
     records.sort(key=lambda iv: iv[0])
@@ -834,7 +847,7 @@ def _validated_squarefree_part(f: Poly, cert: RootCertificate
     r = _roots(f)
     q, *levels = _levels(r)
     p = q.shift_up() if r.k else q
-    distinct = (r.fold[1] if r.fold else SturmChain(r.terms).count_in(None, None)) + (r.k > 0)
+    distinct = r.distinct + (r.k > 0)
     if len(cert.intervals) != distinct:
         raise CertificateMismatchError(
             f"certificate lists {len(cert.intervals)} roots, polynomial has {distinct}"
@@ -922,9 +935,9 @@ def _fplus_fault(fs) -> tuple[str, tuple[int, ...]] | None:
 
 def is_interlacing_seq(fs) -> bool:
     """True iff fs[i] interleaves fs[j] for every i < j (vacuously true for len <= 1)."""
-    return _first_bad_pair(list(fs)) is None
+    return _first_bad_pair(_listed(fs, "fs", Poly)) is None
 
 
 def in_fplus(fs) -> bool:
     """Interlacing sequence with all coefficients nonnegative."""
-    return _fplus_fault(list(fs)) is None
+    return _fplus_fault(_listed(fs, "fs", Poly)) is None

@@ -42,6 +42,27 @@ def test_conic_combination_rejects_what_is_not_a_sequence(weights, polys, what):
         conic_combination(weights, polys)
 
 
+@pytest.mark.parametrize("weights,polys,what", [("12", [X, X], "weights"), ([1], "x", "polys")],
+                         ids=["weights", "polys"])
+def test_conic_combination_rejects_a_string_for_a_sequence(weights, polys, what):
+    # "12" is not the weights (1, 2): a string is no sequence of members
+    with pytest.raises(BadParametersError, match=f"{what} must be a sequence, not the string"):
+        conic_combination(weights, polys)
+
+
+@pytest.mark.parametrize("call", [
+    compatible_family_sampled, check_conditions_ab, theorem_comp_transform,
+    lambda fs: conic_combination([1, 1], fs),
+], ids=["compatible_family_sampled", "check_conditions_ab", "theorem_comp_transform",
+        "conic_combination"])
+@pytest.mark.parametrize("fs,message", [
+    (5, "must be iterable"), ([1, 2], "must hold Polys"), ([X, "x"], "must hold Polys"),
+], ids=["int", "ints", "str-member"])
+def test_a_sequence_of_polys_is_checked_at_the_boundary(call, fs, message):
+    with pytest.raises(BadParametersError, match=message):
+        call(fs)
+
+
 @pytest.mark.parametrize("weight", [2, Fraction(2), 2.0, "2/1"],
                          ids=["int", "Fraction", "float", "str"])
 def test_conic_combination_accepts_rational_weights(weight):

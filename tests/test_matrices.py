@@ -84,6 +84,16 @@ def test_apply_examples():
         apply(ident, [X])
 
 
+@pytest.mark.parametrize("act", [apply, action_property_test])
+@pytest.mark.parametrize("fs,message", [
+    (5, "fs must be iterable"), ([X, 2], "fs must hold Polys"),
+    ("xx", "fs must be a sequence, not the string"),
+], ids=["int", "int-member", "str"])
+def test_a_matrix_acts_on_a_checked_sequence_of_polys(act, fs, message):
+    with pytest.raises(BadParametersError, match=message):
+        act(S([["1", "0"], ["0", "1"]]), fs)
+
+
 def test_apply_is_linear():
     M = FERRERS_EXAMPLE_1
     rng = random.Random(5)
@@ -372,6 +382,15 @@ def test_minors_nonneg_accepts_rational_entries(good, value):
                          ids=["int", "int-row"])
 def test_minors_nonneg_rejects_a_matrix_that_is_not_rows(G, what):
     with pytest.raises(BadParametersError, match=f"{what} must be iterable"):
+        minors_nonneg(G)
+
+
+@pytest.mark.parametrize("G,what", [(["12", "34"], "a matrix row"), ("1234", "a numeric matrix"),
+                                    ([b"12", b"34"], "a matrix row")],
+                         ids=["str-rows", "str", "bytes-rows"])
+def test_minors_nonneg_rejects_a_string_for_a_sequence(G, what):
+    # the row "12" is not the entries 1 and 2
+    with pytest.raises(BadParametersError, match=f"{what} must be a sequence, not the string"):
         minors_nonneg(G)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interlace.errors import BothZeroError, PolyFormatError
+from interlace.errors import BadParametersError, BothZeroError, PolyFormatError
 from interlace.polys import (
     NEG_INFINITY_DEGREE,
     ONE,
@@ -32,6 +32,13 @@ def test_canonical_form():
     assert ZERO.degree == NEG_INFINITY_DEGREE
 
 
+@pytest.mark.parametrize("coeffs", [(1.5,), ("1",), 5, (1, None)],
+                         ids=["float", "str", "int", "None"])
+def test_poly_rejects_what_is_not_integer_coefficients(coeffs):
+    with pytest.raises(BadParametersError, match="integer coefficients required"):
+        Poly(coeffs)
+
+
 def test_add_examples():
     assert Poly((1, 1)) + Poly((1, -1)) == Poly((2,))
     assert ZERO + Poly((3, 0, 2)) == Poly((3, 0, 2))
@@ -40,7 +47,8 @@ def test_add_examples():
 
 def test_mul_examples():
     assert Poly((1, 1)) * Poly((-1, 1)) == Poly((-1, 0, 1))
-    assert ZERO * Poly((5, 7)) == ZERO
+    assert ZERO * Poly((5, 7)) == Poly((5, 7)) * ZERO == ZERO * ZERO == ZERO
+    assert ZERO.shift_up() == ZERO and Poly((3,)).shift_up() == Poly((0, 3))
     assert X * Poly((0, 2)) == Poly((0, 0, 2))
 
 

@@ -64,6 +64,7 @@ def test_sturm_chain_shape():
 def test_count_examples():
     assert count_real_roots(Poly((-2, 0, 1))) == 2
     assert count_real_roots(Poly((1, 0, 1))) == 0
+    assert count_real_roots(Poly((-7,))) == count_real_roots(Poly((-7,)), lo=-1, hi=1) == 0
     # roots of x^3 - 2x are -sqrt2, 0, sqrt2; (0, +inf] holds one of them
     assert count_real_roots(Poly((0, -2, 0, 1)), lo=0) == 1
     assert count_real_roots(Poly((0, -2, 0, 1)), lo=Fraction(-3, 2), hi=Fraction(1, 2)) == 2
@@ -347,6 +348,7 @@ def test_certificate_of_planted_roots(planted, k, sqrt2, complex_pair, scale):
         f = f * Poly((-2, 0, 1))
     if complex_pair:
         f = f * Poly((1, 0, 1))
+    _check_records(f)
     cert = isolate_roots(f)
     assert {iv.lo: iv.multiplicity for iv in cert.intervals if iv.is_point} == expected
     assert sum(iv.is_point for iv in cert.intervals) == len(expected)
@@ -758,31 +760,33 @@ def test_local_h_isolation_equals_reference_bisection(r):
             break
         p = realroots._strip_x(f)[0]
         if p.degree >= 2:
-            _check_fold_counter(p, realroots._fold_counter(p))
+            _check_counter(p, realroots._fold_counter(p))
         cert = isolate_roots(f)
         expected = _reference_isolation(f)[0]
         assert cert == expected
         assert json.dumps(cert.to_json_obj()) == json.dumps(expected.to_json_obj())
 
 
-def _check_fold_counter(p: Poly, fold, reference=None) -> None:
-    """fold = (count, distinct, probe) from ``_fold_counter`` against a
-    reference (count, distinct): by default the Sturm chain of
-    ``count_real_roots``, which does not fold, with its whole-line count and
-    its count on (-oo, t] at the t that are no roots of p.  distinct equals
-    the reference's; the count is None exactly at the roots of p and equals
-    the reference's at -1, 0 and 1 and at every point where the tree of
-    ``_isolate`` counts, so every difference of the count equals the chain's
-    count between the points; and the probe gives every leaf of that tree
-    the rational root that the grid probe of p finds in it.  Each count is
-    checked before the tree uses it, so a wrong one fails rather than
+def _check_counter(h: Poly, counter, reference=None) -> None:
+    """counter = (count, distinct, probe) of h, from ``_fold_counter`` or the
+    last three fields of a root record of either path, against a reference
+    (count, distinct): by default the Sturm chain of the squarefree part p of
+    h that ``count_real_roots(h, lo, hi)`` builds, with its whole-line count
+    and its count on (-oo, t] at the t that are no roots of p.  distinct
+    equals the reference's; the count is None exactly at the roots of p and
+    equals the reference's at -1, 0 and 1 and at every point where the tree
+    of ``_isolate`` counts on p, so every difference of the count equals the
+    chain's count between the points; and the probe gives every leaf of that
+    tree the rational root that the grid probe of p finds in it.  Each count
+    is checked before the tree uses it, so a wrong one fails rather than
     splitting the tree forever."""
-    count, distinct, probe = fold
+    count, distinct, probe = counter
+    p = squarefree_part(h)
     if reference is None:
-        # the chain that count_real_roots(p, lo, hi) builds, built once
-        chain = SturmChain.of_squarefree(squarefree_part(p))
+        # the chain that count_real_roots(h, lo, hi) builds, built once
+        chain = SturmChain.of_squarefree(p)
         reference = (lambda num, den: None if p._sign_at(num, den) == 0
-                     else chain.count_in(None, Fraction(num, den)), count_real_roots(p))
+                     else chain.count_in(None, Fraction(num, den)), chain.count_in(None, None))
     assert distinct == reference[1]
 
     def checked(num, den):
@@ -791,14 +795,23 @@ def _check_fold_counter(p: Poly, fold, reference=None) -> None:
         assert below == reference[0](num, den)
         return below
 
-    def checked_probe(a, b, den, s_a):
-        root = probe(a, b, den, s_a)
+    def checked_probe(q, a, b, den, s_a):
+        assert q == p
+        root = probe(q, a, b, den, s_a)
         assert root == realroots._rational_root_in(p, a, b, den, s_a)
         return root
 
     for t in (-1, 0, 1):
         checked(t, 1)
     realroots._isolate(p, checked, checked_probe)
+
+
+def _check_records(f: Poly) -> None:
+    """``_check_counter`` on both root records of a nonzero f: the one of
+    isolation and, if f is real-rooted, the one of its verdict."""
+    for r in (realroots._roots(f), realroots._roots(f, verdict=True)):
+        if r is not None:
+            _check_counter(r.h, r[3:])
 
 
 def _proven_and_chain_folds(p: Poly) -> tuple:
@@ -875,11 +888,9 @@ def test_palindromic_isolation_equals_reference_bisection(pairs, rational, wide,
     h, ys = _palindrome(pairs, rational, wide, near, minus_one)
     folds = h.degree >= 2 and len(set(ys)) == len(ys) and all(abs(y) != 2 for y in ys)
     p = (h * scale).primitive_positive()
-    fold = realroots._fold_counter(p)
-    assert (fold is not None) == folds
-    if folds:
-        _check_fold_counter(p, fold)
+    assert (realroots._fold_counter(p) is not None) == folds
     f = Poly.monomial(k, scale) * h
+    _check_records(f)
     cert = isolate_roots(f)
     expected = _reference_isolation(f)[0]
     assert cert == expected
@@ -903,7 +914,7 @@ def test_proven_fold_counts_equal_the_chain_fold(pairs, rational, wide, near, mi
     p = (h * scale).primitive_positive()
     proven, fold, chain_fold = _proven_and_chain_folds(p)
     assert proven or near or ys == [0]
-    _check_fold_counter(p, fold, chain_fold)
+    _check_counter(p, fold, chain_fold)
     f = Poly.monomial(k, scale) * h
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(realroots, "_guessed_separators", lambda q: None)
@@ -939,7 +950,7 @@ def test_fold_falls_back_to_the_chain_of_q(monkeypatch, h, forge):
         monkeypatch.setattr(realroots, "_guessed_separators", lambda q: (forge,) + guess(q)[1:])
     proven, fold, chain_fold = _proven_and_chain_folds(p)
     assert not proven
-    _check_fold_counter(p, fold, chain_fold)
+    _check_counter(p, fold, chain_fold)
     f = X * h
     with monkeypatch.context() as patched:
         patched.setattr(realroots, "_guessed_separators", lambda q: None)
@@ -957,7 +968,7 @@ def test_fold_root_inside_minus_2_2_fails_by_the_proof(monkeypatch):
     h = realroots._strip_x(f)[0]
     proven, fold, chain_fold = _proven_and_chain_folds(h)
     assert proven and fold[1] == h.degree - 2
-    _check_fold_counter(h, fold, chain_fold)
+    _check_counter(h, fold, chain_fold)
     divisions = _record_calls(monkeypatch, polys, "pseudo_divmod")
     assert not is_real_rooted(f)
     assert divisions == []
@@ -994,7 +1005,7 @@ def test_rational_roots_through_the_fold(monkeypatch, name, with_local_h):
     p = realroots._strip_x(f)[0]
     proven, fold, chain_fold = _proven_and_chain_folds(p)
     assert proven
-    _check_fold_counter(p, fold, chain_fold)
+    _check_counter(p, fold, chain_fold)
     probes = _record_calls(monkeypatch, realroots, "_rational_root_in")
     cert = isolate_roots(f)
     m = realroots._strip_x(realroots._fold(p))[0].degree
@@ -1039,7 +1050,7 @@ def test_a_bracket_that_misses_its_root_stays_its_gap(monkeypatch):
     monkeypatch.setattr(realroots, "_narrowed", recorded)
     proven, fold, chain_fold = _proven_and_chain_folds(p)
     assert proven
-    _check_fold_counter(p, fold, chain_fold)
+    _check_counter(p, fold, chain_fold)
     assert len(narrowed) == 16
     for i, (gap, out) in enumerate(narrowed):
         a, b, den, _ = gap
@@ -1065,9 +1076,9 @@ def test_the_counters_are_none_exactly_at_the_roots():
     proven, _, chain_fold = _proven_and_chain_folds(p)
     assert proven and p.degree % 2
     chain = realroots._roots(Poly((3, 1)) * Poly((-1, 2)) * Poly((-2, 0, 1)))
-    assert chain.fold is None
+    assert chain.probe is realroots._rational_root_in  # the chain's grid probe
     g = chain.h
-    sturm = realroots._sturm_counter(SturmChain(chain.terms))
+    sturm = chain.count
     points = [(k, 12) for k in range(-60, 61)] + [(-1, 1), (-3, 3), (1, 2), (6, 3), (2, 1)]
     for counter, poly in ((fold[0], p), (chain_fold[0], p), (sturm, g)):
         roots = []
@@ -1095,9 +1106,9 @@ def test_the_parity_sign_is_the_sign_of_p_at_every_split(f, folds, met):
     # degree, meets its roots -1 (as -16/16) and 2 at midpoints, and
     # (x + 5)(x + 1)(x - 1)(x^2 - 2) its roots -1 and 1
     r = realroots._roots(f)
-    assert (r.fold is not None) == folds
+    assert (r.probe is not realroots._rational_root_in) == folds
     p = realroots._levels(r)[0]
-    count = r.fold[0] if r.fold else realroots._sturm_counter(SturmChain(r.terms))
+    count = r.count
     seen = []
 
     def recorded(num, den):
@@ -1597,6 +1608,20 @@ def test_in_fplus():
     assert not in_fplus([X, Poly((1, 1))])
     assert not in_fplus([Poly((-1, 0, 1)), X])  # negative coefficient short-circuits
     assert in_fplus([])
+
+
+@pytest.mark.parametrize("check", [is_interlacing_seq, in_fplus])
+@pytest.mark.parametrize("fs,message", [
+    (5, "fs must be iterable"), ([1, 2], "fs must hold Polys"), ([X, 3], "fs must hold Polys"),
+    ("x1", "fs must be a sequence, not the string"),
+], ids=["int", "ints", "int-member", "str"])
+def test_a_sequence_of_polys_is_checked_at_the_boundary(check, fs, message):
+    # a non-iterable, a string or a member that is not a Poly is rejected
+    # before any pair is walked, also where the walk is vacuous ([5] alone)
+    with pytest.raises(BadParametersError, match=message):
+        check(fs)
+    with pytest.raises(BadParametersError, match="fs must hold Polys"):
+        check([5])
 
 
 # -- the F+ walk against the double loops it replaced -------------------------
