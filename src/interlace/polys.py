@@ -29,22 +29,31 @@ NEG_INFINITY_DEGREE = -math.inf
 
 @dataclass(frozen=True)
 class Poly:
-    """Immutable polynomial over the integers."""
+    """Immutable polynomial over the integers.
+
+    Every coefficient must be an int, checked before anything else.  A
+    canonical tuple is stored as given, so the exact routines that build one
+    pay no copy; any other iterable is copied into a tuple with its trailing
+    zeros stripped.
+    """
 
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        try:
-            cs = list(self.coeffs)
-        except TypeError:
-            raise BadParametersError(
-                f"integer coefficients required, got {self.coeffs!r}") from None
-        while cs and cs[-1] == 0:  # the canonical form
-            cs.pop()
+        cs = self.coeffs
+        if type(cs) is not tuple:
+            try:
+                cs = tuple(cs)
+            except TypeError:
+                raise BadParametersError(
+                    f"integer coefficients required, got {cs!r}") from None
         for c in cs:
             if not isinstance(c, int):
                 raise BadParametersError(f"integer coefficients required, got {c!r}")
-        object.__setattr__(self, "coeffs", tuple(cs))
+        while cs and not cs[-1]:  # the canonical form
+            cs = cs[:-1]
+        if cs is not self.coeffs:
+            object.__setattr__(self, "coeffs", cs)
 
     # -- constructors ------------------------------------------------------
 
@@ -197,37 +206,47 @@ def poly_derivative(a: Poly) -> Poly:
     return Poly(tuple(k * c for k, c in enumerate(a.coeffs) if k >= 1))
 
 
-def pseudo_divmod(a: Poly, b: Poly) -> tuple[int, Poly, Poly]:
-    """Integer pseudo-division: ``(s, q, r)`` with ``s*a == q*b + r``, ``s >= 1``
-    and ``deg r < deg b``.
+def _reduce(r: list[int], b: tuple[int, ...], q: list[int] | None = None
+            ) -> tuple[int, list[int]]:
+    """The one division loop: (s, r') with s*r == q*b + r' over the
+    coefficient lists of r and a nonzero b, s >= 1 and deg r' < deg b, r'
+    canonical.  It fills q in place when given (zeros, one entry per degree
+    of the quotient) and otherwise builds no quotient at all.
 
     Each step scales the running remainder by ``|lead(b)| / gcd(lead(r), lead(b))``,
-    the least positive factor that keeps the step in Z[x].  So ``r`` is a positive
-    multiple of the Euclidean remainder of a by b (every sign evaluation agrees),
-    and ``s == 1`` exactly when the quotient over the rationals is integral.
+    the least positive factor that keeps the step in Z[x], and cancels its
+    leading entry.  So r' is a positive multiple of the Euclidean remainder
+    of r by b (every sign evaluation agrees), and s == 1 exactly when the
+    quotient over the rationals is integral.
     """
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a.coeffs)
-    bc = b.coeffs
-    db = len(bc) - 1
-    lb = bc[-1]
-    s = 1
-    q = [0] * max(len(r) - db, 0)
-    while len(r) - 1 >= db and r:
-        lr = r[-1]
-        shift = len(r) - 1 - db
+    db, lb, lower, s = len(b) - 1, b[-1], b[:-1], 1
+    while len(r) > db:
+        lr = r.pop()  # scale * lr - factor * lb == 0
         g = math.gcd(lr, lb)
         scale, factor = abs(lb) // g, (lr // g if lb > 0 else -lr // g)
         if scale != 1:
             s *= scale
             r = [scale * c for c in r]
-            q = [scale * c for c in q]
-        q[shift] = factor
-        for i, c in enumerate(bc):
-            r[shift + i] -= factor * c
-        while r and r[-1] == 0:
+            if q is not None:
+                q[:] = [scale * c for c in q]
+        shift = len(r) - db
+        if q is not None:
+            q[shift] = factor
+        for i, c in enumerate(lower, shift):
+            r[i] -= factor * c
+        while r and not r[-1]:
             r.pop()
+    return s, r
+
+
+def pseudo_divmod(a: Poly, b: Poly) -> tuple[int, Poly, Poly]:
+    """Integer pseudo-division: ``(s, q, r)`` with ``s*a == q*b + r``, ``s >= 1``
+    and ``deg r < deg b``: the one division loop ``_reduce``, run with a
+    quotient."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [0] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
+    s, r = _reduce(list(a.coeffs), b.coeffs, q)
     return s, Poly(tuple(q)), Poly(tuple(r))
 
 
@@ -239,14 +258,18 @@ def _remainder_sequence(a: Poly, b: Poly):
     Each term is a positive multiple of the matching term of the signed
     remainder sequence a, b, -rem(a, b), ...: the pseudo-remainder scales by
     a positive factor and the primitive part divides by the positive content,
-    so every sign, and every count of sign variations, agrees with it.
+    so every sign, and every count of sign variations, agrees with it.  A
+    step runs the one division loop ``_reduce`` with no quotient and builds
+    one ``Poly``: the remainder divided by minus its content.
     """
     yield a
-    while not b.is_zero:
+    while b.coeffs:
         yield b
-        if b.degree == 0:  # the remainder of a division by a constant is 0
+        if len(b.coeffs) == 1:  # the remainder of a division by a constant is 0
             return
-        a, b = b, -pseudo_divmod(a, b)[2].primitive()
+        r = _reduce(list(a.coeffs), b.coeffs)[1]
+        c = -math.gcd(*r)  # no division when r is empty
+        a, b = b, Poly(tuple([x // c for x in r]))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -296,6 +319,15 @@ def _listed(values, what: str, kind: type = object) -> list:
         if not isinstance(v, kind):
             raise BadParametersError(f"{what} must hold {kind.__name__}s, got {v!r}")
     return out
+
+
+def _typed(value, what: str, kind: type = Poly):
+    """value, or BadParametersError when it is not a kind (a Poly unless
+    said otherwise): the one type check of a single value a caller passes
+    in, as ``_listed`` is of a sequence."""
+    if not isinstance(value, kind):
+        raise BadParametersError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _rational_text(q: Fraction) -> str:

@@ -90,7 +90,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .polys import (ONE, Poly, _listed, _on_grid, _rational, _rational_text,
-                    _remainder_sequence, exact_div, poly_derivative, poly_gcd)
+                    _remainder_sequence, _typed, exact_div, poly_derivative, poly_gcd)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class RootCertificate:
 
 def squarefree_part(f: Poly) -> Poly:
     """f / gcd(f, f'): same distinct roots, all simple; primitive, positive lead."""
-    if f.is_zero:
+    if _typed(f, "f").is_zero:
         raise ZeroPolynomialError("squarefree part of 0 is undefined")
     d = poly_gcd(f, poly_derivative(f))
     return exact_div(f, d).primitive_positive()
@@ -235,7 +235,7 @@ def count_real_roots(f: Poly, lo=None, hi=None) -> int:
     +inf count the distinct real roots of h, here f with the x^k factor
     stripped.
     """
-    if f.is_zero:
+    if _typed(f, "f").is_zero:
         raise ZeroPolynomialError("root counting requires a nonzero polynomial")
     if lo is None and hi is None:
         h, k = _strip_x(f)
@@ -251,11 +251,12 @@ def count_real_roots(f: Poly, lo=None, hi=None) -> int:
 def is_real_rooted(f: Poly) -> bool:
     """True iff all complex zeros of f are real; constants and 0 count as real-rooted.
 
-    Decided by ``_roots`` with verdict=True, which stops at the first sign
-    that f is not: h(i) = 0, an abnormal step of the remainder sequence of
-    (h, h'), or fewer distinct real roots than h has distinct roots.
+    At degree <= 1 (0 included) that is True with no root record.  Above,
+    it is decided by ``_roots`` with verdict=True, which stops at the first
+    sign that f is not: h(i) = 0, an abnormal step of the remainder sequence
+    of (h, h'), or fewer distinct real roots than h has distinct roots.
     """
-    return f.is_zero or _roots(f, verdict=True) is not None
+    return _typed(f, "f").degree <= 1 or _roots(f, verdict=True) is not None
 
 
 class _Roots(NamedTuple):
@@ -735,7 +736,7 @@ def isolate_roots(f: Poly) -> RootCertificate:
     at half the degree, or else the Sturm chain of h.  Both give the same
     certificate.
     """
-    if f.is_zero:
+    if _typed(f, "f").is_zero:
         raise ZeroPolynomialError("cannot isolate roots of 0")
     return _certificate(_roots(f))
 
@@ -814,7 +815,8 @@ def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate
     width = _rational(width, "width")
     if width <= 0:
         raise BadParametersError("width must be positive")
-    if f.is_zero:
+    _typed(cert, "cert", RootCertificate)
+    if _typed(f, "f").is_zero:
         raise CertificateMismatchError("the zero polynomial has no certificate")
     p, grid = _validated_squarefree_part(f, cert)
     w_num, w_den = width.numerator, width.denominator
@@ -895,18 +897,19 @@ def interleaves(f: Poly, g: Poly) -> bool:
     The sequence of (g, f) is d times that one, up to positive factors, so it
     decides both at once: it is normal exactly when that one is, and it ends
     at a positive multiple of d.  Equal degrees reduce to the first case:
-    for them f << g iff -(lead(f) g - lead(g) f) << f, and that difference is
-    0 when g is a multiple of f.
+    for them f << g iff lead(g) f - lead(f) g << f, built in one pass over
+    the coefficients, and that difference is 0 when g is a multiple of f.
     """
-    for p in (f, g):
-        if not p.is_zero and p.leading_coefficient < 0:
+    for p, what in ((f, "f"), (g, "g")):
+        if _typed(p, what).leading_coefficient < 0:
             raise NegativeLeadingCoefficientError(f"{p} has a negative leading coefficient")
     if f.is_zero or g.is_zero:
         return is_real_rooted(g if f.is_zero else f)
     if f.degree not in (g.degree - 1, g.degree):
         return False
     if f.degree == g.degree:
-        f, g = -(f.leading_coefficient * g - g.leading_coefficient * f), f
+        lf, lg = f.coeffs[-1], g.coeffs[-1]
+        f, g = Poly(tuple([lg * a - lf * b for a, b in zip(f.coeffs, g.coeffs)])), f
     terms = _normal_sequence(g, f)
     return terms is not None and is_real_rooted(terms[-1])
 

@@ -155,7 +155,7 @@ def test_check_realrooted_walks_one_sequence_per_polynomial(capsys, monkeypatch)
         assert len(sequences) == 1
     # a FAIL stops where is_real_rooted does: (2 + x + x^2) local_h(6, 20)
     # breaks the sequence of (h, h') within a few steps, and takes no gcd
-    divisions = _recorded(monkeypatch, polys, "pseudo_divmod")
+    divisions = _recorded(monkeypatch, polys, "_reduce")
     gcds = _recorded(monkeypatch, realroots, "poly_gcd")
     f = Poly((2, 1, 1)) * local_h(6, 20)
     assert run_cli(capsys, "check", "realrooted", str(f))[:2] == (1, "FAIL\n")

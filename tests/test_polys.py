@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interlace.errors import BadParametersError, BothZeroError, PolyFormatError
@@ -14,6 +14,7 @@ from interlace.polys import (
     exact_div,
     poly_derivative,
     poly_gcd,
+    _remainder_sequence,
     pseudo_divmod,
 )
 
@@ -32,9 +33,24 @@ def test_canonical_form():
     assert ZERO.degree == NEG_INFINITY_DEGREE
 
 
-@pytest.mark.parametrize("coeffs", [(1.5,), ("1",), 5, (1, None)],
-                         ids=["float", "str", "int", "None"])
+def test_poly_takes_any_iterable_and_keeps_a_canonical_tuple_as_given():
+    canonical = (1, -2, 3)
+    assert Poly(canonical).coeffs is canonical
+    assert Poly(()).coeffs == ()
+    for given_coeffs in ([1, -2, 3], (1, -2, 3, 0, 0), [1, -2, 3, 0],
+                         (c for c in (1, -2, 3, 0))):
+        p = Poly(given_coeffs)
+        assert type(p.coeffs) is tuple and p.coeffs == canonical
+    assert Poly([0, 0]).coeffs == Poly(c for c in (0,)).coeffs == ()
+
+
+@pytest.mark.parametrize("coeffs", [(1.5,), ("1",), 5, (1, None), (0.0,), (1, 0.0),
+                                    [1, 0.0], (c for c in (0.0,))],
+                         ids=["float", "str", "int", "None", "float-zero",
+                              "trailing-float-zero", "list-float-zero", "generator-float-zero"])
 def test_poly_rejects_what_is_not_integer_coefficients(coeffs):
+    # every entry is checked before trailing zeros are dropped, so a float
+    # zero is rejected wherever it stands
     with pytest.raises(BadParametersError, match="integer coefficients required"):
         Poly(coeffs)
 
@@ -179,3 +195,61 @@ def test_exact_div():
         exact_div(Poly((1, 0, 1)), Poly((1, 1)))
     with pytest.raises(ValueError):  # exact over Q, but the quotient is 1/2
         exact_div(Poly((2, 2)), Poly((4, 4)))
+
+
+# -- the remainder sequence against the quotient step it replaced --------------
+
+
+def _reference_remainder_sequence(a: Poly, b: Poly):
+    """The sequence as it was built before its step ran the division loop
+    with no quotient: each term is -pseudo_divmod(a, b)[2].primitive()."""
+    yield a
+    while not b.is_zero:
+        yield b
+        if b.degree == 0:
+            return
+        a, b = b, -pseudo_divmod(a, b)[2].primitive()
+
+
+huge_or_small = st.one_of(st.integers(min_value=-9, max_value=9),
+                          st.integers(min_value=-(1 << 210), max_value=1 << 210))
+
+
+@st.composite
+def remainder_pairs(draw):
+    """(a, b) with deg a - deg b from -2 to 4 (equal degrees and gaps above
+    one included), signed leading coefficients, entries small or beyond
+    2^200, and a b that divides a (a zero remainder) or leaves a constant."""
+    def poly(deg: int) -> Poly:
+        if deg < 0:
+            return ZERO
+        lower = draw(st.lists(huge_or_small, min_size=deg, max_size=deg))
+        return Poly(tuple(lower) + (draw(huge_or_small.filter(bool)),))
+
+    db = draw(st.integers(min_value=-1, max_value=5))
+    b = poly(db)
+    a = poly(max(db + draw(st.integers(min_value=-2, max_value=4)), -1))
+    shape = draw(st.sampled_from(["free", "multiple", "constant"]))
+    if shape != "free" and not b.is_zero:
+        a = b * poly(draw(st.integers(min_value=0, max_value=3)))
+        if shape == "constant":
+            a = a + poly(0)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(remainder_pairs())
+@example((Poly((-3, 0, 2, -7)), Poly((5, 1, -4, -2))))  # equal degrees, negative leads
+@example((Poly((1, 0, 0, 0, 0, 1)), Poly((1, 0, 3))))  # a gap of 3
+@example((Poly((2, 3, 1)) * Poly((1, 1)), Poly((2, 3, 1))))  # a zero remainder
+@example((Poly((2, 3, 1)) * Poly((1, 1)) + Poly((7,)), Poly((2, 3, 1))))  # a constant one
+@example((Poly((1 << 240, 3, -(1 << 230))), Poly((-(1 << 220), 1 << 201))))
+def test_remainder_sequence_matches_the_quotient_step(pair):
+    a, b = pair
+    terms = list(_remainder_sequence(a, b))
+    assert terms == list(_reference_remainder_sequence(a, b))
+    for t in terms:
+        assert type(t.coeffs) is tuple and all(type(c) is int for c in t.coeffs)
+    if not b.is_zero:
+        s, q, r = pseudo_divmod(a, b)
+        assert s >= 1 and s * a == q * b + r and r.degree < b.degree

@@ -969,7 +969,7 @@ def test_fold_root_inside_minus_2_2_fails_by_the_proof(monkeypatch):
     proven, fold, chain_fold = _proven_and_chain_folds(h)
     assert proven and fold[1] == h.degree - 2
     _check_counter(h, fold, chain_fold)
-    divisions = _record_calls(monkeypatch, polys, "pseudo_divmod")
+    divisions = _record_calls(monkeypatch, polys, "_reduce")
     assert not is_real_rooted(f)
     assert divisions == []
     monkeypatch.setattr(realroots, "_guessed_separators", lambda q: None)
@@ -1356,7 +1356,7 @@ def test_real_rootedness_from_one_early_exit_sequence(monkeypatch):
     # part or Sturm chain
     h = local_h(6, 20)
     assert h.degree == 16 and h.coeffs[:5] == (0, 0, 0, 0, 8855)
-    divisions = _record_calls(monkeypatch, polys, "pseudo_divmod")
+    divisions = _record_calls(monkeypatch, polys, "_reduce")
     gcds = _record_calls(monkeypatch, realroots, "poly_gcd")
     chains = _record_calls(monkeypatch, SturmChain, "of_squarefree")
     assert is_real_rooted(h)
@@ -1380,7 +1380,7 @@ def test_palindromic_real_rootedness_at_half_degree(monkeypatch):
     h = local_h(10, 40)
     assert h.degree == 36 and h.coeffs[:5] == (0, 0, 0, 0, 1)
     assert h.coeffs[4:] == h.coeffs[4:][::-1]
-    divisions = _record_calls(monkeypatch, polys, "pseudo_divmod")
+    divisions = _record_calls(monkeypatch, polys, "_reduce")
     assert is_real_rooted(h)
     assert divisions == []
     with monkeypatch.context() as patched:
@@ -1400,7 +1400,7 @@ def test_palindrome_verdict_from_the_one_fold_counter(monkeypatch):
     # the 15 remainders of (q, q')
     h = local_h(10, 40)
     folds = _record_calls(monkeypatch, realroots, "_fold_counter")
-    divisions = _record_calls(monkeypatch, polys, "pseudo_divmod")
+    divisions = _record_calls(monkeypatch, polys, "_reduce")
     assert is_real_rooted(h)
     assert len(folds) == 1 and divisions == []
     with monkeypatch.context() as patched:
@@ -1488,6 +1488,52 @@ def test_interleaves_scaling_invariance():
         for s in (2, 3, 10):
             assert interleaves(s * f, g) == base
             assert interleaves(f, s * g) == base
+
+
+huge_or_small = st.one_of(st.integers(min_value=-9, max_value=9),
+                          st.integers(min_value=-(1 << 210), max_value=1 << 210))
+
+
+@st.composite
+def equal_degree_pairs(draw):
+    """(f, g) of one degree 0 to 5 with positive leads, entries small or
+    beyond 2^200; g is a positive multiple of f (the difference is 0) a
+    third of the time."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    leads = st.one_of(st.integers(min_value=1, max_value=9),
+                      st.integers(min_value=1, max_value=1 << 210))
+
+    def poly() -> Poly:
+        return Poly(tuple(draw(st.lists(huge_or_small, min_size=n, max_size=n)))
+                    + (draw(leads),))
+
+    f = poly()
+    multiple = draw(st.integers(min_value=0, max_value=2)) == 0
+    return f, (draw(leads) * f if multiple else poly())
+
+
+@settings(max_examples=200, deadline=None)
+@given(equal_degree_pairs())
+def test_equal_degrees_reduce_to_the_reference_difference(pair):
+    # interleaves(f, g) at equal degrees asks the one sequence test about
+    # (f, -(lead(f) g - lead(g) f)), the difference as five Poly operations
+    # built it
+    f, g = pair
+    asked = []
+    normal = realroots._normal_sequence
+
+    def recorded(a, b):
+        asked.append((a, b))
+        return normal(a, b)
+
+    realroots._normal_sequence = recorded
+    try:
+        interleaves(f, g)
+    finally:
+        realroots._normal_sequence = normal
+    reference = -(f.leading_coefficient * g - g.leading_coefficient * f)
+    assert asked[0] == (f, reference)
+    assert type(asked[0][1].coeffs) is tuple
 
 
 @settings(max_examples=30, deadline=None)
@@ -1622,6 +1668,26 @@ def test_a_sequence_of_polys_is_checked_at_the_boundary(check, fs, message):
         check(fs)
     with pytest.raises(BadParametersError, match="fs must hold Polys"):
         check([5])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: is_real_rooted(5), "f must be a Poly, got 5"),
+    (lambda: is_real_rooted((1, 2)), "f must be a Poly"),
+    (lambda: interleaves(5, X), "f must be a Poly, got 5"),
+    (lambda: interleaves(X, "1,2"), "g must be a Poly, got '1,2'"),
+    (lambda: isolate_roots([1, 2]), r"f must be a Poly, got \[1, 2\]"),
+    (lambda: count_real_roots("1,2"), "f must be a Poly, got '1,2'"),
+    (lambda: count_real_roots([1, 2], 0, 1), "f must be a Poly"),
+    (lambda: refine_certificate([1, 2], RootCertificate(), 1), "f must be a Poly"),
+    (lambda: refine_certificate(X, [], 1), "cert must be a RootCertificate, got"),
+    (lambda: squarefree_part(None), "f must be a Poly, got None"),
+], ids=["is_real_rooted", "is_real_rooted-tuple", "interleaves-f", "interleaves-g",
+        "isolate_roots", "count_real_roots", "count_real_roots-bounded",
+        "refine_certificate", "refine_certificate-cert", "squarefree_part"])
+def test_one_polynomial_is_checked_at_the_boundary(call, message):
+    # a value that is not a Poly is rejected before any attribute is read
+    with pytest.raises(BadParametersError, match=message):
+        call()
 
 
 # -- the F+ walk against the double loops it replaced -------------------------
