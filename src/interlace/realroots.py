@@ -42,9 +42,10 @@ takes the chain at full degree, like any other h.
 Isolation walks one tree: for f = x^k h with h(0) != 0 and p the squarefree
 part of h, it bisects the Cauchy interval (-B, B) of p at midpoints moved off
 the roots of p until each interval holds one root, probes each leaf for a
-rational root, and moves intervals off the root 0 of f.  The record gives
-the count and the probe; p is squarefree, so its sign at a split is the
-parity of the count, and no split takes a sign of p.  A folded h is
+rational root, and halves a leaf that holds the root 0 of f until 0 lies
+outside.  The record gives the count and the probe; each halving keeps the
+half on which the count changes, and p is squarefree, so its sign at an end
+is the parity of the count: the tree takes no sign of p.  A folded h is
 counted through the fold: y = t + 1/t is monotone on each of (-oo, -1],
 (-1, 0), (0, 1] and (1, oo), so the roots of h below t are a count of the
 roots of q against y, a binary search over isolating intervals of q.  The
@@ -54,24 +55,24 @@ a bracket takes a sign of q; on the chain of q it isolates q.  Verdicts
 and refinement need only the number of real roots and do neither.  The
 probe of a fold finds the rational roots of q in those intervals and maps
 them to those of h, with no sign of h.  Any other h evaluates its
-remainder sequence of (h, h') once per split, and the grid probe tries
-c/|lead(p)|.  Either way the tree, and so the certificate, is the same.
-The gcd is the first step of the repeated-gcd chain that yields the
-multiplicity levels.  The root 0 has multiplicity k; any other isolated
-root lies on a level iff that squarefree level changes sign on its
-interval.  ``count_real_roots`` does not fold: it stays on the chain of h,
-a count independent of the fold's.
+remainder sequence of (h, h') once per split and once per halving off 0,
+and the grid probe tries c/|lead(p)|.  Either way the tree, and so the
+certificate, is the same.  The gcd is the first step of the repeated-gcd
+chain that yields the multiplicity levels.  The root 0 has multiplicity k;
+any other isolated root lies on a level iff that squarefree level changes
+sign on its interval.  ``count_real_roots`` does not fold: it stays on the
+chain of h, a count independent of the fold's.
 
-Every bisection (the tree, refinement, moving an interval off the root 0,
-and the grid probes) runs on integers: an interval is a pair of numerators
-a, b over one denominator den, a halving maps it to (2a, a+b, 2den) or
-(a+b, 2b, 2den), and the sign at a/den comes from one homogeneous integer
-Horner (``Poly._value_at``), for p and for every member of a chain;
-refinement finds the interval that halving would by secants on the same
-grid (``_qir``), starting from the values at the ends that validating the
-certificate took, so each end is evaluated once.  A Fraction is built once
-per certificate end, and it normalises to the same rational that halving
-Fractions gives, so every certificate is unchanged.
+Every bisection (the tree, refinement and the grid probes) runs on
+integers: an interval is a pair of numerators a, b over one denominator
+den, a halving maps it to (2a, a+b, 2den) or (a+b, 2b, 2den), and the sign
+at a/den comes from one homogeneous integer Horner (``Poly._value_at``),
+for p and for every member of a chain; refinement finds the interval that
+halving would by secants on the same grid (``_qir``), starting from the
+values at the ends that validating the certificate took, so each end is
+evaluated once.  A Fraction is built once per certificate end, and it
+normalises to the same rational that halving Fractions gives, so every
+certificate is unchanged.
 """
 
 from __future__ import annotations
@@ -658,14 +659,16 @@ def _isolate(p: Poly, count, probe, zero_root: bool = False
     rational roots of the fold; with no probe, every root gets an interval.
     Either drives the one tree: the Cauchy bound (-B, B), midpoint splits
     moved off the roots of p towards a, a stop at one root, the probe and
-    the move of intervals off the root 0, so the certificate does not depend
+    the halving of a leaf off the root 0, so the certificate does not depend
     on the counter.
 
     The tree runs on the integer grid: an interval is (a, b, den, c_a, c_b)
     for (a/den, b/den) with the counts at its ends, so a split counts at
-    its midpoint (and at each move off a root) and takes no sign of p.  p
-    is squarefree with the sign s_neg = (-1)^deg p at -B, so its sign at a
-    non-root t is s_neg (-1)^(c(t) - c(-B)); complex roots change no sign.
+    its midpoint (and at each move off a root of p), and so does each
+    halving off the root 0, which keeps the half where the count changes:
+    the tree takes no sign of p.  p is squarefree with the sign
+    s_neg = (-1)^deg p at -B, so its sign at a non-root t is
+    s_neg (-1)^(c(t) - c(-B)); complex roots change no sign.
     Interval ends are never roots, and the intervals, (a, b, den, s_a) with
     s_a the sign of p at a/den, come out in ascending order.
     """
@@ -683,10 +686,16 @@ def _isolate(p: Poly, count, probe, zero_root: bool = False
         if n == 1:
             s_a = -s_neg if (c_a - c_neg) % 2 else s_neg
             root = probe(p, a, b, den, s_a) if probe else None
-            if root is None:
-                intervals.append((a, b, den, s_a))
-            else:
+            if root is not None:
                 points.append(root)
+                continue
+            # 0 is a root of the caller's polynomial: halve the leaf off it by
+            # the count, which keeps c_a and s_a at the left end; its root is
+            # irrational, so no midpoint is a root and the count is never None
+            while zero_root and a <= 0 <= b:
+                mid, den = a + b, 2 * den
+                a, b = (mid, 2 * b) if count(mid, den) == c_a else (2 * a, mid)
+            intervals.append((a, b, den, s_a))
         elif n > 1:
             # split where p is nonzero, halving towards a; p has finitely
             # many roots, so this ends
@@ -697,14 +706,6 @@ def _isolate(p: Poly, count, probe, zero_root: bool = False
                 c_mid = count(mid, d)
             stack.append((mid, b * (d // den), d, c_mid, c_b))
             stack.append((lo, mid, d, c_a, c_mid))
-    if zero_root:
-        # 0 is a root of the caller's polynomial: move intervals off it (they
-        # hold irrational roots, so the bisection never lands on their root;
-        # the ends keep the signs s_a and -s_a, which stand for the values)
-        for i, (a, b, den, s_a) in enumerate(intervals):
-            while a <= 0 <= b:
-                a, b, den = _bisect_once(p, a, b, den, s_a, -s_a)[:3]
-            intervals[i] = (a, b, den, s_a)
     return points, intervals
 
 
@@ -754,11 +755,10 @@ def _certificate(r: _Roots) -> RootCertificate:
 
 def _bisect_once(p: Poly, a: int, b: int, den: int, v_a: int, v_b: int
                  ) -> tuple[int, int, int, int, int]:
-    """One bisection step on [a/den, b/den], which holds one simple root of
-    p, given integers v_a, v_b with the signs of p at its ends: the half
-    holding the root over 2den (both ends at the midpoint, values 0, if it
-    is the root) and its end values; values of ``Poly._value_at`` over den
-    come out as its values over 2den."""
+    """One bisection step of ``_qir`` on [a/den, b/den], which holds one
+    simple root of p, given the values v_a, v_b of ``Poly._value_at`` at its
+    ends over den: the half holding the root over 2den (both ends at the
+    midpoint, values 0, if it is the root) and its end values over 2den."""
     mid, den = a + b, 2 * den
     v = p._value_at(mid, den)
     if v == 0:

@@ -405,20 +405,21 @@ def _reference_refine(f: Poly, cert: RootCertificate, width: Fraction) -> RootCe
     return RootCertificate(tuple(out))
 
 
-def _reference_isolation(f: Poly) -> tuple[RootCertificate, int]:
+def _reference_isolation(f: Poly) -> tuple[RootCertificate, int, int]:
     """Sturm bisection as it was done before one chain served isolation: the
     chain of the squarefree part, counted at both ends of every interval, and
     multiplicities from the Sturm chains of the repeated-gcd levels of f.
-    Returns the certificate and the number of splits."""
+    Returns the certificate, the number of splits and the number of halvings
+    that move intervals off the root 0."""
     gs = [f]
     while gs[-1].degree >= 1:
         gs.append(poly_gcd(gs[-1], poly_derivative(gs[-1])))
     if len(gs) == 1:
-        return RootCertificate(), 0
+        return RootCertificate(), 0, 0
     p, *levels = [exact_div(g, d).primitive_positive() for g, d in zip(gs, gs[1:])]
     q, k = realroots._strip_x(p)
     points = [Fraction(0)] if k else []
-    intervals, splits = [], 0
+    intervals, splits, halvings = [], 0, 0
     if q.degree >= 1:
         chain = SturmChain.of_squarefree(q)
         bound = Fraction(realroots._root_bound(q))
@@ -443,6 +444,7 @@ def _reference_isolation(f: Poly) -> tuple[RootCertificate, int]:
                 s_lo = q.sign_at(lo)
                 while lo <= 0 <= hi:
                     lo, hi, s_lo = _fraction_bisect_once(q, lo, hi, s_lo)
+                    halvings += 1
                 intervals[i] = (lo, hi)
     level_chains = [(s, SturmChain.of_squarefree(s)) for s in levels]
     out = []
@@ -453,7 +455,7 @@ def _reference_isolation(f: Poly) -> tuple[RootCertificate, int]:
                 break
             mult += 1
         out.append(RootInterval(lo, hi, mult))
-    return RootCertificate(tuple(out)), splits
+    return RootCertificate(tuple(out)), splits, halvings
 
 
 @settings(max_examples=200, deadline=None)
@@ -478,6 +480,32 @@ def test_isolation_equals_reference_bisection(planted, k, sqrt2, complex_pair, s
     if complex_pair:
         f = f * Poly((1, 0, 1))
     assert isolate_roots(f) == _reference_isolation(f)[0]
+
+
+def _assert_reference_json(f: Poly) -> int:
+    """isolate_roots(f) prints as Sturm bisection in Fractions does; returns
+    the number of halvings that move intervals off the root 0."""
+    expected, _, halvings = _reference_isolation(f)
+    assert json.dumps(isolate_roots(f).to_json_obj()) == json.dumps(expected.to_json_obj())
+    return halvings
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_chain_isolation_next_to_the_root_0_equals_reference_bisection(r):
+    # every nonzero E-vector component of index >= 1 has the factor x and
+    # takes the chain; its irrational roots next to 0 are halved off it by
+    # the counts of the chain
+    halvings = sum(_assert_reference_json(f) for n in range(2, 21)
+                   for f in e_vector(r, n).polys[1:] if not f.is_zero)
+    assert halvings > 0
+
+
+@pytest.mark.parametrize("coeffs", [(0, -2, 0, 100), (0, -7, 0, 10 ** 6), (0, -3, 0, 1 << 40),
+                                    (0, 0, -5, 0, 7 ** 9)])
+def test_roots_close_to_the_root_0_equal_reference_bisection(coeffs):
+    # x^k (a x^2 - b) with a >> b: the leaves holding +-sqrt(b/a) end at 0
+    # and take many halvings to leave it
+    assert _assert_reference_json(Poly(coeffs)) >= 8
 
 
 def _user_certificate(f: Poly, cert: RootCertificate, thirds: int,
@@ -640,16 +668,17 @@ def test_refinement_at_cell_widths():
 def test_isolation_walks_one_sequence_evaluated_once_per_split(monkeypatch):
     # (2 + x + x^2) local_h(6, 20) = x^4 h with h squarefree and not
     # palindromic, so it takes the Sturm path: the sequence of (h, h') ends
-    # at a constant, so no gcd is taken, and each split evaluates the chain at
-    # its midpoint only, after the two ends of (-B, B)
+    # at a constant, so no gcd is taken, and the chain is evaluated at the
+    # two ends of (-B, B), then once at the midpoint of each split and of
+    # each halving that moves the leaf holding the root 0 off it
     f = Poly((2, 1, 1)) * local_h(6, 20)
-    expected, splits = _reference_isolation(f)
+    expected, splits, halvings = _reference_isolation(f)
     gcds = _record_calls(monkeypatch, realroots, "poly_gcd")
     evaluations = _record_calls(monkeypatch, SturmChain, "variations_at")
     cert = isolate_roots(f)
     assert cert == expected
     assert gcds == []
-    assert len(evaluations) == splits + 2 == 41
+    assert len(evaluations) == splits + halvings + 2 == 45
     gcds.clear()
     evaluations.clear()
     refine_certificate(f, cert, Fraction(1, 1 << 20))
@@ -663,9 +692,10 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
     # chain is evaluated and q is not isolated: the tree of h is the one
     # tree.  With the guess failing, the chain of q is the one sequence, no
     # chain of h is evaluated and q is isolated once.  Either way the tree
-    # gives the certificate of the Sturm path, and h is evaluated only to
-    # move the interval that ends at the root 0 off it: the splits take
-    # their signs from the counts and the leaves probe the roots of q
+    # gives the certificate of the Sturm path and h is evaluated nowhere:
+    # the splits and the halvings that move the interval ending at the root
+    # 0 off it take their signs from the counts, and the leaves probe the
+    # roots of q
     f = local_h(10, 40)
     h, k = realroots._strip_x(f)
     m = h.degree // 2
@@ -694,7 +724,7 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
         assert [a.degree for a, _ in sequences] == ([] if guessed else [m])
         assert {chain.chain[0].degree for chain, *_ in evaluations} == (set() if guessed else {m})
         assert [p.degree for p, *_ in isolations] == trees  # the tree of h (then q once)
-        assert degrees.count(2 * m) == len(bisections) == 15
+        assert degrees.count(2 * m) == len(bisections) == 0
 
 
 def test_a_proven_fold_evaluates_q_at_plus_minus_2_once(monkeypatch):
