@@ -250,6 +250,33 @@ def pseudo_divmod(a: Poly, b: Poly) -> tuple[int, Poly, Poly]:
     return s, Poly(tuple(q)), Poly(tuple(r))
 
 
+def _remainder_step(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The term after a, b in a remainder sequence, for coefficient tuples
+    with deg b >= 1: minus the primitive part of a positive multiple of the
+    Euclidean remainder of a by b, canonical (empty for a zero remainder).
+    Every step of ``_remainder_sequence`` runs through it.
+
+    A normal step, n = deg a = deg b + 1, is written out in one pass: with
+    la = lead(a), lb = lead(b) and c = lb a[n-1] - la b[n-2],
+    lb^2 a - (la lb x + c) b cancels the entries of degree n and n - 1, so
+    it is lb^2 > 0 times the remainder.  Any other step runs the one
+    division loop ``_reduce``, also a positive multiple of the remainder, so
+    both give the same primitive part.
+    """
+    n = len(a) - 1
+    if n == len(b):
+        la, lb = a[-1], b[-1]
+        lb2, lab, c = lb * lb, la * lb, lb * a[-2] - la * b[-2]
+        r = [lb2 * a[0] - c * b[0]]
+        r += [lb2 * x - lab * y - c * z for x, y, z in zip(a[1:n - 1], b, b[1:])]
+        while r and not r[-1]:
+            r.pop()
+    else:
+        r = _reduce(list(a), b)[1]
+    g = -math.gcd(*r)  # no division when r is empty
+    return tuple([x // g for x in r])
+
+
 def _remainder_sequence(a: Poly, b: Poly):
     """Yield a, b and the negated primitive pseudo-remainders after them, up
     to the last nonzero term, a multiple of gcd(a, b); lazily, so a caller can
@@ -258,18 +285,15 @@ def _remainder_sequence(a: Poly, b: Poly):
     Each term is a positive multiple of the matching term of the signed
     remainder sequence a, b, -rem(a, b), ...: the pseudo-remainder scales by
     a positive factor and the primitive part divides by the positive content,
-    so every sign, and every count of sign variations, agrees with it.  A
-    step runs the one division loop ``_reduce`` with no quotient and builds
-    one ``Poly``: the remainder divided by minus its content.
+    so every sign, and every count of sign variations, agrees with it.  Each
+    step is one ``_remainder_step`` and builds one ``Poly``.
     """
     yield a
     while b.coeffs:
         yield b
         if len(b.coeffs) == 1:  # the remainder of a division by a constant is 0
             return
-        r = _reduce(list(a.coeffs), b.coeffs)[1]
-        c = -math.gcd(*r)  # no division when r is empty
-        a, b = b, Poly(tuple([x // c for x in r]))
+        a, b = b, Poly(_remainder_step(a.coeffs, b.coeffs))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -107,7 +107,8 @@ class RootInterval:
         for end in ("lo", "hi"):
             if type(getattr(self, end)) is not Fraction:
                 object.__setattr__(self, end, _rational(getattr(self, end), end))
-        if self.lo > self.hi:
+        lo, hi = self.lo, self.hi
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
             raise BadParametersError(f"interval endpoints out of order: {self.lo} > {self.hi}")
         m = self.multiplicity
         if type(m) is not int or m < 1:
@@ -133,9 +134,12 @@ class RootCertificate:
         if type(ivs) is not tuple or not all(type(iv) is RootInterval for iv in ivs):
             raise BadParametersError("a certificate holds a tuple of RootIntervals")
         for prev, nxt in zip(ivs, ivs[1:]):
-            if prev.hi > nxt.lo:
+            # prev.hi against nxt.lo, cross-multiplied
+            gap = (nxt.lo.numerator * prev.hi.denominator
+                   - prev.hi.numerator * nxt.lo.denominator)
+            if gap < 0:
                 raise BadParametersError("intervals overlap")
-            if prev.hi == nxt.lo and prev.is_point and nxt.is_point:
+            if gap == 0 and prev.is_point and nxt.is_point:
                 raise BadParametersError("duplicate exact root")
 
     def __len__(self) -> int:
@@ -715,8 +719,9 @@ def _multiplicity(k: int, levels: list[Poly], lo: Fraction, hi: Fraction) -> int
 
     A level is squarefree and its roots are roots of f, of which the interval
     holds one, so a level holds that root iff it changes sign on the interval.
+    The interval holds 0 iff the numerators of its ends differ in sign.
     """
-    if k and lo <= 0 <= hi:
+    if k and lo.numerator <= 0 <= hi.numerator:
         return k
     mult = 1
     for level in levels:
@@ -746,9 +751,14 @@ def _certificate(r: _Roots) -> RootCertificate:
     """The certificate of ``isolate_roots`` from the root record r of f."""
     p, *levels = _levels(r)
     points, intervals = _isolate(p, r.count, r.probe, r.k > 0)
-    records = [(a, a) for a in points] + [(Fraction(a, den), Fraction(b, den))
-                                          for a, b, den, _ in intervals]
-    records.sort(key=lambda iv: iv[0])
+    points.sort()  # the leaves' roots come ascending, the root 0 first
+    records, i = [], 0
+    for a, b, den, _ in intervals:  # merged on the grid: no point is inside
+        while i < len(points) and points[i].numerator * den < a * points[i].denominator:
+            records.append((points[i], points[i]))
+            i += 1
+        records.append((Fraction(a, den), Fraction(b, den)))
+    records += [(x, x) for x in points[i:]]
     return RootCertificate(tuple(RootInterval(lo, hi, _multiplicity(r.k, levels, lo, hi))
                                  for lo, hi in records))
 
@@ -915,8 +925,10 @@ def interleaves(f: Poly, g: Poly) -> bool:
 
 
 def _first_bad_pair(fs) -> tuple[int, int] | None:
-    """The one pair walk: the first (k, l) with k < l, in row order, for which
-    fs[k] << fs[l] is false, or None when every pair interleaves."""
+    """The row-order pair walk: the first (k, l) with k < l for which
+    fs[k] << fs[l] is false, or None when every pair interleaves.  It names
+    the first bad pair of a sequence that ``_interlacing`` has failed, and
+    decides a sequence with a negative leading coefficient."""
     for k, f in enumerate(fs):
         for l in range(k + 1, len(fs)):
             if not interleaves(f, fs[l]):
@@ -924,21 +936,73 @@ def _first_bad_pair(fs) -> tuple[int, int] | None:
     return None
 
 
+def _interlacing(fs) -> bool:
+    """True iff fs[k] << fs[l] for every k < l.  When every nonzero member
+    has a positive leading coefficient, the r nonzero members f_1, ..., f_r
+    take r calls: the neighbour pairs and the closing pair (f_1, f_r).  Each
+    is a pair (k, l) with k < l, so a False is a pair that the walk fails
+    too.  Otherwise ``_first_bad_pair`` decides, which raises where it meets
+    a negative leading coefficient and returns wherever it fails first.
+
+    The rule for nonzero f, g with positive leading coefficients: f << g
+    iff both are real-rooted, deg g - 1 <= deg f <= deg g, and the roots
+    b_1 >= b_2 >= ... of g and a_1 >= a_2 >= ... of f, each listed as often
+    as its multiplicity, alternate weakly: b_1 >= a_1 >= b_2 >= a_2 >= ...,
+    that is b_(k+1) <= a_k <= b_k for each k <= deg f, with b_(k+1) only
+    for k < deg g.  A constant lists no root, which gives c << g iff
+    deg g <= 1 and f << c iff deg f = 0.
+
+    Lemma (Savage and Visontai, Trans. AMS 367 (2015), Sec. 2; Fisk, arXiv
+    math/0612833): for r >= 2, if f_i << f_(i+1) for each i < r and
+    f_1 << f_r, then f_i << f_j for all i < j.  Proof: each f_i is in a
+    pair that holds with a nonzero partner, so it is real-rooted; let
+    p_i(k) be its k-th largest root.  Degrees: a neighbour pair gives
+    deg f_i <= deg f_(i+1), and the closing pair deg f_r <= deg f_1 + 1, so
+    for i < j, deg f_i <= deg f_j <= deg f_r <= deg f_1 + 1 <= deg f_i + 1.
+    Upper bound: a neighbour pair gives p_i(k) <= p_(i+1)(k) for
+    k <= deg f_i, where the degrees do not fall, so p_i(k) <= p_j(k).
+    Lower bound, for k <= deg f_i and k < deg f_j: k + 1 <= deg f_j <=
+    deg f_1 + 1, so p_1(k) exists, and p_j(k+1) <= p_r(k+1) by the
+    neighbour pairs, p_r(k+1) <= p_1(k) by the closing pair and
+    p_1(k) <= p_i(k) by the neighbour pairs again.  So
+    p_j(k+1) <= p_i(k) <= p_j(k): f_i << f_j.  For r = 2 the closing pair
+    is the neighbour pair.
+
+    Zeros: f << 0 and 0 << f hold iff f is real-rooted (0 included).  So
+    fs interlaces iff its nonzero members do and, when fs holds a 0, each
+    nonzero member is real-rooted.  With two or more nonzero members the
+    first implies the second; with one, it is the call on it and the first
+    0; with none, every pair is (0, 0) and holds.  The zeros must go before
+    the rule: (0, 6x^2 + 21x + 15, 0, 1) passes each neighbour pair and the
+    pair (0, 1), yet 6x^2 + 21x + 15 << 1 is false.
+    """
+    nonzero = [k for k, f in enumerate(fs) if f.coeffs]
+    if any(fs[k].coeffs[-1] < 0 for k in nonzero):
+        return _first_bad_pair(fs) is None
+    if len(nonzero) == 1 < len(fs):  # one nonzero member, and zeros
+        k, l = sorted((nonzero[0], next(i for i, f in enumerate(fs) if not f.coeffs)))
+        return interleaves(fs[k], fs[l])
+    pairs = list(zip(nonzero, nonzero[1:]))
+    if len(nonzero) > 2:
+        pairs.append((nonzero[0], nonzero[-1]))
+    return all(interleaves(fs[k], fs[l]) for k, l in pairs)
+
+
 def _fplus_fault(fs) -> tuple[str, tuple[int, ...]] | None:
     """The first fault against F+ (interlacing, nonnegative coefficients):
     ("negative_coefficient", (k,)) for the first member with a negative
-    coefficient, or else ("not_interleaving", (k, l)) for the walk's pair;
-    None for a member of F+."""
+    coefficient, or else ("not_interleaving", (k, l)) for the walk's first
+    bad pair, sought only once ``_interlacing`` has failed; None for a
+    member of F+."""
     for k, p in enumerate(fs):
         if any(c < 0 for c in p.coeffs):
             return "negative_coefficient", (k,)
-    pair = _first_bad_pair(fs)
-    return None if pair is None else ("not_interleaving", pair)
+    return None if _interlacing(fs) else ("not_interleaving", _first_bad_pair(fs))
 
 
 def is_interlacing_seq(fs) -> bool:
     """True iff fs[i] interleaves fs[j] for every i < j (vacuously true for len <= 1)."""
-    return _first_bad_pair(_listed(fs, "fs", Poly)) is None
+    return _interlacing(_listed(fs, "fs", Poly))
 
 
 def in_fplus(fs) -> bool:

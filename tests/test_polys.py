@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from interlace.polys import (
     exact_div,
     poly_derivative,
     poly_gcd,
+    _reduce,
     _remainder_sequence,
+    _remainder_step,
     pseudo_divmod,
 )
 
@@ -216,19 +219,20 @@ huge_or_small = st.one_of(st.integers(min_value=-9, max_value=9),
 
 
 @st.composite
-def remainder_pairs(draw):
-    """(a, b) with deg a - deg b from -2 to 4 (equal degrees and gaps above
-    one included), signed leading coefficients, entries small or beyond
-    2^200, and a b that divides a (a zero remainder) or leaves a constant."""
+def remainder_pairs(draw, min_degree=-1, gaps=st.integers(min_value=-2, max_value=4)):
+    """(a, b) with deg b >= min_degree and deg a - deg b drawn from gaps
+    (from -2 to 4: equal degrees and gaps above one included), signed
+    leading coefficients, entries small or beyond 2^200, and a b that
+    divides a (a zero remainder) or leaves a constant."""
     def poly(deg: int) -> Poly:
         if deg < 0:
             return ZERO
         lower = draw(st.lists(huge_or_small, min_size=deg, max_size=deg))
         return Poly(tuple(lower) + (draw(huge_or_small.filter(bool)),))
 
-    db = draw(st.integers(min_value=-1, max_value=5))
+    db = draw(st.integers(min_value=min_degree, max_value=5))
     b = poly(db)
-    a = poly(max(db + draw(st.integers(min_value=-2, max_value=4)), -1))
+    a = poly(max(db + draw(gaps), -1))
     shape = draw(st.sampled_from(["free", "multiple", "constant"]))
     if shape != "free" and not b.is_zero:
         a = b * poly(draw(st.integers(min_value=0, max_value=3)))
@@ -253,3 +257,25 @@ def test_remainder_sequence_matches_the_quotient_step(pair):
     if not b.is_zero:
         s, q, r = pseudo_divmod(a, b)
         assert s >= 1 and s * a == q * b + r and r.degree < b.degree
+
+
+def _reference_step(a: Poly, b: Poly) -> tuple[int, ...]:
+    """The step as the one division loop takes it: minus the primitive part
+    of what ``_reduce`` leaves of a."""
+    r = _reduce(list(a.coeffs), b.coeffs)[1]
+    g = -math.gcd(*r)
+    return tuple(x // g for x in r)
+
+
+@settings(max_examples=400, deadline=None)
+@given(remainder_pairs(1, st.sampled_from([1, 1, 1, 1, -2, -1, 0, 2, 3])))
+@example((Poly((-3, 0, 2, -7)), Poly((5, 1, -4))))  # a normal step, negative leads
+@example((Poly((2, 3, 1)) * Poly((1, 1)), Poly((2, 3))))  # deg drop one, zero remainder
+@example((Poly((2, 3)) * Poly((1, 1)) + Poly((7,)), Poly((2, 3))))  # a constant remainder
+@example((Poly((1 << 210, -3, -(1 << 209), 5)), Poly((-(1 << 210), 1 << 201, -7))))
+@example((Poly((1, 0, 0, 0, 0, 1)), Poly((1, 0, 3))))  # a gap of 3
+def test_remainder_step_matches_the_division_loop(pair):
+    # the closed form of a degree-drop-one step and every other step give
+    # the term that the one division loop gives, entry for entry
+    a, b = pair
+    assert _remainder_step(a.coeffs, b.coeffs) == _reference_step(a, b)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interlace import polys, realroots
@@ -999,7 +999,7 @@ def test_fold_root_inside_minus_2_2_fails_by_the_proof(monkeypatch):
     proven, fold, chain_fold = _proven_and_chain_folds(h)
     assert proven and fold[1] == h.degree - 2
     _check_counter(h, fold, chain_fold)
-    divisions = _record_calls(monkeypatch, polys, "_reduce")
+    divisions = _record_calls(monkeypatch, polys, "_remainder_step")
     assert not is_real_rooted(f)
     assert divisions == []
     monkeypatch.setattr(realroots, "_guessed_separators", lambda q: None)
@@ -1386,7 +1386,7 @@ def test_real_rootedness_from_one_early_exit_sequence(monkeypatch):
     # part or Sturm chain
     h = local_h(6, 20)
     assert h.degree == 16 and h.coeffs[:5] == (0, 0, 0, 0, 8855)
-    divisions = _record_calls(monkeypatch, polys, "_reduce")
+    divisions = _record_calls(monkeypatch, polys, "_remainder_step")
     gcds = _record_calls(monkeypatch, realroots, "poly_gcd")
     chains = _record_calls(monkeypatch, SturmChain, "of_squarefree")
     assert is_real_rooted(h)
@@ -1410,7 +1410,7 @@ def test_palindromic_real_rootedness_at_half_degree(monkeypatch):
     h = local_h(10, 40)
     assert h.degree == 36 and h.coeffs[:5] == (0, 0, 0, 0, 1)
     assert h.coeffs[4:] == h.coeffs[4:][::-1]
-    divisions = _record_calls(monkeypatch, polys, "_reduce")
+    divisions = _record_calls(monkeypatch, polys, "_remainder_step")
     assert is_real_rooted(h)
     assert divisions == []
     with monkeypatch.context() as patched:
@@ -1430,7 +1430,7 @@ def test_palindrome_verdict_from_the_one_fold_counter(monkeypatch):
     # the 15 remainders of (q, q')
     h = local_h(10, 40)
     folds = _record_calls(monkeypatch, realroots, "_fold_counter")
-    divisions = _record_calls(monkeypatch, polys, "_reduce")
+    divisions = _record_calls(monkeypatch, polys, "_remainder_step")
     assert is_real_rooted(h)
     assert len(folds) == 1 and divisions == []
     with monkeypatch.context() as patched:
@@ -1764,6 +1764,51 @@ def _outcome(fn, fs):
     return value, calls
 
 
+def _shortcut_calls(fs):
+    """The (f, g) pairs that ``realroots._interlacing`` hands to interleaves
+    on a sequence whose nonzero members all have positive leading
+    coefficients, in order, up to the first that fails: the neighbour pairs
+    of the nonzero members, then (first, last) when there are three or
+    more; a lone nonzero member goes with the first 0 around it."""
+    nonzero = [k for k, f in enumerate(fs) if not f.is_zero]
+    zeros = [k for k, f in enumerate(fs) if f.is_zero]
+    pairs = list(zip(nonzero, nonzero[1:]))
+    if len(nonzero) > 2:
+        pairs.append((nonzero[0], nonzero[-1]))
+    if len(nonzero) == 1 and zeros:
+        pairs = [tuple(sorted((nonzero[0], zeros[0])))]
+    calls = []
+    for k, l in pairs:
+        calls.append((fs[k], fs[l]))
+        if not interleaves(fs[k], fs[l]):
+            break
+    return calls
+
+
+def _check_walk(fs):
+    """Same verdict and first fault as the double loops.  A negative leading
+    coefficient keeps the row-order walk, call for call; otherwise a verdict
+    makes the shortcut's calls, and a fault of F+ makes them and then, on a
+    FAIL, the walk's calls, which name the first bad pair."""
+    verdict = _outcome(is_interlacing_seq, fs)
+    reference = _outcome(_reference_is_interlacing_seq, fs)
+    assert verdict[0] == reference[0]
+    fault = _outcome(realroots._fplus_fault, fs)
+    reference_fault = _outcome(_reference_fplus_fault, fs)
+    assert fault[0] == reference_fault[0]
+    if any(f.leading_coefficient < 0 for f in fs):
+        assert verdict == reference
+    else:
+        assert verdict[1] == _shortcut_calls(fs)
+    if any(c < 0 for f in fs for c in f.coeffs):
+        assert fault == reference_fault  # the coefficient scan decides, with no call
+    else:
+        walk = reference_fault[1] if fault[0] is not None else []
+        assert fault[1] == _shortcut_calls(fs) + walk
+    assert _outcome(in_fplus, fs) == (fault[0] is None, fault[1])
+    return verdict[0]
+
+
 # members: real-rooted products of (x + a) with a >= 0, constants among them;
 # and 0, a negative coefficient, no real root, a double root, and anything at
 # all, a negative leading coefficient included
@@ -1777,9 +1822,75 @@ _MEMBERS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_MEMBERS, max_size=5))
 def test_fplus_walk_matches_the_double_loops(fs):
-    # same verdict, same first fault, same interleaves calls in the same order
-    verdict = _outcome(is_interlacing_seq, fs)
-    assert verdict == _outcome(_reference_is_interlacing_seq, fs)
-    fault = _outcome(realroots._fplus_fault, fs)
-    assert fault == _outcome(_reference_fplus_fault, fs)
-    assert _outcome(in_fplus, fs) == (fault[0] is None, fault[1])
+    _check_walk(fs)
+
+
+# members from few shared roots, so that roots repeat within a member and
+# across members: a positive constant times (x - a)^m over roots a in -3..1,
+# times a complex factor at times, negated at times; zeros anywhere
+_FACTORED = st.builds(
+    lambda c, roots, pair, sign: sign * c * product_of_roots(roots) * pair,
+    st.integers(1, 3),
+    st.lists(st.integers(-3, 1), max_size=4),
+    st.sampled_from([ONE] * 6 + [Poly((1, 0, 1)), Poly((2, 2, 1))]),
+    st.sampled_from([1] * 9 + [-1]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_FACTORED, st.just(ZERO)), max_size=6))
+@example([ZERO, Poly((15, 21, 6)), ZERO, ONE])  # neighbours and (0, 1) pass; f << 1 fails
+def test_interlacing_from_neighbours_and_the_closing_pair(fs):
+    _check_walk(fs)
+
+
+@st.composite
+def windowed(draw):
+    """A planted chain: ascending points t, member i the product of x - t[i
+    + j w] over j < d, so each member interleaves the next, and for d >= 2
+    distinct points the first interleaves the last iff there are at most
+    w + 1 members.  Ties among the points give multiplicities, zeros go anywhere,
+    and one member may be swapped with its neighbour."""
+    d, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    r = draw(st.integers(2, w + 3))
+    t = sorted(draw(st.lists(st.integers(-12, 6), min_size=r + (d - 1) * w,
+                             max_size=r + (d - 1) * w)))
+    fs = [product_of_roots(t[i + j * w] for j in range(d)) for i in range(r)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, r - 2))
+        fs[i], fs[i + 1] = fs[i + 1], fs[i]
+    for _ in range(draw(st.integers(0, 2))):
+        fs.insert(draw(st.integers(0, len(fs))), ZERO)
+    return fs
+
+
+@settings(max_examples=300, deadline=None)
+@given(windowed())
+def test_planted_chains_match_the_double_loops(fs):
+    _check_walk(fs)
+
+
+@pytest.mark.parametrize("fs,verdict", [
+    # every neighbour pair passes, the closing pair fails: roots climb past
+    # the first member's top root, or the degree climbs by two
+    ([product_of_roots([-6, -10]), product_of_roots([-4, -7]), product_of_roots([-1, -5])],
+     False),
+    ([ONE, X, Poly((0, 1, 1))], False),
+    ([ZERO, product_of_roots([-3]), product_of_roots([-2]), ZERO, product_of_roots([0, -2])],
+     False),
+    # only a middle neighbour pair fails; the closing pair passes
+    ([Poly((5, 1)), Poly((3, 1)), Poly((4, 1)), Poly((1, 1))], False),
+    # the roots -9 + i and -5 + i of members i = 0..3 interlace: every pair holds
+    ([product_of_roots([-9 + i, -5 + i]) for i in range(4)], True),
+], ids=["roots-climb", "degree-climbs", "zeros-between", "middle-pair", "window"])
+def test_planted_sequences(fs, verdict):
+    assert _check_walk(fs) is verdict
+    if not verdict:
+        assert realroots._fplus_fault(fs)[0] == "not_interleaving"
+
+
+def test_e_vector_of_10_40_takes_10_interleaves_calls():
+    E = list(e_vector(10, 40).polys)
+    verdict, calls = _outcome(is_interlacing_seq, E)
+    assert verdict is True and len(calls) == 10
+    assert calls == [(E[i], E[i + 1]) for i in range(9)] + [(E[0], E[9])]
