@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 
 from .errors import BadParametersError, NotRealRootedError
 from .polys import ZERO, Poly, X, _listed, _on_grid, _rational, _rational_text
@@ -105,10 +106,15 @@ def conic_combination(weights, polys) -> Poly:
     polys = _listed(polys, "polys", Poly)
     if len(ws) != len(polys):
         raise BadParametersError("one weight per polynomial required")
-    out = ZERO
-    for c, p in zip(_on_grid(*ws)[0], polys):
-        out = out + c * p
-    return out
+    cs = _on_grid(*ws)[0]
+    return Poly(tuple([sum(map(mul, cs, col)) for col in zip(*_padded(polys))]))
+
+
+def _padded(polys) -> list[tuple[int, ...]]:
+    """The coefficient tuples of polys, padded with zeros to one length, so
+    that a combination of them is one pass over their columns."""
+    n = max((len(p.coeffs) for p in polys), default=0)
+    return [p.coeffs + (0,) * (n - len(p.coeffs)) for p in polys]
 
 
 def _sampled(labelled, tests, unchecked: bool) -> CompatVerdict:
@@ -128,11 +134,12 @@ def _sampled(labelled, tests, unchecked: bool) -> CompatVerdict:
             if not is_real_rooted(p):
                 raise NotRealRootedError(label, "not real-rooted")
     for f, g, condition, pair in tests:
+        fc, gc = _padded((f, g))
         for weights, (a, b) in zip(_PAIRS, _CLEARED_PAIRS):
-            combo = a * f + b * g
+            combo = Poly(tuple([a * x + b * y for x, y in zip(fc, gc)]))
             if not is_real_rooted(combo):
                 return CompatVerdict(FAIL, CompatWitness(weights, combo, condition, pair))
-            if f == g:
+            if fc == gc:
                 break
     return CompatVerdict(PASS_SAMPLED)
 

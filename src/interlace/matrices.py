@@ -131,28 +131,34 @@ def _require_2x2(M: SymMatrix) -> None:
         raise DimensionMismatchError("a 2x2 matrix is required")
 
 
+def _codes(M: SymMatrix) -> tuple[int, int, int, int]:
+    """The entry codes of a 2x2 matrix, row by row."""
+    (a, b), (c, d) = M.entries
+    return a._code, b._code, c._code, d._code
+
+
 # (mu*s, lam*s, s) for each sample pair, with s the least common denominator of
 # lam and mu: the integer coefficients of s*(lam*x + mu) and of s
 _SCALED_PAIRS = tuple((*nums, s) for nums, s in
                       (_on_grid(mu, lam) for lam, mu in LAMBDA_MU_PAIRS))
 
 
-def _side(lin: Entry, one: Entry, m: int, l: int, s: int) -> Poly:
-    """(l*x + m) * lin + s * one for entries 0, 1 or x (codes 0, 1, 2)."""
+def _side(code: int, m: int, l: int, s: int) -> Poly:
+    """(l*x + m) * lin + s * one for the column (lin, one) of entry codes
+    (0, 1, 2 for 0, 1, x) at index code = 3*lin + one."""
+    lin, one = divmod(code, 3)
     c = [0, 0, 0]
-    if lin._code:
-        c[lin._code - 1] = m
-        c[lin._code] = l
-    if one._code:
-        c[one._code - 1] += s
+    if lin:
+        c[lin - 1] = m
+        c[lin] = l
+    if one:
+        c[one - 1] += s
     return Poly(tuple(c))
 
 
-def _inequality_sides(M: SymMatrix, scaled: tuple[int, int, int]) -> tuple[Poly, Poly]:
-    """Denominator-cleared sides of the alternation inequality at one sample,
-    given as its row of _SCALED_PAIRS."""
-    (e00, e01), (e10, e11) = M.entries
-    return _side(e01, e11, *scaled), _side(e00, e10, *scaled)
+# _SIDES[3*lin + one][k]: the denominator-cleared side of the alternation
+# inequality for the column (lin, one) at the k-th sample pair
+_SIDES = tuple(tuple(_side(code, *scaled) for scaled in _SCALED_PAIRS) for code in range(9))
 
 
 def find_failing_sample(M: SymMatrix) -> tuple[Fraction, Fraction] | None:
@@ -160,12 +166,14 @@ def find_failing_sample(M: SymMatrix) -> tuple[Fraction, Fraction] | None:
 
     Sides already tested at an earlier (lam, mu) held there and are skipped."""
     _require_2x2(M)
+    e00, e01, e10, e11 = _codes(M)
+    lefts, rights = _SIDES[3 * e01 + e11], _SIDES[3 * e00 + e10]
     tested = set()
-    for pair, scaled in zip(LAMBDA_MU_PAIRS, _SCALED_PAIRS):
-        sides = _inequality_sides(M, scaled)
+    for pair, f, g in zip(LAMBDA_MU_PAIRS, lefts, rights):
+        sides = f.coeffs, g.coeffs
         if sides in tested:
             continue
-        if not interleaves(*sides):
+        if not interleaves(f, g):
             return pair
         tested.add(sides)
     return None
@@ -274,34 +282,43 @@ SEVEN_GENERATORS = tuple(
 )
 
 
-def _row_times_col(a0: int, a1: int, b0: int, b1: int) -> Entry | None:
+def _row_times_col(a0: int, a1: int, b0: int, b1: int) -> int | None:
     # each nonzero term a*b is x^e with coefficient 1, so no sum cancels: it
     # stays in the alphabet iff at most one term is nonzero, with e <= 1
     exponents = [(a - 1) + (b - 1) for a, b in ((a0, b0), (a1, b1)) if a and b]
     if not exponents:
-        return Entry.ZERO
+        return 0
     if len(exponents) == 1 and exponents[0] <= 1:
-        return (Entry.ONE, Entry.X)[exponents[0]]
+        return exponents[0] + 1
     return None
 
 
-# a0*b0 + a1*b1 at index 27*a0 + 9*a1 + 3*b0 + b1 of entry codes, None off the alphabet
+# the code of a0*b0 + a1*b1 at index 27*a0 + 9*a1 + 3*b0 + b1 of entry codes,
+# None off the alphabet
 _ROW_TIMES_COL = tuple(
     _row_times_col(*codes) for codes in itertools.product(range(3), repeat=4)
 )
 
+# the member of each entry code
+_ENTRIES = tuple(Entry)
 
-def _symbolic_product(A: SymMatrix, B: SymMatrix) -> SymMatrix | None:
-    """2x2 matrix product, kept only if every entry is 0, 1 or x."""
-    (a00, a01), (a10, a11) = A.entries
-    (b00, b01), (b10, b11) = B.entries
-    row0, row1 = 27 * a00._code + 9 * a01._code, 27 * a10._code + 9 * a11._code
-    col0, col1 = 3 * b00._code + b10._code, 3 * b01._code + b11._code
+
+def _from_codes(codes: tuple[int, int, int, int]) -> SymMatrix:
+    """The 2x2 matrix of four entry codes, row by row."""
+    a, b, c, d = (_ENTRIES[k] for k in codes)
+    return SymMatrix(((a, b), (c, d)))
+
+
+def _code_product(A: tuple[int, ...], B: tuple[int, ...]) -> tuple[int, ...] | None:
+    """2x2 product on entry codes, row by row, kept only if every entry is
+    0, 1 or x."""
+    a00, a01, a10, a11 = A
+    b00, b01, b10, b11 = B
+    row0, row1 = 27 * a00 + 9 * a01, 27 * a10 + 9 * a11
+    col0, col1 = 3 * b00 + b10, 3 * b01 + b11
     t = _ROW_TIMES_COL
-    entries = ((t[row0 + col0], t[row0 + col1]), (t[row1 + col0], t[row1 + col1]))
-    if None in entries[0] or None in entries[1]:
-        return None
-    return SymMatrix(entries)
+    p = (t[row0 + col0], t[row0 + col1], t[row1 + col0], t[row1 + col1])
+    return None if None in p else p
 
 
 def generator_closure() -> frozenset[SymMatrix]:
@@ -310,22 +327,23 @@ def generator_closure() -> frozenset[SymMatrix]:
     Products with entries outside the alphabet are discarded and never used as
     multiplicands; the generators themselves are members.  Each ordered pair
     of members is multiplied exactly once: a member is multiplied with itself
-    and with every earlier member, both ways round, when its turn comes.
+    and with every earlier member, both ways round, when its turn comes.  The
+    walk runs on entry codes, and the members become matrices at the end.
     """
-    members = list(SEVEN_GENERATORS)
+    members = [_codes(G) for G in SEVEN_GENERATORS]
     known = set(members)
 
-    def keep(p: SymMatrix | None) -> None:
+    def keep(p: tuple[int, ...] | None) -> None:
         if p is not None and p not in known:
             known.add(p)
             members.append(p)
 
     for k, a in enumerate(members):  # also walks the members appended on the way
         for b in members[:k]:
-            keep(_symbolic_product(a, b))
-            keep(_symbolic_product(b, a))
-        keep(_symbolic_product(a, a))
-    return frozenset(members)
+            keep(_code_product(a, b))
+            keep(_code_product(b, a))
+        keep(_code_product(a, a))
+    return frozenset(map(_from_codes, members))
 
 
 def preserves_check(G: SymMatrix) -> bool:

@@ -924,25 +924,28 @@ def interleaves(f: Poly, g: Poly) -> bool:
     return terms is not None and is_real_rooted(terms[-1])
 
 
-def _first_bad_pair(fs) -> tuple[int, int] | None:
+def _first_bad_pair(fs, decided) -> tuple[int, int] | None:
     """The row-order pair walk: the first (k, l) with k < l for which
     fs[k] << fs[l] is false, or None when every pair interleaves.  It names
     the first bad pair of a sequence that ``_interlacing`` has failed, and
-    decides a sequence with a negative leading coefficient."""
+    decides a sequence with a negative leading coefficient.  A pair in
+    ``decided``, a map from (k, l) to its verdict, is not decided again."""
     for k, f in enumerate(fs):
         for l in range(k + 1, len(fs)):
-            if not interleaves(f, fs[l]):
+            holds = decided.get((k, l))
+            if not (interleaves(f, fs[l]) if holds is None else holds):
                 return k, l
     return None
 
 
-def _interlacing(fs) -> bool:
+def _interlacing(fs, decided) -> bool:
     """True iff fs[k] << fs[l] for every k < l.  When every nonzero member
     has a positive leading coefficient, the r nonzero members f_1, ..., f_r
-    take r calls: the neighbour pairs and the closing pair (f_1, f_r).  Each
-    is a pair (k, l) with k < l, so a False is a pair that the walk fails
-    too.  Otherwise ``_first_bad_pair`` decides, which raises where it meets
-    a negative leading coefficient and returns wherever it fails first.
+    take r calls: the neighbour pairs and the closing pair (f_1, f_r), in
+    the walk's row order, each verdict kept in ``decided``.  Each is a pair
+    (k, l) with k < l, so a False is a pair that the walk fails too.
+    Otherwise ``_first_bad_pair`` decides, which raises where it meets a
+    negative leading coefficient and returns wherever it fails first.
 
     The rule for nonzero f, g with positive leading coefficients: f << g
     iff both are real-rooted, deg g - 1 <= deg f <= deg g, and the roots
@@ -978,31 +981,36 @@ def _interlacing(fs) -> bool:
     """
     nonzero = [k for k, f in enumerate(fs) if f.coeffs]
     if any(fs[k].coeffs[-1] < 0 for k in nonzero):
-        return _first_bad_pair(fs) is None
+        return _first_bad_pair(fs, decided) is None
     if len(nonzero) == 1 < len(fs):  # one nonzero member, and zeros
-        k, l = sorted((nonzero[0], next(i for i, f in enumerate(fs) if not f.coeffs)))
-        return interleaves(fs[k], fs[l])
-    pairs = list(zip(nonzero, nonzero[1:]))
-    if len(nonzero) > 2:
-        pairs.append((nonzero[0], nonzero[-1]))
-    return all(interleaves(fs[k], fs[l]) for k, l in pairs)
+        pairs = [tuple(sorted((nonzero[0], next(i for i, f in enumerate(fs) if not f.coeffs))))]
+    else:
+        pairs = list(zip(nonzero, nonzero[1:]))
+        if len(nonzero) > 2:  # the closing pair, in the walk's row order
+            pairs.insert(1, (nonzero[0], nonzero[-1]))
+    for k, l in pairs:
+        decided[k, l] = holds = interleaves(fs[k], fs[l])
+        if not holds:
+            return False
+    return True
 
 
 def _fplus_fault(fs) -> tuple[str, tuple[int, ...]] | None:
     """The first fault against F+ (interlacing, nonnegative coefficients):
     ("negative_coefficient", (k,)) for the first member with a negative
     coefficient, or else ("not_interleaving", (k, l)) for the walk's first
-    bad pair, sought only once ``_interlacing`` has failed; None for a
-    member of F+."""
+    bad pair, sought only once ``_interlacing`` has failed, by a walk that
+    decides no pair twice; None for a member of F+."""
     for k, p in enumerate(fs):
         if any(c < 0 for c in p.coeffs):
             return "negative_coefficient", (k,)
-    return None if _interlacing(fs) else ("not_interleaving", _first_bad_pair(fs))
+    decided = {}
+    return None if _interlacing(fs, decided) else ("not_interleaving", _first_bad_pair(fs, decided))
 
 
 def is_interlacing_seq(fs) -> bool:
     """True iff fs[i] interleaves fs[j] for every i < j (vacuously true for len <= 1)."""
-    return _interlacing(_listed(fs, "fs", Poly))
+    return _interlacing(_listed(fs, "fs", Poly), {})
 
 
 def in_fplus(fs) -> bool:

@@ -169,7 +169,12 @@ def _word_stream(
     n: int, r: int, trans: list[list[int]] | _Rows, closed: bool
 ) -> Iterator[Word]:
     """The one enumerator: the admissible words in lexicographic order, by an
-    odometer whose its[k] runs over the letters that may follow word[k]."""
+    odometer whose its[k] runs over the letters that may follow word[k].
+
+    Every letter comes from a transition row, so it lies in range(r) and the
+    word is valid by construction: each Word is filled in directly, without
+    the check of ``Word.__post_init__``."""
+    new, put = object.__new__, object.__setattr__
     word = [0] * (n + 1)
     its = [iter(trans[0])]
     while its:
@@ -182,7 +187,10 @@ def _word_stream(
             its.append(iter(trans[c]))
         elif not closed or c == 0:
             word[pos] = c
-            yield Word(tuple(word), r)
+            w = new(Word)
+            put(w, "letters", tuple(word))  # as the frozen dataclass's __init__ sets it
+            put(w, "alphabet_size", r)
+            yield w
 
 
 # the walker places at most the last _TAIL letters of each word from a table, not by recursion

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -334,6 +335,23 @@ def test_matrix_closure(capsys):
     assert obj["result"]["contained"] is True
     assert obj["result"]["equals_allowed"] is True
     assert len(obj["result"]["members"]) == 40
+
+
+@pytest.mark.parametrize("argv,keep", [
+    (["--r", "3", "--n", "7"], lambda ls: True),
+    (["--r", "4", "--n", "4", "--closed"], lambda ls: ls[-1] == 0),
+    (["--r", "4", "--n", "5", "--gamma", "1,2,2,1"],
+     lambda ls: all(abs(b - a) > (1, 2, 2, 1)[b] for a, b in zip(ls, ls[1:]))),
+])
+def test_words_list_is_every_admissible_word(capsys, argv, keep):
+    # the listed words, text and JSON, against a filter of every letter tuple
+    r, n = int(argv[1]), int(argv[3])
+    want = [",".join(map(str, ls)) for ls in itertools.product(range(r), repeat=n + 1)
+            if ls[0] == 0 and all(a != b for a, b in zip(ls, ls[1:])) and keep(ls)]
+    code, out, _ = run_cli(capsys, "words", *argv, "--list")
+    assert code == 0 and out.splitlines() == want
+    code, out, _ = run_cli(capsys, "--json", "words", *argv, "--list")
+    assert code == 0 and json.loads(out)["result"] == want
 
 
 def test_words_list_and_polys(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -163,6 +164,43 @@ def test_integer_weights_give_the_conic_combination():
             assert all(isinstance(c, Fraction) for c in w.weights)
             assert w.combination == conic_combination(w.weights, (f, g))
     assert failures >= 3
+
+
+@st.composite
+def _combination_inputs(draw):
+    """(f, g, h, (a, b)): coefficient lists of any lengths, negative and huge
+    entries allowed.  The top terms of f and g may cancel at the cleared
+    weight pair (a, b), down to a zero combination."""
+    a, b = draw(st.sampled_from(compat._CLEARED_PAIRS))
+    coeff = st.integers(-2**70, 2**70)
+    f, g, h = (draw(st.lists(coeff, max_size=7)) for _ in range(3))
+    cancel = draw(st.integers(0, len(f)))
+    if cancel:
+        g = (g + [0] * len(f))[:len(f)]
+        for i in range(len(f) - cancel, len(f)):
+            f[i], g[i] = b * f[i], -a * f[i]  # a*f[i] + b*g[i] == 0
+    return f, g, h, (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_combination_inputs())
+def test_one_pass_combination_equals_poly_arithmetic(inputs):
+    f, g, h, (a, b) = inputs
+    f, g, h = Poly(f), Poly(g), Poly(h)
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:  # every combination, each taken as real-rooted
+        mp.setattr(compat, "is_real_rooted", lambda p: seen.append(p) or True)
+        assert compatible_pair_sampled(f, g, unchecked=True).status == PASS_SAMPLED
+    want = [c1 * f + c2 * g for c1, c2 in compat._CLEARED_PAIRS]
+    assert seen == (want[:1] if f == g else want)
+    assert all(p.coeffs[-1] for p in seen if p.coeffs)  # canonical
+    assert conic_combination((a, b), (f, g)) == a * f + b * g
+    ws = (Fraction(a, 3), Fraction(b, 7), Fraction(5, 2))
+    den = math.lcm(*(w.denominator for w in ws))
+    ref = ZERO
+    for w, p in zip(ws, (f, g, h)):
+        ref = ref + int(w * den) * p
+    assert conic_combination(ws, (f, g, h)) == ref
 
 
 def test_sampling_grids_are_the_documented_constants():

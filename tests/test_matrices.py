@@ -191,9 +191,14 @@ def _reference_sides(M, lam, mu):
     return left, right
 
 
-def test_symbolic_product_matches_poly_arithmetic_on_all_pairs():
-    from interlace.matrices import _symbolic_product
+def _symbolic_product(A, B):
+    """The code-level product of two 2x2 matrices, as a matrix: None when an
+    entry leaves the alphabet."""
+    p = matrices._code_product(matrices._codes(A), matrices._codes(B))
+    return None if p is None else matrices._from_codes(p)
 
+
+def test_symbolic_product_matches_poly_arithmetic_on_all_pairs():
     every = all_2x2_matrices()
     for A, B in itertools.product(every, repeat=2):
         assert _symbolic_product(A, B) == _reference_product(A, B), (A, B)
@@ -204,24 +209,32 @@ def test_worklist_closure_matches_the_naive_fixpoint():
 
 
 def test_closure_multiplies_each_ordered_pair_once(monkeypatch):
+    # the walk runs on entry codes, so the spy sits on the code-level product
     calls = []
-    product = matrices._symbolic_product
+    product = matrices._code_product
 
     def counted(A, B):
         calls.append((A, B))
         return product(A, B)
 
-    monkeypatch.setattr(matrices, "_symbolic_product", counted)
+    monkeypatch.setattr(matrices, "_code_product", counted)
     closure = generator_closure()
+    codes = [matrices._codes(M) for M in closure]
     assert len(calls) == len(closure) ** 2 == 1600
-    assert set(calls) == set(itertools.product(closure, repeat=2))
+    assert set(calls) == set(itertools.product(codes, repeat=2))
 
 
 def test_integer_sides_match_the_fraction_formula():
+    # the side table at every (matrix, sample) point: 81 x 27
     assert len(matrices._SCALED_PAIRS) == len(LAMBDA_MU_PAIRS) == 27
+    assert len(matrices._SIDES) == 9
     for M in all_2x2_matrices():
-        for (lam, mu), scaled in zip(LAMBDA_MU_PAIRS, matrices._SCALED_PAIRS):
-            assert matrices._inequality_sides(M, scaled) == _reference_sides(M, lam, mu)
+        (e00, e01), (e10, e11) = M.entries
+        lefts = matrices._SIDES[3 * e01._code + e11._code]
+        rights = matrices._SIDES[3 * e00._code + e10._code]
+        assert len(lefts) == len(rights) == 27
+        for (lam, mu), f, g in zip(LAMBDA_MU_PAIRS, lefts, rights):
+            assert (f, g) == _reference_sides(M, lam, mu)
 
 
 def test_failing_sample_matches_the_reference_on_all_81():
@@ -250,8 +263,6 @@ def test_sampled_test_calls_interleaves_at_every_untested_sample(monkeypatch):
 
 def test_closure_closed_under_admissible_products():
     # any product of two allowed matrices that stays inside the alphabet is allowed
-    from interlace.matrices import _symbolic_product
-
     allowed = set(classify_all_2x2().allowed)
     for A, B in itertools.product(allowed, repeat=2):
         P = _symbolic_product(A, B)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from interlace import polys, realroots
@@ -1764,32 +1764,51 @@ def _outcome(fn, fs):
     return value, calls
 
 
-def _shortcut_calls(fs):
-    """The (f, g) pairs that ``realroots._interlacing`` hands to interleaves
-    on a sequence whose nonzero members all have positive leading
-    coefficients, in order, up to the first that fails: the neighbour pairs
-    of the nonzero members, then (first, last) when there are three or
-    more; a lone nonzero member goes with the first 0 around it."""
+def _shortcut_pairs(fs):
+    """The index pairs (k, l) that ``realroots._interlacing`` hands to
+    interleaves on a sequence whose nonzero members all have positive
+    leading coefficients, in order, up to the first that fails: the
+    neighbour pairs of the nonzero members and, when there are three or
+    more, (first, last), all in row order; a lone nonzero member goes with
+    the first 0 around it."""
     nonzero = [k for k, f in enumerate(fs) if not f.is_zero]
     zeros = [k for k, f in enumerate(fs) if f.is_zero]
-    pairs = list(zip(nonzero, nonzero[1:]))
+    pairs = set(zip(nonzero, nonzero[1:]))
     if len(nonzero) > 2:
-        pairs.append((nonzero[0], nonzero[-1]))
+        pairs.add((nonzero[0], nonzero[-1]))
+    pairs = sorted(pairs)
     if len(nonzero) == 1 and zeros:
         pairs = [tuple(sorted((nonzero[0], zeros[0])))]
-    calls = []
+    decided = []
     for k, l in pairs:
-        calls.append((fs[k], fs[l]))
+        decided.append((k, l))
         if not interleaves(fs[k], fs[l]):
             break
-    return calls
+    return decided
+
+
+def _walk_pairs(fs):
+    """The index pairs of the row-order walk alone, up to its first bad pair."""
+    pairs = []
+    for k in range(len(fs)):
+        for l in range(k + 1, len(fs)):
+            pairs.append((k, l))
+            if not interleaves(fs[k], fs[l]):
+                return pairs
+    return pairs
+
+
+def _shortcut_calls(fs):
+    """The (f, g) pairs of ``_shortcut_pairs``."""
+    return [(fs[k], fs[l]) for k, l in _shortcut_pairs(fs)]
 
 
 def _check_walk(fs):
     """Same verdict and first fault as the double loops.  A negative leading
     coefficient keeps the row-order walk, call for call; otherwise a verdict
     makes the shortcut's calls, and a fault of F+ makes them and then, on a
-    FAIL, the walk's calls, which name the first bad pair."""
+    FAIL, the walk's calls on the pairs the shortcut did not decide, which
+    name the first bad pair."""
     verdict = _outcome(is_interlacing_seq, fs)
     reference = _outcome(_reference_is_interlacing_seq, fs)
     assert verdict[0] == reference[0]
@@ -1803,8 +1822,10 @@ def _check_walk(fs):
     if any(c < 0 for f in fs for c in f.coeffs):
         assert fault == reference_fault  # the coefficient scan decides, with no call
     else:
-        walk = reference_fault[1] if fault[0] is not None else []
-        assert fault[1] == _shortcut_calls(fs) + walk
+        shortcut = _shortcut_pairs(fs)
+        walk = [(k, l) for k, l in _walk_pairs(fs) if (k, l) not in shortcut] \
+            if fault[0] is not None else []
+        assert fault[1] == [(fs[k], fs[l]) for k, l in shortcut + walk]
     assert _outcome(in_fplus, fs) == (fault[0] is None, fault[1])
     return verdict[0]
 
@@ -1889,8 +1910,28 @@ def test_planted_sequences(fs, verdict):
         assert realroots._fplus_fault(fs)[0] == "not_interleaving"
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.lists(st.integers(-4, 0), max_size=3).map(product_of_roots),
+                          st.sampled_from([ZERO, Poly((1, 0, 1)), Poly((1, 2, 1))])),
+                min_size=2, max_size=6))
+@example([Poly((1, 1)), X, Poly((2, 1)), Poly((2, 1))])
+def test_a_fail_decides_each_pair_once(fs):
+    # the calls of a FAIL: the walk alone's, plus the shortcut's pairs that lie
+    # after the first bad pair, which it decided before it failed.  In the
+    # example the walk alone fails at (0, 2) after 2 calls, but the shortcut
+    # fails first at the closing pair (0, 3), so the FAIL takes 3
+    fault, calls = _outcome(realroots._fplus_fault, fs)
+    assume(fault is not None)
+    walk, shortcut = _walk_pairs(fs), _shortcut_pairs(fs)
+    assert fault == ("not_interleaving", walk[-1])
+    late = [pair for pair in shortcut if pair > walk[-1]]
+    assert len(calls) == len(set(walk) | set(shortcut)) == len(walk) + len(late)
+    if walk[-1] in shortcut:
+        assert late == [] and len(calls) == len(walk)
+
+
 def test_e_vector_of_10_40_takes_10_interleaves_calls():
     E = list(e_vector(10, 40).polys)
     verdict, calls = _outcome(is_interlacing_seq, E)
     assert verdict is True and len(calls) == 10
-    assert calls == [(E[i], E[i + 1]) for i in range(9)] + [(E[0], E[9])]
+    assert calls == [(E[0], E[1]), (E[0], E[9])] + [(E[i], E[i + 1]) for i in range(1, 9)]

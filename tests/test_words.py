@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from itertools import product
 
@@ -41,6 +42,21 @@ def test_word_accepts_exactly_the_letters_in_its_alphabet():
                     Word(letters, size)
     with pytest.raises(BadParametersError, match="at least one letter"):
         Word((), 3)
+
+
+def test_streamed_words_are_the_words_the_checked_constructor_builds():
+    # the stream fills each Word in without the check, and every streamed word
+    # equals the one the checked constructor builds (whose check the test
+    # above pins)
+    streams = [enumerate_sw_prime(n, r) for r in range(2, 5) for n in range(1, 5)]
+    streams += [enumerate_sw_gamma(4, 4, GammaVector((1, 2, 2, 1)), True)]
+    for stream in streams:
+        for w in stream:
+            checked = Word(w.letters, w.alphabet_size)
+            assert type(w) is Word and vars(w) == vars(checked)
+            assert w == checked and hash(w) == hash(checked) and repr(w) == repr(checked)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.letters = (0,)
 
 
 def test_enumerate_sw_prime_small():
