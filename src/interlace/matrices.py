@@ -209,7 +209,8 @@ def forbidden_pattern(M: SymMatrix) -> PatternVerdict:
          bottom-left 1 -- except [[1,1],[x,x]] and [[x,1],[x,1]];
     IV)  a zero-one matrix with negative determinant;
     V)   x times a zero-one matrix with negative determinant.
-    """
+    IV and V are one rule on the matrices with one symbol besides 0, which
+    names the rule."""
     _require_2x2(M)
     e = M.entries
     for c in (0, 1):
@@ -223,15 +224,12 @@ def forbidden_pattern(M: SymMatrix) -> PatternVerdict:
     anti = e[0][1] is Entry.X and e[1][0] is Entry.ONE
     if (diag_1x or diag_x1 or anti) and e not in _EXCEPTIONS:
         return PatternVerdict(False, "III")
-    flat = [entry for row in e for entry in row]
-    if all(entry in (Entry.ZERO, Entry.ONE) for entry in flat):
-        a, b, c, d = (1 if entry is Entry.ONE else 0 for entry in flat)
-        if a * d - b * c < 0:
-            return PatternVerdict(False, "IV")
-    if all(entry in (Entry.ZERO, Entry.X) for entry in flat):
-        a, b, c, d = (1 if entry is Entry.X else 0 for entry in flat)
-        if a * d - b * c < 0:
-            return PatternVerdict(False, "V")
+    codes = _codes(M)
+    symbols = set(codes) - {0}
+    if len(symbols) == 1:
+        a, b, c, d = (code > 0 for code in codes)
+        if a * d < b * c:
+            return PatternVerdict(False, "IV" if 1 in symbols else "V")
     return PatternVerdict(True)
 
 
@@ -346,15 +344,17 @@ def generator_closure() -> frozenset[SymMatrix]:
     return frozenset(map(_from_codes, members))
 
 
+def _minors(m: int, n: int):
+    """The 2x2 submatrices of an m x n grid as (k, l, i, j), rows k < l and
+    columns i < j, in row order: the one walk of the submatrix tests."""
+    for k, l in itertools.combinations(range(m), 2):
+        for i, j in itertools.combinations(range(n), 2):
+            yield k, l, i, j
+
+
 def preserves_check(G: SymMatrix) -> bool:
     """True iff every 2x2 submatrix is classified allowed by the rule engine."""
-    for k in range(G.rows):
-        for l in range(k + 1, G.rows):
-            for i in range(G.cols):
-                for j in range(i + 1, G.cols):
-                    if not forbidden_pattern(G.submatrix(k, l, i, j)).allowed:
-                        return False
-    return True
+    return all(forbidden_pattern(G.submatrix(*ix)).allowed for ix in _minors(G.rows, G.cols))
 
 
 def ferrers_check(G: SymMatrix) -> bool:
@@ -388,13 +388,7 @@ def minors_nonneg(G) -> bool:
     m, n = len(rows), len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
         raise DimensionMismatchError("ragged rows")
-    for k in range(m):
-        for l in range(k + 1, m):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rows[k][i] * rows[l][j] - rows[k][j] * rows[l][i] < 0:
-                        return False
-    return True
+    return all(rows[k][i] * rows[l][j] >= rows[k][j] * rows[l][i] for k, l, i, j in _minors(m, n))
 
 
 @dataclass(frozen=True)

@@ -238,14 +238,15 @@ def count_real_roots(f: Poly, lo=None, hi=None) -> int:
     line the count needs no squarefree part: by the generalised Sturm theorem
     the sign variations of the remainder sequence of (h, h') between -inf and
     +inf count the distinct real roots of h, here f with the x^k factor
-    stripped.
+    stripped.  That is the distinct of the chain's counter
+    (``_chain_counter``), which never folds, so the count shares no code with
+    the fold's.
     """
     if _typed(f, "f").is_zero:
         raise ZeroPolynomialError("root counting requires a nonzero polynomial")
     if lo is None and hi is None:
         h, k = _strip_x(f)
-        chain = SturmChain(tuple(_remainder_sequence(h, poly_derivative(h))))
-        return chain.count_in(None, None) + (k > 0)
+        return _chain_counter(h)[2] + (k > 0)
     lo = None if lo is None else _rational(lo, "lo")
     hi = None if hi is None else _rational(hi, "hi")
     if lo is not None and hi is not None and lo > hi:
@@ -531,6 +532,7 @@ def _chain_counter(p: Poly, verdict: bool = False):
         return None
     chain = None if verdict else SturmChain(terms)
     v_neg = len(terms) - 1 if verdict else chain.variations_at_neg_inf()
+    distinct = v_neg if verdict else v_neg - chain.variations_at_pos_inf()
 
     def count(num: int, den: int) -> int | None:
         nonlocal chain
@@ -538,7 +540,7 @@ def _chain_counter(p: Poly, verdict: bool = False):
         v = chain.variations_at(num, den, True)
         return None if v is None else v_neg - v
 
-    return terms[-1], count, v_neg if verdict else chain.count_in(None, None), _rational_root_in
+    return terms[-1], count, distinct, _rational_root_in
 
 
 def _fold_counter(p: Poly):
@@ -618,7 +620,7 @@ def _fold_counter(p: Poly):
     def count(num: int, den: int) -> int | None:
         nonlocal ivs
         if ivs is None:
-            ivs = (_isolate(q, count_q, None)[1] if proof is None
+            ivs = (_isolate(q, count_q, None) if proof is None
                    else [_narrowed(q, gap, w, proof[2]) for gap, w in zip(*proof[:2])])
         if num == 0:
             return neg
@@ -649,22 +651,24 @@ def _fold_counter(p: Poly):
     return count, neg + 2 * (n - below_2), probe
 
 
-def _isolate(p: Poly, count, probe, zero_root: bool = False
-             ) -> tuple[list[Fraction], list[tuple[int, int, int, int]]]:
-    """Exact rational roots and open isolating intervals for the roots of a
-    squarefree p with p(0) != 0 and lead(p) > 0, plus the exact root 0 when
-    zero_root.
+def _isolate(p: Poly, count, probe, zero_root: bool = False) -> list[tuple[int, int, int, int]]:
+    """The leaves of the one tree over the roots of a squarefree p with
+    p(0) != 0 and lead(p) > 0, ascending on the integer grid: an open
+    isolating interval (a/den, b/den) as (a, b, den, s_a), with s_a the
+    sign of p at a/den, and a rational root c/L as the point (c, c, L, 0).
+    With zero_root, 0 is a root of the caller's polynomial, and no leaf
+    holds it.
 
     count(num, den) is the number of distinct real roots of p below num/den
     (den > 0), None exactly at the roots, whoever produced it: a chain
     (``_chain_counter``) or the fold of a palindrome (``_fold_counter``).
     probe(p, a, b, den, s_a) returns the root of p in a leaf if it is
     rational, else None: the grid probe ``_rational_root_in``, or the
-    rational roots of the fold; with no probe, every root gets an interval.
+    rational roots of the fold; with no probe, every leaf is an interval.
     Either drives the one tree: the Cauchy bound (-B, B), midpoint splits
     moved off the roots of p towards a, a stop at one root, the probe and
-    the halving of a leaf off the root 0, so the certificate does not depend
-    on the counter.
+    the halving of a leaf off the root 0, so the leaves do not depend on
+    the counter.
 
     The tree runs on the integer grid: an interval is (a, b, den, c_a, c_b)
     for (a/den, b/den) with the counts at its ends, so a split counts at
@@ -672,18 +676,17 @@ def _isolate(p: Poly, count, probe, zero_root: bool = False
     halving off the root 0, which keeps the half where the count changes:
     the tree takes no sign of p.  p is squarefree with the sign
     s_neg = (-1)^deg p at -B, so its sign at a non-root t is
-    s_neg (-1)^(c(t) - c(-B)); complex roots change no sign.
-    Interval ends are never roots, and the intervals, (a, b, den, s_a) with
-    s_a the sign of p at a/den, come out in ascending order.
+    s_neg (-1)^(c(t) - c(-B)); complex roots change no sign.  Interval ends
+    are never roots, and the left half is taken first, so the leaves come
+    out in ascending order.
     """
-    points = [Fraction(0)] if zero_root else []
     if p.degree < 1:
-        return points, []
+        return []
     bound = _root_bound(p)
     s_neg = -1 if p.degree % 2 else 1  # no root at or below -B
     c_neg = count(-bound, 1)
     stack = [(-bound, bound, 1, c_neg, count(bound, 1))]
-    intervals = []
+    leaves = []
     while stack:
         a, b, den, c_a, c_b = stack.pop()
         n = c_b - c_a
@@ -691,7 +694,7 @@ def _isolate(p: Poly, count, probe, zero_root: bool = False
             s_a = -s_neg if (c_a - c_neg) % 2 else s_neg
             root = probe(p, a, b, den, s_a) if probe else None
             if root is not None:
-                points.append(root)
+                leaves.append((root.numerator, root.numerator, root.denominator, 0))
                 continue
             # 0 is a root of the caller's polynomial: halve the leaf off it by
             # the count, which keeps c_a and s_a at the left end; its root is
@@ -699,7 +702,7 @@ def _isolate(p: Poly, count, probe, zero_root: bool = False
             while zero_root and a <= 0 <= b:
                 mid, den = a + b, 2 * den
                 a, b = (mid, 2 * b) if count(mid, den) == c_a else (2 * a, mid)
-            intervals.append((a, b, den, s_a))
+            leaves.append((a, b, den, s_a))
         elif n > 1:
             # split where p is nonzero, halving towards a; p has finitely
             # many roots, so this ends
@@ -710,7 +713,7 @@ def _isolate(p: Poly, count, probe, zero_root: bool = False
                 c_mid = count(mid, d)
             stack.append((mid, b * (d // den), d, c_mid, c_b))
             stack.append((lo, mid, d, c_a, c_mid))
-    return points, intervals
+    return leaves
 
 
 def _multiplicity(k: int, levels: list[Poly], lo: Fraction, hi: Fraction) -> int:
@@ -748,19 +751,15 @@ def isolate_roots(f: Poly) -> RootCertificate:
 
 
 def _certificate(r: _Roots) -> RootCertificate:
-    """The certificate of ``isolate_roots`` from the root record r of f."""
+    """The certificate of ``isolate_roots`` from the root record r of f: the
+    leaves of the tree, with the exact root 0 of f after those below 0."""
     p, *levels = _levels(r)
-    points, intervals = _isolate(p, r.count, r.probe, r.k > 0)
-    points.sort()  # the leaves' roots come ascending, the root 0 first
-    records, i = [], 0
-    for a, b, den, _ in intervals:  # merged on the grid: no point is inside
-        while i < len(points) and points[i].numerator * den < a * points[i].denominator:
-            records.append((points[i], points[i]))
-            i += 1
-        records.append((Fraction(a, den), Fraction(b, den)))
-    records += [(x, x) for x in points[i:]]
+    leaves = _isolate(p, r.count, r.probe, r.k > 0)
+    if r.k:
+        leaves.insert(sum(a < 0 for a, *_ in leaves), (0, 0, 1, 0))
+    ends = ((Fraction(a, den), Fraction(b, den)) for a, b, den, _ in leaves)
     return RootCertificate(tuple(RootInterval(lo, hi, _multiplicity(r.k, levels, lo, hi))
-                                 for lo, hi in records))
+                                 for lo, hi in ends))
 
 
 def _bisect_once(p: Poly, a: int, b: int, den: int, v_a: int, v_b: int
