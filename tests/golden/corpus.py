@@ -27,6 +27,7 @@ the first input whose digest differs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -114,22 +115,33 @@ def _answer(call):
         return f"error: {type(exc).__name__}"
 
 
-def _root_record(f: Poly) -> list:
+def _root_digest(f: Poly) -> str:
     cert = _answer(lambda: isolate_roots(f))
-    refined = _answer(lambda: refine_certificate(f, cert, WIDTH).to_json_obj()
-                      if not isinstance(cert, str) else cert)
-    return [f.to_string(), _answer(lambda: is_real_rooted(f)), _answer(lambda: count_real_roots(f)),
-            cert if isinstance(cert, str) else cert.to_json_obj(), refined]
+    refined = (cert if isinstance(cert, str)
+               else _answer(lambda: refine_certificate(f, cert, WIDTH).to_json_obj()))
+    return _hash([f.to_string(), _answer(lambda: is_real_rooted(f)),
+                  _answer(lambda: count_real_roots(f)),
+                  cert if isinstance(cert, str) else cert.to_json_obj(), refined])
+
+
+def _pair_digest(f: Poly, g: Poly) -> str:
+    return _hash([f.to_string(), g.to_string(),
+                  _answer(lambda: interleaves(f, g)), _answer(lambda: interleaves(g, f))])
 
 
 def _hash(record) -> str:
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16]
 
 
+def cases():
+    """(name, digest) for every input and pair, in corpus order, each digest
+    a call that computes it."""
+    for name, f in inputs():
+        yield name, functools.partial(_root_digest, f)
+    for name, f, g in pairs():
+        yield name, functools.partial(_pair_digest, f, g)
+
+
 def digests() -> dict[str, str]:
     """The digest of every input and pair, by name, in corpus order."""
-    out = {name: _hash(_root_record(f)) for name, f in inputs()}
-    for name, f, g in pairs():
-        out[name] = _hash([f.to_string(), g.to_string(),
-                           _answer(lambda: interleaves(f, g)), _answer(lambda: interleaves(g, f))])
-    return out
+    return {name: digest() for name, digest in cases()}
