@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import BadParametersError, MalformedVectorError
 from .matrices import Entry, SymMatrix
-from .polys import ONE, ZERO, Poly
+from .polys import ONE, ZERO, Poly, _listed
 from .words import GammaVector, _validate_gamma, _validate_nr
 
 
@@ -41,6 +41,7 @@ class EVector:
 
     def __post_init__(self):
         _validate_nr(self.n, self.r)
+        object.__setattr__(self, "polys", tuple(_listed(self.polys, "polys", Poly)))
         if len(self.polys) != self.r:
             raise BadParametersError("one component per letter required")
         if any(c < 0 for p in self.polys for c in p.coeffs):

@@ -350,7 +350,8 @@ def _typed(value, what: str, kind: type = Poly):
     said otherwise): the one type check of a single value a caller passes
     in, as ``_listed`` is of a sequence."""
     if not isinstance(value, kind):
-        raise BadParametersError(f"{what} must be a {kind.__name__}, got {value!r}")
+        article = "an" if kind.__name__[0] in "aeiou" else "a"
+        raise BadParametersError(f"{what} must be {article} {kind.__name__}, got {value!r}")
     return value
 
 

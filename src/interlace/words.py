@@ -35,7 +35,7 @@ from itertools import chain
 from typing import Iterator
 
 from .errors import BadParametersError, BudgetExceededError, InvalidGammaError
-from .polys import Poly
+from .polys import Poly, _listed, _typed
 
 DEFAULT_BUDGET = 10**8
 
@@ -53,6 +53,8 @@ class Word:
     alphabet_size: int
 
     def __post_init__(self):
+        object.__setattr__(self, "letters", tuple(_listed(self.letters, "letters", int)))
+        _typed(self.alphabet_size, "alphabet_size", int)
         if len(self.letters) < 1:
             raise BadParametersError("a word has at least one letter")
         if min(self.letters) < 0 or max(self.letters) >= self.alphabet_size:
@@ -79,7 +81,8 @@ class GammaVector:
     gamma: tuple[int, ...]
 
     def __post_init__(self):
-        g = self.gamma
+        g = tuple(_listed(self.gamma, "gamma"))
+        object.__setattr__(self, "gamma", g)
         r = len(g)
         if r < 2:
             raise InvalidGammaError("profile needs at least two entries")

@@ -193,6 +193,29 @@ def test_gamma_validation():
         GammaVector((0,))
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: edgewise.EVector(3, 1, (1, 2, 3)), BadParametersError, "polys must hold Polys, got 1"),
+    (lambda: edgewise.EVector(2, 1, 5), BadParametersError, "polys must be iterable"),
+    (lambda: Word((0, "a"), 2), BadParametersError, "letters must hold ints, got 'a'"),
+    (lambda: Word("01", 2), BadParametersError, "letters must be a sequence"),
+    (lambda: Word((0, 1), "2"), BadParametersError, "alphabet_size must be an int, got '2'"),
+    (lambda: GammaVector(5), BadParametersError, "gamma must be iterable"),
+    (lambda: GammaVector((0, "1")), InvalidGammaError, "entries must lie in"),
+])
+def test_value_types_raise_typed_errors(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_value_types_store_tuples():
+    """A list given to a value type is stored as a tuple, so the value hashes."""
+    assert GammaVector([0, 0]) == GammaVector((0, 0))
+    assert hash(GammaVector([0, 0])) == hash(GammaVector((0, 0)))
+    assert Word([0, 1], 2).letters == (0, 1)
+    v = edgewise.EVector(2, 1, [ZERO, X])
+    assert v.polys == (ZERO, X) and hash(v) == hash(edgewise.EVector(2, 1, (ZERO, X)))
+
+
 def test_gamma_zero_reduces_to_plain_families():
     zeros = GammaVector.zeros(3)
     open_words = [w.letters for w in enumerate_sw_gamma(3, 3, zeros, closed=False)]

@@ -1,10 +1,10 @@
 """The exact checks that CI pins on the installed entry point, run here from
-the source tree: the ``run:`` block of that step in
-``.github/workflows/tests.yml``, under ``bash -e``, with an ``interlace`` on
-PATH that runs ``python -m interlace`` on ``src`` (the ``interlace_env``
-fixture).
+the source tree: ``tests/entry_points.sh``, which the entry-point step of
+``.github/workflows/tests.yml`` runs after ``pip install .``, under
+``bash -e``, with an ``interlace`` on PATH that runs ``python -m interlace``
+on ``src`` (the ``interlace_env`` fixture).
 
-Run as a script, ``python tests/test_workflow.py`` runs the same step once
+Run as a script, ``python tests/test_workflow.py`` runs the same checks once
 under each of ``python3.10`` to ``python3.13`` found on PATH, the versions CI
 tests, and prints one line per interpreter; it exits 0 when at least one ran
 and every one that ran passed.  The script itself needs pytest (it imports
@@ -20,34 +20,19 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 WORKFLOW = REPO / ".github" / "workflows" / "tests.yml"
-STEP = "- name: the installed entry point"
+SCRIPT = REPO / "tests" / "entry_points.sh"
 PYTHONS = [f"python3.{minor}" for minor in range(10, 14)]
 
 
-def _indent(line: str) -> int:
-    return len(line) - len(line.lstrip(" "))
-
-
-def _entry_point_script() -> str:
-    """The ``run: |`` block of the entry-point step, read by indentation: the
-    lines after ``run: |`` indented deeper than ``run:``, without the
-    ``pip install .`` line."""
-    lines = WORKFLOW.read_text().splitlines()
-    step = next(i for i, line in enumerate(lines) if line.strip().startswith(STEP))
-    run = next(i for i in range(step + 1, len(lines)) if lines[i].strip() == "run: |")
-    block = []
-    for line in lines[run + 1:]:
-        if line.strip() and _indent(line) <= _indent(lines[run]):
-            break
-        block.append(line)
-    return "".join(line.strip() + "\n" for line in block if line.strip() != "pip install .")
-
-
 def _run_entry_point_step(cwd, env) -> subprocess.CompletedProcess:
-    """The step under ``bash -e -x``: each command is echoed to stderr, so
+    """The checks under ``bash -e -x``: each command is echoed to stderr, so
     its last line names the command that failed."""
-    return subprocess.run(["bash", "-e", "-x", "-c", _entry_point_script()], cwd=cwd, env=env,
+    return subprocess.run(["bash", "-e", "-x", str(SCRIPT)], cwd=cwd, env=env,
                           capture_output=True, text=True)
+
+
+def test_the_workflow_runs_the_entry_point_script():
+    assert "\n          pip install .\n          bash -e tests/entry_points.sh\n" in WORKFLOW.read_text()
 
 
 def test_entry_point_step_of_the_workflow(tmp_path, interlace_env):
