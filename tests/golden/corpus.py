@@ -3,6 +3,12 @@ digest per input of everything ``interlace.realroots`` answers on it.
 
 The inputs are
 - ``local_h(r, n)`` for r 3-12 and n 4, 7, ..., 40;
+- the boundary family, ``local_h(r, n)`` at (8, 49), (9, 49), (10, 46),
+  (11, 46) and (12, 46), where the geometric means of the fold's root
+  moduli from its Newton polygon do not separate its roots and the guesses
+  of Laguerre's method do, and at (12, 43), where those means do: on every
+  cell of the grid above they do, so these cells hold Laguerre's proof in
+  the corpus;
 - every nonzero component of ``e_vector(r, n)`` for r 3-8 and n 1-16;
 - 200 inputs from a seeded generator: products of rational linear factors
   with multiplicities and a power of x, with complex quadratic factors,
@@ -44,6 +50,9 @@ DIGESTS = Path(__file__).resolve().with_name("digests.json")
 WIDTH = Fraction(1, 2 ** 16)
 SEED = 20161605
 SEEDED = 200
+# local_h cells where the fold's Newton polygon fails and Laguerre proves,
+# and one where the polygon proves
+BOUNDARY = ((8, 49), (9, 49), (10, 46), (11, 46), (12, 46), (12, 43))
 
 # palindromic factors whose folds, y^2 + 1 and y^2 + y + 1, have complex roots
 _COMPLEX_FOLDS = {"x^4+3x^2+1": Poly((1, 0, 3, 0, 1)), "x^4+x^3+3x^2+x+1": Poly((1, 1, 3, 1, 1))}
@@ -83,6 +92,7 @@ def _seeded(rng: random.Random, i: int) -> tuple[str, Poly]:
 def inputs() -> list[tuple[str, Poly]]:
     """(name, polynomial) for every single-polynomial input, in order."""
     out = [(f"local_h({r},{n})", local_h(r, n)) for r in range(3, 13) for n in range(4, 41, 3)]
+    out += [(f"boundary local_h({r},{n})", local_h(r, n)) for r, n in BOUNDARY]
     for r in range(3, 9):
         for n in range(1, 17):
             out += [(f"E({r},{n})[{i}]", p) for i, p in enumerate(e_vector(r, n).polys) if p.coeffs]

@@ -37,6 +37,7 @@ def test_the_root_layer_matches_the_golden_digests():
 def test_the_corpus_covers_each_family():
     names = [name for name, _ in inputs()]
     assert sum(name.startswith("local_h(") and "*" not in name for name in names) == 130
+    assert sum(name.startswith("boundary local_h(") for name in names) == 6
     assert sum(name.startswith("E(") for name in names) == 522
     assert sum(name.startswith("seeded #") for name in names) == 200
 
