@@ -14,10 +14,12 @@ q (an odd d first loses the root -1), and h is real-rooted iff q is
 real-rooted with every |y_i| >= 2.  ``_fold_counter`` owns the fold: when q
 is squarefree with q(+-2) != 0, isolating intervals of q at half the degree
 give the number of real roots of h and drive isolation.  They are the gaps
-between deg q + 1 separators that Laguerre's method guesses in floats and
-exact signs of q prove (``_separators``, the certifying-algorithm pattern),
-and only when that proof fails come from the one chain of (q, q'), by Sturm
-counts and the Sturm tree; no Descartes count is taken.
+between deg q + 1 separators that exact signs of q prove (``_separators``,
+the certifying-algorithm pattern): first the geometric means of the root
+moduli of the Newton polygon of q, then, only when those fail, points
+between the roots that Laguerre's method guesses in floats.  Only when both
+fail do they come from the one chain of (q, q'), by Sturm counts and the
+Sturm tree; no Descartes count is taken.
 
 One root record per polynomial (``_roots``) is the one owner of the choice
 between the fold and the chain, and it has one shape whichever produced
@@ -50,9 +52,10 @@ counted through the fold: y = t + 1/t is monotone on each of (-oo, -1],
 (-1, 0), (0, 1] and (1, oo), so the roots of h below t are a count of the
 roots of q against y, a binary search over isolating intervals of q.  The
 first count narrows the proven gaps to brackets about 2^-29 wide around
-the guessed roots, each proven by two signs of q, so that only a y inside
-a bracket takes a sign of q; on the chain of q it isolates q.  Verdicts
-and refinement need only the number of real roots and do neither.  The
+the roots Laguerre's method guesses, each proven by two signs of q, so
+that only a y inside a bracket takes a sign of q; on the chain of q it
+isolates q.  Verdicts and refinement need only the number of real roots
+and do neither: a fold the polygon proves takes no Laguerre step for them.  The
 probe of a fold finds the rational roots of q in those intervals and maps
 them to those of h, with no sign of h.  Any other h evaluates its
 remainder sequence of (h, h') once per split and once per halving off 0,
@@ -77,6 +80,7 @@ certificate is unchanged.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -343,23 +347,25 @@ def _root_bound(p: Poly) -> int:
     return 1 + (-(-m // an))
 
 
-def _guessed_separators(q: Poly) -> tuple[list[tuple[int, int]], list[float], int] | None:
-    """(points, roots, s): deg q - 1 points num/den, ascending, guessed in
-    floats to separate the roots of q, and the deg q guessed roots w + s,
-    ascending, as floats w; None when a guess does not converge or a float
-    overflows.  Only a guess: ``_separators`` proves or rejects it.
+def _guessed_separators(q: Poly):
+    """Yields (points, roots, s) in up to two stages, each only a guess that
+    ``_separators`` proves or rejects: deg q - 1 points num/den, ascending,
+    guessed to separate the roots of q, the deg q guessed roots w + s of the
+    stage, ascending, as floats w (None for the first stage), and s.
 
     q(y) is first shifted exactly to q(w + s), s = 2 if the roots of q sum
     to more than 0 and s = -2 otherwise: the roots of a fold cluster at 2 or
-    -2, and floats near 0 resolve them where floats near +-2 cannot.
-    Laguerre's method with implicit (Maehly) deflation then finds the roots
-    one by one, each started next to a root modulus of the Newton polygon of
-    log2|c_i|, on the side of s, and evaluates the polynomial in 1/w for
-    |w| > 1, so no power of a root overflows.  It stops when the value is
-    down to rounding noise or a step to 2^-32 of |w|: Laguerre converges
-    cubically, so the step taken is then down to rounding noise too.  Between
-    each two sorted guesses the point is the least multiple of the power of
-    two in (gap/4, gap/2] that lies in the middle half of the gap.
+    -2, and points near 0 in w resolve them where points near +-2 cannot.
+    The upper convex hull of (i, log2|c_i|) over its coefficients, its
+    Newton polygon, gives the root moduli 2^((l_i - l_j)/(j - i)), j - i of
+    them for each edge from (i, l_i) to (j, l_j), ascending: the classic
+    starting values of Aberth-type solvers (Bini, Numer. Algorithms 13,
+    1996).  log2 of an exact int overflows nowhere.  When the hull holds every i, the n
+    moduli differ, and the first stage is the geometric means of each two
+    neighbours, on the side of s, rounded to 8-bit dyadics.  The second is
+    Laguerre's method started at the moduli (``_laguerre``), when it
+    converges, so a caller that stops at a proven first stage never takes a
+    Laguerre step.
     """
     n, cs = q.degree, list(q.coeffs)
     s = 2 if n and cs[-2] < 0 else -2  # the side of the mean root
@@ -372,9 +378,40 @@ def _guessed_separators(q: Poly) -> tuple[list[tuple[int, int]], list[float], in
                                  <= (pt[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
             hull.pop()
         hull.append(pt)
+    if len(hull) == n + 1:
+        moduli = [li - lj for (_, li), (_, lj) in zip(hull, hull[1:])]  # their log2
+        points = []
+        for mean in ((a + b) / 2 for a, b in zip(moduli, moduli[1:])):
+            e = math.floor(mean) - 7
+            num, den = round(2 ** (mean - e)), 1  # 8 bits, times 2^e
+            num, den = (num << e, den) if e >= 0 else (num, den << -e)
+            points.append(((num if s > 0 else -num) + s * den, den))
+        yield (points if s > 0 else points[::-1]), None, s
+    laguerre = _laguerre(cs, hull, s)
+    if laguerre is not None:
+        yield [(a + s * den, den) for a, den in laguerre[0]], laguerre[1], s
+
+
+def _laguerre(cs: list[int], hull: list[tuple[int, float]], s: int
+              ) -> tuple[list[tuple[int, int]], list[float]] | None:
+    """(points, roots): the n = len(cs) - 1 roots w of sum_i cs[i] w^i,
+    ascending, guessed in floats, and between each two a point num/den;
+    None when a guess does not converge or a float overflows.
+
+    Laguerre's method with implicit (Maehly) deflation finds the roots one
+    by one, each started next to a root modulus of the Newton polygon hull,
+    on the side of s, and evaluates the polynomial in 1/w for |w| > 1, so
+    no power of a root overflows.  It stops when the value is down to
+    rounding noise or a step to 2^-32 of |w|: Laguerre converges cubically,
+    so the step taken is then down to rounding noise too.  Between each two
+    sorted guesses the point is the least multiple of the power of two in
+    (gap/4, gap/2] that lies in the middle half of the gap.
+    """
+    n = len(cs) - 1
     found, points = [], []
     try:
-        cs = [float(c) for c in cs]
+        cs = [(c, abs(c)) for c in map(float, cs)]  # each with its size
+        reverse = cs[::-1]
         for (i, li), (j, lj) in zip(hull, hull[1:]):
             for _ in range(i, j):
                 x, m = math.copysign(1.01 * 2 ** ((li - lj) / (j - i)), s), n - len(found)
@@ -382,16 +419,18 @@ def _guessed_separators(q: Poly) -> tuple[list[tuple[int, int]], list[float], in
                     inside = abs(x) <= 1
                     t = x if inside else 1 / x
                     v = dv = ddv = size = 0.0  # p, p', p''/2 and sum |c_i t^i| at t
-                    for c in (reversed(cs) if inside else cs):
+                    at = abs(t)
+                    for c, ac in (reverse if inside else cs):
                         v, dv, ddv = v * t + c, dv * t + v, ddv * t + dv
-                        size = size * abs(t) + abs(c)
+                        size = size * at + ac
                     if abs(v) <= 2 ** -53 * size:  # a root, as far as floats tell
                         break
                     g, r = dv / v, 2 * ddv / v  # p'/p and p''/p at t
                     g, h = (g, g * g - r) if inside else (  # p'/p and -(p'/p)' at x
                         t * (n - t * g), t * t * (n - 2 * t * g - t * t * (r - g * g)))
                     for z in found:
-                        g, h = g - 1 / (x - z), h - 1 / (x - z) ** 2
+                        d = x - z
+                        g, h = g - 1 / d, h - 1 / d ** 2
                     e = max(m * h - g * g, 0.0)  # >= 0 at a real x for real roots
                     step = m / (g + math.copysign(math.sqrt((m - 1) * e), g))
                     x -= step
@@ -406,33 +445,47 @@ def _guessed_separators(q: Poly) -> tuple[list[tuple[int, int]], list[float], in
             points.append((math.ceil((lo + (hi - lo) / 4) / unit) * unit).as_integer_ratio())
     except (OverflowError, ValueError, ZeroDivisionError):
         return None
-    return [(a + s * den, den) for a, den in points], found, s
+    return points, found
 
 
-def _separators(q: Poly) -> tuple[list[tuple[int, int, int, int]], list[float], int] | None:
-    """(gaps, roots, s): the deg q isolating intervals (a, b, den, s_a) of a
-    q with lead(q) > 0, ascending, from separators guessed in floats and
-    proven by exact signs, and the guesses of ``_guessed_separators`` for
-    their roots; None when the guess or the proof fails.
+def _separators(q: Poly):
+    """(gaps, stages): the deg q isolating intervals (a, b, den, s_a) of a q
+    with lead(q) > 0, ascending, from the first stage of
+    ``_guessed_separators`` that exact signs of q prove, and the stages from
+    that one on, for the guesses of the roots; None when none is proven.
 
-    The points are -B (``_root_bound``), the deg q - 1 points of
-    ``_guessed_separators`` and B.  If these n + 1 = deg q + 1 increasing
-    points give n strict sign changes of q, with no zero, then each gap
-    holds one root, so q has n simple real roots.  Only exact signs decide,
-    so no verdict rests on a float (the certifying-algorithm pattern:
-    McConnell, Mehlhorn, Naher and Schweitzer, Comput. Sci. Rev. 5, 2011).
+    The points are -B (``_root_bound``), the n - 1 = deg q - 1 points of a
+    stage and B.  If these n + 1 increasing points give n strict sign
+    changes of q, with no zero, then each gap holds one root, so q has n
+    simple real roots.  No root lies outside (-B, B), so q has the signs
+    (-1)^n at -B and 1 at B, and the changes hold iff q has the sign
+    (-1)^(n-1-i) at inner point i.  The inner points are checked one by one
+    in order of increasing |w| = |y - s|, where the roots of a fold cluster
+    and a wrong stage shows first: the first sign that differs rejects the
+    stage.  Only exact signs decide, so no verdict rests on a float (the
+    certifying-algorithm pattern: McConnell, Mehlhorn, Naher and Schweitzer,
+    Comput. Sci. Rev. 5, 2011).  The points are dyadic, so their
+    denominators divide each other.
     """
-    guess = _guessed_separators(q)
-    if guess is None:
-        return None
-    bound = _root_bound(q)
-    grid = [(a, den, q._sign_at(a, den)) for a, den in [(-bound, 1)] + guess[0] + [(bound, 1)]]
-    gaps = list(zip(grid, grid[1:]))
-    if len(gaps) != q.degree or any(a * db >= b * da or u * v >= 0
-                                    for (a, da, u), (b, db, v) in gaps):
-        return None
-    return [(a * (max(da, db) // da), b * (max(da, db) // db), max(da, db), u)
-            for (a, da, u), (b, db, _) in gaps], guess[1], guess[2]
+    n, bound = q.degree, _root_bound(q)
+    stages = _guessed_separators(q) or ()
+    for stage in stages:
+        points, _, s = stage
+        grid = [(-bound, 1), *points, (bound, 1)]
+        if len(points) != n - 1 or any(a * db >= b * da for (a, da), (b, db) in zip(grid, grid[1:])):
+            continue
+        top = max(den for _, den in grid)
+        far = [abs(a - s * den) * (top // den) for a, den in points]  # |w|, over one denominator
+        for i in sorted(range(n - 1), key=far.__getitem__):
+            if q._sign_at(*points[i]) != (-1) ** (n - 1 - i):
+                break
+        else:
+            gaps = []
+            for i, ((a, da), (b, db)) in enumerate(zip(grid, grid[1:])):
+                den = max(da, db)
+                gaps.append((a * (den // da), b * (den // db), den, (-1) ** (n - i)))
+            return gaps, itertools.chain([stage], stages)
+    return None
 
 
 def _narrowed(q: Poly, gap: tuple[int, int, int, int], w: float, s: int
@@ -564,17 +617,20 @@ def _fold_counter(p: Poly):
 
     The counts come from isolating intervals of q, in y-space: B(y), the
     number of roots of q below y, is ``_below`` over them.  First,
-    ``_separators`` tries to prove deg q + 1 points guessed in floats: then
-    q is squarefree with n = deg q real roots, the gaps between the points
-    are its intervals, and B(+-2) are two binary searches; no remainder
-    sequence is built.  Only when that fails does q take its chain: q
-    qualifies iff the chain ends at a constant, and n, B(2) and B(-2) are
-    read off its counter (``_chain_counter``).  That is all that a verdict and
-    ``refine_certificate`` ask for.  The first count narrows every proven
-    gap to the bracket around its guess (``_narrowed``), or on the chain
-    isolates q, once, by the Sturm tree without a probe.  The values are
-    exact either way, so the tree of p, and its certificate, do not depend
-    on the path.
+    ``_separators`` tries to prove deg q + 1 points, the Newton polygon's
+    and then Laguerre's: then q is squarefree with n = deg q real roots, the
+    gaps between the points are its intervals, and B(+-2) are two binary
+    searches; no remainder sequence is built.  Only when both fail does q
+    take its chain: q qualifies iff the chain ends at a constant, and n,
+    B(2) and B(-2) are read off its counter (``_chain_counter``).  That is
+    all that a verdict and ``refine_certificate`` ask for, so a fold proven
+    by its polygon takes no Laguerre step for them.  The first count takes
+    the roots Laguerre's method guesses (run then, after a polygon proof)
+    and narrows every proven gap to the bracket around its guess
+    (``_narrowed``), or keeps the gaps when Laguerre's method fails; on the
+    chain it isolates q, once, by the Sturm tree without a probe.  The
+    values are exact either way, so the tree of p, and its certificate, do
+    not depend on the path.
 
     Let odd = deg p mod 2 and N = 2 B(-2) + odd.  A t = num/den != 0 maps to
     y = t + 1/t = (num^2 + den^2) / (num den), and q(y) = t^-m g(t) is 0 iff
@@ -604,7 +660,7 @@ def _fold_counter(p: Poly):
     q = q.primitive()
     if j > 1 or (s_m2 := q._sign_at(-2, 1)) == 0 or (s_2 := q._sign_at(2, 1)) == 0:
         return None
-    proof = _separators(q)  # the gaps of q and the guesses in them, if proven
+    proof = _separators(q)  # the gaps of q and the stages of guesses, if proven
     if proof is None:
         gcd, count_q, n, _ = _chain_counter(q)
         if gcd.degree != 0:
@@ -619,9 +675,13 @@ def _fold_counter(p: Poly):
 
     def count(num: int, den: int) -> int | None:
         nonlocal ivs
-        if ivs is None:
-            ivs = (_isolate(q, count_q, None) if proof is None
-                   else [_narrowed(q, gap, w, proof[2]) for gap, w in zip(*proof[:2])])
+        if ivs is None and proof is None:
+            ivs = _isolate(q, count_q, None)
+        elif ivs is None:  # narrowed by the first stage with guessed roots, if any
+            gaps, stages = proof
+            guess = next((stage for stage in stages if stage[1] is not None), None)
+            ivs = gaps if guess is None else [_narrowed(q, gap, w, guess[2])
+                                              for gap, w in zip(gaps, guess[1])]
         if num == 0:
             return neg
         if odd and num == -den:

@@ -729,11 +729,16 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
 
 def test_a_proven_fold_evaluates_q_at_plus_minus_2_once(monkeypatch):
     # the signs of q at +-2 that qualify the fold also place +-2 among the
-    # proven gaps of q: B(+-2) takes no second evaluation there
+    # proven gaps of q: B(+-2) takes no second evaluation there.  The fold
+    # of local_h(10, 60) has degree 24; its Newton polygon's points fail at
+    # their third sign (the smallest log2 gap of its root moduli is 0.62),
+    # and Laguerre's 23 points are proven, with the signs at the Cauchy
+    # bounds -B and B known: 2 + 3 + 23 signs, not the 27 of Laguerre's
+    # proof alone plus at most 3
     h = local_h(10, 60)
     calls = _count_sign_evaluations(monkeypatch)
     assert is_real_rooted(h)
-    assert len(calls) == 27
+    assert len(calls) == 2 + 3 + 23
     assert sorted(c for c in calls if c in ((2, 1), (-2, 1))) == [(-2, 1), (2, 1)]
 
 
@@ -952,6 +957,21 @@ def test_proven_fold_counts_equal_the_chain_fold(pairs, rational, wide, near, mi
     assert json.dumps(isolate_roots(f).to_json_obj()) == json.dumps(expected.to_json_obj())
 
 
+def _forged_points(forge, laguerre=True):
+    """``_guessed_separators`` with the points of the polygon's stage, and
+    with laguerre those of Laguerre's too, replaced by forge."""
+    guess = realroots._guessed_separators
+
+    def forged(q):
+        for points, roots, s in guess(q):
+            yield (points if roots is not None and not laguerre else forge), roots, s
+
+    return forged
+
+
+ABOVE_FLOAT_RANGE = Poly((1 << 1100, (3 << 1100) + 1, 1 << 1100)) * Poly((1, 7, 1))
+
+
 @pytest.mark.parametrize("h, forge", [
     # q = (y + 3)(y + 5)(y + 8): no root between the forged -7 and -6
     (Poly((1, 3, 1)) * Poly((1, 5, 1)) * Poly((1, 8, 1)), [(-7, 1), (-6, 1)]),
@@ -959,8 +979,9 @@ def test_proven_fold_counts_equal_the_chain_fold(pairs, rational, wide, near, mi
     (Poly((1, 3, 1)) * Poly((1, 5, 1)) * Poly((1, 8, 1)), [(-5, 1), (-4, 1)]),
     # q = (2^1100 y + 3 2^1100 + 1)(y + 7) has coefficients above the float
     # range (y - 2^1100 - 1 would do too, but it puts a root of h at about
-    # 2^-1100, 1100 halvings deep)
-    (Poly((1 << 1100, (3 << 1100) + 1, 1 << 1100)) * Poly((1, 7, 1)), None),
+    # 2^-1100, 1100 halvings deep): the polygon proves it, so its point is
+    # forged to -8, below both roots, and Laguerre's method overflows
+    (ABOVE_FLOAT_RANGE, [(-8, 1)]),
     # the roots y = 3 +- 2^-62 of q are closer than 2^-60
     (Poly((1 << 62, -(3 << 62) - 1, 1 << 62)) * Poly((1 << 62, -(3 << 62) + 1, 1 << 62))
      * Poly((1, 7, 1)), None),
@@ -972,12 +993,12 @@ def test_fold_falls_back_to_the_chain_of_q(monkeypatch, h, forge):
     # the separators do not prove q, so the fold takes the chain of q: the
     # same (count, distinct) at every count the tree asks for, and the same
     # verdict and certificate, as with the guess forced to fail; a forged
-    # guess of the separators replaces one that proves q
+    # guess replaces the points of every stage, the polygon's and
+    # Laguerre's, of a q that they prove
     p = h.primitive_positive()
     if forge is not None:
         assert _proven_and_chain_folds(p)[0]
-        guess = realroots._guessed_separators
-        monkeypatch.setattr(realroots, "_guessed_separators", lambda q: (forge,) + guess(q)[1:])
+        monkeypatch.setattr(realroots, "_guessed_separators", _forged_points(forge))
     proven, fold, chain_fold = _proven_and_chain_folds(p)
     assert not proven
     _check_counter(p, fold, chain_fold)
@@ -987,6 +1008,83 @@ def test_fold_falls_back_to_the_chain_of_q(monkeypatch, h, forge):
         expected = isolate_roots(f), is_real_rooted(f)
     assert (isolate_roots(f), is_real_rooted(f)) == expected
     assert json.dumps(isolate_roots(f).to_json_obj()) == json.dumps(expected[0].to_json_obj())
+
+
+def test_the_polygon_proves_a_fold_above_the_float_range(monkeypatch):
+    # q = (2^1100 y + 3 2^1100 + 1)(y + 7): the Newton polygon reads log2 of
+    # exact ints, and its one point proves q, while Laguerre's method
+    # overflows, so the proven gaps stay the intervals of the counts; the
+    # counts, verdict and certificate are those of the chain of q
+    p = ABOVE_FLOAT_RANGE
+    q = realroots._strip_x(realroots._fold(p))[0].primitive()
+    assert [roots for _, roots, _ in realroots._guessed_separators(q)] == [None]
+    proven, fold, chain_fold = _proven_and_chain_folds(p)
+    assert proven
+    _check_counter(p, fold, chain_fold)
+    f = X * p
+    with monkeypatch.context() as patched:
+        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        expected = isolate_roots(f), is_real_rooted(f)
+    assert (isolate_roots(f), is_real_rooted(f)) == expected
+
+
+def test_a_polygon_proof_takes_no_laguerre_step(monkeypatch):
+    # local_h(10, 40) = x^4 h: the Newton polygon's points prove the fold q
+    # of h, of degree 16, so neither the verdict nor refinement takes a
+    # Laguerre step; isolation takes Laguerre's guesses once, at its first
+    # count, to narrow the proven gaps
+    f = local_h(10, 40)
+    cert = isolate_roots(f)
+    steps = _record_calls(monkeypatch, realroots, "_laguerre")
+    assert is_real_rooted(f)
+    refine_certificate(f, cert, Fraction(1, 1 << 20))
+    assert steps == []
+    assert isolate_roots(f) == cert
+    assert len(steps) == 1
+
+
+def test_forged_polygon_points_fall_through_to_laguerre_then_the_chain(monkeypatch):
+    # local_h(10, 40) = x^4 h: with the polygon's points of its fold q forged
+    # to -17, -16, ..., -3, exact signs reject them and Laguerre's points
+    # prove q, with no remainder sequence; with Laguerre's forged too, q
+    # takes its chain.  The verdict, the certificate and its refinement are
+    # the same all three ways
+    f = local_h(10, 40)
+    width = Fraction(1, 1 << 20)
+
+    def outputs():
+        cert = isolate_roots(f)
+        return (is_real_rooted(f), json.dumps(cert.to_json_obj()),
+                json.dumps(refine_certificate(f, cert, width).to_json_obj()))
+
+    expected = outputs()
+    forge = [(-17 + i, 1) for i in range(15)]
+    steps = _record_calls(monkeypatch, realroots, "_laguerre")
+    sequences = _record_calls(monkeypatch, realroots, "_remainder_sequence")
+    for laguerre in (False, True):
+        with monkeypatch.context() as patched:
+            patched.setattr(realroots, "_guessed_separators", _forged_points(forge, laguerre))
+            del steps[:], sequences[:]
+            assert is_real_rooted(f)
+            assert len(steps) == 1 and bool(sequences) == laguerre
+            assert outputs() == expected
+
+
+def test_a_failing_polygon_takes_at_most_3_signs(monkeypatch):
+    # on each local_h(r, n), r 3-12 and n 40, 43, ..., 118, whose fold q the
+    # polygon's points do not prove, exact signs reject them within 3
+    # evaluations: the roots of a fold cluster at -2, where the polygon is
+    # weakest, and the points nearest it are checked first
+    monkeypatch.setattr(realroots, "_laguerre", lambda cs, hull, s: None)
+    calls = _count_sign_evaluations(monkeypatch)
+    failing = []
+    for r in range(3, 13):
+        for n in range(40, 121, 3):
+            q = realroots._strip_x(realroots._fold(realroots._strip_x(local_h(r, n))[0]))[0]
+            del calls[:]
+            if realroots._separators(q.primitive()) is None:
+                failing.append(len(calls))
+    assert len(failing) == 211 and max(failing) == 3
 
 
 def test_fold_root_inside_minus_2_2_fails_by_the_proof(monkeypatch):
@@ -1058,40 +1156,50 @@ def test_a_bracket_that_misses_its_root_stays_its_gap(monkeypatch):
     # proof of q does not read them, and each forged bracket stays its gap
     # while the others are proven narrow.  The counts and the certificate
     # stay those of the chain of q
+    # The gaps are the polygon's, proven at the verdict, with Laguerre's
+    # roots guessed at the first count, and then, with the polygon's stage
+    # dropped, Laguerre's own
     f = local_h(10, 40)
     p = realroots._strip_x(f)[0]
     cert = isolate_roots(f)
     guess = realroots._guessed_separators
-
-    def forged(q):
-        points, found, s = guess(q)
-        moved = [w * 1.01 if i % 3 == 0 else w * 8 if i % 3 == 1 else w
-                 for i, w in enumerate(found)]
-        return points, moved, s
-
-    monkeypatch.setattr(realroots, "_guessed_separators", forged)
-    narrowed = []
     narrow = realroots._narrowed
+    for polygon in (True, False):
+        def forged(q):
+            for points, found, s in guess(q):
+                if found is not None:
+                    yield points, [w * 1.01 if i % 3 == 0 else w * 8 if i % 3 == 1 else w
+                                   for i, w in enumerate(found)], s
+                elif polygon:
+                    yield points, found, s
 
-    def recorded(q, gap, w, s):
-        narrowed.append((gap, narrow(q, gap, w, s)))
-        return narrowed[-1][1]
+        narrowed = []
 
-    monkeypatch.setattr(realroots, "_narrowed", recorded)
-    proven, fold, chain_fold = _proven_and_chain_folds(p)
-    assert proven
-    _check_counter(p, fold, chain_fold)
-    assert len(narrowed) == 16
-    for i, (gap, out) in enumerate(narrowed):
-        a, b, den, _ = gap
-        lo, hi, d, _ = out
-        if i % 3 == 2:
-            assert out != gap and a * d < lo * den < hi * den < b * d
-            assert (hi - lo) * 2 ** 28 < abs(lo + hi)  # about 2^-29 of the root
-        else:
-            assert out == gap
-    assert isolate_roots(f) == cert
-    assert json.dumps(isolate_roots(f).to_json_obj()) == json.dumps(cert.to_json_obj())
+        def recorded(q, gap, w, s):
+            narrowed.append((gap, narrow(q, gap, w, s)))
+            return narrowed[-1][1]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(realroots, "_guessed_separators", forged)
+            patched.setattr(realroots, "_narrowed", recorded)
+            proven, fold, chain_fold = _proven_and_chain_folds(p)
+            assert proven
+            _check_counter(p, fold, chain_fold)
+            assert len(narrowed) == 16
+            # the gaps are those of the first stage, the polygon's points or Laguerre's
+            points = next(forged(realroots._strip_x(realroots._fold(p))[0].primitive()))[0]
+            assert [Fraction(b, den) for (_, b, den, _), _ in narrowed[:-1]] == \
+                [Fraction(*pt) for pt in points]
+            for i, (gap, out) in enumerate(narrowed):
+                a, b, den, _ = gap
+                lo, hi, d, _ = out
+                if i % 3 == 2:
+                    assert out != gap and a * d < lo * den < hi * den < b * d
+                    assert (hi - lo) * 2 ** 28 < abs(lo + hi)  # about 2^-29 of the root
+                else:
+                    assert out == gap
+            assert isolate_roots(f) == cert
+            assert json.dumps(isolate_roots(f).to_json_obj()) == json.dumps(cert.to_json_obj())
 
 
 def test_the_counters_are_none_exactly_at_the_roots():
