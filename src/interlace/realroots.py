@@ -42,29 +42,29 @@ verdict.  A palindrome whose fold is not squarefree or vanishes at +-2
 takes the chain at full degree, like any other h.
 
 Isolation walks one tree: for f = x^k h with h(0) != 0 and p the squarefree
-part of h, it bisects the Cauchy interval (-B, B) of p at midpoints moved off
-the roots of p until each interval holds one root, probes each leaf for a
-rational root, and halves a leaf that holds the root 0 of f until 0 lies
+part of h, it bisects the Cauchy interval (-B, B) of p at midpoints moved
+off the roots of p until each interval holds one root, probes each leaf for
+a rational root, and halves a leaf that holds the root 0 of f until 0 lies
 outside.  The record gives the count and the probe; each halving keeps the
 half on which the count changes, and p is squarefree, so its sign at an end
 is the parity of the count: the tree takes no sign of p.  A folded h is
 counted through the fold: y = t + 1/t is monotone on each of (-oo, -1],
 (-1, 0), (0, 1] and (1, oo), so the roots of h below t are a count of the
 roots of q against y, a binary search over isolating intervals of q.  The
-first count narrows the proven gaps to brackets about 2^-29 wide around
-the roots Laguerre's method guesses, each proven by two signs of q, so
-that only a y inside a bracket takes a sign of q; on the chain of q it
-isolates q.  Verdicts and refinement need only the number of real roots
-and do neither: a fold the polygon proves takes no Laguerre step for them.  The
+first count narrows the proven gaps to brackets about 2^-29 wide around the
+roots Laguerre's method guesses, each proven by two signs of q, so that
+only a y inside a bracket takes a sign of q; on the chain of q it isolates
+q.  Verdicts and refinement need only the number of real roots and do
+neither: a fold the polygon proves takes no Laguerre step for them.  The
 probe of a fold finds the rational roots of q in those intervals and maps
-them to those of h, with no sign of h.  Any other h evaluates its
-remainder sequence of (h, h') once per split and once per halving off 0,
-and the grid probe tries c/|lead(p)|.  Either way the tree, and so the
-certificate, is the same.  The gcd is the first step of the repeated-gcd
-chain that yields the multiplicity levels.  The root 0 has multiplicity k;
-any other isolated root lies on a level iff that squarefree level changes
-sign on its interval.  ``count_real_roots`` does not fold: it stays on the
-chain of h, a count independent of the fold's.
+them to those of h, with no sign of h.  Any other h evaluates its remainder
+sequence of (h, h') once per split and once per halving off 0, and the grid
+probe tests the grid c/|lead(p)| in a cell that secants narrowed.  Either
+way the tree, and so the certificate, is the same.  The gcd is the first
+step of the repeated-gcd chain that yields the multiplicity levels.  The
+root 0 has multiplicity k; any other isolated root lies on a level iff that
+squarefree level changes sign on its interval.  ``count_real_roots`` does
+not fold: it stays on the chain of h, a count independent of the fold's.
 
 Every bisection (the tree, refinement and the grid probes) runs on
 integers: an interval is a pair of numerators a, b over one denominator
@@ -472,7 +472,8 @@ def _separators(q: Poly):
     for stage in stages:
         points, _, s = stage
         grid = [(-bound, 1), *points, (bound, 1)]
-        if len(points) != n - 1 or any(a * db >= b * da for (a, da), (b, db) in zip(grid, grid[1:])):
+        if len(points) != n - 1 or any(a * db >= b * da
+                                       for (a, da), (b, db) in zip(grid, grid[1:])):
             continue
         top = max(den for _, den in grid)
         far = [abs(a - s * den) * (top // den) for a, den in points]  # |w|, over one denominator
@@ -524,30 +525,27 @@ def _below(q: Poly, ivs: list[tuple[int, int, int, int]], num: int, den: int,
     return lo
 
 
-def _rational_root_in(q: Poly, a: int, b: int, den: int, s_lo: int) -> Fraction | None:
-    """The root of q in (a/den, b/den) if it is rational, else None; s_lo is
-    the sign of q at a/den.
+def _rational_root_in(q: Poly, a: int, b: int, den: int, _s_a: int) -> Fraction | None:
+    """The root of q in (a/den, b/den) if it is rational, else None; the
+    sign of q at a/den that a probe is given goes unused.
 
     The interval must hold exactly one root of q, a simple one, and neither
     end may be a root.  A rational root of the integer polynomial q has a
-    denominator dividing L = |lead(q)|, so it is c/L for an integer c.  q has
-    the sign s_lo exactly at the grid points c/L below the root, which a
-    binary search over c exploits: at most log2(L (b - a) / den) + 1
-    evaluations, each at the integer pair (c, L).
+    denominator dividing L = |lead(q)|, so it is c/L for an integer c.  With
+    two or more such grid points inside, ``_qir`` first narrows the interval
+    to the cell of the least level K with (b - a) L < den 2^K, narrower
+    than 1/L, in O(log K) evaluations on a well separated root: a dyadic
+    root comes back as a point, and any other root lies in a cell that holds
+    at most one grid point, whose sign decides.
     """
     L = abs(q.leading_coefficient)
-    lo = a * L // den + 1  # floor(a L / den) + 1
-    hi = -(-b * L // den) - 1  # ceil(b L / den) - 1
-    while lo <= hi:
-        c = (lo + hi) // 2
-        s = q._sign_at(c, L)
-        if s == 0:
-            return Fraction(c, L)
-        if s == s_lo:
-            lo = c + 1
-        else:
-            hi = c - 1
-    return None
+    if -(-b * L // den) - a * L // den > 2:  # two or more grid points inside
+        a, b, den = _qir(q, a, b, den, q._value_at(a, den), q._value_at(b, den),
+                         _halvings((b - a) * L, den))
+        if a == b:
+            return Fraction(a, den)
+    c = a * L // den + 1  # the least grid point above a/den
+    return Fraction(c, L) if c * den < b * L and q._sign_at(c, L) == 0 else None
 
 
 def _levels(r: _Roots) -> list[Poly]:
@@ -872,6 +870,12 @@ def _qir(p: Poly, a: int, b: int, den: int, v_a: int, v_b: int, level: int
     return a, b, den
 
 
+def _halvings(have: int, want: int) -> int:
+    """The least K >= 0 with have < want 2^K, for have >= 0 and want > 0."""
+    level = max(have.bit_length() - want.bit_length(), 0)
+    return level + (want << level <= have)
+
+
 def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate:
     """Shrink every non-degenerate interval of cert below the given width, a
     positive rational number (else BadParametersError).
@@ -892,10 +896,7 @@ def refine_certificate(f: Poly, cert: RootCertificate, width) -> RootCertificate
     out = []
     for iv, (a, b, den, v_a, v_b) in zip(cert.intervals, grid):
         lo, hi = iv.lo, iv.hi
-        have, want = (b - a) * w_den, w_num * den
-        level = max(have.bit_length() - want.bit_length(), 0)
-        if want << level <= have:
-            level += 1
+        level = _halvings((b - a) * w_den, w_num * den)
         if level:
             a, b, den = _qir(p, a, b, den, v_a, v_b, level)
             lo, hi = Fraction(a, den), Fraction(b, den)

@@ -390,6 +390,39 @@ def _reference_rational_root_in(q: Poly, lo: Fraction, hi: Fraction) -> Fraction
     return None
 
 
+LEADS = st.one_of(st.integers(min_value=1, max_value=1 << 200),
+                  st.integers(min_value=0, max_value=200).map(lambda e: 1 << e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(LEADS, st.integers(min_value=-(1 << 210), max_value=1 << 210), st.sampled_from(
+    ["linear", "square", "square of a rational"]), st.integers(min_value=0, max_value=80),
+    st.integers(min_value=0, max_value=1 << 40), st.integers(min_value=0, max_value=1 << 40))
+@example(3, 7, "linear", 0, 1 << 40, 1 << 40)
+@example(1 << 100, 3, "linear", 0, 5, 5)  # the dyadic root 3/2^100
+def test_the_rational_probe_equals_the_binary_search(L, c, kind, k, left, right):
+    # (L x - c)(x^2 + 1) has the one real root c/L, rational and on the grid
+    # of its lead L; (L x^2 - c)(x^2 + 1), c > 0, the positive root
+    # sqrt(c/L), which is rational for L = u^2 and c = v^2.  On an interval
+    # (a/2^k, b/2^k) around that root, with a >= 0 for the square, the
+    # probe finds the root the binary search over the grid c/L finds, or
+    # neither finds one
+    den = 1 << k
+    if kind == "linear":
+        q = Poly((-c, L)) * Poly((1, 0, 1))
+        mid = c * den // L  # floor(root den)
+    else:
+        if kind == "square of a rational":
+            L, c = L * L, c * c
+        c = abs(c) + (kind == "square")
+        q = Poly((-c, 0, L)) * Poly((1, 0, 1))
+        mid = math.isqrt(c * den * den // L)
+    a, b = max(mid - left, 0) if kind != "linear" else mid - left, mid + 1 + right
+    assume(q._sign_at(a, den) and q._sign_at(b, den))
+    assert (realroots._rational_root_in(q, a, b, den, q._sign_at(a, den))
+            == _reference_rational_root_in(q, Fraction(a, den), Fraction(b, den)))
+
+
 def _reference_refine(f: Poly, cert: RootCertificate, width: Fraction) -> RootCertificate:
     """Halve every interval of a valid certificate in Fraction arithmetic until
     it is narrower than width."""
@@ -695,7 +728,8 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
     # gives the certificate of the Sturm path and h is evaluated nowhere:
     # the splits and the halvings that move the interval ending at the root
     # 0 off it take their signs from the counts, and the leaves probe the
-    # roots of q
+    # roots of q, whose probe may bisect q on its way to a cell narrower
+    # than its grid
     f = local_h(10, 40)
     h, k = realroots._strip_x(f)
     m = h.degree // 2
@@ -724,7 +758,8 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
         assert [a.degree for a, _ in sequences] == ([] if guessed else [m])
         assert {chain.chain[0].degree for chain, *_ in evaluations} == (set() if guessed else {m})
         assert [p.degree for p, *_ in isolations] == trees  # the tree of h (then q once)
-        assert degrees.count(2 * m) == len(bisections) == 0
+        assert degrees.count(2 * m) == 0  # h: the probe refines only q
+        assert {p.degree for p, *_ in bisections} <= {m}
 
 
 def test_a_proven_fold_evaluates_q_at_plus_minus_2_once(monkeypatch):
