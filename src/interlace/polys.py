@@ -167,7 +167,8 @@ class Poly:
         Horner's rule on the homogenised form, ``acc = acc*num + c*den**j``,
         needs no rational intermediate; the value has the sign of p(num/den),
         and at one den the values at two points are in the ratio of p's.
-        With den = 1 it is plain Horner.
+        With den = 1 it is plain Horner, and with den = 2^t, the denominator
+        of every grid point of a bisection, c*den**j is a shift by t j.
         """
         cs = self.coeffs
         if not cs:
@@ -176,6 +177,12 @@ class Poly:
         if den == 1:
             for c in reversed(cs[:-1]):
                 acc = acc * num + c
+            return acc
+        if not den & (den - 1):
+            t = shift = den.bit_length() - 1
+            for c in reversed(cs[:-1]):
+                acc = acc * num + (c << shift)
+                shift += t
             return acc
         den_pow = 1
         for c in reversed(cs[:-1]):

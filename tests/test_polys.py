@@ -131,6 +131,18 @@ def test_sign_at_matches_rational_evaluation(cs, t, plant_root, scale):
     assert p._sign_at(scale * t.numerator, scale * t.denominator) == p.sign_at(t)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(big_coeffs, max_size=8), st.integers(min_value=-(1 << 200), max_value=1 << 200),
+       st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=7))
+def test_value_at_a_power_of_two_is_the_homogenised_value(cs, num, t, odd):
+    # den = 2^t takes the shifts of the evaluation loop, any other den its
+    # multiplications: both give den^deg p(num/den) exactly
+    p = Poly(tuple(cs))
+    for den in (1 << t, odd << t):
+        expected = 0 if p.is_zero else p(Fraction(num, den)) * den ** p.degree
+        assert p._value_at(num, den) == expected
+
+
 def test_text_format_round_trip():
     assert Poly.from_string("0,1,1") == Poly((0, 1, 1))
     assert Poly.from_string("0") == ZERO
