@@ -72,7 +72,7 @@ def _step(comps: list[int], reach: tuple[int, ...], w: int) -> list[int]:
 
 def _run(polys: tuple[Poly, ...], reach: tuple[int, ...], n: int, steps: int) -> EVector:
     """The vector at n after ``steps`` steps from polys, packed at slot width
-    w = ((r-1)^n).bit_length() + 1 and unpacked once.  No slot carries: every
+    w = ((r-1)^n).bit_length() + 1 and unpacked once (``_unpack``).  No slot carries: every
     coefficient is nonnegative, so a slot of a sum is the sum of the slots.
     Slot j + 1 of a stepped component is slot j of a below plus slot j + 1 of
     an above, sums over disjoint components, so it and every slot of a partial
@@ -84,9 +84,24 @@ def _run(polys: tuple[Poly, ...], reach: tuple[int, ...], n: int, steps: int) ->
     comps = [sum(c << (j * w) for j, c in enumerate(p.coeffs)) for p in polys]
     for _ in range(steps):
         comps = _step(comps, reach, w)
-    mask = (1 << w) - 1
-    return EVector(r, n, tuple(Poly(tuple(v >> j & mask for j in range(0, v.bit_length(), w)))
-                               for v in comps))
+    return EVector(r, n, tuple(Poly(tuple(_unpack(v, w))) for v in comps))
+
+
+def _unpack(v: int, w: int, count: int | None = None) -> list[int]:
+    """The count slots of width w of a packed v >= 0, lowest first; by
+    default up to its top nonzero slot.  Masking all of v once per slot
+    takes O(b k) bit operations for b bits and k slots, so a v of more than
+    4096 bits is split into its low and high halves of slots first, each
+    level touching about b bits: O(b log k).  Below that, one shift costs
+    about what one call costs, and the slots are sliced one by one, as is a
+    single slot of any width."""
+    if count is None:
+        count = -(-v.bit_length() // w)
+    if count < 2 or count * w <= 4096:
+        mask = (1 << w) - 1
+        return [v >> j & mask for j in range(0, count * w, w)]
+    half = count // 2
+    return _unpack(v & ((1 << half * w) - 1), w, half) + _unpack(v >> half * w, w, count - half)
 
 
 def e_step(v: EVector) -> EVector:

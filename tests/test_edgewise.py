@@ -187,6 +187,29 @@ def test_packed_e_gamma_equals_the_poly_step(gamma, n):
     assert e_gamma(gamma.r, n, gamma).polys == _reference_gamma(gamma.r, n, gamma.gamma)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=300),
+       st.data())
+def test_unpack_equals_slicing_slot_by_slot(w, k, data):
+    # packed ints of k slots, up to 60,000 bits, most of them split by
+    # halves, with runs of zero slots and a zero top slot, against masking
+    # all of v per slot
+    slots = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << w) - 1),
+                               min_size=k, max_size=k))
+    v = sum(c << (j * w) for j, c in enumerate(slots))
+    mask = (1 << w) - 1
+    assert edgewise._unpack(v, w) == [v >> j & mask for j in range(0, v.bit_length(), w)]
+
+
+def test_unpack_slots_wider_than_a_split():
+    # w = 5000 > 4096: a single slot is sliced, not split again
+    w = 5000
+    slots = [(1 << w) - 1, 0, 3 << 4000, 1]
+    v = sum(c << (j * w) for j, c in enumerate(slots))
+    assert edgewise._unpack(v, w) == slots
+    assert edgewise._unpack(slots[0], w) == slots[:1]
+
+
 def test_e_step_continues_e_gamma():
     for r in range(2, 9):
         for n in range(1, 13):
