@@ -39,6 +39,12 @@ status=0
 interlace check realrooted 1,0,3,0,1 || status=$?
 test "$status" -eq 1
 test "$(interlace --json check realrooted 10000000000000000000000000000000000000000,60000000000000000000100000000000000000000,110000000000000000000300000000000000000000,60000000000000000000100000000000000000000,10000000000000000000000000000000000000000)" = '{"command": "check", "params": {"kind": "realrooted", "polys": ["10000000000000000000000000000000000000000,60000000000000000000100000000000000000000,110000000000000000000300000000000000000000,60000000000000000000100000000000000000000,10000000000000000000000000000000000000000"]}, "status": "PASS", "result": {"certificates": [[{"lo": "-96588405933484603437/36893488147419103232", "hi": "-1545414494935753654979/590295810358705651712", "mult": 1}, {"lo": "-1545414494935753654979/590295810358705651712", "hi": "-772707247467876827483/295147905179352825856", "mult": 1}, {"lo": "-28184117017545412521/73786976294838206464", "hi": "-450945872280726600323/1180591620717411303424", "mult": 1}, {"lo": "-450945872280726600323/1180591620717411303424", "hi": "-225472936140363300155/590295810358705651712", "mult": 1}]]}}'
+# the fold of local_h(10, 40) is proven by its Newton polygon's points, and
+# the fold of local_h(10, 60) by Laguerre's
+h=$(interlace edgewise --r 10 --n 40 --component 0)
+test "$(set -o pipefail; interlace --json check realrooted "$h" | sha256sum | cut -d ' ' -f 1)" = "82dbdc4c42b8675a7076814e99dd66246e8f5d53583e7fc0b29859f33a0a1677"
+h=$(interlace edgewise --r 10 --n 60 --component 0)
+test "$(set -o pipefail; interlace --json check realrooted "$h" | sha256sum | cut -d ' ' -f 1)" = "215ba9f27b107d1d37f20c0352c41153bb23f0612cf40c51ce2deeff03d40268"
 test "$(interlace check interleave 8,6,1 3,4,1)" = "PASS"
 status=0
 interlace check interleave 3,4,1 8,6,1 || status=$?
