@@ -360,12 +360,12 @@ def _guessed_separators(q: Poly):
     Newton polygon, gives the root moduli 2^((l_i - l_j)/(j - i)), j - i of
     them for each edge from (i, l_i) to (j, l_j), ascending: the classic
     starting values of Aberth-type solvers (Bini, Numer. Algorithms 13,
-    1996).  log2 of an exact int overflows nowhere.  When the hull holds every i, the n
-    moduli differ, and the first stage is the geometric means of each two
-    neighbours, on the side of s, rounded to 8-bit dyadics.  The second is
-    Laguerre's method started at the moduli (``_laguerre``), when it
-    converges, so a caller that stops at a proven first stage never takes a
-    Laguerre step.
+    1996).  log2 of an exact int overflows nowhere.  When the hull holds
+    every i, the n moduli differ, and the first stage is the geometric means
+    of each two neighbours, on the side of s, rounded to 8-bit dyadics.  The
+    second is Laguerre's method started at the moduli (``_laguerre``), when
+    it converges, so a caller that stops at a proven first stage never takes
+    a Laguerre step.
     """
     n, cs = q.degree, list(q.coeffs)
     s = 2 if n and cs[-2] < 0 else -2  # the side of the mean root
@@ -383,8 +383,8 @@ def _guessed_separators(q: Poly):
         points = []
         for mean in ((a + b) / 2 for a, b in zip(moduli, moduli[1:])):
             e = math.floor(mean) - 7
-            num, den = round(2 ** (mean - e)), 1  # 8 bits, times 2^e
-            num, den = (num << e, den) if e >= 0 else (num, den << -e)
+            num = round(2 ** (mean - e))  # 8 bits, times 2^e
+            num, den = (num << e, 1) if e >= 0 else (num, 1 << -e)
             points.append(((num if s > 0 else -num) + s * den, den))
         yield (points if s > 0 else points[::-1]), None, s
     laguerre = _laguerre(cs, hull, s)
@@ -468,7 +468,7 @@ def _separators(q: Poly):
     denominators divide each other.
     """
     n, bound = q.degree, _root_bound(q)
-    stages = _guessed_separators(q) or ()
+    stages = _guessed_separators(q) or ()  # a None guess has no stage
     for stage in stages:
         points, _, s = stage
         grid = [(-bound, 1), *points, (bound, 1)]
@@ -675,7 +675,7 @@ def _fold_counter(p: Poly):
         nonlocal ivs
         if ivs is None and proof is None:
             ivs = _isolate(q, count_q, None)
-        elif ivs is None:  # narrowed by the first stage with guessed roots, if any
+        elif ivs is None:  # the gaps, narrowed by the first stage with roots, if any
             gaps, stages = proof
             guess = next((stage for stage in stages if stage[1] is not None), None)
             ivs = gaps if guess is None else [_narrowed(q, gap, w, guess[2])
