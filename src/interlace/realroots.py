@@ -326,12 +326,12 @@ def _fold(h: Poly) -> Poly:
     m = len(c) // 2
     q = [c[m]] + [0] * m
     d_prev, d = [2], [0, 1]
-    for cj in c[m + 1:]:
-        for i, e in enumerate(d):
-            q[i] += cj * e
+    for j, cj in enumerate(c[m + 1:], 1):  # d = D_j, whose terms have the parity of j
+        for i in range(j & 1, j + 1, 2):
+            q[i] += cj * d[i]
         d_next = [0] + d
-        for i, e in enumerate(d_prev):
-            d_next[i] -= e
+        for i in range(j + 1 & 1, j, 2):
+            d_next[i] -= d_prev[i]
         d_prev, d = d, d_next
     return Poly(tuple(q))
 
@@ -492,12 +492,15 @@ def _separators(q: Poly):
 def _narrowed(q: Poly, gap: tuple[int, int, int, int], w: float, s: int
               ) -> tuple[int, int, int, int]:
     """The gap (a, b, den, s_a) of one root of q narrowed to the dyadic
-    bracket w (1 -+ 2^-30) + s around its guess w + s, if two exact signs
-    inside the gap prove that the bracket holds the root; else the gap."""
+    bracket around its guess w + s, if two exact signs inside the gap prove
+    that the bracket holds the root; else the gap.  The bracket is w rounded
+    to 32 bits, num 2^e, plus and minus 4 * 2^e: 2^-30 to 2^-29 of w each way,
+    with ends whose denominators stay short, so the two signs stay cheap."""
     a, b, den, s_a = gap
-    num, d = w.as_integer_ratio()
-    d <<= 30
-    lo, hi = (num << 30) - abs(num) + s * d, (num << 30) + abs(num) + s * d
+    m, e = math.frexp(w)
+    num, e = round(m * 2 ** 32), e - 32  # w to 32 bits, num 2^e
+    lo, hi, d = (num - 4, num + 4, 1 << -e) if e < 0 else ((num - 4) << e, (num + 4) << e, 1)
+    lo, hi = lo + s * d, hi + s * d
     if a * d < lo * den and hi * den < b * d and q._sign_at(lo, d) == s_a == -q._sign_at(hi, d):
         return lo, hi, d, s_a
     return gap
