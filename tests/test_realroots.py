@@ -1190,10 +1190,9 @@ def test_a_bracket_that_misses_its_root_stays_its_gap(monkeypatch):
     # and a third moved 8-fold (outside their gap, or missing the root); the
     # proof of q does not read them, and each forged bracket stays its gap
     # while the others are proven narrow.  The counts and the certificate
-    # stay those of the chain of q
-    # The gaps are the polygon's, proven at the verdict, with Laguerre's
-    # roots guessed at the first count, and then, with the polygon's stage
-    # dropped, Laguerre's own
+    # stay those of the chain of q.  The gaps are the polygon's, proven at
+    # the verdict, with Laguerre's roots guessed at the first count, and
+    # then, with the polygon's stage dropped, Laguerre's own
     f = local_h(10, 40)
     p = realroots._strip_x(f)[0]
     cert = isolate_roots(f)
