@@ -28,7 +28,7 @@ multiple of gcd(h, h'): 1 for a fold, whose h is squarefree, and the last
 term of the remainder sequence of (h, h') on the chain.  The counter
 triple follows one convention: count(num, den) is the number of distinct
 real roots of h below num/den, None at a root; distinct is their number;
-probe(p, a, b, den, s_a) is the rational root, if any, of the squarefree
+probe(p, a, b, den) is the rational root, if any, of the squarefree
 part p of h in a leaf of the tree.  The fold reads them off q
 (``_fold_counter``); the chain counts V(-oo) - V(t) over the sign
 variations V of its terms and probes on the grid of p
@@ -326,12 +326,12 @@ def _fold(h: Poly) -> Poly:
     m = len(c) // 2
     q = [c[m]] + [0] * m
     d_prev, d = [2], [0, 1]
-    for j, cj in enumerate(c[m + 1:], 1):  # d = D_j, whose terms have the parity of j
-        for i in range(j & 1, j + 1, 2):
-            q[i] += cj * d[i]
+    for cj in c[m + 1:]:
+        for i, e in enumerate(d):
+            q[i] += cj * e
         d_next = [0] + d
-        for i in range(j + 1 & 1, j, 2):
-            d_next[i] -= d_prev[i]
+        for i, e in enumerate(d_prev):
+            d_next[i] -= e
         d_prev, d = d, d_next
     return Poly(tuple(q))
 
@@ -528,9 +528,8 @@ def _below(q: Poly, ivs: list[tuple[int, int, int, int]], num: int, den: int,
     return lo
 
 
-def _rational_root_in(q: Poly, a: int, b: int, den: int, _s_a: int) -> Fraction | None:
-    """The root of q in (a/den, b/den) if it is rational, else None; the
-    sign of q at a/den that a probe is given goes unused.
+def _rational_root_in(q: Poly, a: int, b: int, den: int) -> Fraction | None:
+    """The root of q in (a/den, b/den) if it is rational, else None.
 
     The interval must hold exactly one root of q, a simple one, and neither
     end may be a root.  A rational root of the integer polynomial q has a
@@ -601,7 +600,7 @@ def _fold_counter(p: Poly):
     """(count, distinct, probe) for a palindromic p, read off its fold at
     half the degree, or None when p does not qualify: count(num, den) is the
     number of roots of p below num/den (den > 0), None at a root of p;
-    distinct is the number of real roots of p; probe(p, a, b, den, s_a) is
+    distinct is the number of real roots of p; probe(p, a, b, den) is
     the rational root of p in (a/den, b/den), if any.  It is the one place
     that qualifies and counts a fold, and ``_roots`` its one caller.
 
@@ -697,11 +696,11 @@ def _fold_counter(p: Poly):
             return neg + n - b
         return neg + n - 2 * below_2 + b
 
-    def probe(_: Poly, a: int, b: int, den: int, s_a: int) -> Fraction | None:
+    def probe(_: Poly, a: int, b: int, den: int) -> Fraction | None:
         nonlocal roots
         if roots is None:
             roots = [Fraction(-1)] if odd else []
-            for y in filter(None, (_rational_root_in(q, *iv) for iv in ivs)):
+            for y in filter(None, (_rational_root_in(q, a, b, den) for a, b, den, _ in ivs)):
                 c, L = y.numerator, y.denominator
                 D = math.isqrt(max(c * c - 4 * L * L, 0))
                 if D and D * D == c * c - 4 * L * L:
@@ -723,7 +722,7 @@ def _isolate(p: Poly, count, probe, zero_root: bool = False) -> list[tuple[int, 
     count(num, den) is the number of distinct real roots of p below num/den
     (den > 0), None exactly at the roots, whoever produced it: a chain
     (``_chain_counter``) or the fold of a palindrome (``_fold_counter``).
-    probe(p, a, b, den, s_a) returns the root of p in a leaf if it is
+    probe(p, a, b, den) returns the root of p in a leaf if it is
     rational, else None: the grid probe ``_rational_root_in``, or the
     rational roots of the fold; with no probe, every leaf is an interval.
     Either drives the one tree: the Cauchy bound (-B, B), midpoint splits
@@ -753,7 +752,7 @@ def _isolate(p: Poly, count, probe, zero_root: bool = False) -> list[tuple[int, 
         n = c_b - c_a
         if n == 1:
             s_a = -s_neg if (c_a - c_neg) % 2 else s_neg
-            root = probe(p, a, b, den, s_a) if probe else None
+            root = probe(p, a, b, den) if probe else None
             if root is not None:
                 leaves.append((root.numerator, root.numerator, root.denominator, 0))
                 continue
