@@ -188,10 +188,10 @@ def test_packed_e_gamma_equals_the_poly_step(gamma, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=300),
+@given(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=300),
        st.data())
 def test_unpack_equals_slicing_slot_by_slot(w, k, data):
-    # packed ints of k slots, up to 60,000 bits, most of them split by
+    # packed ints of k slots, up to 120,000 bits, many of them split by
     # halves, with runs of zero slots and a zero top slot, against masking
     # all of v per slot
     slots = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << w) - 1),
@@ -202,9 +202,9 @@ def test_unpack_equals_slicing_slot_by_slot(w, k, data):
 
 
 def test_unpack_slots_wider_than_a_split():
-    # w = 5000 > 4096: a single slot is sliced, not split again
-    w = 5000
-    slots = [(1 << w) - 1, 0, 3 << 4000, 1]
+    # w = 20000 > 2^14: a single slot is sliced, not split again
+    w = 20000
+    slots = [(1 << w) - 1, 0, 3 << 16000, 1]
     v = sum(c << (j * w) for j, c in enumerate(slots))
     assert edgewise._unpack(v, w) == slots
     assert edgewise._unpack(slots[0], w) == slots[:1]
