@@ -5,9 +5,16 @@
 interlace edgewise --r 4 --n 7 --verify
 test "$(interlace edgewise --r 2 --n 5 --component 1)" = "0,0,0,1"
 test "$(interlace edgewise --r 3 --n 4 --component 0)" = "0,0,6"
+# the compat verdicts, each JSON byte pinned: E(4,4) and E(3,4) pass, and
+# (x+2)^2, (x+3)^2 fail at their first weight pair with that witness
+e44=$(for i in 0 1 2 3; do interlace edgewise --r 4 --n 4 --component "$i"; done)
+test "$(set -o pipefail; interlace --json check compatible $e44 | sha256sum | cut -d ' ' -f 1)" = "3a820f943bac6542802c634f9b13473efd55f16b372282aaaaf896ee1962fd01"
+e34=$(for i in 0 1 2; do interlace edgewise --r 3 --n 4 --component "$i"; done)
+test "$(set -o pipefail; interlace --json check conditions-ab $e34 | sha256sum | cut -d ' ' -f 1)" = "1f6d0d7d4a91d92249cde667731c711a291332660065226b44e432492aff59f5"
 status=0
-interlace check compatible 4,4,1 9,6,1 || status=$?
+sum=$(set -o pipefail; interlace check compatible 4,4,1 9,6,1 | sha256sum | cut -d ' ' -f 1) || status=$?
 test "$status" -eq 1
+test "$sum" = "e37a8ffa48ce2134004bc036b95461b998cfe02801c7e51e3d89f990639066ef"
 test "$(interlace matrix classify-all)" = "allowed: 40, forbidden: 41, disagreements: 0"
 first=$(set -o pipefail; interlace matrix closure | head -n 1)
 test "$first" = "closure size: 40"

@@ -19,11 +19,20 @@ The inputs are
   y^2 + 1 and y^2 + y + 1: their separators cannot be proven, so they are
   counted on the chain of the fold.
 
+The families of the compatibility layer are
+- ``e_vector(r, n)`` for r 2-6 and n 1-6, and the image of each under
+  ``theorem_comp_transform``;
+- seeded pairs of products of linear factors x + a with a >= 0, most of
+  which do not interlace, and the incompatible pairs (x + a)^2, (x + b)^2;
+- seeded families read with ``unchecked``: coefficient lists with negative
+  entries, members with a negative leading coefficient, zeros and constants.
+
 An input's digest covers its coefficients, ``is_real_rooted``,
 ``count_real_roots`` over the whole line, the JSON of ``isolate_roots`` and
 the JSON of ``refine_certificate`` at width 2^-16; a pair's digest covers
 ``interleaves`` both ways round on two neighbouring nonzero components of
-one E-vector.  A typed error is digested by its class name, so a change
+one E-vector; a family's digest covers the verdict JSON of
+``compatible_family_sampled`` and of ``check_conditions_ab`` on it.  A typed error is digested by its class name, so a change
 that makes the library raise shows as a difference too.
 
 ``digests.json`` beside this file holds the digests; ``regenerate.py``
@@ -40,6 +49,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from interlace.compat import check_conditions_ab, compatible_family_sampled, theorem_comp_transform
 from interlace.edgewise import e_vector, local_h
 from interlace.errors import InterlaceError
 from interlace.polys import Poly
@@ -50,6 +60,8 @@ DIGESTS = Path(__file__).resolve().with_name("digests.json")
 WIDTH = Fraction(1, 2 ** 16)
 SEED = 20161605
 SEEDED = 200
+# seeded pairs, incompatible square pairs and unchecked families of the compat layer
+COMPAT_PAIRS, COMPAT_SQUARES, COMPAT_UNCHECKED = 30, 10, 40
 # local_h cells where the fold's Newton polygon fails and Laguerre proves,
 # and one where the polygon proves
 BOUNDARY = ((8, 49), (9, 49), (10, 46), (11, 46), (12, 46), (12, 43))
@@ -117,6 +129,50 @@ def pairs() -> list[tuple[str, Poly, Poly]]:
     return out
 
 
+def _linear_product(rng: random.Random) -> Poly:
+    """c (x + a_1) ... (x + a_k) with c >= 1 and a_i >= 0, some repeated."""
+    p = Poly((rng.randint(1, 3),))
+    for _ in range(rng.randint(0, 4)):
+        p = p * Poly((rng.choice((0, 1, 1, 2, 3, 4, 5, 7)), 1))
+    return p
+
+
+def _unchecked_member(rng: random.Random) -> Poly:
+    kind = rng.random()
+    if kind < 0.3:  # a coefficient list with negative entries
+        return Poly(tuple(rng.randint(-4, 6) for _ in range(rng.randint(1, 5))))
+    if kind < 0.5:  # a product of linear factors, either sign of the lead
+        return rng.choice((-1, 1)) * _linear_product(rng)
+    if kind < 0.65:  # a product with a negative root
+        return _linear_product(rng) * Poly((rng.randint(-5, -1), 1))
+    if kind < 0.85:  # a constant of either sign
+        return Poly((rng.choice((-3, -1, 1, 2, 5)),))
+    return Poly(())
+
+
+def families() -> list[tuple[str, list[Poly], bool]]:
+    """(name, members, unchecked) for every family of the compat layer, in order."""
+    out = []
+    for r in range(2, 7):
+        for n in range(1, 7):
+            fs = list(e_vector(r, n).polys)
+            out += [(f"compat E({r},{n})", fs, False),
+                    (f"compat T(E({r},{n}))", theorem_comp_transform(fs), False)]
+    rng = random.Random(SEED + 1)
+    for i in range(COMPAT_PAIRS):
+        out.append((f"compat seeded pair #{i}", [_linear_product(rng), _linear_product(rng)], False))
+    for i in range(COMPAT_SQUARES):
+        a, b = rng.sample(range(0, 40), 2)
+        out.append((f"compat (x+{a})^2,(x+{b})^2", [Poly((a * a, 2 * a, 1)), Poly((b * b, 2 * b, 1))],
+                    False))
+    for i in range(COMPAT_UNCHECKED):
+        fs = [_unchecked_member(rng) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.2:
+            fs.append(rng.choice(fs))
+        out.append((f"compat unchecked #{i}", fs, True))
+    return out
+
+
 def _answer(call):
     """call(), or the class name of the typed error it raises."""
     try:
@@ -139,6 +195,16 @@ def _pair_digest(f: Poly, g: Poly) -> str:
                   _answer(lambda: interleaves(f, g)), _answer(lambda: interleaves(g, f))])
 
 
+def _verdict_json(verdict) -> list:
+    return [verdict.status, verdict.witness and verdict.witness.to_json_obj()]
+
+
+def _family_digest(fs: list[Poly], unchecked: bool) -> str:
+    return _hash([[f.to_string() for f in fs], unchecked,
+                  _answer(lambda: _verdict_json(compatible_family_sampled(fs, unchecked))),
+                  _answer(lambda: _verdict_json(check_conditions_ab(fs, unchecked)))])
+
+
 def _hash(record) -> str:
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16]
 
@@ -150,6 +216,8 @@ def cases():
         yield name, functools.partial(_root_digest, f)
     for name, f, g in pairs():
         yield name, functools.partial(_pair_digest, f, g)
+    for name, fs, unchecked in families():
+        yield name, functools.partial(_family_digest, fs, unchecked)
 
 
 def digests() -> dict[str, str]:

@@ -3,8 +3,8 @@
     python tests/golden/regenerate.py
 
 Run it only when a change of an output is intended, and say in the change
-which inputs moved and why: ``tests/test_golden.py`` holds the root layer
-to the committed file.
+which inputs moved and why: ``tests/test_golden.py`` holds the root and
+compat layers to the committed file.
 """
 
 import json

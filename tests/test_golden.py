@@ -1,16 +1,17 @@
-"""The root layer's outputs held to the committed golden digests
-(``tests/golden``): a change that moves any verdict, count, certificate or
-refinement of the corpus fails here and names the first input it moved."""
+"""The root layer's and the compat layer's outputs held to the committed
+golden digests (``tests/golden``): a change that moves any verdict, count,
+certificate, refinement or compat verdict of the corpus fails here and names
+the first input it moved."""
 
 import json
 import signal
 
-from golden.corpus import _COMPLEX_FOLDS, DIGESTS, cases, inputs
+from golden.corpus import _COMPLEX_FOLDS, DIGESTS, cases, families, inputs
 
 from interlace.edgewise import local_h
 from interlace.realroots import _fold, _separators, _strip_x
 
-# the corpus takes about 1.5 s on a 2-core VM; a change that makes one input
+# the corpus takes about 2.5 s on a 2-core VM; a change that makes one input
 # loop fails at this limit instead of hanging the suite
 LIMIT_S = 30
 
@@ -40,6 +41,12 @@ def test_the_corpus_covers_each_family():
     assert sum(name.startswith("boundary local_h(") for name in names) == 6
     assert sum(name.startswith("E(") for name in names) == 522
     assert sum(name.startswith("seeded #") for name in names) == 200
+    names = [name for name, _, _ in families()]
+    assert sum(name.startswith("compat E(") for name in names) == 30
+    assert sum(name.startswith("compat T(E(") for name in names) == 30
+    assert sum(name.startswith("compat seeded pair #") for name in names) == 30
+    assert sum(name.startswith("compat (x+") for name in names) == 10
+    assert sum(name.startswith("compat unchecked #") for name in names) == 40
 
 
 def test_the_complex_folds_fail_their_proof():
