@@ -4,7 +4,10 @@ Two polynomials are compatible when every positive linear combination of them
 is real-rooted.  That universal statement cannot be decided by sampling, so
 the verdicts here are asymmetric: PASS_SAMPLED is evidence at the one fixed
 weight grid {1/8, 1/3, 1/2, 1, 2, 3, 8, 64}, while FAIL comes with an exact
-witness combination that provably is not real-rooted.
+witness combination that provably is not real-rooted.  A pair whose roots
+interlace is proven compatible for every positive weight by one exact
+``interleaves`` call and takes no sample (see ``_sampled``); its verdict
+keeps the status PASS_SAMPLED, as every pass of these tests does.
 
 Weights are positive rationals; before each real-rootedness test the
 combination is scaled by the common denominator, which leaves its roots
@@ -20,7 +23,7 @@ from operator import mul
 
 from .errors import BadParametersError, NotRealRootedError
 from .polys import ZERO, Poly, X, _listed, _on_grid, _rational, _rational_text
-from .realroots import is_real_rooted
+from .realroots import interleaves, is_real_rooted
 
 PASS_SAMPLED = "PASS_SAMPLED"
 FAIL = "FAIL"
@@ -126,6 +129,33 @@ def _sampled(labelled, tests, unchecked: bool) -> CompatVerdict:
 
     A test with f == g stops after its first pair: every c1*f + c2*f is a
     positive multiple of f, so that pair decides all of them.
+
+    A test whose members interlace (``_interlace``) passes with no sample:
+    every c1*f + c2*g with c1, c2 > 0 is then real-rooted, the easy
+    direction of the Hermite-Kakeya-Obreschkoff theorem (Dedieu, JPAA 81
+    (1992); Chudnovsky and Seymour, JCTB 97 (2007), Sec. 3).  Proof: say
+    f << g, both nonzero with positive leading coefficients.  As
+    ``interleaves`` documents, with d = gcd(f, g) taken with a positive
+    leading coefficient, d is real-rooted and F = f/d, G = g/d share no root
+    and alternate strictly, with the largest root in G and
+    deg G - 1 <= deg F <= deg G; shared roots and multiplicities all sit in
+    d.  Then c1*f + c2*g = d*(c1*F + c2*G), and it is enough that
+    h = c1*F + c2*G is real-rooted.  Let k = deg G = deg h (both leading
+    coefficients are positive, so nothing cancels) and b_1 > ... > b_k the
+    roots of G.  Exactly i - 1 roots of F lie above b_i, so F(b_i), and with
+    it h(b_i) = c1*F(b_i), has the sign (-1)^(i-1).  That puts a root of h
+    in each (b_(i+1), b_i), k - 1 of them, and one more below b_k, where h
+    tends to the sign (-1)^k: k real roots, all of them.  This covers both
+    degree cases, deg F = k - 1 and deg F = k, and the constants: k = 0 is
+    a positive constant h, and a constant F beside a G of degree 1 is the
+    case with no neighbouring roots.
+
+    So each test with f != g and positive leading coefficients first asks
+    ``interleaves``, the lower degree on the left, both orders when the
+    degrees are equal.  A zero member or a nonpositive leading coefficient,
+    possible under ``unchecked``, skips the question, so
+    NegativeLeadingCoefficientError never escapes, and a test that does not
+    interlace is sampled as before, to the same first witness.
     """
     if not unchecked:
         for label, p in labelled:
@@ -134,6 +164,8 @@ def _sampled(labelled, tests, unchecked: bool) -> CompatVerdict:
             if not is_real_rooted(p):
                 raise NotRealRootedError(label, "not real-rooted")
     for f, g, condition, pair in tests:
+        if f != g and _interlace(f, g):
+            continue
         fc, gc = _padded((f, g))
         for weights, (a, b) in zip(_PAIRS, _CLEARED_PAIRS):
             combo = Poly(tuple([a * x + b * y for x, y in zip(fc, gc)]))
@@ -142,6 +174,16 @@ def _sampled(labelled, tests, unchecked: bool) -> CompatVerdict:
             if fc == gc:
                 break
     return CompatVerdict(PASS_SAMPLED)
+
+
+def _interlace(f: Poly, g: Poly) -> bool:
+    """f << g or g << f, for nonzero f and g with positive leading
+    coefficients; False for any other pair."""
+    if f.leading_coefficient <= 0 or g.leading_coefficient <= 0:
+        return False
+    if f.degree > g.degree:
+        f, g = g, f
+    return interleaves(f, g) or (f.degree == g.degree and interleaves(g, f))
 
 
 def compatible_pair_sampled(f: Poly, g: Poly, unchecked: bool = False) -> CompatVerdict:

@@ -21,7 +21,7 @@ from interlace.edgewise import e_base, e_step, e_vector
 from interlace.errors import BadParametersError, NotRealRootedError
 from interlace.matrices import LAMBDA_MU_PAIRS, Entry, SymMatrix, apply
 from interlace.polys import ONE, X, ZERO, Poly
-from interlace.realroots import is_real_rooted
+from interlace.realroots import interleaves, is_real_rooted
 
 
 def test_conic_combination_clears_denominators():
@@ -122,9 +122,16 @@ def _ratio_test_pairs():
     return pairs
 
 
+def _no_interlacing_shortcut(mp):
+    """Every test of the sampled loop taken as not interlacing, so that each
+    one is sampled at its weight pairs."""
+    mp.setattr(compat, "interleaves", lambda f, g: False)
+
+
 def test_pair_tests_each_weight_ratio_once(monkeypatch):
     # the combination's real-rootedness depends only on c1/c2, and the default
     # grid has 33 distinct ratios; the first failing pair is never skipped
+    _no_interlacing_shortcut(monkeypatch)
     pairs = _ratio_test_pairs()
     expected = [_brute_pair_verdict(f, g) for f, g in pairs]
     assert {status for status, _, _ in expected} == {PASS_SAMPLED, FAIL}
@@ -189,6 +196,7 @@ def test_one_pass_combination_equals_poly_arithmetic(inputs):
     f, g, h = Poly(f), Poly(g), Poly(h)
     seen = []
     with pytest.MonkeyPatch.context() as mp:  # every combination, each taken as real-rooted
+        _no_interlacing_shortcut(mp)
         mp.setattr(compat, "is_real_rooted", lambda p: seen.append(p) or True)
         assert compatible_pair_sampled(f, g, unchecked=True).status == PASS_SAMPLED
     want = [c1 * f + c2 * g for c1, c2 in compat._CLEARED_PAIRS]
@@ -319,6 +327,7 @@ def test_verdict_json():
 def test_equal_pair_decided_at_its_first_weight_pair(monkeypatch):
     # every c1*f + c2*f is a positive multiple of f: the first pair (1/8, 1/8),
     # whose combination is 2f, gives the verdict and the witness of all 64
+    _no_interlacing_shortcut(monkeypatch)
     calls = []
 
     def counted(p):
@@ -469,3 +478,83 @@ def test_one_sampled_loop_equals_the_three_loops_it_replaced():
                 assert _outcome(_library_verdict, kind, fs, unchecked) == want, (kind, fs)
                 seen.add(want[0])
     assert seen == {PASS_SAMPLED, FAIL, "raises"}
+
+
+# -- the interlacing shortcut: one interleaves call in place of 33 samples --
+
+
+def _spied(monkeypatch):
+    """The combinations compat tests for real-rootedness, and the
+    (f, g, verdict) of each interleaves call it makes."""
+    combos, asked = [], []
+    monkeypatch.setattr(compat, "is_real_rooted", lambda p: combos.append(p) or is_real_rooted(p))
+    monkeypatch.setattr(compat, "interleaves",
+                        lambda f, g: asked.append((f, g, interleaves(f, g))) or asked[-1][2])
+    return combos, asked
+
+
+def test_interlacing_tests_take_no_sample(monkeypatch):
+    combos, asked = _spied(monkeypatch)
+    # E(3,4) interlaces pairwise and with each x*f_i: the admissibility tests
+    # and the three diagonal pairs of (a), one combination each, are all the
+    # root tests left; each other test is one interleaves call, or two for
+    # equal degrees when the first order fails
+    fs = list(e_vector(3, 4).polys)
+    assert check_conditions_ab(fs).status == PASS_SAMPLED
+    assert combos == fs + [2 * f for f in fs]
+    assert len(asked) == 11 and sum(holds for _, _, holds in asked) == 9
+    assert all(f.degree <= g.degree for f, g, _ in asked)
+    # the family E(4,4): admissibility, the diagonal and the 9 full combinations
+    combos.clear(), asked.clear()
+    fs = list(e_vector(4, 4).polys)
+    assert compatible_family_sampled(fs).status == PASS_SAMPLED
+    assert len(combos) == 4 + 4 + 1 + len(compat._WEIGHTS)
+    assert [holds for _, _, holds in asked] == [True] * 6
+    # (x+2)^2 and (x+3)^2 interlace neither way: sampled to the same witness
+    combos.clear(), asked.clear()
+    f, g = Poly((4, 4, 1)), Poly((9, 6, 1))
+    verdict = compatible_pair_sampled(f, g)
+    status, weights, combo = _brute_pair_verdict(f, g)
+    assert (verdict.status, verdict.witness.weights, verdict.witness.combination) == \
+        (status, weights, combo) == (FAIL, (Fraction(1, 8), Fraction(1, 8)), Poly((13, 10, 2)))
+    assert combos == [f, g, combo]
+    assert asked == [(f, g, False), (g, f, False)]
+
+
+# members for the oracle: c * prod (x - r) over small integer roots, so that
+# roots are shared and repeated; c may be negative, and a member may be 0
+_ROOT = st.integers(-4, 4)
+
+
+@st.composite
+def _oracle_pairs(draw):
+    """(f, g): root lists of 0 to 4 roots, g with 0, 1 or 2 roots more or
+    fewer than f and some roots taken from f's."""
+    def member(roots):
+        if draw(st.integers(0, 15)) == 0:
+            return ZERO
+        p = Poly((draw(st.sampled_from((1, 1, 1, 2, 3, -1, -2))),))
+        for r in roots:
+            p = p * Poly((-r, 1))
+        return p
+
+    f_roots = draw(st.lists(_ROOT, max_size=4))
+    size = max(0, len(f_roots) + draw(st.sampled_from((-2, -1, 0, 0, 1, 2))))
+    g_roots = [draw(st.sampled_from(f_roots)) if f_roots and draw(st.booleans()) else draw(_ROOT)
+               for _ in range(size)]
+    pair = [member(f_roots), member(g_roots)]
+    return tuple(pair[::-1] if draw(st.booleans()) else pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_pairs())
+def test_interlacing_pairs_pass_every_sample_and_the_verdicts_match_the_loops(pair):
+    f, g = pair
+    positive = not f.is_zero and not g.is_zero and min(f.leading_coefficient,
+                                                       g.leading_coefficient) > 0
+    if positive and (interleaves(f, g) or interleaves(g, f)):
+        assert all(is_real_rooted(a * f + b * g) for a, b in compat._CLEARED_PAIRS), pair
+    for unchecked in (True, False):
+        for kind in ("pair", "family", "conditions"):
+            want = _outcome(_reference_verdict, kind, [f, g], unchecked)
+            assert _outcome(_library_verdict, kind, [f, g], unchecked) == want, (kind, pair)
