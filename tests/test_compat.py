@@ -483,18 +483,12 @@ def test_one_sampled_loop_equals_the_three_loops_it_replaced():
 # -- the interlacing shortcut: one interleaves call in place of 33 samples --
 
 
-def _spied(monkeypatch):
-    """The combinations compat tests for real-rootedness, and the
-    (f, g, verdict) of each interleaves call it makes."""
+def test_interlacing_tests_take_no_sample(monkeypatch):
+    # the combinations compat tests, and (f, g, verdict) of each interleaves call
     combos, asked = [], []
     monkeypatch.setattr(compat, "is_real_rooted", lambda p: combos.append(p) or is_real_rooted(p))
     monkeypatch.setattr(compat, "interleaves",
                         lambda f, g: asked.append((f, g, interleaves(f, g))) or asked[-1][2])
-    return combos, asked
-
-
-def test_interlacing_tests_take_no_sample(monkeypatch):
-    combos, asked = _spied(monkeypatch)
     # E(3,4) interlaces pairwise and with each x*f_i: the admissibility tests
     # and the three diagonal pairs of (a), one combination each, are all the
     # root tests left; each other test is one interleaves call, or two for
@@ -505,13 +499,15 @@ def test_interlacing_tests_take_no_sample(monkeypatch):
     assert len(asked) == 11 and sum(holds for _, _, holds in asked) == 9
     assert all(f.degree <= g.degree for f, g, _ in asked)
     # the family E(4,4): admissibility, the diagonal and the 9 full combinations
-    combos.clear(), asked.clear()
+    combos.clear()
+    asked.clear()
     fs = list(e_vector(4, 4).polys)
     assert compatible_family_sampled(fs).status == PASS_SAMPLED
     assert len(combos) == 4 + 4 + 1 + len(compat._WEIGHTS)
     assert [holds for _, _, holds in asked] == [True] * 6
     # (x+2)^2 and (x+3)^2 interlace neither way: sampled to the same witness
-    combos.clear(), asked.clear()
+    combos.clear()
+    asked.clear()
     f, g = Poly((4, 4, 1)), Poly((9, 6, 1))
     verdict = compatible_pair_sampled(f, g)
     status, weights, combo = _brute_pair_verdict(f, g)
