@@ -15,6 +15,14 @@ status=0
 sum=$(set -o pipefail; interlace check compatible 4,4,1 9,6,1 | sha256sum | cut -d ' ' -f 1) || status=$?
 test "$status" -eq 1
 test "$sum" = "e37a8ffa48ce2134004bc036b95461b998cfe02801c7e51e3d89f990639066ef"
+# unchecked verdicts: a family whose pairs pass but whose full combination
+# fails, a zero member, and negative leads beside a zero
+status=0
+out=$(interlace --json check compatible --unchecked 1,-2 2,1 -4,4,2) || status=$?
+test "$status" -eq 1
+test "$out" = '{"command": "check", "params": {"kind": "compatible", "polys": ["1,-2", "2,1", "-4,4,2"]}, "status": "FAIL", "witness": {"weights": ["1/1", "1/2", "1/4"], "combination": "4,-2,2"}}'
+test "$(interlace --json check compatible --unchecked 0 1,-3,2)" = '{"command": "check", "params": {"kind": "compatible", "polys": ["0", "1,-3,2"]}, "status": "PASS", "result": {"verdict": "PASS_SAMPLED"}}'
+test "$(interlace --json check conditions-ab --unchecked -1,-1 -2,-3,-1 0)" = '{"command": "check", "params": {"kind": "conditions-ab", "polys": ["-1,-1", "-2,-3,-1", "0"]}, "status": "PASS", "result": {"verdict": "PASS_SAMPLED"}}'
 test "$(interlace matrix classify-all)" = "allowed: 40, forbidden: 41, disagreements: 0"
 first=$(set -o pipefail; interlace matrix closure | head -n 1)
 test "$first" = "closure size: 40"
