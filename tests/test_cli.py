@@ -735,3 +735,20 @@ def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(as_json):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("env,argv,line", [
+    ({"INTERLACE_BUDGET": "0"}, ["words", "--r", "3", "--n", "3"],
+     "INTERLACE_BUDGET must be positive"),
+    ({}, ["edgewise", "--r", "3", "--n", "3", "--gamma", "a,b"], "cannot parse profile 'a,b'"),
+    ({}, ["fh", "--f", "1,x"], "cannot parse vector: invalid literal for int() with base 10: 'x'"),
+    ({}, ["check", "realrooted"], "at least one polynomial is required"),
+    ({}, ["matrix", "apply", "MATRIX"], "matrix apply requires --polys"),
+], ids=["budget-0", "edgewise-gamma", "fh-vector", "realrooted-no-poly", "apply-no-polys"])
+def test_guards_exit_2_with_one_error_line(capsys, monkeypatch, tmp_path, env, argv, line):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    matrix = tmp_path / "m.json"
+    matrix.write_text('[["1","0"],["0","1"]]')
+    argv = [str(matrix) if a == "MATRIX" else a for a in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")

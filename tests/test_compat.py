@@ -235,6 +235,19 @@ def test_family_examples():
     assert not is_real_rooted(verdict.witness.combination)
 
 
+def test_family_fails_at_a_full_combination_when_every_pair_passes():
+    # 1 - 2x, 2 + x and -4 + 4x + 2x^2 pass their pair tests, so the verdict
+    # is the cross-check's: the combination at the weights (1, 1/2, 1/4)
+    fs = [Poly((1, -2)), Poly((2, 1)), Poly((-4, 4, 2))]
+    assert all(compatible_pair_sampled(f, g, unchecked=True).is_pass
+               for f, g in itertools.combinations_with_replacement(fs, 2))
+    verdict = compatible_family_sampled(fs, unchecked=True)
+    assert verdict.status == FAIL
+    assert verdict.witness.to_json_obj() == {"weights": ["1/1", "1/2", "1/4"],
+                                             "combination": "4,-2,2"}
+    assert verdict.witness.combination == conic_combination(verdict.witness.weights, fs)
+
+
 def test_family_precondition_identifies_input():
     with pytest.raises(NotRealRootedError) as exc:
         compatible_family_sampled([X, Poly((1, 0, 1))])

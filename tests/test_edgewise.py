@@ -341,3 +341,11 @@ def test_fh_round_trip(tail):
 def test_hf_round_trip(tail):
     h = HVector((1, *tail))
     assert fh_transform(hf_transform(h)).entries == h.entries
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: HVector(()), MalformedVectorError, "h-vector must be nonempty"),
+], ids=["empty-h-vector"])
+def test_guards_raise_their_typed_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

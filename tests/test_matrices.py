@@ -13,6 +13,7 @@ from interlace.errors import (
     BadParametersError,
     DimensionMismatchError,
     NegativeEntryError,
+    PolyFormatError,
     PreconditionViolatedError,
 )
 from interlace.matrices import (
@@ -480,3 +481,16 @@ def test_action_failure_on_forbidden_matrix():
 def test_pattern_verdict_on_bad_shape():
     with pytest.raises(DimensionMismatchError):
         forbidden_pattern(FERRERS_EXAMPLE_1)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Entry.from_string("y"), PolyFormatError, "entries must be '0', '1' or 'x'"),
+    (lambda: SymMatrix.from_json('{"a": 1}'), PolyFormatError, "an array of arrays"),
+    (lambda: SymMatrix(()), DimensionMismatchError, "at least one row and column"),
+    (lambda: SymMatrix(((Entry.ONE, Entry.X), (Entry.ONE,))), DimensionMismatchError,
+     "ragged rows"),
+    (lambda: minors_nonneg([[1, 2], [3]]), DimensionMismatchError, "ragged rows"),
+], ids=["entry", "json-object", "empty", "ragged", "ragged-minors"])
+def test_guards_raise_their_typed_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

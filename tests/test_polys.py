@@ -13,6 +13,7 @@ from interlace.polys import (
     ZERO,
     Poly,
     exact_div,
+    parse_poly_list,
     poly_derivative,
     poly_gcd,
     _reduce,
@@ -291,3 +292,11 @@ def test_remainder_step_matches_the_division_loop(pair):
     # the term that the one division loop gives, entry for entry
     a, b = pair
     assert _remainder_step(a.coeffs, b.coeffs) == _reference_step(a, b)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: parse_poly_list(" ; "), PolyFormatError, "no polynomials in ' ; '"),
+], ids=["empty-list"])
+def test_guards_raise_their_typed_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

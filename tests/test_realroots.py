@@ -2080,3 +2080,17 @@ def test_e_vector_of_10_40_takes_10_interleaves_calls():
     verdict, calls = _outcome(is_interlacing_seq, E)
     assert verdict is True and len(calls) == 10
     assert calls == [(E[0], E[1]), (E[0], E[9])] + [(E[i], E[i + 1]) for i in range(1, 9)]
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: refine_certificate(ZERO, RootCertificate(()), 1), CertificateMismatchError,
+     "the zero polynomial"),
+    (lambda: refine_certificate(Poly((-1, 1)), RootCertificate((RootInterval(0, 0, 1),)), 1),
+     CertificateMismatchError, "0 is not a root"),
+    (lambda: refine_certificate(Poly((-1, 1)), RootCertificate((RootInterval(1, 2, 1),)), 1),
+     CertificateMismatchError, "interval endpoint is a root"),
+    (lambda: SturmChain.of_squarefree(ZERO), ZeroPolynomialError, "Sturm chain of 0"),
+], ids=["refine-zero", "refine-point-not-a-root", "refine-root-at-an-end", "sturm-of-zero"])
+def test_guards_raise_their_typed_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

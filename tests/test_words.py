@@ -385,3 +385,11 @@ def test_restricted_streams_equal_the_filtered_words():
                     expected = [w.letters for w in candidates if word_in_sw_gamma(w, g, closed)]
                     got = [w.letters for w in enumerate_sw_gamma(n, r, g, closed)]
                     assert got == expected, (n, g, closed)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: GammaVector((0, 2, 0, 0)), InvalidGammaError, "differ by at most 1"),
+], ids=["jump-of-two"])
+def test_guards_raise_their_typed_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
