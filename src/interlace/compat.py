@@ -5,9 +5,11 @@ is real-rooted.  That universal statement cannot be decided by sampling, so
 the verdicts here are asymmetric: PASS_SAMPLED is evidence at the one fixed
 weight grid {1/8, 1/3, 1/2, 1, 2, 3, 8, 64}, while FAIL comes with an exact
 witness combination that provably is not real-rooted.  A pair whose roots
-interlace is proven compatible for every positive weight by one exact
-``interleaves`` call and takes no sample (see ``_sampled``); its verdict
-keeps the status PASS_SAMPLED, as every pass of these tests does.
+interlace, up to a common sign, is proven compatible for every positive
+weight by one exact ``interleaves`` call and takes no sample (see
+``_sampled``); a real-rooted polynomial paired with itself or with 0 is
+such a pair.  Its verdict keeps the status PASS_SAMPLED, as every pass of
+these tests does.
 
 Weights are positive rationals; before each real-rootedness test the
 combination is scaled by the common denominator, which leaves its roots
@@ -127,22 +129,22 @@ def _sampled(labelled, tests, unchecked: bool) -> CompatVerdict:
     pairs of _PAIRS in order; the first combination that is not real-rooted
     is the FAIL witness.
 
-    A test with f == g stops after its first pair: every c1*f + c2*f is a
-    positive multiple of f, so that pair decides all of them.
-
     A test whose members interlace (``_interlace``) passes with no sample:
     every c1*f + c2*g with c1, c2 > 0 is then real-rooted, the easy
     direction of the Hermite-Kakeya-Obreschkoff theorem (Dedieu, JPAA 81
     (1992); Chudnovsky and Seymour, JCTB 97 (2007), Sec. 3).  Proof: say
-    f << g, both nonzero with positive leading coefficients.  As
+    f << g, with positive leading coefficients where nonzero.  As
     ``interleaves`` documents, with d = gcd(f, g) taken with a positive
     leading coefficient, d is real-rooted and F = f/d, G = g/d share no root
     and alternate strictly, with the largest root in G and
     deg G - 1 <= deg F <= deg G; shared roots and multiplicities all sit in
-    d.  Then c1*f + c2*g = d*(c1*F + c2*G), and it is enough that
-    h = c1*F + c2*G is real-rooted.  Let k = deg G = deg h (both leading
-    coefficients are positive, so nothing cancels) and b_1 > ... > b_k the
-    roots of G.  Exactly i - 1 roots of F lie above b_i, so F(b_i), and with
+    d.  The pairs that ``interleaves`` decides by its convention fit too: an
+    equal pair is F = G = 1 with d = f, and a zero member f is F = 0, G = 1
+    with d = g, and d is real-rooted exactly when ``interleaves`` holds (two
+    zero members give only 0, which counts as real-rooted).  Then
+    c1*f + c2*g = d*(c1*F + c2*G), and it is enough that h = c1*F + c2*G
+    is real-rooted.  Let k = deg G = deg h (the leading coefficients are
+    positive, so nothing cancels) and b_1 > ... > b_k the roots of G.  Exactly i - 1 roots of F lie above b_i, so F(b_i), and with
     it h(b_i) = c1*F(b_i), has the sign (-1)^(i-1).  That puts a root of h
     in each (b_(i+1), b_i), k - 1 of them, and one more below b_k, where h
     tends to the sign (-1)^k: k real roots, all of them.  This covers both
@@ -150,12 +152,9 @@ def _sampled(labelled, tests, unchecked: bool) -> CompatVerdict:
     a positive constant h, and a constant F beside a G of degree 1 is the
     case with no neighbouring roots.
 
-    So each test with f != g and positive leading coefficients first asks
-    ``interleaves``, the lower degree on the left, both orders when the
-    degrees are equal.  A zero member or a nonpositive leading coefficient,
-    possible under ``unchecked``, skips the question, so
-    NegativeLeadingCoefficientError never escapes, and a test that does not
-    interlace is sampled as before, to the same first witness.
+    Every other test, a pair with a negative leading coefficient that no
+    common sign removes included, is sampled from its first weight pair, to
+    the same first witness as with no shortcut.
     """
     if not unchecked:
         for label, p in labelled:
@@ -164,22 +163,25 @@ def _sampled(labelled, tests, unchecked: bool) -> CompatVerdict:
             if not is_real_rooted(p):
                 raise NotRealRootedError(label, "not real-rooted")
     for f, g, condition, pair in tests:
-        if f != g and _interlace(f, g):
+        if _interlace(f, g):
             continue
         fc, gc = _padded((f, g))
         for weights, (a, b) in zip(_PAIRS, _CLEARED_PAIRS):
             combo = Poly(tuple([a * x + b * y for x, y in zip(fc, gc)]))
             if not is_real_rooted(combo):
                 return CompatVerdict(FAIL, CompatWitness(weights, combo, condition, pair))
-            if fc == gc:
-                break
     return CompatVerdict(PASS_SAMPLED)
 
 
 def _interlace(f: Poly, g: Poly) -> bool:
-    """f << g or g << f, for nonzero f and g with positive leading
-    coefficients; False for any other pair."""
-    if f.leading_coefficient <= 0 or g.leading_coefficient <= 0:
+    """f << g or g << f, with both negated when their leading coefficients
+    sum below 0: c1*f + c2*g and its negative have the same roots.  The
+    lower degree is asked on the left, both orders at equal degrees.  False
+    when a negative leading coefficient remains, so that
+    NegativeLeadingCoefficientError never escapes under ``unchecked``."""
+    if f.leading_coefficient + g.leading_coefficient < 0:
+        f, g = -f, -g
+    if f.leading_coefficient < 0 or g.leading_coefficient < 0:
         return False
     if f.degree > g.degree:
         f, g = g, f

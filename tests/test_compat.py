@@ -200,7 +200,7 @@ def test_one_pass_combination_equals_poly_arithmetic(inputs):
         mp.setattr(compat, "is_real_rooted", lambda p: seen.append(p) or True)
         assert compatible_pair_sampled(f, g, unchecked=True).status == PASS_SAMPLED
     want = [c1 * f + c2 * g for c1, c2 in compat._CLEARED_PAIRS]
-    assert seen == (want[:1] if f == g else want)
+    assert seen == want
     assert all(p.coeffs[-1] for p in seen if p.coeffs)  # canonical
     assert conic_combination((a, b), (f, g)) == a * f + b * g
     ws = (Fraction(a, 3), Fraction(b, 7), Fraction(5, 2))
@@ -337,46 +337,89 @@ def test_verdict_json():
     assert all("/" in w for w in obj["weights"])
 
 
+def _spied(mp):
+    """(combos, asked): the combinations that compat tests for real roots,
+    and (f, g, verdict) of each interleaves call it makes, as they happen."""
+    combos, asked = [], []
+    mp.setattr(compat, "is_real_rooted", lambda p: combos.append(p) or is_real_rooted(p))
+    mp.setattr(compat, "interleaves",
+               lambda f, g: asked.append((f, g, interleaves(f, g))) or asked[-1][2])
+    return combos, asked
+
+
 def test_equal_pair_decided_at_its_first_weight_pair(monkeypatch):
-    # every c1*f + c2*f is a positive multiple of f: the first pair (1/8, 1/8),
-    # whose combination is 2f, gives the verdict and the witness of all 64
-    _no_interlacing_shortcut(monkeypatch)
-    calls = []
-
-    def counted(p):
-        calls.append(p)
-        return is_real_rooted(p)
-
+    # every c1*f + c2*f is a positive multiple of f: interleaves(f, f) holds
+    # iff f is real-rooted, so a real-rooted equal pair takes that one call
+    # and no combination; any other fails at the first pair (1/8, 1/8),
+    # whose combination is 2f, with the witness of all 64
     real_rooted = [ZERO, ONE, Poly((2, 3, 1)), e_vector(4, 4).polys[0]]
     not_real_rooted = [Poly((1, 0, 1)), Poly((1, 1, 1)) * Poly((2, 1))]
     expected = {f: _brute_pair_verdict(f, f) for f in real_rooted + not_real_rooted}
     assert {status for status, _, _ in expected.values()} == {PASS_SAMPLED, FAIL}
-    monkeypatch.setattr(compat, "is_real_rooted", counted)
+    combos, asked = _spied(monkeypatch)
     for f in real_rooted + not_real_rooted:
         status, weights, combo = expected[f]
         for unchecked in (True, False):
-            calls.clear()
+            combos.clear()
+            asked.clear()
             if not unchecked and f in not_real_rooted:
                 with pytest.raises(NotRealRootedError):
                     compatible_pair_sampled(f, f, unchecked=unchecked)
-                assert calls == [f]  # the admissibility test of f, no combination
+                assert combos == [f] and asked == []  # the admissibility test of f
                 continue
             verdict = compatible_pair_sampled(f, f, unchecked=unchecked)
             admissibility = [] if unchecked else [f, f]
-            assert calls == admissibility + [2 * f]
             assert verdict.status == status
             if status == FAIL:
+                # both orders of the equal degrees are the same call
+                assert asked == [(f, f, False)] * 2
+                assert combos == admissibility + [2 * f]
                 assert (verdict.witness.weights, verdict.witness.combination) == (weights, combo)
-    # a family tests each diagonal pair once, and condition (a) of each
-    # diagonal pair of the conditions test too
+            else:
+                assert asked == [(f, f, True)]
+                assert combos == admissibility
+    # a family takes one interleaves call for each diagonal pair, and the
+    # conditions test one for condition (a) of each
     fs = [Poly((0, 2)), X, Poly((0, 0, 1))]
-    calls.clear()
-    assert compatible_family_sampled(fs, unchecked=True).is_pass
-    assert len(calls) == 3 * 1 + 3 * 33 + 1 + len(compat._WEIGHTS)  # and the full combinations
+    asked.clear()
+    compatible_family_sampled(fs, unchecked=True)
+    assert [(f, f, True) for f in fs] == [call for call in asked if call[0] == call[1]]
     fs = list(e_vector(3, 4).polys)  # three distinct members
-    calls.clear()
-    assert check_conditions_ab(fs, unchecked=True).is_pass
-    assert len(calls) == 3 * 1 + 3 * 33 + 6 * 33  # (a) off the diagonal, and (b)
+    asked.clear()
+    check_conditions_ab(fs, unchecked=True)
+    assert [(f, f, True) for f in fs] == [call for call in asked if call[0] == call[1]]
+
+
+def test_a_zero_member_takes_one_interleaves_call_and_no_sample(monkeypatch):
+    # 0 << g iff g is real-rooted, and every c1*0 + c2*g is c2*g
+    combos, asked = _spied(monkeypatch)
+    g = Poly((2, 3, 1))
+    for f, h in ((ZERO, g), (g, ZERO)):
+        assert compatible_pair_sampled(f, h).status == PASS_SAMPLED
+        assert combos == [f, h] and asked == [(ZERO, g, True)]  # the admissibility tests
+        combos.clear()
+        asked.clear()
+    # a negative lead beside 0 is negated first, under unchecked
+    assert compatible_pair_sampled(ZERO, -g, unchecked=True).status == PASS_SAMPLED
+    assert combos == [] and asked == [(ZERO, g, True)]
+    # beside a g that is not real-rooted the call fails, and the first
+    # weight pair gives the witness g
+    asked.clear()
+    g = Poly((1, 0, 1))
+    verdict = compatible_pair_sampled(ZERO, g, unchecked=True)
+    assert (verdict.status, verdict.witness.weights, verdict.witness.combination) == \
+        (FAIL, (Fraction(1, 8), Fraction(1, 8)), g)
+    assert combos == [g] and asked == [(ZERO, g, False)]
+    # E(2, n) and the base family of r = 4 hold a zero member: each of the
+    # 2 m (m + 1) / 2 conditions tests of their m members is one
+    # interleaves call, and none takes a combination
+    for fs in [list(e_vector(2, n).polys) for n in (1, 2, 3, 4)] + [list(e_base(4).polys)]:
+        assert ZERO in fs
+        combos.clear()
+        asked.clear()
+        assert check_conditions_ab(fs, unchecked=True).status == PASS_SAMPLED
+        m = len(fs)
+        assert combos == [] and len(asked) == m * (m + 1)
 
 
 # -- the three loops that the one sampled loop replaced, at all 64 weight pairs --
@@ -497,27 +540,22 @@ def test_one_sampled_loop_equals_the_three_loops_it_replaced():
 
 
 def test_interlacing_tests_take_no_sample(monkeypatch):
-    # the combinations compat tests, and (f, g, verdict) of each interleaves call
-    combos, asked = [], []
-    monkeypatch.setattr(compat, "is_real_rooted", lambda p: combos.append(p) or is_real_rooted(p))
-    monkeypatch.setattr(compat, "interleaves",
-                        lambda f, g: asked.append((f, g, interleaves(f, g))) or asked[-1][2])
+    combos, asked = _spied(monkeypatch)
     # E(3,4) interlaces pairwise and with each x*f_i: the admissibility tests
-    # and the three diagonal pairs of (a), one combination each, are all the
-    # root tests left; each other test is one interleaves call, or two for
-    # equal degrees when the first order fails
+    # are all the root tests left; each other test is one interleaves call,
+    # or two for distinct members of equal degree when the first order fails
     fs = list(e_vector(3, 4).polys)
     assert check_conditions_ab(fs).status == PASS_SAMPLED
-    assert combos == fs + [2 * f for f in fs]
-    assert len(asked) == 11 and sum(holds for _, _, holds in asked) == 9
+    assert combos == fs
+    assert len(asked) == 14 and sum(holds for _, _, holds in asked) == 12
     assert all(f.degree <= g.degree for f, g, _ in asked)
-    # the family E(4,4): admissibility, the diagonal and the 9 full combinations
+    # the family E(4,4): admissibility and the 9 full combinations
     combos.clear()
     asked.clear()
     fs = list(e_vector(4, 4).polys)
     assert compatible_family_sampled(fs).status == PASS_SAMPLED
-    assert len(combos) == 4 + 4 + 1 + len(compat._WEIGHTS)
-    assert [holds for _, _, holds in asked] == [True] * 6
+    assert len(combos) == 4 + 1 + len(compat._WEIGHTS) == 13
+    assert [holds for _, _, holds in asked] == [True] * 10
     # (x+2)^2 and (x+3)^2 interlace neither way: sampled to the same witness
     combos.clear()
     asked.clear()
@@ -531,37 +569,42 @@ def test_interlacing_tests_take_no_sample(monkeypatch):
 
 
 # members for the oracle: c * prod (x - r) over small integer roots, so that
-# roots are shared and repeated; c may be negative, and a member may be 0
+# roots are shared and repeated, at times times x^2 + 1, which has no real
+# root; c may be negative, and a member may be 0
 _ROOT = st.integers(-4, 4)
 
 
 @st.composite
 def _oracle_pairs(draw):
     """(f, g): root lists of 0 to 4 roots, g with 0, 1 or 2 roots more or
-    fewer than f and some roots taken from f's."""
+    fewer than f and some roots taken from f's; or g equal to f; or both
+    with negative leading coefficients (a zero member stays 0)."""
     def member(roots):
         if draw(st.integers(0, 15)) == 0:
             return ZERO
         p = Poly((draw(st.sampled_from((1, 1, 1, 2, 3, -1, -2))),))
         for r in roots:
             p = p * Poly((-r, 1))
-        return p
+        return p * Poly((1, 0, 1)) if draw(st.integers(0, 7)) == 0 else p
 
     f_roots = draw(st.lists(_ROOT, max_size=4))
     size = max(0, len(f_roots) + draw(st.sampled_from((-2, -1, 0, 0, 1, 2))))
     g_roots = [draw(st.sampled_from(f_roots)) if f_roots and draw(st.booleans()) else draw(_ROOT)
                for _ in range(size)]
     pair = [member(f_roots), member(g_roots)]
+    shape = draw(st.sampled_from(("drawn", "drawn", "equal", "negative")))
+    if shape == "equal":
+        pair[1] = pair[0]
+    elif shape == "negative":
+        pair = [-p if p.leading_coefficient > 0 else p for p in pair]
     return tuple(pair[::-1] if draw(st.booleans()) else pair)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_oracle_pairs())
 def test_interlacing_pairs_pass_every_sample_and_the_verdicts_match_the_loops(pair):
     f, g = pair
-    positive = not f.is_zero and not g.is_zero and min(f.leading_coefficient,
-                                                       g.leading_coefficient) > 0
-    if positive and (interleaves(f, g) or interleaves(g, f)):
+    if compat._interlace(f, g):
         assert all(is_real_rooted(a * f + b * g) for a, b in compat._CLEARED_PAIRS), pair
     for unchecked in (True, False):
         for kind in ("pair", "family", "conditions"):
