@@ -144,8 +144,9 @@ def _sampled(labelled, tests, unchecked: bool) -> CompatVerdict:
     zero members give only 0, which counts as real-rooted).  Then
     c1*f + c2*g = d*(c1*F + c2*G), and it is enough that h = c1*F + c2*G
     is real-rooted.  Let k = deg G = deg h (the leading coefficients are
-    positive, so nothing cancels) and b_1 > ... > b_k the roots of G.  Exactly i - 1 roots of F lie above b_i, so F(b_i), and with
-    it h(b_i) = c1*F(b_i), has the sign (-1)^(i-1).  That puts a root of h
+    positive, so nothing cancels) and b_1 > ... > b_k the roots of G.
+    Exactly i - 1 roots of F lie above b_i, so F(b_i), and with it
+    h(b_i) = c1*F(b_i), has the sign (-1)^(i-1).  That puts a root of h
     in each (b_(i+1), b_i), k - 1 of them, and one more below b_k, where h
     tends to the sign (-1)^k: k real roots, all of them.  This covers both
     degree cases, deg F = k - 1 and deg F = k, and the constants: k = 0 is
