@@ -2,9 +2,10 @@
 
 One report path: each command returns one ``Report``, which ``main`` renders
 once, as its text lines or under ``--json`` as one stable JSON object; an
-internal error becomes an ERROR report on the same path.  Exit codes follow the
-status: 0 PASS/OK, 1 FAIL, 3 ERROR; usage errors exit 2 with a message on stderr.
-A reader that closes stdout early does not change the exit code.
+internal error becomes an ERROR report on the same path, with the params its
+handler had recorded.  Exit codes follow the status: 0 PASS/OK, 1 FAIL,
+3 ERROR; usage errors exit 2 with a message on stderr.  A reader that closes
+stdout early does not change the exit code.
 
 Polynomials on the command line use the ascending-coefficient comma format
 ("0,1,1" is x + x^2); semicolons separate polynomials in sequence arguments.
@@ -95,22 +96,20 @@ class Report:
 # -- edgewise ------------------------------------------------------------------
 
 
-def cmd_edgewise(args) -> Report:
-    params = {"r": args.r, "n": args.n, "gamma": args.gamma, "component": args.component}
+def cmd_edgewise(args, params: dict) -> Report:
+    params.update(r=args.r, n=args.n, gamma=args.gamma, component=args.component)
     if args.component is not None and not 0 <= args.component < args.r:
         raise UsageError(f"component must be in [0, {args.r - 1}]")
     gamma = _parse_gamma(args.gamma) if args.gamma is not None else None
-    if args.verify:  # the oracle's budget, before the recurrence does any work
-        budget = _budget()
-        words.check_budget(args.n, args.r, budget)
+    # the oracle first: it checks (n, r), then the profile, then the budget
+    expected = (words.oracle_E_gamma(args.n, args.r, gamma, budget=_budget())
+                if args.verify else ())
     vec = edgewise.e_gamma(args.r, args.n, gamma)
-    if args.verify:
-        expected = words.oracle_E_gamma(args.n, args.r, gamma, budget=budget)
-        for i, (got, want) in enumerate(zip(vec.polys, expected)):
-            if got != want:
-                witness = {"component": i, "recurrence": str(got), "enumeration": str(want)}
-                return Report("edgewise", params, FAIL, witness=witness, lines=[
-                    f"MISMATCH component {i}: recurrence {got}, enumeration {want}"])
+    for i, (got, want) in enumerate(zip(vec.polys, expected)):
+        if got != want:
+            witness = {"component": i, "recurrence": str(got), "enumeration": str(want)}
+            return Report("edgewise", params, FAIL, witness=witness, lines=[
+                f"MISMATCH component {i}: recurrence {got}, enumeration {want}"])
     status = PASS if args.verify else OK
     if args.component is not None:
         out = str(vec.polys[args.component])
@@ -119,7 +118,7 @@ def cmd_edgewise(args) -> Report:
     return Report("edgewise", params, status, result=out, lines=out)
 
 
-def cmd_fh(args) -> Report:
+def cmd_fh(args, params: dict) -> Report:
     if (args.f is None) == (args.h is None):
         raise UsageError("exactly one of --f or --h is required")
     if args.f is not None:
@@ -127,18 +126,17 @@ def cmd_fh(args) -> Report:
     else:
         key, text, transform, vector = "h", args.h, edgewise.hf_transform, edgewise.HVector
     try:
-        entries = tuple(int(v) for v in text.split(","))
-        out = transform(vector(entries)).entries
+        params[key] = [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"cannot parse vector: {exc}") from exc
-    rendered = ",".join(str(v) for v in out)
-    return Report("fh", {key: list(entries)}, OK, result=rendered, lines=[rendered])
+    rendered = ",".join(str(v) for v in transform(vector(tuple(params[key]))).entries)
+    return Report("fh", params, OK, result=rendered, lines=[rendered])
 
 
 # -- check ---------------------------------------------------------------------
 
 
-def cmd_check(args) -> Report:
+def cmd_check(args, params: dict) -> Report:
     # the polynomials are argparse.REMAINDER (so that "-2,0,1" is not read as
     # an option), which also swallows a --unchecked written after the kind
     raw = [p for p in args.polys if p != "--unchecked"]
@@ -146,7 +144,9 @@ def cmd_check(args) -> Report:
     if not raw:
         raise UsageError("at least one polynomial is required")
     polys = [Poly.from_string(p) for p in raw]
-    params = {"kind": args.kind, "polys": [str(p) for p in polys]}
+    params.update(kind=args.kind, polys=[str(p) for p in polys])
+    if unchecked:
+        params["unchecked"] = True
     if args.kind == "realrooted":
         certificates = []
         for p in polys:
@@ -188,7 +188,7 @@ def _load_matrix(path: str) -> matrices.SymMatrix:
     return matrices.SymMatrix.from_json(text)
 
 
-def cmd_matrix(args) -> Report:
+def cmd_matrix(args, params: dict) -> Report:
     if args.subcommand == "classify-all":
         cls = matrices.classify_all_2x2()
         counts = {"allowed": len(cls.allowed), "forbidden": len(cls.forbidden),
@@ -200,25 +200,26 @@ def cmd_matrix(args) -> Report:
             {"matrix": M.to_strings(), "rules": a, "samples": b}
             for M, a, b in cls.disagreements
         ]
-        return Report("matrix classify-all", {}, FAIL if witness else PASS, result=counts,
+        return Report("matrix classify-all", params, FAIL if witness else PASS, result=counts,
                       witness=witness or None, lines=lines)
     if args.subcommand == "check":
+        params["file"] = args.file
         M = _load_matrix(args.file)
         preserves = matrices.preserves_check(M)
         ferrers = matrices.ferrers_check(M)
-        return Report("matrix check", {"file": args.file}, PASS if preserves else FAIL,
+        return Report("matrix check", params, PASS if preserves else FAIL,
                       result={"preserves": preserves, "ferrers": ferrers},
                       lines=[f"preserves: {'PASS' if preserves else 'FAIL'}, "
                              f"ferrers: {'PASS' if ferrers else 'FAIL'}"])
     if args.subcommand == "apply":
+        params.update(file=args.file, polys=args.polys)
         M = _load_matrix(args.file)
         if args.polys is None:
             raise UsageError("matrix apply requires --polys")
         fs = parse_poly_list(args.polys)
         out = matrices.apply(M, fs)
         rendered = ";".join(str(p) for p in out)
-        return Report("matrix apply", {"file": args.file, "polys": args.polys}, OK,
-                      result=rendered, lines=[rendered])
+        return Report("matrix apply", params, OK, result=rendered, lines=[rendered])
     # closure, compared with the rule engine's allowed set (no sampled test)
     closure = matrices.generator_closure()
     allowed = {M for M in matrices.all_2x2_matrices() if matrices.forbidden_pattern(M).allowed}
@@ -227,15 +228,7 @@ def cmd_matrix(args) -> Report:
     lines = [f"closure size: {len(closure)}",
              f"contained in allowed set: {'yes' if contained else 'NO'}",
              f"equals allowed set: {'yes' if closure == allowed else 'no'}"]
-    if closure != allowed:
-        missing = sorted(str(M) for M in allowed - closure)
-        extra = sorted(str(M) for M in closure - allowed)
-        lines.append(
-            "note: the closure convention (keep only {0,1,x}-entry products) "
-            f"differs from the allowed set; missing={missing} extra={extra}; "
-            "the 81-case classification remains authoritative"
-        )
-    return Report("matrix closure", {}, PASS if contained else FAIL,
+    return Report("matrix closure", params, PASS if contained else FAIL,
                   result={"size": len(closure), "contained": contained,
                           "equals_allowed": closure == allowed, "members": members},
                   lines=lines + members)
@@ -244,8 +237,8 @@ def cmd_matrix(args) -> Report:
 # -- words ---------------------------------------------------------------------
 
 
-def cmd_words(args) -> Report:
-    params = {"r": args.r, "n": args.n, "gamma": args.gamma, "closed": args.closed}
+def cmd_words(args, params: dict) -> Report:
+    params.update(r=args.r, n=args.n, gamma=args.gamma, closed=args.closed)
     budget = _budget()
     gamma = _parse_gamma(args.gamma) if args.gamma is not None else None
     if args.list:
@@ -333,8 +326,9 @@ def main(argv=None) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    params = {}  # filled by the handler as it reads its inputs, and shown by ERROR too
     try:
-        return _HANDLERS[args.command](args).render(args.json)
+        return _HANDLERS[args.command](args, params).render(args.json)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -344,8 +338,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # a fault of interlace itself, not of the input
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
-        params = {k: v for k, v in vars(args).items()
-                  if k not in ("command", "subcommand", "json")}
         return Report(command, params, ERROR).render(args.json)
 
 

@@ -91,9 +91,9 @@ class CompatVerdict:
 
     def __post_init__(self):
         if self.status not in (PASS_SAMPLED, FAIL):
-            raise ValueError(f"bad status {self.status!r}")
+            raise BadParametersError(f"bad status {self.status!r}")
         if (self.status == FAIL) != (self.witness is not None):
-            raise ValueError("FAIL verdicts carry a witness, PASS verdicts do not")
+            raise BadParametersError("FAIL verdicts carry a witness, PASS verdicts do not")
 
     @property
     def is_pass(self) -> bool:
@@ -175,18 +175,25 @@ def _sampled(labelled, tests, unchecked: bool) -> CompatVerdict:
 
 
 def _interlace(f: Poly, g: Poly) -> bool:
-    """f << g or g << f, with both negated when their leading coefficients
-    sum below 0: c1*f + c2*g and its negative have the same roots.  The
-    lower degree is asked on the left, both orders at equal degrees.  False
-    when a negative leading coefficient remains, so that
-    NegativeLeadingCoefficientError never escapes under ``unchecked``."""
+    """f << g or g << f, by one ``interleaves`` call, after both are negated
+    when their leading coefficients sum below 0 (c1*f + c2*g and its negative
+    have the same roots); False when a negative leading coefficient remains,
+    so that NegativeLeadingCoefficientError never escapes under ``unchecked``.
+
+    The lower degree is asked on the left, and at an equal degree n >= 1 the
+    one whose roots sum to less, lead(g)*f[n-1] >= lead(f)*g[n-1]: only that
+    order can hold.  Proof: f << g alternates the roots of g and f as
+    b_1 >= a_1 >= ... >= b_n >= a_n, so sum(b) >= sum(a), equal only when f
+    and g are positive multiples of one polynomial, where both orders ask
+    whether it is real-rooted.  At degree 0 both orders hold."""
     if f.leading_coefficient + g.leading_coefficient < 0:
         f, g = -f, -g
     if f.leading_coefficient < 0 or g.leading_coefficient < 0:
         return False
-    if f.degree > g.degree:
+    if f.degree > g.degree or (f.degree == g.degree >= 1 and g.leading_coefficient
+                               * f.coeffs[-2] < f.leading_coefficient * g.coeffs[-2]):
         f, g = g, f
-    return interleaves(f, g) or (f.degree == g.degree and interleaves(g, f))
+    return interleaves(f, g)
 
 
 def compatible_pair_sampled(f: Poly, g: Poly, unchecked: bool = False) -> CompatVerdict:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BadParametersError,
     DimensionMismatchError,
     NegativeEntryError,
     PolyFormatError,
@@ -191,7 +192,7 @@ class PatternVerdict:
 
     def __post_init__(self):
         if self.allowed != (self.rule is None):
-            raise ValueError("rejected matrices carry the rejecting rule")
+            raise BadParametersError("rejected matrices carry the rejecting rule")
 
 
 _EXCEPTIONS = (

@@ -279,7 +279,7 @@ class _Roots(NamedTuple):
     gcd: Poly
     count: Callable[[int, int], int | None]
     distinct: int
-    probe: Callable[[Poly, int, int, int, int], Fraction | None]
+    probe: Callable[[Poly, int, int, int], Fraction | None]
 
 
 def _roots(f: Poly, verdict: bool = False) -> _Roots | None:
@@ -577,19 +577,17 @@ def _chain_counter(p: Poly, verdict: bool = False):
     V(oo); the probe is the grid probe ``_rational_root_in``.  For
     lead(p) > 0 a normal sequence drops the degree by one at each step with
     positive leading coefficients, so V(-oo) = deg p - deg gcd and V(oo) = 0
-    take no sign, and its chain is built at the first count.
+    take no sign.
     """
     dp = poly_derivative(p)
     terms = _normal_sequence(p, dp) if verdict else tuple(_remainder_sequence(p, dp))
     if terms is None:
         return None
-    chain = None if verdict else SturmChain(terms)
+    chain = SturmChain(terms)
     v_neg = len(terms) - 1 if verdict else chain.variations_at_neg_inf()
     distinct = v_neg if verdict else v_neg - chain.variations_at_pos_inf()
 
     def count(num: int, den: int) -> int | None:
-        nonlocal chain
-        chain = chain or SturmChain(terms)
         v = chain.variations_at(num, den, True)
         return None if v is None else v_neg - v
 

@@ -3,6 +3,10 @@
 # point.  CI runs it after `pip install .` as `bash -e tests/entry_points.sh`,
 # and tests/test_workflow.py runs it from the source tree.
 interlace edgewise --r 4 --n 7 --verify
+status=0
+err=$(INTERLACE_BUDGET=100 interlace edgewise --r 4 --n 7 --verify 2>&1) || status=$?
+test "$status" -eq 2
+test "$err" = "error: BudgetExceededError: (r-1)^n = 3^7 exceeds budget 100"
 test "$(interlace edgewise --r 2 --n 5 --component 1)" = "0,0,0,1"
 test "$(interlace edgewise --r 3 --n 4 --component 0)" = "0,0,6"
 # the compat verdicts, each JSON byte pinned: E(4,4) and E(3,4) pass, and
@@ -15,14 +19,16 @@ status=0
 sum=$(set -o pipefail; interlace check compatible 4,4,1 9,6,1 | sha256sum | cut -d ' ' -f 1) || status=$?
 test "$status" -eq 1
 test "$sum" = "e37a8ffa48ce2134004bc036b95461b998cfe02801c7e51e3d89f990639066ef"
+# (x+1)(x+3) and (x+2)(x+4) interlace only in the reverse order of their input
+test "$(interlace --json check compatible 3,4,1 8,6,1)" = '{"command": "check", "params": {"kind": "compatible", "polys": ["3,4,1", "8,6,1"]}, "status": "PASS", "result": {"verdict": "PASS_SAMPLED"}}'
 # unchecked verdicts: a family whose pairs pass but whose full combination
 # fails, a zero member, and negative leads beside a zero
 status=0
 out=$(interlace --json check compatible --unchecked 1,-2 2,1 -4,4,2) || status=$?
 test "$status" -eq 1
-test "$out" = '{"command": "check", "params": {"kind": "compatible", "polys": ["1,-2", "2,1", "-4,4,2"]}, "status": "FAIL", "witness": {"weights": ["1/1", "1/2", "1/4"], "combination": "4,-2,2"}}'
-test "$(interlace --json check compatible --unchecked 0 1,-3,2)" = '{"command": "check", "params": {"kind": "compatible", "polys": ["0", "1,-3,2"]}, "status": "PASS", "result": {"verdict": "PASS_SAMPLED"}}'
-test "$(interlace --json check conditions-ab --unchecked -1,-1 -2,-3,-1 0)" = '{"command": "check", "params": {"kind": "conditions-ab", "polys": ["-1,-1", "-2,-3,-1", "0"]}, "status": "PASS", "result": {"verdict": "PASS_SAMPLED"}}'
+test "$out" = '{"command": "check", "params": {"kind": "compatible", "polys": ["1,-2", "2,1", "-4,4,2"], "unchecked": true}, "status": "FAIL", "witness": {"weights": ["1/1", "1/2", "1/4"], "combination": "4,-2,2"}}'
+test "$(interlace --json check compatible --unchecked 0 1,-3,2)" = '{"command": "check", "params": {"kind": "compatible", "polys": ["0", "1,-3,2"], "unchecked": true}, "status": "PASS", "result": {"verdict": "PASS_SAMPLED"}}'
+test "$(interlace --json check conditions-ab --unchecked -1,-1 -2,-3,-1 0)" = '{"command": "check", "params": {"kind": "conditions-ab", "polys": ["-1,-1", "-2,-3,-1", "0"], "unchecked": true}, "status": "PASS", "result": {"verdict": "PASS_SAMPLED"}}'
 test "$(interlace matrix classify-all)" = "allowed: 40, forbidden: 41, disagreements: 0"
 first=$(set -o pipefail; interlace matrix closure | head -n 1)
 test "$first" = "closure size: 40"

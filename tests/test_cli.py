@@ -88,6 +88,18 @@ def test_edgewise_verify_checks_the_oracle_budget_before_any_work(capsys, monkey
     assert calls == []
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["--r", "4", "--n", "30", "--gamma", "0,0,0"],
+     "InvalidGammaError: profile length 3 does not match r=4"),
+    (["--r", "1", "--n", "5000"],
+     "BadParametersError: need integers n >= 1 and r >= 2, got n=5000, r=1"),
+], ids=["profile-before-budget", "n-r-before-word-length-cap"])
+def test_edgewise_verify_checks_n_r_then_the_profile_then_the_budget(capsys, argv, line):
+    # --verify reports the error that the same call without it reports
+    for verify in ([], ["--verify"]):
+        assert run_cli(capsys, "edgewise", *argv, *verify) == (2, "", f"error: {line}\n")
+
+
 def test_word_length_cap_exits_2_before_any_walk(capsys):
     for argv in (["words", "--r", "2", "--n", "5000"],
                  ["words", "--r", "2", "--n", "5000", "--list"],
@@ -414,11 +426,12 @@ def test_usage_exit_code(capsys):
     assert main([]) == 2
 
 
-def test_internal_error_exit_code(capsys, monkeypatch):
-    def broken(*_):
-        raise RuntimeError("boom")
+def _broken(*_, **__):
+    raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "_certificate", broken)
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_certificate", _broken)
     code, out, err = run_cli(capsys, "check", "realrooted", "0,1,1")
     assert code == 3 and out == ""
     assert err.strip() == "error: internal: RuntimeError: boom"
@@ -426,24 +439,42 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "--json", "check", "realrooted", "0,1,1")
     assert code == 3 and "error: internal" in err
     assert json.loads(out) == {"command": "check", "status": "ERROR",
-                               "params": {"kind": "realrooted", "polys": ["0,1,1"],
-                                          "unchecked": False}}
-    monkeypatch.setattr(cli.matrices, "classify_all_2x2", broken)
+                               "params": {"kind": "realrooted", "polys": ["0,1,1"]}}
+    monkeypatch.setattr(cli.matrices, "classify_all_2x2", _broken)
     code, out, err = run_cli(capsys, "--json", "matrix", "classify-all")
     assert code == 3 and err.strip() == "error: internal: RuntimeError: boom"
     assert json.loads(out) == {"command": "matrix classify-all", "params": {},
                                "status": "ERROR"}
 
 
+@pytest.mark.parametrize("argv,patched,params", [
+    (["edgewise", "--r", "3", "--n", "2", "--verify"], (cli.edgewise, "e_gamma"),
+     {"r": 3, "n": 2, "gamma": None, "component": None}),
+    (["fh", "--f", "1,3,3,1"], (cli.edgewise, "fh_transform"), {"f": [1, 3, 3, 1]}),
+    (["check", "realrooted", "01,2,1", "--unchecked"], (cli, "_certificate"),
+     {"kind": "realrooted", "polys": ["1,2,1"], "unchecked": True}),
+    (["matrix", "apply", "m.json", "--polys", "0"], (cli.matrices, "apply"),
+     {"file": "m.json", "polys": "0"}),
+    (["words", "--r", "3", "--n", "2", "--list"], (cli.words, "enumerate_sw_gamma"),
+     {"r": 3, "n": 2, "gamma": None, "closed": False}),
+], ids=["edgewise", "fh", "check", "matrix-apply", "words"])
+def test_error_report_shows_the_params_the_command_read(
+        argv, patched, params, capsys, monkeypatch, tmp_path):
+    # the params of the report a command would have printed: no option
+    # outside them, the polynomials normalised and --unchecked wherever it stands
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text('[["1"]]')
+    monkeypatch.setattr(*patched, _broken)
+    code, out, err = run_cli(capsys, "--json", *argv)
+    assert (code, err) == (3, "error: internal: RuntimeError: boom\n")
+    assert json.loads(out) == {"command": " ".join(argv[:2] if argv[0] == "matrix" else argv[:1]),
+                               "params": params, "status": "ERROR"}
+
+
 # -- every report branch, exact stdout and exit code in text and --json ----------
 
 ALLOWED = sorted(str(M) for M in matrices.all_2x2_matrices()
                  if matrices.forbidden_pattern(M).allowed)
-CLOSURE_NOTE = (
-    "note: the closure convention (keep only {0,1,x}-entry products) differs from "
-    "the allowed set; missing=[] extra=['1x;01']; "
-    "the 81-case classification remains authoritative"
-)
 
 
 def _wrong_oracle_E(monkeypatch):
@@ -468,10 +499,7 @@ def _closure_with_forbidden(monkeypatch):
 
 
 def _broken_certificate(monkeypatch):
-    def broken(*_):
-        raise RuntimeError("boom")
-
-    monkeypatch.setattr(cli, "_certificate", broken)
+    monkeypatch.setattr(cli, "_certificate", _broken)
 
 
 def _edge(r, n, gamma=None, component=None):
@@ -482,8 +510,8 @@ def _words(r, n, gamma=None, closed=False):
     return {"r": r, "n": n, "gamma": gamma, "closed": closed}
 
 
-def _check(kind, *polys):
-    return {"kind": kind, "polys": list(polys)}
+def _check(kind, *polys, unchecked=False):
+    return {"kind": kind, "polys": list(polys), **({"unchecked": True} if unchecked else {})}
 
 
 # (id, argv, patch, exit code, text stdout lines, JSON report or None, stderr);
@@ -535,7 +563,7 @@ REPORTS = [
     ("check compatible fail", ["check", "--unchecked", "compatible", "2,3,1", "2,-3,1"],
      None, 1,
      ['FAIL {"weights": ["1/8", "1/8"], "combination": "4,0,2", "pair": [0, 1]}'],
-     {"command": "check", "params": _check("compatible", "2,3,1", "2,-3,1"),
+     {"command": "check", "params": _check("compatible", "2,3,1", "2,-3,1", unchecked=True),
       "status": "FAIL",
       "witness": {"weights": ["1/8", "1/8"], "combination": "4,0,2", "pair": [0, 1]}}, ""),
     ("check conditions-ab pass", ["check", "conditions-ab", "0", "0,1", "0,1"], None, 0,
@@ -552,8 +580,7 @@ REPORTS = [
      "error: interleave takes exactly two polynomials\n"),
     ("check internal error", ["check", "realrooted", "0,1,1"], _broken_certificate, 3,
      [],
-     {"command": "check", "params": {"unchecked": False, "kind": "realrooted",
-                                     "polys": ["0,1,1"]}, "status": "ERROR"},
+     {"command": "check", "params": _check("realrooted", "0,1,1"), "status": "ERROR"},
      "error: internal: RuntimeError: boom\n"),
     ("matrix classify-all", ["matrix", "classify-all"], None, 0,
      ["allowed: 40, forbidden: 41, disagreements: 0"],
@@ -596,8 +623,8 @@ REPORTS = [
       "result": {"size": 40, "contained": True, "equals_allowed": True,
                  "members": ALLOWED}}, ""),
     ("matrix closure fail", ["matrix", "closure"], _closure_with_forbidden, 1,
-     ["closure size: 41", "contained in allowed set: NO", "equals allowed set: no",
-      CLOSURE_NOTE] + sorted(ALLOWED + ["1x;01"]),
+     ["closure size: 41", "contained in allowed set: NO", "equals allowed set: no"]
+     + sorted(ALLOWED + ["1x;01"]),
      {"command": "matrix closure", "params": {}, "status": "FAIL",
       "result": {"size": 41, "contained": False, "equals_allowed": False,
                  "members": sorted(ALLOWED + ["1x;01"])}}, ""),

@@ -11,6 +11,8 @@ from interlace import compat
 from interlace.compat import (
     FAIL,
     PASS_SAMPLED,
+    CompatVerdict,
+    CompatWitness,
     check_conditions_ab,
     compatible_family_sampled,
     compatible_pair_sampled,
@@ -62,6 +64,20 @@ def test_conic_combination_rejects_a_string_for_a_sequence(weights, polys, what)
 def test_a_sequence_of_polys_is_checked_at_the_boundary(call, fs, message):
     with pytest.raises(BadParametersError, match=message):
         call(fs)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: conic_combination([1], [X, ONE]), "one weight per polynomial required"),
+    (lambda: conic_combination([1, 2], [X]), "one weight per polynomial required"),
+    (lambda: CompatVerdict("PASS"), "bad status 'PASS'"),
+    (lambda: CompatVerdict(FAIL), "FAIL verdicts carry a witness"),
+    (lambda: CompatVerdict(PASS_SAMPLED, CompatWitness((Fraction(1),), X)),
+     "PASS verdicts do not"),
+], ids=["fewer-weights", "more-weights", "bad-status", "fail-without-witness",
+        "pass-with-witness"])
+def test_guards_raise_their_typed_error(call, message):
+    with pytest.raises(BadParametersError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("weight", [2, Fraction(2), 2.0, "2/1"],
@@ -371,8 +387,7 @@ def test_equal_pair_decided_at_its_first_weight_pair(monkeypatch):
             admissibility = [] if unchecked else [f, f]
             assert verdict.status == status
             if status == FAIL:
-                # both orders of the equal degrees are the same call
-                assert asked == [(f, f, False)] * 2
+                assert asked == [(f, f, False)]
                 assert combos == admissibility + [2 * f]
                 assert (verdict.witness.weights, verdict.witness.combination) == (weights, combo)
             else:
@@ -543,11 +558,11 @@ def test_interlacing_tests_take_no_sample(monkeypatch):
     combos, asked = _spied(monkeypatch)
     # E(3,4) interlaces pairwise and with each x*f_i: the admissibility tests
     # are all the root tests left; each other test is one interleaves call,
-    # or two for distinct members of equal degree when the first order fails
+    # in the one order that can hold
     fs = list(e_vector(3, 4).polys)
     assert check_conditions_ab(fs).status == PASS_SAMPLED
     assert combos == fs
-    assert len(asked) == 14 and sum(holds for _, _, holds in asked) == 12
+    assert [holds for _, _, holds in asked] == [True] * 12
     assert all(f.degree <= g.degree for f, g, _ in asked)
     # the family E(4,4): admissibility and the 9 full combinations
     combos.clear()
@@ -556,7 +571,8 @@ def test_interlacing_tests_take_no_sample(monkeypatch):
     assert compatible_family_sampled(fs).status == PASS_SAMPLED
     assert len(combos) == 4 + 1 + len(compat._WEIGHTS) == 13
     assert [holds for _, _, holds in asked] == [True] * 10
-    # (x+2)^2 and (x+3)^2 interlace neither way: sampled to the same witness
+    # (x+2)^2 and (x+3)^2 interlace neither way: the roots of f sum to more,
+    # so only g << f is asked; sampled to the same witness
     combos.clear()
     asked.clear()
     f, g = Poly((4, 4, 1)), Poly((9, 6, 1))
@@ -565,7 +581,7 @@ def test_interlacing_tests_take_no_sample(monkeypatch):
     assert (verdict.status, verdict.witness.weights, verdict.witness.combination) == \
         (status, weights, combo) == (FAIL, (Fraction(1, 8), Fraction(1, 8)), Poly((13, 10, 2)))
     assert combos == [f, g, combo]
-    assert asked == [(f, g, False), (g, f, False)]
+    assert asked == [(g, f, False)]
 
 
 # members for the oracle: c * prod (x - r) over small integer roots, so that
@@ -610,3 +626,28 @@ def test_interlacing_pairs_pass_every_sample_and_the_verdicts_match_the_loops(pa
         for kind in ("pair", "family", "conditions"):
             want = _outcome(_reference_verdict, kind, [f, g], unchecked)
             assert _outcome(_library_verdict, kind, [f, g], unchecked) == want, (kind, pair)
+
+
+def _two_order_interlace(f, g):
+    """The rule that asked both orders at equal degrees, kept as the reference."""
+    if f.leading_coefficient + g.leading_coefficient < 0:
+        f, g = -f, -g
+    if f.leading_coefficient < 0 or g.leading_coefficient < 0:
+        return False
+    if f.degree > g.degree:
+        f, g = g, f
+    return interleaves(f, g) or (f.degree == g.degree and interleaves(g, f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_pairs(), st.sampled_from((None, 2, 3, -1, -2)), st.booleans())
+def test_one_interleaves_call_decides_what_both_orders_did(pair, multiple, first):
+    # a multiple puts c*f beside f, at the same degree and the same roots
+    f, g = pair
+    if multiple is not None:
+        f, g = (f, multiple * f) if first else (multiple * f, f)
+    with pytest.MonkeyPatch.context() as mp:
+        _, asked = _spied(mp)
+        holds = compat._interlace(f, g)
+    assert holds == _two_order_interlace(f, g), (f, g)
+    assert len(asked) <= 1

@@ -318,6 +318,8 @@ def test_fh_examples():
     assert fh_transform(FVector((1, 3, 3, 1))).entries == (1, 0, 0, 0)
     assert fh_transform(FVector((1, 3, 3))).entries == (1, 1, 1)
     assert hf_transform(HVector((1, 1, 1))).entries == (1, 3, 3)
+    assert FVector((1, 3, 3, 1)).d == HVector((1, 0, 0, 0)).d == 3
+    assert FVector((1,)).d == HVector((5,)).d == 0
 
 
 def test_fh_malformed():

@@ -22,6 +22,7 @@ from interlace.matrices import (
     ActionFailure,
     ActionReport,
     Entry,
+    PatternVerdict,
     SymMatrix,
     action_property_test,
     all_2x2_matrices,
@@ -490,7 +491,10 @@ def test_pattern_verdict_on_bad_shape():
     (lambda: SymMatrix(((Entry.ONE, Entry.X), (Entry.ONE,))), DimensionMismatchError,
      "ragged rows"),
     (lambda: minors_nonneg([[1, 2], [3]]), DimensionMismatchError, "ragged rows"),
-], ids=["entry", "json-object", "empty", "ragged", "ragged-minors"])
+    (lambda: PatternVerdict(False), BadParametersError, "carry the rejecting rule"),
+    (lambda: PatternVerdict(True, "I"), BadParametersError, "carry the rejecting rule"),
+], ids=["entry", "json-object", "empty", "ragged", "ragged-minors", "rejected-without-rule",
+        "allowed-with-rule"])
 def test_guards_raise_their_typed_error(call, error, message):
     with pytest.raises(error, match=message):
         call()
