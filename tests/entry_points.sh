@@ -44,6 +44,8 @@ test "$(interlace --json check realrooted 2,17,44,44,17,2)" = '{"command": "chec
 test "$(interlace --json check realrooted 0,-2,-4,-1,2,1)" = '{"command": "check", "params": {"kind": "realrooted", "polys": ["0,-2,-4,-1,2,1"]}, "status": "PASS", "result": {"certificates": [[{"lo": "-3/2", "hi": "-9/8", "mult": 1}, {"lo": "-1/1", "hi": "-1/1", "mult": 2}, {"lo": "0/1", "hi": "0/1", "mult": 1}, {"lo": "3/4", "hi": "3/2", "mult": 1}]]}}'
 test "$(interlace --json check realrooted 0,-2,0,100)" = '{"command": "check", "params": {"kind": "realrooted", "polys": ["0,-2,0,100"]}, "status": "PASS", "result": {"certificates": [[{"lo": "-1/4", "hi": "-1/8", "mult": 1}, {"lo": "0/1", "hi": "0/1", "mult": 1}, {"lo": "1/8", "hi": "1/4", "mult": 1}]]}}'
 test "$(interlace --json check realrooted 0,0,1,1902,44803,116304,44803,1902,1)" = '{"command": "check", "params": {"kind": "realrooted", "polys": ["0,0,1,1902,44803,116304,44803,1902,1"]}, "status": "PASS", "result": {"certificates": [[{"lo": "-116305/32", "hi": "-116305/64", "mult": 1}, {"lo": "-116305/4096", "hi": "-116305/8192", "mult": 1}, {"lo": "-116305/32768", "hi": "-116305/65536", "mult": 1}, {"lo": "-116305/262144", "hi": "-116305/524288", "mult": 1}, {"lo": "-116305/2097152", "hi": "-116305/4194304", "mult": 1}, {"lo": "-116305/134217728", "hi": "-116305/268435456", "mult": 1}, {"lo": "0/1", "hi": "0/1", "mult": 2}]]}}'
+# local_h(5, 10) at -x: its fold's roots lie above 2, on the side s = +2
+test "$(interlace --json check realrooted 1,-1902,44803,-116304,44803,-1902,1)" = '{"command": "check", "params": {"kind": "realrooted", "polys": ["1,-1902,44803,-116304,44803,-1902,1"]}, "status": "PASS", "result": {"certificates": [[{"lo": "0/1", "hi": "116305/4194304", "mult": 1}, {"lo": "116305/4194304", "hi": "116305/2097152", "mult": 1}, {"lo": "116305/524288", "hi": "116305/262144", "mult": 1}, {"lo": "116305/65536", "hi": "116305/32768", "mult": 1}, {"lo": "116305/8192", "hi": "116305/4096", "mult": 1}, {"lo": "116305/64", "hi": "116305/32", "mult": 1}]]}}'
 status=0
 interlace check realrooted 1,9,26,33,26,9,1 || status=$?
 test "$status" -eq 1

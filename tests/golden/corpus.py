@@ -17,7 +17,14 @@ The inputs are
 - palindromes whose fold has complex roots, ``local_h(r, n)`` times
   x^4 + 3x^2 + 1 or x^4 + x^3 + 3x^2 + x + 1, whose folds gain the factors
   y^2 + 1 and y^2 + y + 1: their separators cannot be proven, so they are
-  counted on the chain of the fold.
+  counted on the chain of the fold;
+- palindromes whose fold has its roots above 2, so that its proof runs on the
+  side s = +2: the stripped ``local_h(r, n)`` at -x, for every cell of the
+  grid above whose stripped degree is even, and the same palindromes times
+  x + 1, of odd degree;
+- palindromes whose fold has the root y = 0, from the roots +-i: the same
+  cells' ``local_h(r, n)`` and their stripped palindromes at -x, each times
+  x^2 + 1, on either side s.
 
 The families of the compatibility layer are
 - ``e_vector(r, n)`` for r 2-6 and n 1-6, and the image of each under
@@ -68,6 +75,7 @@ BOUNDARY = ((8, 49), (9, 49), (10, 46), (11, 46), (12, 46), (12, 43))
 
 # palindromic factors whose folds, y^2 + 1 and y^2 + y + 1, have complex roots
 _COMPLEX_FOLDS = {"x^4+3x^2+1": Poly((1, 0, 3, 0, 1)), "x^4+x^3+3x^2+x+1": Poly((1, 1, 3, 1, 1))}
+X_PLUS_1, X2_PLUS_1 = Poly((1, 1)), Poly((1, 0, 1))
 
 
 def _product(factors) -> Poly:
@@ -115,7 +123,28 @@ def inputs() -> list[tuple[str, Poly]]:
     for r, n in ((3, 7), (4, 10), (6, 13), (9, 16)):
         h = local_h(r, n)
         out += [(f"local_h({r},{n})*({name})", h * g) for name, g in _COMPLEX_FOLDS.items()]
+    for r, n, h in _even_cells():
+        at_minus_x = Poly(tuple(-c if i % 2 else c for i, c in enumerate(_stripped(h).coeffs)))
+        out += [(f"positive local_h({r},{n})(-x)", at_minus_x),
+                (f"positive local_h({r},{n})(-x)*(x+1)", at_minus_x * X_PLUS_1),
+                (f"root y=0 local_h({r},{n})*(x^2+1)", h * X2_PLUS_1),
+                (f"root y=0 local_h({r},{n})(-x)*(x^2+1)", at_minus_x * X2_PLUS_1)]
     return out
+
+
+def _stripped(f: Poly) -> Poly:
+    """f with its factor x^k divided out."""
+    return Poly(f.coeffs[next(i for i, c in enumerate(f.coeffs) if c):])
+
+
+def _even_cells():
+    """(r, n, local_h(r, n)) for the cells of the local_h grid whose
+    stripped palindrome has an even degree of at least 2."""
+    for r in range(3, 13):
+        for n in range(4, 41, 3):
+            h = local_h(r, n)
+            if _stripped(h).degree % 2 == 0 and _stripped(h).degree >= 2:
+                yield r, n, h
 
 
 def pairs() -> list[tuple[str, Poly, Poly]]:

@@ -41,6 +41,9 @@ def test_the_corpus_covers_each_family():
     assert sum(name.startswith("boundary local_h(") for name in names) == 6
     assert sum(name.startswith("E(") for name in names) == 522
     assert sum(name.startswith("seeded #") for name in names) == 200
+    assert sum(name.startswith("positive local_h(") and "*" not in name for name in names) == 69
+    assert sum(name.startswith("positive local_h(") and name.endswith("*(x+1)") for name in names) == 69
+    assert sum(name.startswith("root y=0 local_h(") for name in names) == 138
     names = [name for name, _, _ in families()]
     assert sum(name.startswith("compat E(") for name in names) == 30
     assert sum(name.startswith("compat T(E(") for name in names) == 30
