@@ -11,13 +11,17 @@ palindromic h (c_i = c_{d-i}), such as every local h-polynomial with its x^k
 stripped, goes through one fold: for d = 2m, x^-m h(x) = q(x + 1/x)
 with deg q = m, so h = lead(h) prod (x^2 - y_i x + 1) over the roots y_i of
 q (an odd d first loses the root -1), and h is real-rooted iff q is
-real-rooted with every |y_i| >= 2.  ``_fold_counter`` owns the fold: when q
-is squarefree with q(+-2) != 0, isolating intervals of q at half the degree
-give the number of real roots of h and drive isolation.  They are the gaps
-between deg q + 1 separators that exact signs of q prove (``_separators``,
-the certifying-algorithm pattern): first the geometric means of the root
-moduli of the Newton polygon of q, then, only when those fail, points
-between the roots that Laguerre's method guesses in floats.  Only when both
+real-rooted with every |y_i| >= 2.  ``_fold`` builds q at once in the
+variable w = y - s of its proof, s = 2 or -2 on the side where its roots
+cluster (for s = -2 that is the gamma-polynomial of h), and every point,
+gap and bracket of q is in w.  ``_fold_counter`` owns the fold, and it is
+the one place that maps between y and w: when q is squarefree with
+q(+-2) != 0, isolating intervals of q at half the degree give the number
+of real roots of h and drive isolation.  They are the gaps between deg q + 1
+separators that exact signs of q prove (``_separators``, the
+certifying-algorithm pattern): first the geometric means of the root moduli
+of the Newton polygon of q, then, only when those fail, points between the
+roots that Laguerre's method guesses in floats.  Only when both
 fail do they come from the one chain of (q, q'), by Sturm counts and the
 Sturm tree; no Descartes count is taken.
 
@@ -50,9 +54,10 @@ half on which the count changes, and p is squarefree, so its sign at an end
 is the parity of the count: the tree takes no sign of p.  A folded h is
 counted through the fold: y = t + 1/t is monotone on each of (-oo, -1],
 (-1, 0), (0, 1] and (1, oo), so the roots of h below t are a count of the
-roots of q against y, a binary search over isolating intervals of q.  The
-first count narrows the proven gaps to brackets about 2^-29 wide around the
-roots Laguerre's method guesses, each proven by two signs of q, so that
+roots of q against w = y - s, a binary search over isolating intervals of
+q.  The first count narrows the proven gaps to brackets about 2^-29 wide
+around the roots Laguerre's method guesses, each proven by two signs of q,
+so that
 only a y inside a bracket takes a sign of q; on the chain of q it isolates
 q.  Verdicts and refinement need only the number of real roots and do
 neither: a fold the polygon proves takes no Laguerre step for them.  The
@@ -314,26 +319,41 @@ def _roots(f: Poly, verdict: bool = False) -> _Roots | None:
     return None if chain is None else _Roots(k, h, *chain)
 
 
-def _fold(h: Poly) -> Poly:
-    """The q of degree m with x^-m g(x) = q(x + 1/x) for a palindromic h, where
-    g = h of degree 2m, or g = h / (x + 1) for an odd degree (h(-1) =
-    (-1)^deg h h(-1) = 0, and g is a palindrome too): q = c_m + sum_{j>=1}
-    c_{m+j} D_j(y) over the coefficients c of g, where D_j(x + 1/x) =
-    x^j + x^-j, so D_0 = 2, D_1 = y and D_{j+1} = y D_j - D_{j-1}."""
+def _fold(h: Poly) -> tuple[Poly, int]:
+    """(Q, s) with Q(w) = q(w + s) for the q of degree m with
+    x^-m g(x) = q(x + 1/x), for a palindromic h, where g = h of degree 2m,
+    or g = h / (x + 1) for an odd degree (h(-1) = (-1)^deg h h(-1) = 0, and
+    g is a palindrome too).
+
+    q = c_m + sum_{j>=1} c_{m+j} D_j(y) over the coefficients c of g, where
+    D_j(x + 1/x) = x^j + x^-j, so D_0 = 2, D_1 = y and
+    D_{j+1} = y D_j - D_{j-1}; at y = w + s the same recurrence, started at
+    D_1 = w + s, builds Q, with no shift afterwards.  The y^(m-1)
+    coefficient of q is c_(2m-1) (D_m has only the powers y^m, y^(m-2),
+    ...), which is -lead(q) times the sum of the roots of q, and
+    lead(q) = lead(g) > 0: s = 2 when c_(2m-1) < 0, the roots summing to
+    more than 0, and s = -2 otherwise.
+    The roots of a fold cluster at 2 or -2, and w is near 0 there.
+
+    For s = -2, Q is the gamma-polynomial of g: g = sum_i gamma_i x^i
+    (1 + x)^(2m-2i) (Gal, Discrete Comput. Geom. 34, 2005) gives
+    x^-m g = sum_i gamma_i (x + 1/x + 2)^(m-i), so
+    Q(w) = sum_i gamma_i w^(m-i)."""
     if h.degree % 2:
         h = exact_div(h, Poly((1, 1)))
     c = h.coeffs
     m = len(c) // 2
+    s = 2 if m and c[-2] < 0 else -2
     q = [c[m]] + [0] * m
-    d_prev, d = [2], [0, 1]
+    d_prev, d = [2], [s, 1]
     for cj in c[m + 1:]:
         for i, e in enumerate(d):
             q[i] += cj * e
-        d_next = [0] + d
-        for i, e in enumerate(d_prev):
-            d_next[i] -= e
+        d_next = [0] + d  # (w + s) D_j - D_(j-1)
+        for i, (e, f) in enumerate(zip(d, d_prev + [0])):
+            d_next[i] += s * e - f
         d_prev, d = d, d_next
-    return Poly(tuple(q))
+    return Poly(tuple(q)), s
 
 
 # -- root isolation -----------------------------------------------------------
@@ -347,15 +367,15 @@ def _root_bound(p: Poly) -> int:
     return 1 + (-(-m // an))
 
 
-def _guessed_separators(q: Poly):
-    """Yields (points, roots, s) in up to two stages, each only a guess that
+def _guessed_separators(q: Poly, s: int):
+    """Yields (points, roots) in up to two stages, each only a guess that
     ``_separators`` proves or rejects: deg q - 1 points num/den, ascending,
-    guessed to separate the roots of q, the deg q guessed roots w + s of the
-    stage, ascending, as floats w (None for the first stage), and s.
+    guessed to separate the roots of q, and the deg q guessed roots of the
+    stage, ascending, as floats (None for the first stage).
 
-    q(y) is first shifted exactly to q(w + s), s = 2 if the roots of q sum
-    to more than 0 and s = -2 otherwise: the roots of a fold cluster at 2 or
-    -2, and points near 0 in w resolve them where points near +-2 cannot.
+    q is a fold in the variable w of ``_fold``, whose roots cluster at 0,
+    where points resolve them; s, its side, only picks the sign of the
+    guesses: the roots lie mostly above 0 for s = 2 and below for s = -2.
     The upper convex hull of (i, log2|c_i|) over its coefficients, its
     Newton polygon, gives the root moduli 2^((l_i - l_j)/(j - i)), j - i of
     them for each edge from (i, l_i) to (j, l_j), ascending: the classic
@@ -367,11 +387,7 @@ def _guessed_separators(q: Poly):
     it converges, so a caller that stops at a proven first stage never takes
     a Laguerre step.
     """
-    n, cs = q.degree, list(q.coeffs)
-    s = 2 if n and cs[-2] < 0 else -2  # the side of the mean root
-    for i in range(n):  # cs becomes q(w + s), exactly
-        for k in range(n - 1, i - 1, -1):
-            cs[k] += s * cs[k + 1]
+    n, cs = q.degree, q.coeffs
     hull = []  # upper convex hull of (i, log2|c_i|)
     for pt in [(i, math.log2(abs(c))) for i, c in enumerate(cs) if c]:
         while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])
@@ -385,14 +401,14 @@ def _guessed_separators(q: Poly):
             e = math.floor(mean) - 7
             num = round(2 ** (mean - e))  # 8 bits, times 2^e
             num, den = (num << e, 1) if e >= 0 else (num, 1 << -e)
-            points.append(((num if s > 0 else -num) + s * den, den))
-        yield (points if s > 0 else points[::-1]), None, s
+            points.append((num if s > 0 else -num, den))
+        yield (points if s > 0 else points[::-1]), None
     laguerre = _laguerre(cs, hull, s)
     if laguerre is not None:
-        yield [(a + s * den, den) for a, den in laguerre[0]], laguerre[1], s
+        yield laguerre
 
 
-def _laguerre(cs: list[int], hull: list[tuple[int, float]], s: int
+def _laguerre(cs: tuple[int, ...], hull: list[tuple[int, float]], s: int
               ) -> tuple[list[tuple[int, int]], list[float]] | None:
     """(points, roots): the n = len(cs) - 1 roots w of sum_i cs[i] w^i,
     ascending, guessed in floats, and between each two a point num/den;
@@ -448,11 +464,12 @@ def _laguerre(cs: list[int], hull: list[tuple[int, float]], s: int
     return points, found
 
 
-def _separators(q: Poly):
+def _separators(q: Poly, s: int):
     """(gaps, stages): the deg q isolating intervals (a, b, den, s_a) of a q
     with lead(q) > 0, ascending, from the first stage of
-    ``_guessed_separators`` that exact signs of q prove, and the stages from
-    that one on, for the guesses of the roots; None when none is proven.
+    ``_guessed_separators(q, s)`` that exact signs of q prove, and the
+    stages from that one on, for the guesses of the roots; None when none
+    is proven.
 
     The points are -B (``_root_bound``), the n - 1 = deg q - 1 points of a
     stage and B.  If these n + 1 increasing points give n strict sign
@@ -460,23 +477,23 @@ def _separators(q: Poly):
     simple real roots.  No root lies outside (-B, B), so q has the signs
     (-1)^n at -B and 1 at B, and the changes hold iff q has the sign
     (-1)^(n-1-i) at inner point i.  The inner points are checked one by one
-    in order of increasing |w| = |y - s|, where the roots of a fold cluster
-    and a wrong stage shows first: the first sign that differs rejects the
+    in order of increasing |w|, where the roots of a fold cluster and a
+    wrong stage shows first: the first sign that differs rejects the
     stage.  Only exact signs decide, so no verdict rests on a float (the
     certifying-algorithm pattern: McConnell, Mehlhorn, Naher and Schweitzer,
     Comput. Sci. Rev. 5, 2011).  The points are dyadic, so their
     denominators divide each other.
     """
     n, bound = q.degree, _root_bound(q)
-    stages = _guessed_separators(q) or ()  # a None guess has no stage
+    stages = _guessed_separators(q, s) or ()  # a None guess has no stage
     for stage in stages:
-        points, _, s = stage
+        points = stage[0]
         grid = [(-bound, 1), *points, (bound, 1)]
         if len(points) != n - 1 or any(a * db >= b * da
                                        for (a, da), (b, db) in zip(grid, grid[1:])):
             continue
         top = max(den for _, den in grid)
-        far = [abs(a - s * den) * (top // den) for a, den in points]  # |w|, over one denominator
+        far = [abs(a) * (top // den) for a, den in points]  # |w|, over one denominator
         for i in sorted(range(n - 1), key=far.__getitem__):
             if q._sign_at(*points[i]) != (-1) ** (n - 1 - i):
                 break
@@ -489,10 +506,9 @@ def _separators(q: Poly):
     return None
 
 
-def _narrowed(q: Poly, gap: tuple[int, int, int, int], w: float, s: int
-              ) -> tuple[int, int, int, int]:
+def _narrowed(q: Poly, gap: tuple[int, int, int, int], w: float) -> tuple[int, int, int, int]:
     """The gap (a, b, den, s_a) of one root of q narrowed to the dyadic
-    bracket around its guess w + s, if two exact signs inside the gap prove
+    bracket around its guess w, if two exact signs inside the gap prove
     that the bracket holds the root; else the gap.  The bracket is w rounded
     to 32 bits, num 2^e, plus and minus 4 * 2^e: 2^-30 to 2^-29 of w each way,
     with ends whose denominators stay short, so the two signs stay cheap."""
@@ -500,7 +516,6 @@ def _narrowed(q: Poly, gap: tuple[int, int, int, int], w: float, s: int
     m, e = math.frexp(w)
     num, e = round(m * 2 ** 32), e - 32  # w to 32 bits, num 2^e
     lo, hi, d = (num - 4, num + 4, 1 << -e) if e < 0 else ((num - 4) << e, (num + 4) << e, 1)
-    lo, hi = lo + s * d, hi + s * d
     if a * d < lo * den and hi * den < b * d and q._sign_at(lo, d) == s_a == -q._sign_at(hi, d):
         return lo, hi, d, s_a
     return gap
@@ -613,8 +628,13 @@ def _fold_counter(p: Poly):
     real roots are -1 for an odd degree and the roots x and 1/x of each
     factor with a real |y| > 2.
 
-    The counts come from isolating intervals of q, in y-space: B(y), the
-    number of roots of q below y, is ``_below`` over them.  First,
+    ``_fold`` gives q in w = y - s, and this is the one place where s means
+    more than a side: the root y = 0 of q is its factor w + s, q(+-2) are
+    its signs at w = +-2 - s, a count at t asks for w = y(t) - s, and a
+    rational root w of q is y = w + s.
+
+    The counts come from isolating intervals of q: B(y), the number of
+    roots of q below y, is ``_below`` over them at w = y - s.  First,
     ``_separators`` tries to prove deg q + 1 points, the Newton polygon's
     and then Laguerre's: then q is squarefree with n = deg q real roots, the
     gaps between the points are its intervals, and B(+-2) are two binary
@@ -631,7 +651,8 @@ def _fold_counter(p: Poly):
     not depend on the path.
 
     Let odd = deg p mod 2 and N = 2 B(-2) + odd.  A t = num/den != 0 maps to
-    y = t + 1/t = (num^2 + den^2) / (num den), and q(y) = t^-m g(t) is 0 iff
+    y = t + 1/t = (num^2 + den^2) / (num den), that is to
+    w = (num - (s/2) den)^2 / (num den), and q(y) = t^-m g(t) is 0 iff
     t is a root of p other than the root -1 of an odd degree: q(+-2) != 0.
     y increases on (-oo, -1] and on (1, oo), from -oo to -2 and from 2 to
     oo, and decreases on (-1, 0) and on (0, 1], from -2 to -oo and from oo
@@ -649,24 +670,28 @@ def _fold_counter(p: Poly):
     Above every root that is N + 2 (n - B(2)) = distinct.
 
     The rational roots of p, found on the first probe, are -1 for an odd
-    degree and x = (c +- D) / (2L) for each rational root y = c/L of q
-    (``_rational_root_in`` on its interval) with c^2 - 4L^2 = D^2, D > 0.
+    degree and x = (c +- D) / (2L) for each rational root w of q
+    (``_rational_root_in`` on its interval), y = w + s = c/L, with
+    c^2 - 4L^2 = D^2, D > 0.
     """
     if p.degree < 2 or p.coeffs != p.coeffs[::-1]:
         return None
-    q, j = _strip_x(_fold(p))
+    q, s = _fold(p)
+    if not (y_0 := q._sign_at(-s, 1)):  # the root y = 0 of the fold, from the roots +-i of p
+        q = exact_div(q, Poly((s, 1)))
     q = q.primitive()
-    if j > 1 or (s_m2 := q._sign_at(-2, 1)) == 0 or (s_2 := q._sign_at(2, 1)) == 0:
+    if (not y_0 and not q._sign_at(-s, 1) or (s_m2 := q._sign_at(-2 - s, 1)) == 0
+            or (s_2 := q._sign_at(2 - s, 1)) == 0):
         return None
-    proof = _separators(q)  # the gaps of q and the stages of guesses, if proven
+    proof = _separators(q, s)  # the gaps of q and the stages of guesses, if proven
     if proof is None:
         gcd, count_q, n, _ = _chain_counter(q)
         if gcd.degree != 0:
             return None
-        below_2, below_m2 = count_q(2, 1), count_q(-2, 1)
+        below_2, below_m2 = count_q(2 - s, 1), count_q(-2 - s, 1)
     else:  # proven: q is squarefree with deg q real roots
-        n = q.degree
-        below_2, below_m2 = _below(q, proof[0], 2, 1, s_2), _below(q, proof[0], -2, 1, s_m2)
+        n, (gaps, stages) = q.degree, proof
+        below_2, below_m2 = _below(q, gaps, 2 - s, 1, s_2), _below(q, gaps, -2 - s, 1, s_m2)
     odd = p.degree % 2
     neg = 2 * below_m2 + odd
     ivs = roots = None  # the intervals of q for the counts, the rational roots of p
@@ -676,16 +701,14 @@ def _fold_counter(p: Poly):
         if ivs is None and proof is None:
             ivs = _isolate(q, count_q, None)
         elif ivs is None:  # the gaps, narrowed by the first stage with roots, if any
-            gaps, stages = proof
-            guess = next((stage for stage in stages if stage[1] is not None), None)
-            ivs = gaps if guess is None else [_narrowed(q, gap, w, guess[2])
-                                              for gap, w in zip(gaps, guess[1])]
+            guess = next((roots for _, roots in stages if roots is not None), None)
+            ivs = gaps if guess is None else [_narrowed(q, gap, w) for gap, w in zip(gaps, guess)]
         if num == 0:
             return neg
         if odd and num == -den:
             return None
-        y_num, y_den = num * num + den * den, num * den
-        b = _below(q, ivs, y_num, y_den) if num > 0 else _below(q, ivs, -y_num, -y_den)
+        w_num, w_den = (num - s // 2 * den) ** 2, num * den
+        b = _below(q, ivs, w_num, w_den) if num > 0 else _below(q, ivs, -w_num, -w_den)
         if b is None or num <= -den:
             return b
         if num < 0:
@@ -698,8 +721,8 @@ def _fold_counter(p: Poly):
         nonlocal roots
         if roots is None:
             roots = [Fraction(-1)] if odd else []
-            for y in filter(None, (_rational_root_in(q, a, b, den) for a, b, den, _ in ivs)):
-                c, L = y.numerator, y.denominator
+            for w in filter(None, (_rational_root_in(q, a, b, den) for a, b, den, _ in ivs)):
+                c, L = w.numerator + s * w.denominator, w.denominator  # y = w + s
                 D = math.isqrt(max(c * c - 4 * L * L, 0))
                 if D and D * D == c * c - 4 * L * L:
                     roots += [Fraction(c - D, 2 * L), Fraction(c + D, 2 * L)]

@@ -162,7 +162,7 @@ def test_check_realrooted_walks_one_sequence_per_polynomial(capsys, monkeypatch)
         assert run_cli(capsys, "check", "realrooted", str(p))[:2] == (0, "PASS\n")
         assert len(sequences) == walked
     with monkeypatch.context() as patched:
-        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        patched.setattr(realroots, "_guessed_separators", lambda q, s: None)
         sequences.clear()
         assert run_cli(capsys, "check", "realrooted", str(local_h(10, 40)))[:2] == (0, "PASS\n")
         assert len(sequences) == 1

@@ -731,7 +731,7 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
     # roots of q.  Their probe bisects q only in a leaf of q's own tree that
     # holds two or more integers (lead(q) = 1), on its way to a cell
     # narrower than 1: never in the proven gaps, narrowed to brackets about
-    # 2^-29 |y| wide around its roots y, and 27 times in the leaves of the
+    # 2^-29 |w| wide around its roots w, and 30 times in the leaves of the
     # chain of q
     f = local_h(10, 40)
     h, k = realroots._strip_x(f)
@@ -751,7 +751,7 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
     for guessed, trees in ((True, [2 * m]), (False, [2 * m, m])):
         with monkeypatch.context() as patched:
             if not guessed:
-                patched.setattr(realroots, "_guessed_separators", lambda q: None)
+                patched.setattr(realroots, "_guessed_separators", lambda q, s: None)
             for calls in (sequences, evaluations, isolations, bisections, degrees):
                 calls.clear()
             cert = isolate_roots(f)
@@ -762,22 +762,24 @@ def test_palindromic_isolation_through_the_fold(monkeypatch):
         assert {chain.chain[0].degree for chain, *_ in evaluations} == (set() if guessed else {m})
         assert [p.degree for p, *_ in isolations] == trees  # the tree of h (then q once)
         assert degrees.count(2 * m) == 0
-        assert [p.degree for p, *_ in bisections] == ([] if guessed else [m] * 27)
+        assert [p.degree for p, *_ in bisections] == ([] if guessed else [m] * 30)
 
 
 def test_a_proven_fold_evaluates_q_at_plus_minus_2_once(monkeypatch):
     # the signs of q at +-2 that qualify the fold also place +-2 among the
     # proven gaps of q: B(+-2) takes no second evaluation there.  The fold
-    # of local_h(10, 60) has degree 24; its Newton polygon's points fail at
-    # their third sign (the smallest log2 gap of its root moduli is 0.62),
-    # and Laguerre's 23 points are proven, with the signs at the Cauchy
-    # bounds -B and B known: 2 + 3 + 23 signs, not the 27 of Laguerre's
-    # proof alone plus at most 3
+    # of local_h(10, 60) has degree 24 and the side s = -2, so y = -2 and 2
+    # are w = 0 and 4, and the sign at w = -s = 2 asks whether q(0) = 0; its
+    # Newton polygon's points fail at their third sign (the smallest log2
+    # gap of its root moduli is 0.62), and Laguerre's 23 points are proven,
+    # with the signs at the Cauchy bounds -B and B known: 1 + 2 + 3 + 23
+    # signs, not the 27 of Laguerre's proof alone plus at most 4
     h = local_h(10, 60)
     calls = _count_sign_evaluations(monkeypatch)
     assert is_real_rooted(h)
-    assert len(calls) == 2 + 3 + 23
-    assert sorted(c for c in calls if c in ((2, 1), (-2, 1))) == [(-2, 1), (2, 1)]
+    assert len(calls) == 1 + 2 + 3 + 23
+    assert calls[0] == (2, 1)
+    assert sorted(c for c in calls if c in ((0, 1), (4, 1))) == [(0, 1), (4, 1)]
 
 
 def test_palindromic_refinement_through_the_fold(monkeypatch):
@@ -799,7 +801,7 @@ def test_palindromic_refinement_through_the_fold(monkeypatch):
     for guessed in (True, False):
         with monkeypatch.context() as patched:
             if not guessed:
-                patched.setattr(realroots, "_guessed_separators", lambda q: None)
+                patched.setattr(realroots, "_guessed_separators", lambda q, s: None)
             sequences.clear()
             out = refine_certificate(f, cert, width)
         assert out == sturm
@@ -894,14 +896,14 @@ def _proven_and_chain_folds(p: Poly) -> tuple:
     proofs = []
     separators = realroots._separators
 
-    def recorded(q):
-        proofs.append(separators(q))
+    def recorded(q, s):
+        proofs.append(separators(q, s))
         return proofs[-1]
 
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(realroots, "_separators", recorded)
         fold = realroots._fold_counter(p)
-        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        patched.setattr(realroots, "_guessed_separators", lambda q, s: None)
         chain_fold = realroots._fold_counter(p)
     assert len(proofs) == 2 and proofs[1] is None
     return proofs[0] is not None, fold, chain_fold
@@ -990,19 +992,115 @@ def test_proven_fold_counts_equal_the_chain_fold(pairs, rational, wide, near, mi
     _check_counter(p, fold, chain_fold)
     f = Poly.monomial(k, scale) * h
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        patched.setattr(realroots, "_guessed_separators", lambda q, s: None)
         expected = isolate_roots(f)
     assert json.dumps(isolate_roots(f).to_json_obj()) == json.dumps(expected.to_json_obj())
 
 
+def _fold_y(h: Poly) -> Poly:
+    """The fold q in y of a palindromic h, the reference for ``_fold``:
+    x^-m g(x) = q(x + 1/x) with g = h, or h / (x + 1) for an odd degree,
+    from q = c_m + sum_{j>=1} c_{m+j} D_j(y) over the coefficients c of g,
+    D_0 = 2, D_1 = y and D_{j+1} = y D_j - D_{j-1}."""
+    if h.degree % 2:
+        h = exact_div(h, Poly((1, 1)))
+    c = h.coeffs
+    m = len(c) // 2
+    q = [c[m]] + [0] * m
+    d_prev, d = [2], [0, 1]
+    for cj in c[m + 1:]:
+        for i, e in enumerate(d):
+            q[i] += cj * e
+        d_next = [0] + d
+        for i, e in enumerate(d_prev):
+            d_next[i] -= e
+        d_prev, d = d, d_next
+    return Poly(tuple(q))
+
+
+def _taylor_shift(q: Poly, s: int) -> Poly:
+    """q(w + s), by repeated synthetic division."""
+    cs = list(q.coeffs)
+    for i in range(len(cs) - 1):
+        for k in range(len(cs) - 2, i - 1, -1):
+            cs[k] += s * cs[k + 1]
+    return Poly(tuple(cs))
+
+
+def _check_fold(h: Poly) -> None:
+    """``_fold(h)`` is (q(w + s), s) for the fold q of ``_fold_y``, with
+    s = 2 exactly when the roots of q sum to more than 0; for s = -2, the
+    reversed coefficients of Q are the gamma-vector of h:
+    h = sum_i gamma_i x^i (1 + x)^(d - 2i), d = deg h."""
+    q = _fold_y(h)
+    s = 2 if q.degree >= 1 and q.coeffs[-2] < 0 else -2
+    assert realroots._fold(h) == (_taylor_shift(q, s), s)
+    if s == -2:
+        gammas, m = realroots._fold(h)[0].coeffs[::-1], q.degree
+        expanded = ZERO
+        for i, gamma in enumerate(gammas):
+            term = Poly.monomial(i, gamma)
+            for _ in range(2 * m - 2 * i):
+                term = term * Poly((1, 1))
+            expanded = expanded + term
+        assert (expanded * Poly((1, 1)) if h.degree % 2 else expanded) == h
+
+
+def test_fold_equals_the_shifted_fold_in_y_on_the_local_h_grid():
+    # the stripped local h-polynomials of r 3-12 and n 2-60: all of their
+    # folds have the side s = -2, so Q is their gamma-polynomial; at -x an
+    # even degree has its roots, and the roots of its fold, above 0: s = 2
+    sides = set()
+    for r in range(3, 13):
+        for n in range(2, 61):
+            h = realroots._strip_x(local_h(r, n))[0]
+            _check_fold(h)
+            sides.add(realroots._fold(h)[1])
+            if h.degree % 2 == 0 and h.degree >= 2:
+                at_minus_x = Poly(tuple(-c if i % 2 else c for i, c in enumerate(h.coeffs)))
+                _check_fold(at_minus_x)
+                assert realroots._fold(at_minus_x)[1] == 2
+    assert sides == {-2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(*PALINDROMES)
+def test_fold_equals_the_shifted_fold_in_y_on_palindromes(pairs, rational, wide, near, minus_one,
+                                                          k, scale):
+    h, _ = _palindrome(pairs, rational, wide, near, minus_one)
+    _check_fold((h * scale).primitive_positive())
+
+
+@pytest.mark.parametrize("side", [-2, 2])
+def test_the_fold_divides_out_its_root_y_0_once(side):
+    # (x^2 + 1) h for h = local_h(6, 20) / x^4, whose fold has its roots
+    # below -2 (s = -2), or for h at -x, whose fold has them above 2 (s = 2):
+    # the roots +-i give the fold the root y = 0, the factor w + s of Q,
+    # which is divided out, so the fold is proven and counts as the chain of
+    # q does; (x^2 + 1)^2 h gives it a double root y = 0 and is not
+    # squarefree, so it does not fold
+    h = realroots._strip_x(local_h(6, 20))[0]
+    if side == 2:
+        h = Poly(tuple(-c if i % 2 else c for i, c in enumerate(h.coeffs)))
+    p = Poly((1, 0, 1)) * h
+    q, s = realroots._fold(p)
+    assert s == side and q._sign_at(-s, 1) == 0
+    proven, fold, chain_fold = _proven_and_chain_folds(p)
+    assert proven and fold[1] == h.degree
+    _check_counter(p, fold, chain_fold)
+    assert realroots._fold_counter(Poly((1, 0, 1)) * p) is None
+
+
 def _forged_points(forge, laguerre=True):
     """``_guessed_separators`` with the points of the polygon's stage, and
-    with laguerre those of Laguerre's too, replaced by forge."""
+    with laguerre those of Laguerre's too, replaced by forge, points y of the
+    fold, which the stage gives as w = y - s."""
     guess = realroots._guessed_separators
 
-    def forged(q):
-        for points, roots, s in guess(q):
-            yield (points if roots is not None and not laguerre else forge), roots, s
+    def forged(q, s):
+        for points, roots in guess(q, s):
+            yield (points if roots is not None and not laguerre
+                   else [(a - s * den, den) for a, den in forge]), roots
 
     return forged
 
@@ -1042,7 +1140,7 @@ def test_fold_falls_back_to_the_chain_of_q(monkeypatch, h, forge):
     _check_counter(p, fold, chain_fold)
     f = X * h
     with monkeypatch.context() as patched:
-        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        patched.setattr(realroots, "_guessed_separators", lambda q, s: None)
         expected = isolate_roots(f), is_real_rooted(f)
     assert (isolate_roots(f), is_real_rooted(f)) == expected
     assert json.dumps(isolate_roots(f).to_json_obj()) == json.dumps(expected[0].to_json_obj())
@@ -1054,14 +1152,14 @@ def test_the_polygon_proves_a_fold_above_the_float_range(monkeypatch):
     # overflows, so the proven gaps stay the intervals of the counts; the
     # counts, verdict and certificate are those of the chain of q
     p = ABOVE_FLOAT_RANGE
-    q = realroots._strip_x(realroots._fold(p))[0].primitive()
-    assert [roots for _, roots, _ in realroots._guessed_separators(q)] == [None]
+    q, s = realroots._fold(p)
+    assert [roots for _, roots in realroots._guessed_separators(q.primitive(), s)] == [None]
     proven, fold, chain_fold = _proven_and_chain_folds(p)
     assert proven
     _check_counter(p, fold, chain_fold)
     f = X * p
     with monkeypatch.context() as patched:
-        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        patched.setattr(realroots, "_guessed_separators", lambda q, s: None)
         expected = isolate_roots(f), is_real_rooted(f)
     assert (isolate_roots(f), is_real_rooted(f)) == expected
 
@@ -1118,9 +1216,9 @@ def test_a_failing_polygon_takes_at_most_3_signs(monkeypatch):
     failing = []
     for r in range(3, 13):
         for n in range(40, 121, 3):
-            q = realroots._strip_x(realroots._fold(realroots._strip_x(local_h(r, n))[0]))[0]
+            q, s = realroots._fold(realroots._strip_x(local_h(r, n))[0])
             del calls[:]
-            if realroots._separators(q.primitive()) is None:
+            if realroots._separators(q.primitive(), s) is None:
                 failing.append(len(calls))
     assert len(failing) == 211 and max(failing) == 3
 
@@ -1138,7 +1236,7 @@ def test_fold_root_inside_minus_2_2_fails_by_the_proof(monkeypatch):
     divisions = _record_calls(monkeypatch, polys, "_remainder_step")
     assert not is_real_rooted(f)
     assert divisions == []
-    monkeypatch.setattr(realroots, "_guessed_separators", lambda q: None)
+    monkeypatch.setattr(realroots, "_guessed_separators", lambda q, s: None)
     assert not is_real_rooted(f)
     assert divisions
 
@@ -1174,10 +1272,10 @@ def test_rational_roots_through_the_fold(monkeypatch, name, with_local_h):
     _check_counter(p, fold, chain_fold)
     probes = _record_calls(monkeypatch, realroots, "_rational_root_in")
     cert = isolate_roots(f)
-    m = realroots._strip_x(realroots._fold(p))[0].degree
+    m = realroots._fold(p)[0].degree
     assert {q.degree for q, *_ in probes} == {m}
     with monkeypatch.context() as patched:
-        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        patched.setattr(realroots, "_guessed_separators", lambda q, s: None)
         chain = isolate_roots(f)
     expected = _reference_isolation(f)[0]
     assert cert == chain == expected
@@ -1202,18 +1300,18 @@ def test_a_bracket_that_misses_its_root_stays_its_gap(monkeypatch):
     guess = realroots._guessed_separators
     narrow = realroots._narrowed
     for polygon in (True, False):
-        def forged(q):
-            for points, found, s in guess(q):
+        def forged(q, s):
+            for points, found in guess(q, s):
                 if found is not None:
                     yield points, [w * 1.01 if i % 3 == 0 else w * 8 if i % 3 == 1 else w
-                                   for i, w in enumerate(found)], s
+                                   for i, w in enumerate(found)]
                 elif polygon:
-                    yield points, found, s
+                    yield points, found
 
         narrowed = []
 
-        def recorded(q, gap, w, s):
-            narrowed.append((gap, narrow(q, gap, w, s)))
+        def recorded(q, gap, w):
+            narrowed.append((gap, narrow(q, gap, w)))
             return narrowed[-1][1]
 
         with monkeypatch.context() as patched:
@@ -1224,7 +1322,8 @@ def test_a_bracket_that_misses_its_root_stays_its_gap(monkeypatch):
             _check_counter(p, fold, chain_fold)
             assert len(narrowed) == 16
             # the gaps are those of the first stage, the polygon's points or Laguerre's
-            points = next(forged(realroots._strip_x(realroots._fold(p))[0].primitive()))[0]
+            q, s = realroots._fold(p)
+            points = next(forged(q.primitive(), s))[0]
             assert [Fraction(b, den) for (_, b, den, _), _ in narrowed[:-1]] == \
                 [Fraction(*pt) for pt in points]
             for i, (gap, out) in enumerate(narrowed):
@@ -1467,14 +1566,15 @@ def test_palindromic_real_rootedness_equals_unfolded_sequence(pairs, even_ones, 
     f = Poly.monomial(k, scale) * h
     assert is_real_rooted(f) == real == _unfolded_real_rooted(f)
     if h.degree % 2 == 0:
-        # the fold: x^m q(x + 1/x) = h(x), with x^m (x + 1/x)^i = x^(m-i) (x^2 + 1)^i
-        q, m = realroots._fold(h), h.degree // 2
+        # the fold in w = y - s: x^m q(x + 1/x - s) = h(x), with
+        # x^m (x + 1/x - s)^i = x^(m-i) (x^2 - s x + 1)^i
+        (q, s), m = realroots._fold(h), h.degree // 2
         assert q.degree == m and q.leading_coefficient == h.leading_coefficient
         unfolded = ZERO
         for i, c in enumerate(q.coeffs):
             term = Poly.monomial(m - i, c)
             for _ in range(i):
-                term = term * Poly((1, 0, 1))
+                term = term * Poly((1, -s, 1))
             unfolded = unfolded + term
         assert unfolded == h
 
@@ -1559,7 +1659,7 @@ def test_palindromic_real_rootedness_at_half_degree(monkeypatch):
     assert is_real_rooted(h)
     assert divisions == []
     with monkeypatch.context() as patched:
-        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        patched.setattr(realroots, "_guessed_separators", lambda q, s: None)
         assert is_real_rooted(h)
     assert len(divisions) == 15
     # the roots +-i make q(0) = 0, which fails before any division
@@ -1579,7 +1679,7 @@ def test_palindrome_verdict_from_the_one_fold_counter(monkeypatch):
     assert is_real_rooted(h)
     assert len(folds) == 1 and divisions == []
     with monkeypatch.context() as patched:
-        patched.setattr(realroots, "_guessed_separators", lambda q: None)
+        patched.setattr(realroots, "_guessed_separators", lambda q, s: None)
         assert is_real_rooted(h)
     assert len(folds) == 2 and len(divisions) == 15
     # h(i) = 0 is read off the coefficients for any h: no division, whether h
