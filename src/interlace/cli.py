@@ -141,6 +141,8 @@ def cmd_check(args, params: dict) -> Report:
     # an option), which also swallows a --unchecked written after the kind
     raw = [p for p in args.polys if p != "--unchecked"]
     unchecked = args.unchecked or len(raw) < len(args.polys)
+    if unchecked and args.kind in ("realrooted", "interleave"):
+        raise UsageError("--unchecked applies only to compatible and conditions-ab")
     if not raw:
         raise UsageError("at least one polynomial is required")
     polys = [Poly.from_string(p) for p in raw]
@@ -278,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="polynomial property checks")
     p_check.add_argument("--unchecked", action="store_true",
-                         help="skip admissibility preconditions (exploration mode)")
+                         help="skip the admissibility preconditions of compatible and "
+                              "conditions-ab (exploration mode)")
     p_check.add_argument("kind",
                          choices=["realrooted", "interleave", "compatible", "conditions-ab"])
     p_check.add_argument("polys", nargs=argparse.REMAINDER,

@@ -24,7 +24,7 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import BadParametersError, NotRealRootedError
-from .polys import ZERO, Poly, X, _listed, _on_grid, _rational, _rational_text
+from .polys import ZERO, Poly, X, _listed, _on_grid, _rational, _rational_text, _typed
 from .realroots import interleaves, is_real_rooted
 
 PASS_SAMPLED = "PASS_SAMPLED"
@@ -203,6 +203,7 @@ def compatible_pair_sampled(f: Poly, g: Poly, unchecked: bool = False) -> Compat
     ``unchecked`` skips the admissibility precondition so that counterexample
     explorations may feed inputs with negative coefficients.
     """
+    f, g = _typed(f, "f"), _typed(g, "g")
     return _sampled((("f", f), ("g", g)), ((f, g, None, None),), unchecked)
 
 

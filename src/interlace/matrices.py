@@ -31,7 +31,7 @@ from .errors import (
     PolyFormatError,
     PreconditionViolatedError,
 )
-from .polys import ZERO, Poly, _listed, _on_grid, _rational
+from .polys import ZERO, Poly, _listed, _on_grid, _rational, _typed
 from .realroots import _fplus_fault, in_fplus, interleaves
 
 
@@ -128,7 +128,7 @@ LAMBDA_MU_PAIRS = tuple(itertools.product(_BASE_WEIGHTS, repeat=2)) + (
 
 
 def _require_2x2(M: SymMatrix) -> None:
-    if M.rows != 2 or M.cols != 2:
+    if _typed(M, "M", SymMatrix).rows != 2 or M.cols != 2:
         raise DimensionMismatchError("a 2x2 matrix is required")
 
 
@@ -355,6 +355,7 @@ def _minors(m: int, n: int):
 
 def preserves_check(G: SymMatrix) -> bool:
     """True iff every 2x2 submatrix is classified allowed by the rule engine."""
+    _typed(G, "G", SymMatrix)
     return all(forbidden_pattern(G.submatrix(*ix)).allowed for ix in _minors(G.rows, G.cols))
 
 
@@ -367,7 +368,7 @@ def ferrers_check(G: SymMatrix) -> bool:
     path up and then right, a 1 at (i, j) forces a 1 at every (k, l) with
     k <= i and l >= j, and likewise an x along the path down and then left.
     """
-    e = G.entries
+    e = _typed(G, "G", SymMatrix).entries
     # (a, b) with b directly above or directly to the right of a
     pairs = itertools.chain(
         (pair for lower, upper in zip(e[1:], e) for pair in zip(lower, upper)),

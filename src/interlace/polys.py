@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParametersError, BothZeroError, PolyFormatError
+from .errors import BadParametersError, BothZeroError, PolyFormatError, ZeroPolynomialError
 
 # degree of the zero polynomial
 NEG_INFINITY_DEGREE = -math.inf
@@ -70,6 +70,9 @@ class Poly:
 
     @staticmethod
     def monomial(k: int, c: int = 1) -> "Poly":
+        """c x^k for an int k >= 0; any other k raises BadParametersError."""
+        if _typed(k, "k", int) < 0:
+            raise BadParametersError(f"k must be nonnegative, got {k}")
         return Poly((0,) * k + (c,))
 
     # -- structure ---------------------------------------------------------
@@ -210,7 +213,7 @@ X = Poly((0, 1))
 
 
 def poly_derivative(a: Poly) -> Poly:
-    return Poly(tuple(k * c for k, c in enumerate(a.coeffs) if k >= 1))
+    return Poly(tuple(k * c for k, c in enumerate(_typed(a, "a").coeffs) if k >= 1))
 
 
 def _reduce(r: list[int], b: tuple[int, ...], q: list[int] | None = None
@@ -250,8 +253,9 @@ def pseudo_divmod(a: Poly, b: Poly) -> tuple[int, Poly, Poly]:
     """Integer pseudo-division: ``(s, q, r)`` with ``s*a == q*b + r``, ``s >= 1``
     and ``deg r < deg b``: the one division loop ``_reduce``, run with a
     quotient."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
+    if _typed(b, "b").is_zero:
+        raise ZeroPolynomialError("polynomial division by zero")
+    _typed(a, "a")
     q = [0] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
     s, r = _reduce(list(a.coeffs), b.coeffs, q)
     return s, Poly(tuple(q)), Poly(tuple(r))
@@ -306,6 +310,7 @@ def _remainder_sequence(a: Poly, b: Poly):
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Primitive gcd with positive leading coefficient: the primitive part of
     the last term of the remainder sequence (no rational intermediates)."""
+    a, b = _typed(a, "a"), _typed(b, "b")
     if a.is_zero and b.is_zero:
         raise BothZeroError("gcd(0, 0) is undefined")
     for last in _remainder_sequence(a, b):
@@ -314,12 +319,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
-    """Exact division in Z[x]; raises ValueError if b does not divide a there."""
+    """Exact division in Z[x]: BadParametersError if b does not divide a
+    there, and ZeroPolynomialError for b = 0, as ``pseudo_divmod`` raises."""
     s, q, r = pseudo_divmod(a, b)
     if not r.is_zero:
-        raise ValueError("division is not exact")
+        raise BadParametersError("division is not exact")
     if s != 1:
-        raise ValueError("quotient is not integral")
+        raise BadParametersError("quotient is not integral")
     return q
 
 

@@ -66,7 +66,7 @@ class Word:
 
 def ascents(w: Word) -> int:
     """Number of positions i with w_i < w_{i+1}."""
-    ls = w.letters
+    ls = _typed(w, "w", Word).letters
     return sum(1 for a, b in zip(ls, ls[1:]) if a < b)
 
 
@@ -114,7 +114,7 @@ def check_budget(n: int, r: int, budget: int) -> None:
     builds no huge integer.  At r = 2 there is at most one open word whatever
     n is, so there only the cap on n bounds the walk.
     """
-    if budget < 1:
+    if _typed(budget, "budget", int) < 1:
         raise BadParametersError("budget must be positive")
     if r > 2:
         total = 1

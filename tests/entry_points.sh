@@ -29,6 +29,11 @@ test "$status" -eq 1
 test "$out" = '{"command": "check", "params": {"kind": "compatible", "polys": ["1,-2", "2,1", "-4,4,2"], "unchecked": true}, "status": "FAIL", "witness": {"weights": ["1/1", "1/2", "1/4"], "combination": "4,-2,2"}}'
 test "$(interlace --json check compatible --unchecked 0 1,-3,2)" = '{"command": "check", "params": {"kind": "compatible", "polys": ["0", "1,-3,2"], "unchecked": true}, "status": "PASS", "result": {"verdict": "PASS_SAMPLED"}}'
 test "$(interlace --json check conditions-ab --unchecked -1,-1 -2,-3,-1 0)" = '{"command": "check", "params": {"kind": "conditions-ab", "polys": ["-1,-1", "-2,-3,-1", "0"], "unchecked": true}, "status": "PASS", "result": {"verdict": "PASS_SAMPLED"}}'
+# --unchecked acts only where there is a precondition to skip
+status=0
+err=$(interlace --json check interleave --unchecked 0,1 1,1 2>&1) || status=$?
+test "$status" -eq 2
+test "$err" = "error: --unchecked applies only to compatible and conditions-ab"
 test "$(interlace matrix classify-all)" = "allowed: 40, forbidden: 41, disagreements: 0"
 first=$(set -o pipefail; interlace matrix closure | head -n 1)
 test "$first" = "closure size: 40"

@@ -451,8 +451,9 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     (["edgewise", "--r", "3", "--n", "2", "--verify"], (cli.edgewise, "e_gamma"),
      {"r": 3, "n": 2, "gamma": None, "component": None}),
     (["fh", "--f", "1,3,3,1"], (cli.edgewise, "fh_transform"), {"f": [1, 3, 3, 1]}),
-    (["check", "realrooted", "01,2,1", "--unchecked"], (cli, "_certificate"),
-     {"kind": "realrooted", "polys": ["1,2,1"], "unchecked": True}),
+    (["check", "compatible", "01,2,1", "--unchecked", "1,1"],
+     (cli.compat, "compatible_family_sampled"),
+     {"kind": "compatible", "polys": ["1,2,1", "1,1"], "unchecked": True}),
     (["matrix", "apply", "m.json", "--polys", "0"], (cli.matrices, "apply"),
      {"file": "m.json", "polys": "0"}),
     (["words", "--r", "3", "--n", "2", "--list"], (cli.words, "enumerate_sw_gamma"),
@@ -771,7 +772,12 @@ def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(as_json):
     ({}, ["fh", "--f", "1,x"], "cannot parse vector: invalid literal for int() with base 10: 'x'"),
     ({}, ["check", "realrooted"], "at least one polynomial is required"),
     ({}, ["matrix", "apply", "MATRIX"], "matrix apply requires --polys"),
-], ids=["budget-0", "edgewise-gamma", "fh-vector", "realrooted-no-poly", "apply-no-polys"])
+    ({}, ["check", "realrooted", "1,2,1", "--unchecked"],
+     "--unchecked applies only to compatible and conditions-ab"),
+    ({}, ["check", "--unchecked", "interleave", "0,1", "1,1"],
+     "--unchecked applies only to compatible and conditions-ab"),
+], ids=["budget-0", "edgewise-gamma", "fh-vector", "realrooted-no-poly", "apply-no-polys",
+        "realrooted-unchecked", "interleave-unchecked"])
 def test_guards_exit_2_with_one_error_line(capsys, monkeypatch, tmp_path, env, argv, line):
     for name, value in env.items():
         monkeypatch.setenv(name, value)

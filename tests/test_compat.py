@@ -73,8 +73,10 @@ def test_a_sequence_of_polys_is_checked_at_the_boundary(call, fs, message):
     (lambda: CompatVerdict(FAIL), "FAIL verdicts carry a witness"),
     (lambda: CompatVerdict(PASS_SAMPLED, CompatWitness((Fraction(1),), X)),
      "PASS verdicts do not"),
+    (lambda: compatible_pair_sampled(5, X), "f must be a Poly, got 5"),
+    (lambda: compatible_pair_sampled(X, 5), "g must be a Poly, got 5"),
 ], ids=["fewer-weights", "more-weights", "bad-status", "fail-without-witness",
-        "pass-with-witness"])
+        "pass-with-witness", "pair-int-f", "pair-int-g"])
 def test_guards_raise_their_typed_error(call, message):
     with pytest.raises(BadParametersError, match=message):
         call()

@@ -493,8 +493,11 @@ def test_pattern_verdict_on_bad_shape():
     (lambda: minors_nonneg([[1, 2], [3]]), DimensionMismatchError, "ragged rows"),
     (lambda: PatternVerdict(False), BadParametersError, "carry the rejecting rule"),
     (lambda: PatternVerdict(True, "I"), BadParametersError, "carry the rejecting rule"),
+    (lambda: forbidden_pattern(5), BadParametersError, "M must be a SymMatrix, got 5"),
+    (lambda: preserves_check(5), BadParametersError, "G must be a SymMatrix, got 5"),
+    (lambda: ferrers_check([[1]]), BadParametersError, r"G must be a SymMatrix, got \[\[1\]\]"),
 ], ids=["entry", "json-object", "empty", "ragged", "ragged-minors", "rejected-without-rule",
-        "allowed-with-rule"])
+        "allowed-with-rule", "pattern-int", "preserves-int", "ferrers-list"])
 def test_guards_raise_their_typed_error(call, error, message):
     with pytest.raises(error, match=message):
         call()

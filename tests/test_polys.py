@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interlace.errors import BadParametersError, BothZeroError, PolyFormatError
+from interlace.errors import BadParametersError, BothZeroError, PolyFormatError, ZeroPolynomialError
 from interlace.polys import (
     NEG_INFINITY_DEGREE,
     ONE,
@@ -194,7 +194,7 @@ def test_gcd_divides_both(a, b):
 @given(small_polys, small_polys)
 def test_pseudo_divmod_identity(a, b):
     if b.is_zero:
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroPolynomialError):
             pseudo_divmod(a, b)
         return
     s, q, r = pseudo_divmod(a, b)
@@ -207,10 +207,14 @@ def test_exact_div():
     assert exact_div(Poly((-1, 0, 1)), Poly((1, 1))) == Poly((-1, 1))
     assert exact_div(Poly((-1, 0, 1)), Poly((-1, -1))) == Poly((1, -1))
     assert exact_div(ZERO, Poly((3, 2))) == ZERO
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParametersError, match="division is not exact"):
         exact_div(Poly((1, 0, 1)), Poly((1, 1)))
-    with pytest.raises(ValueError):  # exact over Q, but the quotient is 1/2
+    with pytest.raises(BadParametersError, match="quotient is not integral"):  # 1/2 over Q
         exact_div(Poly((2, 2)), Poly((4, 4)))
+    with pytest.raises(BadParametersError, match="division is not exact"):
+        exact_div(X, Poly((1, 2)))
+    with pytest.raises(ZeroPolynomialError, match="division by zero"):
+        exact_div(X, ZERO)
 
 
 # -- the remainder sequence against the quotient step it replaced --------------
@@ -296,7 +300,18 @@ def test_remainder_step_matches_the_division_loop(pair):
 
 @pytest.mark.parametrize("call,error,message", [
     (lambda: parse_poly_list(" ; "), PolyFormatError, "no polynomials in ' ; '"),
-], ids=["empty-list"])
+    (lambda: Poly.monomial(-1), BadParametersError, "k must be nonnegative, got -1"),
+    (lambda: Poly.monomial(1.5), BadParametersError, "k must be an int, got 1.5"),
+    (lambda: poly_gcd(5, X), BadParametersError, "a must be a Poly, got 5"),
+    (lambda: poly_gcd(X, 5), BadParametersError, "b must be a Poly, got 5"),
+    (lambda: poly_derivative(5), BadParametersError, "a must be a Poly, got 5"),
+    (lambda: pseudo_divmod(5, X), BadParametersError, "a must be a Poly, got 5"),
+    (lambda: pseudo_divmod(X, ZERO), ZeroPolynomialError, "polynomial division by zero"),
+    (lambda: exact_div(X, Poly((1, 2))), BadParametersError, "division is not exact"),
+    (lambda: exact_div(X, ZERO), ZeroPolynomialError, "polynomial division by zero"),
+], ids=["empty-list", "monomial-negative", "monomial-float", "gcd-int-a", "gcd-int-b",
+        "derivative-int", "pseudo-divmod-int", "pseudo-divmod-zero", "exact-div-inexact",
+        "exact-div-zero"])
 def test_guards_raise_their_typed_error(call, error, message):
     with pytest.raises(error, match=message):
         call()

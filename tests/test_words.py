@@ -389,7 +389,9 @@ def test_restricted_streams_equal_the_filtered_words():
 
 @pytest.mark.parametrize("call,error,message", [
     (lambda: GammaVector((0, 2, 0, 0)), InvalidGammaError, "differ by at most 1"),
-], ids=["jump-of-two"])
+    (lambda: ascents("ab"), BadParametersError, "w must be a Word, got 'ab'"),
+    (lambda: oracle_E(2, 3, budget="a"), BadParametersError, "budget must be an int, got 'a'"),
+], ids=["jump-of-two", "ascents-str", "budget-str"])
 def test_guards_raise_their_typed_error(call, error, message):
     with pytest.raises(error, match=message):
         call()
