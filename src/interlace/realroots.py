@@ -332,8 +332,8 @@ def _fold(h: Poly) -> tuple[Poly, int]:
     coefficient of q is c_(2m-1) (D_m has only the powers y^m, y^(m-2),
     ...), which is -lead(q) times the sum of the roots of q, and
     lead(q) = lead(g) > 0: s = 2 when c_(2m-1) < 0, the roots summing to
-    more than 0, and s = -2 otherwise.
-    The roots of a fold cluster at 2 or -2, and w is near 0 there.
+    more than 0, and s = -2 otherwise.  The roots of a fold cluster at 2 or
+    -2, so w is near 0 there.
 
     For s = -2, Q is the gamma-polynomial of g: g = sum_i gamma_i x^i
     (1 + x)^(2m-2i) (Gal, Discrete Comput. Geom. 34, 2005) gives
