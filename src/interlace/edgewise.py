@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import BadParametersError, MalformedVectorError
 from .matrices import Entry, SymMatrix
-from .polys import ONE, ZERO, Poly, _listed
+from .polys import ONE, ZERO, Poly, _listed, _typed
 from .words import GammaVector, _validate_gamma, _validate_nr
 
 
@@ -201,11 +201,11 @@ def _binomial_transform(entries: tuple[int, ...], shift: Poly) -> tuple[int, ...
 
 def fh_transform(f: FVector) -> HVector:
     """h_k = coefficient of x^(d-k) in sum_i f_{i-1} (x-1)^(d-i)."""
-    return HVector(_binomial_transform(f.entries, Poly((-1, 1))))
+    return HVector(_binomial_transform(_typed(f, "f", FVector).entries, Poly((-1, 1))))
 
 
 def hf_transform(h: HVector) -> FVector:
     """Inverse transform, by substituting x + 1; requires h_0 = 1, which is f_{-1}."""
-    if h.entries[0] != 1:
+    if _typed(h, "h", HVector).entries[0] != 1:
         raise MalformedVectorError("h-vector must start with 1")
     return FVector(_binomial_transform(h.entries, Poly((1, 1))))

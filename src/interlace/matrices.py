@@ -104,7 +104,7 @@ class SymMatrix:
 def apply(G: SymMatrix, fs) -> list[Poly]:
     """g_k = sum_i G[k][i] * f_i with 0/1/x substituted for the symbols."""
     fs = _listed(fs, "fs", Poly)
-    if G.cols != len(fs):
+    if _typed(G, "G", SymMatrix).cols != len(fs):
         raise DimensionMismatchError(f"{G.cols} columns cannot act on {len(fs)} polynomials")
     out = []
     for row in G.entries:

@@ -17,11 +17,14 @@ as gamma None.  Every family is walked over its profile's transition rows,
 each two ranges between cut points, built into a table only when that is no
 larger than the (r-1)^n open words.  One enumerator, an odometer over
 those rows, yields the words themselves.  One walker tallies the ascent
-polynomials for all three oracles, taking the last two letters of each word
-from a table of the admissible two-letter continuations, shortened or left
-out wherever it would outnumber the words walked.  Every word is still
-visited once and adds its own 1 to the count of its last letter and
-ascents; nothing is grouped by multiplicity, and nothing here calls the
+polynomials for all three oracles.  It places the first letters of each word
+by recursion and takes the last ones, up to three, from a table of the
+admissible continuations, only as deep as keeps the table no larger than
+the words' prefixes.  Each continuation is one byte that encodes its last
+letter and its ascents; each word appends its byte to the bucket of its
+prefix's ascents, and the buckets are counted by ``bytearray.count``.  Every
+word is still visited once, writes its own byte, and that byte is counted
+once; nothing is grouped by multiplicity, and nothing here calls the
 recurrences.  The closed oracle, ``oracle_local_h``, walks the closed words
 only.  Every entry point checks n and r first, then the profile, then the
 budget of (r-1)^n open words and the cap MAX_N on n.
@@ -39,9 +42,9 @@ from .polys import Poly, _listed, _typed
 
 DEFAULT_BUDGET = 10**8
 
-# the walk recurses once per letter after the leading 0, so n stays below
-# Python's default recursion limit of 1000 calls, with headroom for the
-# callers' own frames
+# the walk nests one call per letter it places by recursion, at most n of
+# them (at r = 2, where no tail is tabled), so n stays below Python's default
+# recursion limit of 1000 calls, with headroom for the callers' own frames
 MAX_N = 900
 
 
@@ -114,6 +117,7 @@ def check_budget(n: int, r: int, budget: int) -> None:
     builds no huge integer.  At r = 2 there is at most one open word whatever
     n is, so there only the cap on n bounds the walk.
     """
+    _validate_nr(n, r)
     if _typed(budget, "budget", int) < 1:
         raise BadParametersError("budget must be positive")
     if r > 2:
@@ -197,7 +201,13 @@ def _word_stream(
 
 
 # the walker places at most the last _TAIL letters of each word from a table, not by recursion
-_TAIL = 2
+_TAIL = 3
+# the distinct codes of a byte
+_BYTE = 256
+# a bucket of tail bytes is counted and emptied once it holds more bytes than this
+_FLUSH = 2**14
+# adds one ascent to every code of a tail
+_UP = bytes.maketrans(bytes(range(_BYTE - 1)), bytes(range(1, _BYTE)))
 
 
 def _tally(
@@ -205,40 +215,77 @@ def _tally(
 ) -> list[list[int]]:
     """The one ascent walker: counts[last][k] = words ending in ``last`` with k ascents.
 
-    The counts lie in one flat list, row ``last`` at offset last * (n + 1).
-    The recursion places letters 1 .. n - depth (at least the first), the
-    last of them in a loop rather than a call.  tails[prev] holds one index,
-    row offset plus ascents, per admissible continuation of depth letters
-    after prev, so each word is still visited once and adds its own 1.
-    depth is _TAIL unless the tails, r * (r-1)^depth entries, would outnumber
-    the (r-1)^(n-depth) ends of the recursion: the table pays off only for a
-    small alphabet and long words.  With ``closed`` the tails keep only the
-    continuations that end in 0, and only the row of letter 0 is kept.
+    Each word is a prefix, letters 0 .. n - depth, and a tail of depth
+    letters.  The recursion places the prefix, its last letter in a loop
+    rather than a call.  tails[c] holds one byte per admissible tail after
+    the letter c, whose code is the tail's row (its last letter) times
+    span = depth + 1, plus the tail's ascents.  A prefix that ends in c with
+    a ascents appends tails[c] to bucket a, so every word is visited once and
+    writes its own byte.  A bucket is counted, one ``bytearray.count`` per
+    code until each of its bytes is counted once, and emptied when it passes
+    _FLUSH bytes and at the end.  The counts lie in one flat list, row
+    ``last`` at offset last * (n + 1).
+
+    depth is at most _TAIL and below n, and is lowered while the tails,
+    r * (r-1)^depth entries, would outnumber the (r-1)^(n-depth) prefixes,
+    so a table is kept only for a small alphabet and long words; and while
+    the rows * span codes would not fit in a byte, so one byte holds every
+    code of a table.  Without a table (depth 0) a tail is its one letter, and
+    the rows fall into groups of _BYTE, each with its own buckets; offs[c] is
+    the first bucket of the group of c.  With ``closed`` the tails keep only
+    the continuations that end in 0, and only the row of letter 0 is kept.
     """
     r = len(trans)
-    depth = min(_TAIL, n - 1)
-    while depth and r * (r - 1) ** depth > (r - 1) ** (n - depth):
-        depth -= 1
     rows = 1 if closed else r
-    flat = [0] * (rows * (n + 1))
-    tails = [(c * (n + 1),) for c in range(rows)] + [()] * (r - rows)
-    for _ in range(depth):
-        tails = [tuple(j + (prev < c) for c in trans[prev] for j in tails[c]) for prev in range(r)]
+    depth = min(_TAIL, n - 1)
+    while depth and (r * (r - 1) ** depth > (r - 1) ** (n - depth) or rows * (depth + 1) > _BYTE):
+        depth -= 1
+    span = depth + 1
     stop = n - depth
+    stride = n + 1
+    group_rows = _BYTE // span
+    group_buckets = stop + 1  # a prefix has 0 .. stop ascents
+    tails = [bytes((c % group_rows * span,)) for c in range(rows)] + [b""] * (r - rows)
+    offs = [c // group_rows * group_buckets for c in range(rows)] + [0] * (r - rows)
+    for _ in range(depth):
+        ups = [t.translate(_UP) for t in tails]
+        tails = [b"".join([ups[c] if prev < c else tails[c] for c in trans[prev]]) for prev in range(r)]
+    flat = [0] * (rows * stride)
+    buckets = [bytearray() for _ in range(offs[rows - 1] + group_buckets)]
+
+    def count(k: int) -> None:
+        bucket = buckets[k]
+        left = len(bucket)
+        group, a = divmod(k, group_buckets)
+        at = group * group_rows * stride + a
+        code = 0
+        while left:
+            m = bucket.count(code)
+            if m:
+                row, t = divmod(code, span)
+                flat[at + row * stride + t] += m
+                left -= m
+            code += 1
+        bucket.clear()
 
     def rec(pos: int, last: int, asc: int) -> None:
         nxt = pos + 1
         if nxt == stop:
             for c in trans[last]:
-                a = asc + 1 if last < c else asc
-                for j in tails[c]:
-                    flat[a + j] += 1
+                k = offs[c] + asc + (last < c)
+                bucket = buckets[k]
+                bucket += tails[c]
+                if len(bucket) > _FLUSH:
+                    count(k)
             return
         for c in trans[last]:
             rec(nxt, c, asc + 1 if last < c else asc)
 
     rec(0, 0, 0)
-    return [flat[i:i + n + 1] for i in range(0, len(flat), n + 1)]
+    for k, bucket in enumerate(buckets):
+        if bucket:
+            count(k)
+    return [flat[i:i + stride] for i in range(0, len(flat), stride)]
 
 
 def enumerate_sw_prime(n: int, r: int, budget: int = DEFAULT_BUDGET) -> Iterator[Word]:
@@ -247,7 +294,7 @@ def enumerate_sw_prime(n: int, r: int, budget: int = DEFAULT_BUDGET) -> Iterator
 
 
 def word_in_sw_prime(w: Word) -> bool:
-    ls = w.letters
+    ls = _typed(w, "w", Word).letters
     return ls[0] == 0 and all(a != b for a, b in zip(ls, ls[1:]))
 
 
@@ -285,7 +332,7 @@ def enumerate_sw_gamma(
 
 
 def word_in_sw_gamma(w: Word, gamma: GammaVector, closed: bool) -> bool:
-    _validate_gamma(w.alphabet_size, gamma)
+    _validate_gamma(_typed(w, "w", Word).alphabet_size, gamma)
     ls = w.letters
     if ls[0] != 0 or (closed and ls[-1] != 0):
         return False

@@ -85,6 +85,12 @@ interlace check interleave "$e2" "$e1" || status=$?
 test "$status" -eq 1
 interlace edgewise --r 4 --n 6 --gamma 1,2,2,1 --verify
 test "$(interlace words --r 6 --n 9 --gamma 1,1,1,1,1,1 --closed)" = "0,0,0,48,6391,6391,48"
+# the word walker's buckets, counted mid-walk at r = 4, n = 13; the closed
+# walk of r = 300 letters; and the open one, whose 300 rows fall into two
+# groups of byte codes
+test "$(set -o pipefail; interlace --json words --r 4 --n 13 | sha256sum | cut -d ' ' -f 1)" = "509911f183b28072aa35128e47cef0ff72708513018230913e87a7b049163b08"
+test "$(set -o pipefail; interlace --json words --r 300 --n 2 --closed | sha256sum | cut -d ' ' -f 1)" = "7c78a4b4dc3a42a68fa7ee99683663efbd4cb58efb24b5170d0e6d3b2a6146f6"
+test "$(set -o pipefail; interlace --json words --r 300 --n 2 | sha256sum | cut -d ' ' -f 1)" = "07bf469f7c7a3727fa66c3a18b6c91ec0bb7dae103f6a9082ae63dc6bba8be60"
 status=0
 interlace fh --h 2,1 || status=$?
 test "$status" -eq 2

@@ -347,7 +347,9 @@ def test_hf_round_trip(tail):
 
 @pytest.mark.parametrize("call,error,message", [
     (lambda: HVector(()), MalformedVectorError, "h-vector must be nonempty"),
-], ids=["empty-h-vector"])
+    (lambda: fh_transform(5), BadParametersError, "f must be a FVector, got 5"),
+    (lambda: hf_transform(5), BadParametersError, "h must be a HVector, got 5"),
+], ids=["empty-h-vector", "fh-int", "hf-int"])
 def test_guards_raise_their_typed_error(call, error, message):
     with pytest.raises(error, match=message):
         call()

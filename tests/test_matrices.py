@@ -496,8 +496,9 @@ def test_pattern_verdict_on_bad_shape():
     (lambda: forbidden_pattern(5), BadParametersError, "M must be a SymMatrix, got 5"),
     (lambda: preserves_check(5), BadParametersError, "G must be a SymMatrix, got 5"),
     (lambda: ferrers_check([[1]]), BadParametersError, r"G must be a SymMatrix, got \[\[1\]\]"),
+    (lambda: apply(5, [X]), BadParametersError, "G must be a SymMatrix, got 5"),
 ], ids=["entry", "json-object", "empty", "ragged", "ragged-minors", "rejected-without-rule",
-        "allowed-with-rule", "pattern-int", "preserves-int", "ferrers-list"])
+        "allowed-with-rule", "pattern-int", "preserves-int", "ferrers-list", "apply-int"])
 def test_guards_raise_their_typed_error(call, error, message):
     with pytest.raises(error, match=message):
         call()

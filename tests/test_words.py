@@ -306,9 +306,17 @@ def test_oracles_equal_the_tallied_word_stream_on_the_grid():
             assert oracle_local_h(n, r) == closed_buckets[0], (n, r)
 
 
+# a profile at r = 6 whose walk at n = 8 (28,642 words) passes _FLUSH bytes in a bucket
+FLUSHED_PROFILE = GammaVector((0, 1, 1, 0, 1, 2))
+
+
 def test_oracles_stay_independent_of_the_recurrences(monkeypatch):
     expected = {(n, r): list(e_vector(r, n).polys) for n in range(1, 7) for r in range(2, 6)}
     restricted = {g: edgewise.e_gamma(4, 5, g).polys for g in all_gamma_vectors(4)}
+    # cells whose buckets are counted mid-walk, as well as at the end
+    flushed_open = list(e_vector(4, 13).polys)
+    flushed_closed = edgewise.local_h(6, 9)
+    flushed_restricted = list(edgewise.e_gamma(6, 8, FLUSHED_PROFILE).polys)
 
     def forbidden(*args, **kwargs):
         raise RuntimeError("the oracle called a recurrence")
@@ -323,6 +331,80 @@ def test_oracles_stay_independent_of_the_recurrences(monkeypatch):
         assert oracle_local_h(n, r) == polys[0]
     for g, polys in restricted.items():
         assert oracle_E_gamma(5, 4, g) == list(polys)
+    assert oracle_E(13, 4) == flushed_open
+    assert oracle_local_h(9, 6) == flushed_closed
+    assert oracle_E_gamma(8, 6, FLUSHED_PROFILE) == flushed_restricted
+
+
+@pytest.fixture
+def emptied(monkeypatch):
+    """The size of each bucket of the walker when it is counted and emptied."""
+    sizes = []
+
+    class Bucket(bytearray):
+        def clear(self):
+            sizes.append(len(self))
+            super().clear()
+
+    monkeypatch.setattr(words, "bytearray", Bucket, raising=False)
+    return sizes
+
+
+def _closed_walks(n, r):
+    """Closed words of the zero profile: walks of length n from 0 back to 0 on K_r."""
+    return ((r - 1) ** n + (r - 1) * (-1) ** n) // r
+
+
+@pytest.mark.parametrize("n, r, gamma, closed, words_walked, flushed", [
+    (13, 4, None, False, 3**13, True),
+    (9, 6, None, True, _closed_walks(9, 6), True),
+    (8, 6, FLUSHED_PROFILE, False, None, True),
+    (7, 8, None, True, _closed_walks(7, 8), True),
+    (2, 257, None, False, 256**2, True),
+    (2, 257, None, True, _closed_walks(2, 257), False),
+    (3, 3, GammaVector((1, 1, 1)), False, None, False),
+    (900, 2, None, False, 1, False),
+], ids=["open-13-4", "closed-9-6", "restricted-8-6", "closed-7-8", "open-2-257", "closed-2-257",
+        "restricted-3-3", "open-900-2"])
+def test_every_word_writes_one_byte_and_each_byte_is_counted_once(
+        emptied, n, r, gamma, closed, words_walked, flushed):
+    # words grouped by multiplicity would write fewer bytes than there are words
+    if words_walked is None:
+        words_walked = sum(1 for _ in enumerate_sw_gamma(n, r, gamma, closed))
+    counts = words._tally(n, words._transitions(n, r, gamma, DEFAULT_BUDGET), closed)
+    assert sum(emptied) == words_walked == sum(map(sum, counts))
+    assert (max(emptied) > words._FLUSH) == flushed
+
+
+def test_the_walk_is_the_same_with_any_byte_width_and_bucket_size(monkeypatch):
+    # a byte of 4 codes splits the rows of r >= 5 into groups, bytes of 4 to
+    # 16 codes cap the tables' depth, and small buckets are counted after
+    # almost every append: the walker must give the counts of the word stream
+    streams = {(n, r, g, closed): _tally_by_last_letter(n, r, g, closed)
+               for n, r, g in _oracle_grid() if r <= 4 or g == GammaVector.zeros(r)
+               for closed in (False, True)}
+    for byte, flush in [(4, 0), (8, 3), (16, 7)]:
+        monkeypatch.setattr(words, "_BYTE", byte)
+        monkeypatch.setattr(words, "_FLUSH", flush)
+        for (n, r, g, closed), buckets in streams.items():
+            walk = words._tally(n, words._transitions(n, r, g, DEFAULT_BUDGET), closed)
+            assert [Poly(tuple(row)) for row in walk] == buckets[:len(walk)], (byte, n, r, g, closed)
+
+
+@pytest.mark.parametrize("r", [64, 65, 86, 128, 129, 256, 257, 513])
+def test_alphabets_on_both_sides_of_a_byte(r):
+    # at n <= 2 no tail is tabled: a word's byte is its last letter, and
+    # r > 256 letters fall into groups of 256, each with its own buckets
+    assert oracle_E(1, r) == [ZERO] + [X] * (r - 1)
+    assert oracle_local_h(1, r) == ZERO
+    # the word 0,a,b has the ascent 0 < a, and one more when a < b
+    assert oracle_E(2, r) == [Poly((0, r - 1))] + [Poly((0, r - 1 - b, b - 1)) for b in range(1, r)]
+    assert oracle_local_h(2, r) == Poly((0, r - 1))
+    if r in (65, 257):
+        ones = GammaVector((1,) * r)
+        for n in (1, 2):
+            assert oracle_E_gamma(n, r, ones) == _tally_by_last_letter(n, r, ones, False)
+            assert oracle_local_h(n, r, gamma=ones) == _tally_by_last_letter(n, r, ones, True)[0]
 
 
 def test_large_alphabet_short_words_build_no_table_larger_than_the_walk():
@@ -391,7 +473,12 @@ def test_restricted_streams_equal_the_filtered_words():
     (lambda: GammaVector((0, 2, 0, 0)), InvalidGammaError, "differ by at most 1"),
     (lambda: ascents("ab"), BadParametersError, "w must be a Word, got 'ab'"),
     (lambda: oracle_E(2, 3, budget="a"), BadParametersError, "budget must be an int, got 'a'"),
-], ids=["jump-of-two", "ascents-str", "budget-str"])
+    (lambda: check_budget("a", 3, 10), BadParametersError,
+     "need integers n >= 1 and r >= 2, got n='a', r=3"),
+    (lambda: word_in_sw_prime(5), BadParametersError, "w must be a Word, got 5"),
+    (lambda: word_in_sw_gamma(5, None, False), BadParametersError, "w must be a Word, got 5"),
+], ids=["jump-of-two", "ascents-str", "budget-str", "check-budget-n-str", "sw-prime-int",
+        "sw-gamma-int"])
 def test_guards_raise_their_typed_error(call, error, message):
     with pytest.raises(error, match=message):
         call()
